@@ -20,7 +20,7 @@ from .graphs import (
     VertexColoring,
     mask_of,
 )
-from .paths import find_cycle, level_decomposition, longest_path_auto
+from .paths import find_cycle, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
 # digit encodings
@@ -35,34 +35,6 @@ def minimal_base(count: int, q: int) -> int:
     while s ** q < count:
         s += 1
     return s
-
-
-@dataclass(frozen=True)
-class DigitEncoding:
-    """A 0-based index spelled out in base `base` with a fixed digit count.
-
-    digits[0] is the most significant digit.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    @classmethod
-    def encode(cls, index: int, base: int, width: int) -> "DigitEncoding":
-        if index < 0 or index >= base ** width:
-            raise ValueError(f"index {index} not representable in {width} base-{base} digits")
-        out = [0] * width
-        for y in range(width - 1, -1, -1):
-            out[y] = index % base
-            index //= base
-        return cls(base, tuple(out))
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.base + d
-        return v
 
 
 def _digits(index: int, base: int, width: int) -> tuple[int, ...]:
@@ -344,15 +316,13 @@ def _verify_inner_bound(g, blocks, inner: EdgeColoring, r: int) -> None:
     for blk in blocks:
         if not blk or len(blk) > _VERIFY_BLOCK_LIMIT:
             continue
-        sub, back = g.subgraph(sorted(blk))
-        fwd = {v: i for i, v in enumerate(back)}
+        fwd = {v: i for i, v in enumerate(sorted(blk))}
+        adj = [[0] * len(fwd) for _ in range(inner.num_colors + 1)]
+        for (u, v), c in inner.items():
+            if u in fwd and v in fwd and g.has_edge(u, v):
+                adj[c][fwd[u]] |= 1 << fwd[v]
         for c in range(1, inner.num_colors + 1):
-            edges = [(fwd[u], fwd[v]) for (u, v), col in inner.items()
-                     if col == c and u in fwd and v in fwd and sub.has_edge(fwd[u], fwd[v])]
-            if not edges:
-                continue
-            cg = OrientedGraph(sub.n, edges, allow_antiparallel=True)
-            if longest_path_auto(cg).length > r:
+            if len(longest_path_masks(adj[c], bound=r)[0]) > r + 1:
                 raise ColoringError(
                     f"inner coloring has a color-{c} path longer than r={r} in a block")
 

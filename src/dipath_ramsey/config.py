@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
 class ConstantsConfig:
     # acyclic-set extraction constant (size target c*log(n)/(eps*log(1/eps)))
     c: float = 0.1
-    # headline lower-bound constant; None derives the default from c and q
-    c1: float | None = None
     # scales the (n/2q)^q low-degree split threshold
     degree_exponent_factor: float = 1.0
     # scales the (n/16q)^{2q} residue-edge stop rule
@@ -29,7 +27,6 @@ class ConstantsConfig:
     path_floor_factor: int = 5
     cycle_floor_factor: int = 3
     # exhaustive-search budgets
-    exact_path_limit: int = 16
     coloring_budget: int = 1 << 22
     subset_budget: int = 2_000_000
 
@@ -37,20 +34,12 @@ class ConstantsConfig:
         for name in ("c", "degree_exponent_factor", "termination_edge_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.c1 is not None and self.c1 <= 0:
-            raise ValueError("c1 must be positive when given")
         for name in ("block_factor", "path_floor_factor", "cycle_floor_factor",
-                     "exact_path_limit", "coloring_budget", "subset_budget"):
+                     "coloring_budget", "subset_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
     # -- derived quantities ------------------------------------------------
-
-    def c1_value(self, q: int) -> float:
-        """Lower-bound constant for q+1 colors; derived from c unless pinned."""
-        if self.c1 is not None:
-            return self.c1
-        return self.c ** (1.0 / q) / (8 * (2 * q) ** q * (16 * q * q) ** (q + 1))
 
     def degree_threshold(self, n: int, q: int) -> float:
         """Total-degree cutoff separating the low-degree part."""
@@ -69,16 +58,6 @@ class ConstantsConfig:
         if eps >= 0.25:
             return math.floor(math.log2(n)) + 1
         return self.c * math.log2(n) / (eps * math.log2(1 / eps))
-
-    @property
-    def red_divisor(self) -> int:
-        """c_R: red-branch guarantee is n/(c_R * k)."""
-        return 4 * self.block_factor
-
-    @property
-    def blue_divisor(self) -> int:
-        """c_B: blue-branch guarantee is n/c_B."""
-        return 4 * self.block_factor
 
     def red_threshold(self, n: int, k: int) -> int:
         """Dichotomy threshold for the red subgraph, ceil(n/(2*f*k))."""
@@ -119,9 +98,6 @@ class ConstantsConfig:
         base.update(overrides)
         base["relax"] = True
         return cls(**base)
-
-    def with_overrides(self, **overrides) -> "ConstantsConfig":
-        return replace(self, **overrides)
 
 
 DEFAULT_CONFIG = ConstantsConfig()

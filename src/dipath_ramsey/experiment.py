@@ -215,7 +215,7 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         mode = params.get("mode", "exact")
         if mode == "exact":
             report = pseudorandomness_exact(g, budget=cfg.subset_budget)
-            cex = "" if report.counterexample is None else _cex_str(report)
+            cex = "" if report.counterexample is None else _pair_str(report.counterexample)
             return (n, run_index, seed, report.mode,
                     report.k_star if report.k_star is not None else "",
                     int(report.vacuous), cex, report.trials, 1)
@@ -259,11 +259,6 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         ok = 0
     return (n, run_index, seed, colors, k, cert.branch, cert.color,
             cert.path.length, int(cert.guarantee_active), ok)
-
-
-def _cex_str(report) -> str:
-    a, b = report.counterexample
-    return _pair_str((a, b))
 
 
 def _pair_str(pair) -> str:

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONFIG
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
-from .paths import (
-    EXACT_VERTEX_LIMIT,
-    is_acyclic,
-    longest_path_dag,
-    longest_path_exact,
-    longest_path_length_masks,
-)
+from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
 
-# exact subset DP on a cyclic color class is only attempted up to this many
-# support vertices; larger cyclic classes abort instead of hanging
+# the search only asks for a path of bound+1 edges, so its subset DP stops
+# early and affords a larger cyclic support than a full longest-path call
 _CLASS_SUPPORT_LIMIT = 22
 
 
@@ -53,21 +47,17 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     SizeLimitError rather than returning an estimate.
     """
     coloring.validate_total(g)
+    adj = [[0] * g.n for _ in range(coloring.num_colors + 1)]
+    for (u, v), c in coloring.items():
+        adj[c][u] |= 1 << v
     out: dict[int, OracleResult] = {}
     for color in range(1, coloring.num_colors + 1):
-        cg = coloring.class_graph(g, color)
-        if is_acyclic(cg):
-            p = longest_path_dag(cg)
-            out[color] = OracleResult(p.length, p, cg.n)
-            continue
-        support = [v for v in range(cg.n) if cg.degree(v) > 0]
-        if len(support) > limit:
-            raise SizeLimitError(
-                f"color {color} has cyclic support {len(support)} > {limit}")
-        sub, back = cg.subgraph(support)
-        p = longest_path_exact(sub, limit)
-        lifted = DirectedPath(back[v] for v in p.vertices)
-        out[color] = OracleResult(lifted.length, lifted, 1 << sub.n)
+        try:
+            vertices, explored = longest_path_masks(adj[color], limit=limit)
+        except SizeLimitError as exc:
+            raise SizeLimitError(f"color {color}: {exc}") from None
+        p = DirectedPath(vertices)
+        out[color] = OracleResult(p.length, p, explored)
     return out
 
 
@@ -76,49 +66,6 @@ def max_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     """Longest monochromatic path over all colors of one coloring."""
     per_color = longest_mono_path(g, coloring, limit)
     return max((r.value for r in per_color.values()), default=0)
-
-
-def _class_exceeds(edges: list[tuple[int, int]], bound: int) -> bool:
-    """Does the digraph on these edges contain a path longer than `bound`?
-
-    Cheap filters first: fewer than bound+1 edges can never exceed, and an
-    acyclic class is measured by DAG DP at any size.
-    """
-    if len(edges) <= bound:
-        return False
-    verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [0] * n
-    indeg = [0] * n
-    for u, v in edges:
-        a, b = index[u], index[v]
-        if not (adj[a] >> b) & 1:
-            adj[a] |= 1 << b
-            indeg[b] += 1
-    # Kahn: acyclic -> longest path by level DP
-    order = [v for v in range(n) if indeg[v] == 0]
-    deg = list(indeg)
-    head = 0
-    dist = [0] * n
-    while head < len(order):
-        u = order[head]
-        head += 1
-        m = adj[u]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if dist[u] + 1 > dist[w]:
-                dist[w] = dist[u] + 1
-            deg[w] -= 1
-            if deg[w] == 0:
-                order.append(w)
-    if len(order) == n:
-        return max(dist) > bound
-    if n > _CLASS_SUPPORT_LIMIT:
-        raise SizeLimitError(
-            f"cyclic class with support {n} > {_CLASS_SUPPORT_LIMIT}")
-    return longest_path_length_masks(adj, n) > bound
 
 
 def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
@@ -132,7 +79,9 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     edges = g.edges()
     m = len(edges)
     assign: dict[tuple[int, int], int] = {}
-    class_edges: list[list[tuple[int, int]]] = [[] for _ in range(q + 1)]
+    # per-color out-masks and edge counts, updated as edges are (un)assigned
+    adj = [[0] * g.n for _ in range(q + 1)]
+    count = [0] * (q + 1)
     nodes = spent
 
     def dfs(pos: int, used: int) -> bool:
@@ -140,17 +89,22 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
         if pos == m:
             return True
         e = edges[pos]
+        u, bit = e[0], 1 << e[1]
         for c in range(1, min(q, used + 1) + 1):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"coloring search exceeded {budget} nodes")
             assign[e] = c
-            class_edges[c].append(e)
-            ok = not _class_exceeds(class_edges[c], bound)
+            adj[c][u] |= bit
+            count[c] += 1
+            # fewer than bound+1 edges can never form a longer path
+            ok = count[c] <= bound or len(longest_path_masks(
+                adj[c], bound, _CLASS_SUPPORT_LIMIT)[0]) <= bound + 1
             if ok and dfs(pos + 1, max(used, c)):
                 return True
-            class_edges[c].pop()
+            adj[c][u] ^= bit
+            count[c] -= 1
             del assign[e]
         return False
 

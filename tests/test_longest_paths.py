@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dipath_ramsey import (
     CyclicGraphError,
+    DirectedPath,
     OrientedGraph,
     SizeLimitError,
     complete_symmetric,
@@ -18,6 +19,7 @@ from dipath_ramsey import (
     topological_order,
     transitive_tournament,
 )
+from dipath_ramsey.paths import longest_path_masks
 
 
 def _random_oriented(n, m, seed):
@@ -97,3 +99,69 @@ def test_exact_path_is_valid_and_maximal_greedily(n, m, seed):
         used = set(p.vertices)
         tail = p.vertices[-1]
         assert all(v in used for v in g.out_neighbors(tail)) or p.length >= 1
+
+
+def test_longest_path_exact_limit_counts_cyclic_support():
+    # acyclic inputs take the DAG route at any size
+    assert longest_path_exact(transitive_tournament(40)).length == 39
+    # only the vertices with an edge count against the limit
+    g = OrientedGraph(30, [(0, 1), (1, 2), (2, 0)])
+    assert longest_path_exact(g, limit=3).length == 2
+    with pytest.raises(SizeLimitError):
+        longest_path_exact(g, limit=2)
+
+
+def test_longest_path_dag_rejects_cycle():
+    g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(CyclicGraphError) as exc:
+        longest_path_dag(g)
+    assert exc.value.cycle
+
+
+def _brute_longest(n, adj):
+    """Longest simple path (in edges) by DFS over every simple path."""
+    best = 0
+
+    def dfs(v, seen, length):
+        nonlocal best
+        best = max(best, length)
+        for w in range(n):
+            if adj[v] >> w & 1 and not seen >> w & 1:
+                dfs(w, seen | 1 << w, length + 1)
+
+    for v in range(n):
+        dfs(v, 1 << v, 0)
+    return best
+
+
+@st.composite
+def _digraphs(draw):
+    """(n, edges): acyclic ones orient every edge along a random order."""
+    n = draw(st.integers(0, 8))
+    acyclic = draw(st.booleans())
+    rank = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (not acyclic or rank[u] < rank[v])]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs(), st.integers(0, 8))
+def test_engine_matches_brute_force(graph, bound):
+    n, edges = graph
+    g = OrientedGraph(n, edges, allow_antiparallel=True)
+    adj = [g.out_mask(v) for v in range(n)]
+    best = _brute_longest(n, adj)
+    vertices, explored = longest_path_masks(adj)
+    p = DirectedPath(vertices)
+    assert p.is_valid_in(g)
+    assert p.length == best
+    support = sum(1 for v in range(n) if g.degree(v))
+    assert explored == (n if is_acyclic(g) else 1 << support)
+    # with a bound, a path longer than it comes back exactly when one exists
+    vertices, _ = longest_path_masks(adj, bound=bound)
+    p = DirectedPath(vertices)
+    assert p.is_valid_in(g)
+    assert (p.length > bound) == (best > bound)
+    assert p.length <= best
