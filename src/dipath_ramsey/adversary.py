@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import and_
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
@@ -316,13 +317,13 @@ def _verify_inner_bound(g, blocks, inner: EdgeColoring, r: int) -> None:
     for blk in blocks:
         if not blk or len(blk) > _VERIFY_BLOCK_LIMIT:
             continue
-        fwd = {v: i for i, v in enumerate(sorted(blk))}
-        adj = [[0] * len(fwd) for _ in range(inner.num_colors + 1)]
-        for (u, v), c in inner.items():
-            if u in fwd and v in fwd and g.has_edge(u, v):
-                adj[c][fwd[u]] |= 1 << fwd[v]
+        sub = inner.induced(blk, inner.num_colors)
+        if not len(sub):
+            continue  # no inner edge, no inner path
+        host = g.subgraph(blk)[0].out_masks()
         for c in range(1, inner.num_colors + 1):
-            if len(longest_path_masks(adj[c], bound=r)[0]) > r + 1:
+            adj = list(map(and_, sub.out_masks(c, len(host)), host))
+            if len(longest_path_masks(adj, bound=r)[0]) > r + 1:
                 raise ColoringError(
                     f"inner coloring has a color-{c} path longer than r={r} in a block")
 

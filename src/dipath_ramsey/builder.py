@@ -22,7 +22,6 @@ from .graphs import (
     EdgeColoring,
     OrientedGraph,
     VertexColoring,
-    complete_symmetric,
     mask_of,
 )
 from .pseudorandom import dfs_long_path, thread_path_through_sets
@@ -282,10 +281,7 @@ def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     classes = [cls for cls in outcome.classes() if cls]
     biggest = max(classes, key=len)
     sub, back = g.subgraph(biggest)
-    fwd = {v: i for i, v in enumerate(back)}
-    sub_assign = {(fwd[u], fwd[v]): coloring.color(u, v)
-                  for (u, v) in g.edges() if u in fwd and v in fwd}
-    inner = multicolor_path_finder(sub, EdgeColoring(qp1 - 1, sub_assign),
+    inner = multicolor_path_finder(sub, coloring.induced(back, qp1 - 1),
                                    k, n_target, cfg)
     lifted = DirectedPath(back[v] for v in inner.path.vertices)
     note = (f"recursed on a class of {len(biggest)} vertices "
@@ -306,8 +302,7 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
         raise GraphShapeError("need at least one vertex")
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
-    host = complete_symmetric(t)
-    coloring.validate_total(host)
+    coloring.validate_complete(t)
     qp1 = coloring.num_colors
     if qp1 == 1:
         path = DirectedPath(range(t))
@@ -321,7 +316,8 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
                              aux_path=tuple(seg.vertices))
         return BuilderCertificate(seg, seg_color, branch,
                                   seg.length >= n_target, trace)
-    top = coloring.class_graph(host, qp1)
+    top = OrientedGraph.from_masks(t, coloring.out_masks(qp1, t),
+                                   allow_antiparallel=True)
     outcome = gallai_roy(top, n_target)
     if isinstance(outcome, DirectedPath):
         trace = BuilderTrace(threshold=n_target,
@@ -331,11 +327,7 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
     classes = [cls for cls in outcome.classes() if cls]
     biggest = max(classes, key=len)
     back = sorted(biggest)
-    fwd = {v: i for i, v in enumerate(back)}
-    sub_assign = {(fwd[u], fwd[v]): coloring.color(u, v)
-                  for u in back for v in back if u != v}
-    inner = symmetric_multicolor_finder(len(back),
-                                        EdgeColoring(qp1 - 1, sub_assign),
+    inner = symmetric_multicolor_finder(len(back), coloring.induced(back, qp1 - 1),
                                         n_target)
     lifted = DirectedPath(back[v] for v in inner.path.vertices)
     note = (f"recursed on a class of {len(back)} vertices",)

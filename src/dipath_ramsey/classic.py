@@ -19,76 +19,37 @@ from .graphs import (
     EdgeColoring,
     OrientedGraph,
     VertexColoring,
-    complete_symmetric,
 )
 from .paths import level_decomposition, longest_path_dag
 
 RED, BLUE = 1, 2
 
 
-class _IncrementalDag:
-    """Edge-at-a-time acyclicity filter with a dynamic topological order.
-
-    try_add keeps the running subgraph acyclic: an edge is accepted only if
-    no path already leads from its head back to its tail.  Order maintenance
-    follows the affected-region strategy (only vertices between the two
-    endpoints' positions are ever touched), which keeps long greedy edge
-    scans cheap on sparse inputs.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.out: list[list[int]] = [[] for _ in range(n)]
-        self.inc: list[list[int]] = [[] for _ in range(n)]
-        self.pos = list(range(n))
-
-    def try_add(self, u: int, v: int) -> bool:
-        pos = self.pos
-        if pos[u] < pos[v]:
-            self.out[u].append(v)
-            self.inc[v].append(u)
-            return True
-        lb, ub = pos[v], pos[u]
-        # forward closure from v restricted to the affected position window
-        fwd = []
-        seen_f = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            fwd.append(a)
-            for b in self.out[a]:
-                if b == u:
-                    return False  # would close a cycle
-                if b not in seen_f and pos[b] < ub:
-                    seen_f.add(b)
-                    stack.append(b)
-        # backward closure from u inside the window
-        bwd = []
-        seen_b = {u}
-        stack = [u]
-        while stack:
-            a = stack.pop()
-            bwd.append(a)
-            for b in self.inc[a]:
-                if b not in seen_b and pos[b] > lb:
-                    seen_b.add(b)
-                    stack.append(b)
-        bwd.sort(key=lambda w: pos[w])
-        fwd.sort(key=lambda w: pos[w])
-        slots = sorted(pos[w] for w in itertools.chain(bwd, fwd))
-        for w, p in zip(itertools.chain(bwd, fwd), slots):
-            pos[w] = p
-        self.out[u].append(v)
-        self.inc[v].append(u)
-        return True
-
-
 def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     """Greedy maximal acyclic spanning subgraph, edges tried in canonical
     (lexicographic) order.  Maximal: every rejected edge closes a cycle."""
-    dag = _IncrementalDag(g.n)
-    kept = [(u, v) for (u, v) in g.edges() if dag.try_add(u, v)]
-    return OrientedGraph(g.n, kept, allow_antiparallel=g.allow_antiparallel)
+    n = g.n
+    kept_out = [0] * n
+    kept_in = [0] * n
+    for u in range(n):
+        # a head v > u has no kept out-edge yet, so the set of vertices
+        # reaching u cannot change while u's edges are tried
+        reach = frontier = 1 << u
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= kept_in[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~reach
+            reach |= frontier
+        keep = kept_out[u] = g.out_mask(u) & ~reach
+        bit = 1 << u
+        while keep:
+            low = keep & -keep
+            kept_in[low.bit_length() - 1] |= bit
+            keep ^= low
+    return OrientedGraph.from_masks(n, kept_out, kept_in, g.allow_antiparallel)
 
 
 def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPath:
@@ -323,9 +284,11 @@ def raynaud(t: int, coloring: EdgeColoring) -> HamiltonDecomposition:
         raise GraphShapeError("need at least one vertex")
     if coloring.num_colors != 2:
         raise ColoringError(f"need exactly 2 colors, got {coloring.num_colors}")
-    host = complete_symmetric(t)
-    coloring.validate_total(host)
-    colfn = coloring.color
+    coloring.validate_complete(t)
+    red = coloring.out_masks(RED, t)
+
+    def colfn(u: int, v: int) -> int:
+        return RED if red[u] >> v & 1 else BLUE
 
     orders: list[list[int]] = [list(range(t)), list(range(t - 1, -1, -1))]
     for shift in (1, t // 2):

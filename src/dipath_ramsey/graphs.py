@@ -2,12 +2,15 @@
 
 Vertices are always 0..n-1.  Adjacency is kept as one Python int bitmask per
 vertex in each direction, so direction queries, neighborhood unions and
-set-restricted scans are single big-int operations.  Graphs are immutable
-after construction.
+set-restricted scans are single big-int operations; a graph built from
+out-masks alone derives its in-masks on first use.  Edge colorings keep one
+such out-mask list per color.  Graphs are immutable after construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ColoringError, GraphShapeError
@@ -26,6 +29,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _relabel(mask: int, index: dict[int, int]) -> int:
+    """`mask` with each set bit v moved to position index[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << index[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class OrientedGraph:
@@ -63,6 +76,33 @@ class OrientedGraph:
             m += 1
         self._m = m
 
+    @classmethod
+    def from_masks(cls, n: int, out: list[int], in_masks: list[int] | None = None,
+                   allow_antiparallel: bool = False) -> "OrientedGraph":
+        """Graph with out-masks `out` (and in-masks `in_masks`, when the
+        caller has them), taken as given: the caller vouches for n vertices,
+        no self loop, and no antiparallel pair unless allowed.  Missing
+        in-masks are derived on first use."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.allow_antiparallel = allow_antiparallel
+        g._out = out
+        g._in = in_masks
+        g._m = sum(map(int.bit_count, out))
+        return g
+
+    def _in_masks(self) -> list[int]:
+        if self._in is None:
+            inn = [0] * self.n
+            for u, m in enumerate(self._out):
+                bit = 1 << u
+                while m:
+                    low = m & -m
+                    inn[low.bit_length() - 1] |= bit
+                    m ^= low
+            self._in = inn
+        return self._in
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -79,14 +119,18 @@ class OrientedGraph:
     def out_mask(self, v: int) -> int:
         return self._out[v]
 
+    def out_masks(self) -> list[int]:
+        """All out-masks, one per vertex (a fresh list)."""
+        return list(self._out)
+
     def in_mask(self, v: int) -> int:
-        return self._in[v]
+        return (self._in or self._in_masks())[v]
 
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return self._in[v].bit_count()
+        return (self._in or self._in_masks())[v].bit_count()
 
     def degree(self, v: int) -> int:
         return self.out_degree(v) + self.in_degree(v)
@@ -95,7 +139,7 @@ class OrientedGraph:
         return list(iter_bits(self._out[v]))
 
     def in_neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._in[v]))
+        return list(iter_bits(self.in_mask(v)))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -123,15 +167,9 @@ class OrientedGraph:
         keep = sorted(set(vertices))
         index = {old: new for new, old in enumerate(keep)}
         kmask = mask_of(keep)
-        edges = []
-        for old_u in keep:
-            for old_v in iter_bits(self._out[old_u] & kmask):
-                edges.append((index[old_u], index[old_v]))
-        return OrientedGraph(len(keep), edges, self.allow_antiparallel), keep
-
-    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "OrientedGraph":
-        """Same vertex set, different edge set (used for per-color classes)."""
-        return OrientedGraph(self.n, edges, self.allow_antiparallel)
+        out = [_relabel(self._out[u] & kmask, index) for u in keep]
+        return OrientedGraph.from_masks(len(keep), out,
+                                        allow_antiparallel=self.allow_antiparallel), keep
 
     # -- plumbing --------------------------------------------------------
 
@@ -222,59 +260,146 @@ class DirectedPath:
 
 
 class EdgeColoring:
-    """A total map from a host graph's edges to colors 1..num_colors."""
+    """A total map from a host graph's edges to colors 1..num_colors.
 
-    __slots__ = ("num_colors", "_assign")
+    Stored as one out-mask list per color, the layout OrientedGraph uses:
+    bit v of ``_out[c - 1][u]`` is set when edge (u, v) has color c.  Each
+    list has one row per vertex up to the highest id an edge touches, so
+    equal assignments give equal lists.
+    """
+
+    __slots__ = ("num_colors", "_out", "_m")
 
     def __init__(self, num_colors: int,
                  assignment: Iterable[tuple[tuple[int, int], int]] | dict = ()):
         if num_colors < 1:
             raise ColoringError(f"need at least one color, got {num_colors}")
+        if isinstance(assignment, dict):
+            items, assign, colors = assignment.items(), assignment, assignment.values()
+        else:
+            items = list(assignment)
+            # a repeated edge takes its last color
+            assign, colors = dict(items), list(map(itemgetter(1), items))
+        if colors and not (1 <= min(colors) and max(colors) <= num_colors):
+            (u, v), c = next(item for item in items if not 1 <= item[1] <= num_colors)
+            raise ColoringError(f"color {c} for edge ({u},{v}) outside 1..{num_colors}")
+        ids = list(chain.from_iterable(assign))
+        if ids and min(ids) < 0:
+            raise ColoringError("vertex ids must be nonnegative")
+        n = 1 + max(ids, default=-1)
+        out = [[0] * n for _ in range(num_colors)]
+        for (u, v), c in assign.items():
+            out[c - 1][u] |= 1 << v
         self.num_colors = num_colors
-        items = assignment.items() if isinstance(assignment, dict) else assignment
-        self._assign = {}
-        for (u, v), c in items:
-            if not (1 <= c <= num_colors):
-                raise ColoringError(f"color {c} for edge ({u},{v}) outside 1..{num_colors}")
-            self._assign[(u, v)] = c
+        self._out = out
+        self._m = len(assign)
 
-    def color(self, u: int, v: int) -> int:
-        return self._assign[(u, v)]
+    @classmethod
+    def from_masks(cls, masks: list[list[int]]) -> "EdgeColoring":
+        """Coloring whose color c has the out-masks masks[c - 1], one color
+        per list.  The caller vouches that no edge has two colors."""
+        self = cls.__new__(cls)
+        self.num_colors = len(masks)
+        n = 0
+        for rows in masks:
+            for u, m in enumerate(rows):
+                if m:
+                    n = max(n, u + 1, m.bit_length())
+        self._out = [rows[:n] + [0] * (n - len(rows)) for rows in masks]
+        self._m = sum(sum(map(int.bit_count, rows)) for rows in self._out)
+        return self
+
+    def out_masks(self, c: int, n: int) -> list[int]:
+        """Out-masks of color c's edges for vertices 0..n-1 (a fresh list;
+        all zero for a color outside 1..num_colors)."""
+        rows = self._out[c - 1][:n] if 1 <= c <= self.num_colors else []
+        return rows + [0] * (n - len(rows))
 
     def get(self, u: int, v: int, default=None):
-        return self._assign.get((u, v), default)
+        if 0 <= v and 0 <= u < len(self._out[0]):
+            for c, rows in enumerate(self._out, 1):
+                if rows[u] >> v & 1:
+                    return c
+        return default
+
+    def color(self, u: int, v: int) -> int:
+        c = self.get(u, v)
+        if c is None:
+            raise KeyError((u, v))
+        return c
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._assign.items())
+        """All ((u, v), color) pairs sorted by (u, v)."""
+        out = []
+        for u, rows in enumerate(zip(*self._out)):
+            m = 0
+            for row in rows:
+                m |= row
+            while m:
+                low = m & -m
+                c = 1
+                while not rows[c - 1] & low:
+                    c += 1
+                out.append(((u, low.bit_length() - 1), c))
+                m ^= low
+        return out
 
     def __len__(self) -> int:
-        return len(self._assign)
+        return self._m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return self.num_colors == other.num_colors and self._assign == other._assign
+        return self.num_colors == other.num_colors and self._out == other._out
+
+    def _check_covers(self, want: list[int]) -> None:
+        """The colored edges are exactly those of the out-masks `want`."""
+        have = self._out[0]
+        for rows in self._out[1:]:
+            have = list(map(or_, have, rows))
+        size = max(len(have), len(want))
+        have = have + [0] * (size - len(have))
+        want = want + [0] * (size - len(want))
+        if have == want:
+            return
+        for what, diff in (("uncolored edges", [w & ~h for w, h in zip(want, have)]),
+                           ("colored non-edges", [h & ~w for w, h in zip(want, have)])):
+            count = sum(map(int.bit_count, diff))
+            if count:
+                u = next(i for i, m in enumerate(diff) if m)
+                v = (diff[u] & -diff[u]).bit_length() - 1
+                raise ColoringError(f"{count} {what}, e.g. {(u, v)}")
 
     def validate_total(self, g: OrientedGraph) -> None:
         """Every edge of g colored, and nothing else."""
-        edges = set(g.edges())
-        got = set(self._assign)
-        missing = edges - got
-        extra = got - edges
-        if missing:
-            raise ColoringError(f"{len(missing)} uncolored edges, e.g. {sorted(missing)[0]}")
-        if extra:
-            raise ColoringError(f"{len(extra)} colored non-edges, e.g. {sorted(extra)[0]}")
+        self._check_covers(g.out_masks())
+
+    def validate_complete(self, t: int) -> None:
+        """Every arc of the complete symmetric digraph on t vertices
+        colored, and nothing else (validate_total on that host)."""
+        full = (1 << t) - 1
+        self._check_covers([full ^ 1 << u for u in range(t)])
 
     def class_graph(self, g: OrientedGraph, c: int) -> OrientedGraph:
         """Subgraph of g holding exactly the edges of color c (same ids)."""
-        edges = [e for e, col in self._assign.items() if col == c and g.has_edge(*e)]
-        return OrientedGraph(g.n, edges, allow_antiparallel=True)
+        out = list(map(and_, self.out_masks(c, g.n), g.out_masks()))
+        return OrientedGraph.from_masks(g.n, out, allow_antiparallel=True)
 
-    def restricted_to(self, edges: Iterable[tuple[int, int]],
-                      num_colors: int | None = None) -> "EdgeColoring":
-        sub = {e: self._assign[e] for e in edges}
-        return EdgeColoring(num_colors or self.num_colors, sub)
+    def induced(self, vertices: Iterable[int], num_colors: int) -> "EdgeColoring":
+        """The coloring of the edges inside `vertices`, relabelled in
+        ascending order as OrientedGraph.subgraph does, with colors
+        1..num_colors; a higher color with an edge inside is an error."""
+        keep = sorted(set(vertices))
+        index = {old: new for new, old in enumerate(keep)}
+        kmask = mask_of(keep)
+        n = len(self._out[0])
+        masks = [[_relabel(rows[u] & kmask, index) if u < n else 0 for u in keep]
+                 for rows in self._out]
+        for c, rows in enumerate(masks[num_colors:], num_colors + 1):
+            if any(rows):
+                raise ColoringError(f"color {c} has an edge inside the vertex set")
+        return EdgeColoring.from_masks(
+            masks[:num_colors] + [[]] * (num_colors - len(masks)))
 
 
 class VertexColoring:

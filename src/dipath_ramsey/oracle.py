@@ -47,13 +47,11 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     SizeLimitError rather than returning an estimate.
     """
     coloring.validate_total(g)
-    adj = [[0] * g.n for _ in range(coloring.num_colors + 1)]
-    for (u, v), c in coloring.items():
-        adj[c][u] |= 1 << v
     out: dict[int, OracleResult] = {}
     for color in range(1, coloring.num_colors + 1):
         try:
-            vertices, explored = longest_path_masks(adj[color], limit=limit)
+            vertices, explored = longest_path_masks(coloring.out_masks(color, g.n),
+                                                    limit=limit)
         except SizeLimitError as exc:
             raise SizeLimitError(f"color {color}: {exc}") from None
         p = DirectedPath(vertices)

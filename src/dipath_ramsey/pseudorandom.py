@@ -184,20 +184,28 @@ def pseudorandomness_exact(g, budget: int = 2_000_000) -> PseudorandomnessReport
 def refute_pseudorandomness(g, k: int, trials: int, seed: int):
     """Monte Carlo search for a violating pair; None means none was found.
 
-    One-sided: a returned pair is a certain refutation, while None only
-    suggests the property holds.
+    Each trial samples only A and applies the closure test of
+    `_violating_pair`: some B exists exactly when k vertices lie outside A
+    and its out-neighborhoods, and then the lowest k of them are B.  The
+    search is one-sided: a returned pair is a certain refutation, while
+    None only suggests the property holds.
     """
     g = as_graph(g)
     n = g.n
     if k < 1 or k > n // 2:
         raise ValueError(f"k must be in [1, {n // 2}] for n={n}")
+    closure = [g.out_mask(v) | 1 << v for v in range(n)]
+    full = g.full_mask()
+    vertices = range(n)
     rng = random.Random(seed)
     for _ in range(trials):
-        picked = rng.sample(range(n), 2 * k)
-        a, b = picked[:k], picked[k:]
-        b_mask = mask_of(b)
-        if all(g.out_mask(v) & b_mask == 0 for v in a):
-            return tuple(sorted(a)), tuple(sorted(b))
+        a = rng.sample(vertices, k)
+        closed = 0
+        for v in a:
+            closed |= closure[v]
+        free = full & ~closed
+        if free.bit_count() >= k:
+            return tuple(sorted(a)), tuple(itertools.islice(iter_bits(free), k))
     return None
 
 

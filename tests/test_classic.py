@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dipath_ramsey import (
     BLUE,
@@ -87,6 +88,44 @@ def test_maximal_acyclic_is_maximal():
     for e in set(g.edges()) - kept:
         trial = OrientedGraph(g.n, list(kept | {e}), allow_antiparallel=True)
         assert find_cycle(trial) is not None
+
+
+def _greedy_acyclic_reference(n, edges):
+    """Lexicographic greedy with a DFS reachability test per edge."""
+    out = {v: [] for v in range(n)}
+
+    def reaches(a, b):
+        seen, stack = {a}, [a]
+        while stack:
+            x = stack.pop()
+            if x == b:
+                return True
+            for y in out[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    kept = []
+    for u, v in sorted(edges):
+        if not reaches(v, u):
+            out[u].append(v)
+            kept.append((u, v))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+             .filter(lambda e: e[0] != e[1]), max_size=n * (n - 1)))))
+def test_maximal_acyclic_matches_greedy_reference(case):
+    n, edges = case
+    g = OrientedGraph(n, edges, allow_antiparallel=True)
+    h = maximal_acyclic_subgraph(g)
+    assert h.edges() == _greedy_acyclic_reference(n, g.edges())
+    assert [h.in_mask(v) for v in range(n)] == [
+        sum(1 << u for u, w in h.edges() if w == v) for v in range(n)]
 
 
 def test_gallai_roy_three_cycle():

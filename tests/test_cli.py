@@ -118,3 +118,13 @@ def test_malformed_graph_is_cli_error(tmp_path):
     res = runner.invoke(main, ["prcheck", "--in", str(bad)])
     assert res.exit_code != 0
     assert "Error" in res.output
+
+
+def test_non_ascii_input_is_cli_error(tmp_path):
+    runner = CliRunner()
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes("3 1 oriented\n0 1 caf\u00e9\n".encode("utf-8"))
+    res = runner.invoke(main, ["prcheck", "--in", str(bad)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: line 2" in res.output and "non-ASCII" in res.output

@@ -1,4 +1,6 @@
 """Core graph/coloring/path type behavior."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,3 +116,77 @@ def test_random_tournament_shape(n, seed):
     t = random_tournament(n, seed)
     assert is_tournament(t.underlying)
     assert t.underlying.edge_count == n * (n - 1) // 2
+
+
+def _dict_validate_message(assign, g):
+    """validate_total's verdict computed from a plain dict of edges."""
+    edges, got = set(g.edges()), set(assign)
+    missing, extra = edges - got, got - edges
+    if missing:
+        return f"{len(missing)} uncolored edges, e.g. {sorted(missing)[0]}"
+    if extra:
+        return f"{len(extra)} colored non-edges, e.g. {sorted(extra)[0]}"
+    return None
+
+
+def test_mask_coloring_matches_plain_dict():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        q = rng.randint(1, 4)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        assign = {e: rng.randint(1, q) for e in pairs if rng.random() < 0.6}
+        col = EdgeColoring(q, assign)
+        assert col.items() == sorted(assign.items())
+        assert len(col) == len(assign)
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert col.get(u, v) == assign.get((u, v))
+                assert col.get(u, v, "none") == assign.get((u, v), "none")
+                if (u, v) in assign:
+                    assert col.color(u, v) == assign[(u, v)]
+                else:
+                    with pytest.raises(KeyError):
+                        col.color(u, v)
+        shuffled = list(assign.items())
+        rng.shuffle(shuffled)
+        assert col == EdgeColoring(q, shuffled) == EdgeColoring(q, dict(shuffled))
+        assert col != EdgeColoring(q + 1, assign)
+        if assign:
+            e = rng.choice(sorted(assign))
+            assert col != EdgeColoring(q, {**assign, e: assign[e] % q + 1}) or q == 1
+            assert col != EdgeColoring(q, {k: c for k, c in assign.items() if k != e})
+        # a repeated edge takes its last color
+        if pairs:
+            e = pairs[0]
+            assert EdgeColoring(q, [(e, 1), (e, q)]).items() == [(e, q)]
+        for host in (OrientedGraph(n, assign, allow_antiparallel=True),
+                     OrientedGraph(n + 1, pairs[: len(pairs) // 2], allow_antiparallel=True),
+                     OrientedGraph(max(n - 1, 0))):
+            want = _dict_validate_message(assign, host)
+            if want is None:
+                col.validate_total(host)
+                for c in range(q + 2):
+                    assert col.class_graph(host, c).edges() == sorted(
+                        e for e, k in assign.items() if k == c)
+            else:
+                with pytest.raises(ColoringError) as exc:
+                    col.validate_total(host)
+                assert str(exc.value) == want
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        fwd = {v: i for i, v in enumerate(keep)}
+        inside = {(fwd[u], fwd[v]): c for (u, v), c in assign.items()
+                  if u in fwd and v in fwd}
+        assert col.induced(keep, q) == EdgeColoring(q, inside)
+
+
+def test_induced_rejects_a_dropped_color_inside():
+    col = EdgeColoring(3, {(0, 1): 3, (1, 2): 1})
+    assert col.induced([1, 2], 2) == EdgeColoring(2, {(0, 1): 1})
+    with pytest.raises(ColoringError):
+        col.induced([0, 1], 2)
+
+
+def test_coloring_rejects_negative_vertex():
+    with pytest.raises(ColoringError):
+        EdgeColoring(1, {(-1, 0): 1})

@@ -18,6 +18,8 @@ from dipath_ramsey import (
     parse_coloring,
     parse_graph,
     random_digraph,
+    read_coloring,
+    read_graph,
     run_experiment,
     serialize_coloring,
     serialize_graph,
@@ -80,6 +82,65 @@ def test_graph_parse_antiparallel_in_oriented():
     text = "2 2 oriented\n0 1\n1 0\n"
     with pytest.raises(FormatError):
         parse_graph(text)
+
+
+def test_graph_parse_duplicate_edge_line():
+    with pytest.raises(FormatError) as exc:
+        parse_graph("3 2 oriented\n0 1\n0 1\n")
+    assert exc.value.line == 3
+    with pytest.raises(FormatError) as exc:
+        parse_graph("3 3 symmetric\n0 1\n1 0\n0 1\n")
+    assert exc.value.line == 4
+
+
+def test_graph_parse_non_ascii_digit_is_format_error():
+    # "\u00b2".isdigit() holds, but int() rejects it
+    with pytest.raises(FormatError) as exc:
+        parse_graph("3 1 oriented\n0 \u00b2\n")
+    assert (exc.value.line, exc.value.column) == (2, 2)
+    with pytest.raises(FormatError) as exc:
+        parse_graph("\u00b2 0 oriented\n")
+    assert exc.value.line == 1
+    g = OrientedGraph(2, [(0, 1)])
+    with pytest.raises(FormatError) as exc:
+        parse_coloring("0 1 \u00b2\n", g)
+    assert (exc.value.line, exc.value.column) == (1, 3)
+
+
+def test_graph_parse_reports_offending_line():
+    with pytest.raises(FormatError) as exc:
+        parse_graph("3 3 oriented\n0 1\n1 2\n2 2\n")
+    assert exc.value.line == 4 and "self loop" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        parse_graph("3 3 oriented\n0 1\n1 2\n1 0\n")
+    assert exc.value.line == 4 and "antiparallel" in str(exc.value)
+
+
+def test_parse_accepts_any_whitespace_layout():
+    g = OrientedGraph(4, [(0, 1), (2, 1), (3, 0)])
+    for text in ("4 3 oriented\n0\t1\n2  1\n 3 0 \n",
+                 "4 3 oriented\r\n0 1\r\n2 1\r\n3 0\r\n",
+                 "4 3 oriented\n0 1\n2 1\n3 0"):
+        assert parse_graph(text) == g
+    col = EdgeColoring(2, {(0, 1): 1, (2, 1): 2, (3, 0): 2})
+    for text in ("0\t1 1\n2 1  2\n3 0 2\r\n", "0 1 1\n2 1 2\n3 0 2"):
+        assert parse_coloring(text, g) == col
+
+
+def test_read_rejects_non_ascii_byte(tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_bytes("2 1 oriented\r\n0 1 \u00e9\n".encode("utf-8"))
+    with pytest.raises(FormatError) as exc:
+        read_graph(path)
+    assert (exc.value.line, exc.value.column) == (2, 5)
+    good = tmp_path / "h.graph"
+    good.write_bytes(b"2 1 oriented\r\n0 1\r\n")
+    g = read_graph(good)
+    col = tmp_path / "c.txt"
+    col.write_bytes("0 1 1 # caf\u00e9\n".encode("utf-8"))
+    with pytest.raises(FormatError) as exc:
+        read_coloring(col, g)
+    assert exc.value.line == 1
 
 
 # -- coloring text format --------------------------------------------------
