@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import and_
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
-from .graphs import (
-    EdgeColoring,
-    OrientedGraph,
-    Tournament,
-    VertexColoring,
-    mask_of,
-)
+from .graphs import EdgeColoring, OrientedGraph, Tournament, VertexColoring, mask_of
 from .paths import find_cycle, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
@@ -46,21 +42,35 @@ def _digits(index: int, base: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pair_color(di: tuple[int, ...], dj: tuple[int, ...], q: int) -> int:
-    """Lowest position where di < dj, 1-based; the escape color q+1 if none."""
-    for y in range(q):
-        if di[y] < dj[y]:
-            return y + 1
-    return q + 1
+def _digit_product(out: list[int], groups, q: int, rows: list[list[int]]) -> None:
+    """OR the digit-product colors of the edges between `groups` into rows.
 
-
-def _increase_color(di: tuple[int, ...], dj: tuple[int, ...]) -> int:
-    # for j > i some digit of j strictly exceeds i's; the first differing
-    # position is such a digit, so the scan always lands
-    for y, (a, b) in enumerate(zip(di, dj)):
-        if b > a:
-            return y + 1
-    raise AssertionError("no increasing digit; indices not ordered")
+    Group i gets the base-s code of i in q digits, s minimal with
+    len(groups) <= s^q.  An edge (u, v) from group i to another group j
+    takes the lowest position where i's digit is below j's, or the escape
+    color q+1 when no digit increases, and is set in rows[c - 1][u].  Edges
+    inside a group or leaving the groups' union are left alone.  The colors
+    are found per group and digit as mask unions, never per edge.
+    """
+    s = minimal_base(len(groups), q)
+    codes = [_digits(i, s, q) for i in range(len(groups))]
+    gmasks = [mask_of(grp) for grp in groups]
+    at = [[0] * s for _ in range(q)]
+    for code, m in zip(codes, gmasks):
+        for y, d in enumerate(code):
+            at[y][d] |= m
+    upto = [list(accumulate(row, or_)) for row in at]  # digit y at most d
+    for code, own, grp in zip(codes, gmasks, groups):
+        rest = upto[0][-1] & ~own  # groups no earlier digit has risen into
+        masks = []
+        for y, d in enumerate(code):
+            masks.append(rest & ~upto[y][d])
+            rest &= upto[y][d]
+        masks.append(rest)  # no digit rises: the escape color
+        for row, mask in zip(rows, masks):
+            if mask:
+                for u in grp:
+                    row[u] |= out[u] & mask
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +78,24 @@ def _increase_color(di: tuple[int, ...], dj: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_in_tournament(g: OrientedGraph, verts: list[int]) -> list[int]:
-    """Greedy dominating chain: argmax out-degree, recurse into its
+def _chain_in_tournament(out: list[int], alive: int) -> list[int]:
+    """Greedy dominating chain in the tournament with out-masks `out` on
+    the vertex set `alive`: argmax out-degree, recurse into its
     out-neighborhood.  Consecutive nesting makes the chain transitive, hence
     acyclic; sizes halve at worst, giving floor(log2 n) + 1 vertices."""
     chain: list[int] = []
-    alive = mask_of(verts)
     while alive:
         best_v, best_d = -1, -1
         m = alive
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            m &= m - 1
-            d = (g.out_mask(v) & alive & ~g.in_mask(v)).bit_count()
+            m ^= low
+            d = (out[v] & alive).bit_count()
             if d > best_d:
                 best_v, best_d = v, d
         chain.append(best_v)
-        alive &= g.out_mask(best_v) & ~g.in_mask(best_v)
+        alive &= out[best_v]
     return chain
 
 
@@ -97,7 +107,7 @@ def tournament_acyclic_set(t: Tournament) -> list[int]:
     transitive chain.
     """
     g = t.underlying
-    return _chain_in_tournament(g, list(range(g.n)))
+    return _chain_in_tournament(g.out_masks(), g.full_mask())
 
 
 def _completion_chain(g: OrientedGraph, verts: list[int]) -> list[int]:
@@ -106,22 +116,14 @@ def _completion_chain(g: OrientedGraph, verts: list[int]) -> list[int]:
     Missing pairs are oriented low id -> high id.  An acyclic set of the
     completion is acyclic in g, because the completion only gains edges.
     """
-    if not verts:
-        return []
-    # build the completed tournament on local coordinates
-    local = {v: i for i, v in enumerate(sorted(verts))}
-    back = sorted(verts)
-    edges = []
-    for a in range(len(back)):
-        for b in range(a + 1, len(back)):
-            u, v = back[a], back[b]
-            if g.has_edge(v, u) and not g.has_edge(u, v):
-                edges.append((b, a))
-            else:
-                edges.append((a, b))
-    t = OrientedGraph(len(back), edges)
-    chain = _chain_in_tournament(t, list(range(len(back))))
-    return [back[i] for i in chain]
+    within = mask_of(verts)
+    out = [0] * g.n
+    for v in verts:
+        o, i = g.out_mask(v), g.in_mask(v)
+        lower = within & ((1 << v) - 1)
+        higher = within & ~lower & ~(1 << v)
+        out[v] = (higher & (o | ~i)) | (lower & o & ~i)
+    return _chain_in_tournament(out, within)
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,8 @@ def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) 
     n = g.n
     if n == 0:
         return AcyclicSetResult((), 0.0, True)
-    for (u, v) in g.edges():
-        if g.has_edge(v, u):
-            raise GraphShapeError("input must be oriented (no antiparallel pairs)")
+    if any(g.out_mask(v) & g.in_mask(v) for v in range(n)):
+        raise GraphShapeError("input must be oriented (no antiparallel pairs)")
     eps = g.edge_count / (n * n)
     target = cfg.acyclic_target(n, eps)
     floor_chain = _completion_chain(g, list(range(n)))
@@ -281,32 +282,34 @@ def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
     q = inner.num_colors - 1
     if q < 1:
         raise ColoringError("inner coloring must use at least 2 colors (q+1 with q >= 1)")
-    owner: dict[int, int] = {}
+    size = max(g.n, inner.n)  # inner edges beyond the host are stray too
+    owner = [-1] * size
     for idx, blk in enumerate(blocks):
         for v in blk:
-            if v in owner:
-                raise ColoringError(f"blocks overlap at vertex {v}")
             if not 0 <= v < g.n:
                 raise GraphShapeError(f"block vertex {v} outside host graph")
+            if owner[v] >= 0:
+                raise ColoringError(f"blocks overlap at vertex {v}")
             owner[v] = idx
-    assign: dict[tuple[int, int], int] = {}
-    for (u, v), c in inner.items():
-        if owner.get(u) is None or owner.get(u) != owner.get(v):
+    bmasks = [mask_of(blk) for blk in blocks]
+    own = [bmasks[b] if b >= 0 else 0 for b in owner]
+    rows = [inner.out_masks(c, size) for c in range(1, q + 2)]
+    colored = [reduce(or_, col) for col in zip(*rows)]
+    for u, (m, mine) in enumerate(zip(colored, own)):
+        stray = m & ~mine
+        if stray:
+            v = (stray & -stray).bit_length() - 1
             raise ColoringError(f"inner edge ({u},{v}) does not stay within one block")
-        assign[(u, v)] = c
     _verify_inner_bound(g, blocks, inner, r)
-    s = minimal_base(len(blocks), q)
-    codes = [_digits(i, s, q) for i in range(len(blocks))]
-    for (u, v) in g.edges():
-        ou, ov = owner.get(u), owner.get(v)
-        if ou is None or ov is None:
-            continue  # outside the union; not this coloring's business
-        if ou == ov:
-            if (u, v) not in assign:
-                raise ColoringError(f"edge ({u},{v}) inside block {ou} missing from inner coloring")
-            continue
-        assign[(u, v)] = _pair_color(codes[ou], codes[ov], q)
-    return EdgeColoring(q + 1, assign)
+    out = g.out_masks()
+    for u, (o, m, mine) in enumerate(zip(out, colored, own)):
+        missing = o & mine & ~m
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            raise ColoringError(
+                f"edge ({u},{v}) inside block {owner[u]} missing from inner coloring")
+    _digit_product(out, blocks, q, rows)
+    return EdgeColoring.from_masks(rows)
 
 
 _VERIFY_BLOCK_LIMIT = 12
@@ -360,16 +363,11 @@ def acyclic_edge_coloring(z: OrientedGraph, q: int) -> EdgeColoring:
     if q < 1:
         raise ValueError("q must be >= 1")
     levels = level_decomposition(z)  # raises on cyclic input
-    lvl = [0] * z.n
-    for depth, vs in enumerate(levels):
-        for v in vs:
-            lvl[v] = depth
-    s = minimal_base(len(levels), q)
-    codes = [_digits(i, s, q) for i in range(len(levels))]
-    assign = {}
-    for (u, v) in z.edges():
-        assign[(u, v)] = _increase_color(codes[lvl[u]], codes[lvl[v]])
-    return EdgeColoring(q, assign) if assign else EdgeColoring(q, {})
+    rows = [[0] * z.n for _ in range(q + 1)]
+    _digit_product(z.out_masks(), levels, q, rows)
+    # a later level has the larger code, so some digit rises: the escape
+    # color q+1 never occurs
+    return EdgeColoring.from_masks(rows[:q])
 
 
 def acyclic_coloring_bound(z: OrientedGraph, q: int) -> int:
@@ -451,18 +449,6 @@ def _acyclic_candidates(h: OrientedGraph, cfg: ConstantsConfig) -> list[int]:
     return sorted(back[v] for v in res.vertices)
 
 
-def _class_digit_part(g: OrientedGraph, verts: list[int], q: int):
-    """Chromatic-then-digit coloring of an induced part, in host coordinates."""
-    if not verts:
-        return {}, 0, 0
-    sub, back = g.subgraph(sorted(verts))
-    vc = constructive_chromatic(sub)
-    ec = color_classes_coloring(sub, vc, q)
-    assign = {(back[u], back[v]): c for (u, v), c in ec.items()}
-    bound = 0 if sub.edge_count == 0 else class_coloring_bound(vc.num_classes, q)
-    return assign, bound, vc.num_classes
-
-
 def theorem1_adversary(g: OrientedGraph, q: int,
                        cfg: ConstantsConfig = DEFAULT_CONFIG) -> AdversaryResult:
     """The sparse-digraph adversary: a (q+1)-coloring plus its trace.
@@ -524,68 +510,46 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     residue = tuple(sorted(y_cur))
     covered = tuple(sorted(v for (_, _, blocks) in families_raw for b in blocks for v in b))
 
-    assign: dict[tuple[int, int], int] = {}
+    out = g.out_masks()
+    # colors 1..q+1, plus one row list for the escape color of the level
+    # products, which never occurs because block edges ascend levels
+    rows = [[0] * n for _ in range(q + 2)]
+    # one digit over the three parts: X -> residue -> covered forward in
+    # color 1, all reverse directions in color 2
+    _digit_product(out, [x_verts, residue, covered], 1, rows)
 
-    x_assign, x_bound, x_classes = _class_digit_part(g, x_verts, q)
-    assign.update(x_assign)
-    r_assign, r_bound, r_classes = _class_digit_part(g, list(residue), q)
-    assign.update(r_assign)
+    # X and the residue: proper coloring of the part, then its classes
+    found = []
+    for verts in (x_verts, residue):
+        sub, back = g.subgraph(verts)
+        vc = constructive_chromatic(sub)
+        _digit_product(out, [[back[v] for v in cls] for cls in vc.classes()], q, rows)
+        bound = class_coloring_bound(vc.num_classes, q) if sub.edge_count else 0
+        found.append((bound, vc.num_classes))
+    (x_bound, x_classes), (r_bound, r_classes) = found
 
-    # per-block acyclic colorings with q+1 digit colors, plus family metadata
+    # blocks by levels with q+1 digits, then blocks within a family, then
+    # families
     fam_records: list[FamilyRecord] = []
-    fam_of: dict[int, int] = {}
-    blk_of: dict[int, int] = {}
-    for f_idx, (a_i, eps_i, blocks) in enumerate(families_raw):
+    for a_i, eps_i, blocks in families_raw:
         r_i = 0
-        for b_idx, block in enumerate(blocks):
-            sub, back = g.subgraph(list(block))
-            ec = acyclic_edge_coloring(sub, q + 1)
-            for (u, v), c in ec.items():
-                assign[(back[u], back[v])] = c
-            r_i = max(r_i, acyclic_coloring_bound(sub, q + 1))
-            for v in block:
-                fam_of[v] = f_idx
-                blk_of[v] = b_idx
-        s_i = minimal_base(len(blocks), q)
+        for block in blocks:
+            levels = level_decomposition(g.subgraph(block)[0])
+            _digit_product(out, [[block[v] for v in lv] for lv in levels], q + 1, rows)
+            r_i = max(r_i, minimal_base(len(levels), q + 1) - 1)
+        _digit_product(out, blocks, q, rows)
         fam_records.append(FamilyRecord(
             size=a_i, eps=eps_i, blocks=blocks, inner_bound=r_i,
-            bound=q * (r_i + 1) * s_i))
+            bound=q * (r_i + 1) * minimal_base(len(blocks), q)))
+    _digit_product(out, [[v for b in blocks for v in b] for _, _, blocks in families_raw],
+                   q, rows)
 
     n_fam = len(fam_records)
     s_fams = minimal_base(n_fam, q) if n_fam else 1
-    fam_codes = [_digits(idx, s_fams, q) for idx in range(n_fam)]
-    blk_codes = [
-        [_digits(b, minimal_base(len(rec.blocks), q), q) for b in range(len(rec.blocks))]
-        for rec in fam_records
-    ]
     max_f = max((rec.bound for rec in fam_records), default=0)
     w_bound = q * (max_f + 1) * s_fams if n_fam else 0
 
-    part = {}
-    for v in x_verts:
-        part[v] = 0
-    for v in residue:
-        part[v] = 1
-    for v in covered:
-        part[v] = 2
-
-    for (u, v) in g.edges():
-        if (u, v) in assign:
-            continue
-        pu, pv = part[u], part[v]
-        if pu == 2 and pv == 2:
-            fu, fv = fam_of[u], fam_of[v]
-            if fu == fv:
-                assign[(u, v)] = _pair_color(
-                    blk_codes[fu][blk_of[u]], blk_codes[fu][blk_of[v]], q)
-            else:
-                assign[(u, v)] = _pair_color(fam_codes[fu], fam_codes[fv], q)
-        else:
-            # escape scheme: X -> residue -> covered forward in color 1,
-            # all reverse directions in color 2
-            assign[(u, v)] = 1 if pu < pv else 2
-
-    coloring = EdgeColoring(q + 1, assign)
+    coloring = EdgeColoring.from_masks(rows[:q + 1])
     coloring.validate_total(g)
     total = x_bound + r_bound + w_bound + 2
     partition = FamilyPartition(
@@ -614,19 +578,24 @@ def check_partition(g: OrientedGraph, result: AdversaryResult,
     res_sub, _ = g.subgraph(list(p.residue))
     if res_sub.edge_count > cfg.termination_threshold(g.n, q):
         raise AssertionError("residue edge count above the termination threshold")
-    part = {}
-    for v in p.x:
-        part[v] = 0
-    for v in p.residue:
-        part[v] = 1
-    for v in p.covered:
-        part[v] = 2
-    for (u, v), c in result.coloring.items():
-        if part[u] != part[v]:
-            want = 1 if part[u] < part[v] else 2
-            if c != want:
-                raise AssertionError(
-                    f"cross-part edge ({u},{v}) colored {c}, escape scheme wants {want}")
+    x, res, cov = mask_of(p.x), mask_of(p.residue), mask_of(p.covered)
+    coloring = result.coloring
+    masks = [coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)]
+    for u in range(g.n):
+        before, after = ((0, res | cov) if x >> u & 1 else
+                         (x, cov) if res >> u & 1 else (x | res, 0))
+        # color 1 may only run forward, color 2 only backward, no other
+        # color between parts
+        wrong = [before, after] + [before | after] * (len(masks) - 2)
+        bad = 0
+        for rows_c, w in zip(masks, wrong):
+            bad |= rows_c[u] & w
+        if bad:
+            v = (bad & -bad).bit_length() - 1
+            want = 1 if after >> v & 1 else 2
+            raise AssertionError(
+                f"cross-part edge ({u},{v}) colored {coloring.color(u, v)}, "
+                f"escape scheme wants {want}")
 
 
 def symmetric_adversary(g: OrientedGraph, q: int) -> EdgeColoring:

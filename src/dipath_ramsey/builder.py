@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 from .classic import BLUE, RED, gallai_roy, raynaud
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError, ThreadingError
-from .graphs import (
-    DirectedPath,
-    EdgeColoring,
-    OrientedGraph,
-    VertexColoring,
-    mask_of,
-)
+from .graphs import DirectedPath, EdgeColoring, OrientedGraph, mask_of
 from .pseudorandom import dfs_long_path, thread_path_through_sets
 
 
@@ -255,6 +249,35 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     return BuilderCertificate(path, BLUE, "blue-case", guarantee, trace)
 
 
+def _color_recursion(coloring: EdgeColoring, n: int, n_target: int,
+                     base, recurse) -> BuilderCertificate:
+    """The top-color step shared by both multicolor finders.
+
+    Up to two colors go to `base()`.  Otherwise the top color's subgraph
+    either holds a path of length n_target (the shortcut certificate) or is
+    n_target-colorable; `recurse(vertices, sub_coloring)` runs on its
+    largest class with the top color stripped, and its path is lifted back.
+    """
+    qp1 = coloring.num_colors
+    if qp1 <= 2:
+        return base()
+    top = OrientedGraph.from_masks(n, coloring.out_masks(qp1, n), allow_antiparallel=True)
+    outcome = gallai_roy(top, n_target)
+    if isinstance(outcome, DirectedPath):
+        trace = BuilderTrace(threshold=n_target,
+                             notes=(f"path found directly in color {qp1}",))
+        return BuilderCertificate(outcome, qp1, "monochromatic-shortcut",
+                                  outcome.length >= n_target, trace)
+    back = max((cls for cls in outcome.classes() if cls), key=len)
+    inner = recurse(back, coloring.induced(back, qp1 - 1))
+    lifted = DirectedPath(back[v] for v in inner.path.vertices)
+    note = (f"recursed on a class of {len(back)} vertices "
+            f"(trace below is in recursion-local ids)",)
+    trace = replace(inner.trace, notes=inner.trace.notes + note)
+    return BuilderCertificate(lifted, inner.color, inner.branch,
+                              inner.guarantee_active, trace)
+
+
 def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
                            n_target: int,
                            cfg: ConstantsConfig = DEFAULT_CONFIG) -> BuilderCertificate:
@@ -268,27 +291,25 @@ def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     coloring.validate_total(g)
-    qp1 = coloring.num_colors
-    if qp1 <= 2:
-        return two_color_path_finder(g, coloring, k, cfg)
-    top = coloring.class_graph(g, qp1)
-    outcome = gallai_roy(top, n_target)
-    if isinstance(outcome, DirectedPath):
-        trace = BuilderTrace(threshold=n_target,
-                             notes=(f"path found directly in color {qp1}",))
-        return BuilderCertificate(outcome, qp1, "monochromatic-shortcut",
-                                  outcome.length >= n_target, trace)
-    classes = [cls for cls in outcome.classes() if cls]
-    biggest = max(classes, key=len)
-    sub, back = g.subgraph(biggest)
-    inner = multicolor_path_finder(sub, coloring.induced(back, qp1 - 1),
-                                   k, n_target, cfg)
-    lifted = DirectedPath(back[v] for v in inner.path.vertices)
-    note = (f"recursed on a class of {len(biggest)} vertices "
-            f"(trace below is in recursion-local ids)",)
-    trace = replace(inner.trace, notes=inner.trace.notes + note)
-    return BuilderCertificate(lifted, inner.color, inner.branch,
-                              inner.guarantee_active, trace)
+    return _color_recursion(
+        coloring, g.n, n_target,
+        lambda: two_color_path_finder(g, coloring, k, cfg),
+        lambda back, sub: multicolor_path_finder(g.subgraph(back)[0], sub, k, n_target, cfg))
+
+
+def _symmetric_base(t: int, coloring: EdgeColoring, n_target: int) -> BuilderCertificate:
+    """One color: the identity Hamilton path.  Two colors: the longer run of
+    a two-run Hamilton cycle, at least floor(t/2) edges."""
+    if coloring.num_colors == 1:
+        path = DirectedPath(range(t))
+        return BuilderCertificate(
+            path, 1, "monochromatic-shortcut", path.length >= n_target,
+            BuilderTrace(notes=("single-color input; identity Hamilton path",)))
+    seg, seg_color = raynaud(t, coloring).best_segment()
+    branch = "red-case" if seg_color == RED else "blue-case"
+    trace = BuilderTrace(aux_branch="red" if seg_color == RED else "blue",
+                         aux_path=tuple(seg.vertices))
+    return BuilderCertificate(seg, seg_color, branch, seg.length >= n_target, trace)
 
 
 def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
@@ -303,34 +324,7 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     coloring.validate_complete(t)
-    qp1 = coloring.num_colors
-    if qp1 == 1:
-        path = DirectedPath(range(t))
-        return BuilderCertificate(
-            path, 1, "monochromatic-shortcut", path.length >= n_target,
-            BuilderTrace(notes=("single-color input; identity Hamilton path",)))
-    if qp1 == 2:
-        seg, seg_color = raynaud(t, coloring).best_segment()
-        branch = "red-case" if seg_color == RED else "blue-case"
-        trace = BuilderTrace(aux_branch="red" if seg_color == RED else "blue",
-                             aux_path=tuple(seg.vertices))
-        return BuilderCertificate(seg, seg_color, branch,
-                                  seg.length >= n_target, trace)
-    top = OrientedGraph.from_masks(t, coloring.out_masks(qp1, t),
-                                   allow_antiparallel=True)
-    outcome = gallai_roy(top, n_target)
-    if isinstance(outcome, DirectedPath):
-        trace = BuilderTrace(threshold=n_target,
-                             notes=(f"path found directly in color {qp1}",))
-        return BuilderCertificate(outcome, qp1, "monochromatic-shortcut",
-                                  outcome.length >= n_target, trace)
-    classes = [cls for cls in outcome.classes() if cls]
-    biggest = max(classes, key=len)
-    back = sorted(biggest)
-    inner = symmetric_multicolor_finder(len(back), coloring.induced(back, qp1 - 1),
-                                        n_target)
-    lifted = DirectedPath(back[v] for v in inner.path.vertices)
-    note = (f"recursed on a class of {len(back)} vertices",)
-    trace = replace(inner.trace, notes=inner.trace.notes + note)
-    return BuilderCertificate(lifted, inner.color, inner.branch,
-                              inner.guarantee_active, trace)
+    return _color_recursion(
+        coloring, t, n_target,
+        lambda: _symmetric_base(t, coloring, n_target),
+        lambda back, sub: symmetric_multicolor_finder(len(back), sub, n_target))

@@ -18,7 +18,7 @@ from .builder import multicolor_path_finder, two_color_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import DipathError
 from .experiment import ExperimentManifest, run_experiment
-from .formats import read_coloring, read_graph, write_coloring, write_graph
+from .formats import _read_text, read_coloring, read_graph, write_coloring, write_graph
 from .oracle import arrowing_check, longest_mono_path, min_max_mono_path
 from .pseudorandom import (
     paley_tournament,
@@ -33,8 +33,10 @@ from .pseudorandom import (
 def _load_config(path: str | None) -> ConstantsConfig:
     if path is None:
         return DEFAULT_CONFIG
-    with open(path, encoding="ascii") as fh:
-        return ConstantsConfig.from_json(fh.read())
+    try:
+        return ConstantsConfig.from_json(_read_text(path))
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"bad config {path}: {exc}") from exc
 
 
 def _echo_json(payload) -> None:
@@ -200,8 +202,7 @@ def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
 def experiment(manifest_path: str) -> None:
     """Run a manifest; nonzero exit if any run violated an invariant."""
     try:
-        with open(manifest_path, encoding="ascii") as fh:
-            manifest = ExperimentManifest.from_json(fh.read())
+        manifest = ExperimentManifest.from_json(_read_text(manifest_path))
         record = run_experiment(manifest)
     except DipathError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -2,8 +2,8 @@
 
 The asymptotic arguments behind the constructions fix their constants for
 astronomically large inputs.  Desk-scale runs need the same machinery with
-gentler numbers, so every constant lives here and `relax` marks a config
-whose values differ from the faithful defaults.
+gentler numbers, so every constant lives here; `relaxed()` gives the
+desk-scale set.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ class ConstantsConfig:
     degree_exponent_factor: float = 1.0
     # scales the (n/16q)^{2q} residue-edge stop rule
     termination_edge_threshold: float = 1.0
-    # True when constants were overridden for desk-scale runs
-    relax: bool = False
     # two-color extraction stage factors, in units of k vertices per block
     block_factor: int = 7
     path_floor_factor: int = 5
@@ -88,7 +86,6 @@ class ConstantsConfig:
         """Desk-scale defaults: small-degree split and block sizes that stay
         non-degenerate for n in the tens-to-hundreds range."""
         base = dict(
-            relax=True,
             degree_exponent_factor=0.5,
             termination_edge_threshold=16.0,
             block_factor=4,
@@ -96,7 +93,6 @@ class ConstantsConfig:
             cycle_floor_factor=1,
         )
         base.update(overrides)
-        base["relax"] = True
         return cls(**base)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -266,10 +267,21 @@ def _pair_str(pair) -> str:
     return ";".join(",".join(str(v) for v in side) for side in (a, b))
 
 
+def _run_cell(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
+    """(row, error class name or None).  A run that raises a package error
+    is a failed row: n, run and seed, empty fields, ok=0."""
+    try:
+        return _run_one(manifest, n, run_index), None
+    except DipathError as exc:
+        seed = derive_seed(manifest.experiment_id, n, run_index)
+        blanks = ("",) * (len(_COLUMNS[manifest.kind]) - 4)
+        return (n, run_index, seed, *blanks, 0), type(exc).__name__
+
+
 def _worker(args: tuple) -> tuple:
     manifest_json, n, run_index = args
     manifest = ExperimentManifest.from_json(manifest_json)
-    return _run_one(manifest, n, run_index)
+    return _run_cell(manifest, n, run_index)
 
 
 def run_experiment(manifest: ExperimentManifest,
@@ -277,7 +289,9 @@ def run_experiment(manifest: ExperimentManifest,
     """Execute every (size, repetition) cell and persist CSV + JSON.
 
     Row order is sorted by (n, run index) regardless of how workers finish,
-    so identical manifests always produce identical CSV bytes.
+    so identical manifests always produce identical CSV bytes.  A cell that
+    raises a package error is a failed row; the error class is counted in
+    the JSON aggregate, never in the CSV.
     """
     start = time.monotonic()
     tasks = [(n, r) for n in manifest.generator.sizes
@@ -286,15 +300,16 @@ def run_experiment(manifest: ExperimentManifest,
     if workers > 1 and len(tasks) > 1:
         payload = manifest.to_json()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker,
-                                 [(payload, n, r) for n, r in tasks]))
+            cells = list(pool.map(_worker,
+                                  [(payload, n, r) for n, r in tasks]))
     else:
-        rows = [_run_one(manifest, n, r) for n, r in tasks]
-    rows.sort(key=lambda row: (row[0], row[1]))
+        cells = [_run_cell(manifest, n, r) for n, r in tasks]
+    cells.sort(key=lambda cell: (cell[0][0], cell[0][1]))
+    rows = [row for row, _ in cells]
     columns = _COLUMNS[manifest.kind]
     ok_col = columns.index("ok")
     failures = sum(1 for row in rows if not row[ok_col])
-    aggregates = _aggregate(manifest.kind, columns, rows)
+    aggregates = _aggregate(manifest.kind, columns, cells)
     record = ResultRecord(
         manifest_hash=manifest.hash(),
         kind=manifest.kind,
@@ -318,21 +333,22 @@ def run_experiment(manifest: ExperimentManifest,
     return record
 
 
-def _aggregate(kind: str, columns: tuple[str, ...], rows: list) -> dict:
+def _aggregate(kind: str, columns: tuple[str, ...], cells: list) -> dict:
     by_n: dict[int, list] = {}
-    for row in rows:
-        by_n.setdefault(row[0], []).append(row)
+    for cell in cells:
+        by_n.setdefault(cell[0][0], []).append(cell)
     numeric = {"prcheck": "k_star", "adversary": "total_bound",
                "builder": "length"}[kind]
     idx = columns.index(numeric)
+    ok_idx = columns.index("ok")
     out = {}
     for n in sorted(by_n):
-        values = [row[idx] for row in by_n[n]
-                  if isinstance(row[idx], (int, float))]
-        ok_idx = columns.index("ok")
+        rows = [row for row, _ in by_n[n]]
+        values = [row[idx] for row in rows if isinstance(row[idx], (int, float))]
         out[str(n)] = {
-            "runs": len(by_n[n]),
-            "failures": sum(1 for row in by_n[n] if not row[ok_idx]),
+            "runs": len(rows),
+            "failures": sum(1 for row in rows if not row[ok_idx]),
+            "errors": dict(sorted(Counter(e for _, e in by_n[n] if e).items())),
             numeric: {
                 "min": min(values) if values else None,
                 "max": max(values) if values else None,

@@ -200,11 +200,13 @@ def transitive_tournament(n: int) -> OrientedGraph:
 
 
 def is_tournament(g: OrientedGraph) -> bool:
-    """Exactly one direction present for every vertex pair."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) == g.has_edge(v, u):
-                return False
+    """Exactly one direction present for every vertex pair: each vertex's
+    out- and in-masks are disjoint and together cover every other vertex."""
+    full = g.full_mask()
+    for v in range(g.n):
+        o, i = g.out_mask(v), g.in_mask(v)
+        if o & i or o | i != full ^ 1 << v:
+            return False
     return True
 
 
@@ -309,6 +311,12 @@ class EdgeColoring:
         self._m = sum(sum(map(int.bit_count, rows)) for rows in self._out)
         return self
 
+    @property
+    def n(self) -> int:
+        """Rows held per color: one more than the highest vertex id an edge
+        touches (0 for no edges)."""
+        return len(self._out[0])
+
     def out_masks(self, c: int, n: int) -> list[int]:
         """Out-masks of color c's edges for vertices 0..n-1 (a fresh list;
         all zero for a color outside 1..num_colors)."""
@@ -392,7 +400,7 @@ class EdgeColoring:
         keep = sorted(set(vertices))
         index = {old: new for new, old in enumerate(keep)}
         kmask = mask_of(keep)
-        n = len(self._out[0])
+        n = self.n
         masks = [[_relabel(rows[u] & kmask, index) if u < n else 0 for u in keep]
                  for rows in self._out]
         for c, rows in enumerate(masks[num_colors:], num_colors + 1):

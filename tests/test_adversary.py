@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipath_ramsey import (
     ColoringError,
@@ -23,6 +23,7 @@ from dipath_ramsey import (
     complete_symmetric,
     constructive_chromatic,
     is_acyclic,
+    level_decomposition,
     max_mono_path,
     min_max_mono_path,
     minimal_base,
@@ -358,6 +359,63 @@ def test_theorem1_beats_nothing_smaller_than_optimum():
         result = theorem1_adversary(g, 1, RELAXED)
         measured = max_mono_path(g, result.coloring)
         assert measured >= min_max_mono_path(g, 2).value
+
+
+def _ref_color(i: int, j: int, count: int, q: int) -> int:
+    """Digit-product color of an edge from group i to group j among
+    `count` groups: base-s codes with q digits, most significant first;
+    the lowest position where i's digit is below j's, else q + 1."""
+    s = 1
+    while s ** q < count:
+        s += 1
+    di = [i // s ** (q - 1 - y) % s for y in range(q)]
+    dj = [j // s ** (q - 1 - y) % s for y in range(q)]
+    return next((y + 1 for y in range(q) if di[y] < dj[y]), q + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 0.45), st.integers(1, 3),
+       st.integers(0, 2**31), st.booleans(), st.booleans())
+@example(40, 350 / 780, 1, 2, False, False)  # one family of several blocks
+@example(10, 0.4, 1, 0, True, False)  # two families
+def test_theorem1_colors_follow_from_partition(n, density, q, seed, digraph, relaxed):
+    """Every edge's color, recomputed one edge at a time from the returned
+    partition: escape colors between parts, classes of the proper coloring
+    inside X and the residue, then families, blocks and levels."""
+    gen = random_digraph if digraph else random_oriented_graph
+    g = gen(n, round(density * n * (n - 1) / (1 if digraph else 2)), seed)
+    cfg = RELAXED if relaxed else ConstantsConfig()
+    result = theorem1_adversary(g, q, cfg)
+    p = result.partition
+    part = {v: i for i, verts in enumerate((p.x, p.residue, p.covered)) for v in verts}
+    cls = {}
+    for verts in (p.x, p.residue):
+        sub, back = g.subgraph(verts)
+        vc = constructive_chromatic(sub)
+        for v, c in enumerate(vc.colors):
+            cls[back[v]] = (c - 1, vc.num_classes)
+    place = {}
+    for f, rec in enumerate(p.families):
+        for b, block in enumerate(rec.blocks):
+            levels = level_decomposition(g.subgraph(block)[0])
+            for depth, members in enumerate(levels):
+                for v in members:
+                    place[block[v]] = (f, b, depth, len(levels))
+    want = {}
+    for u, v in g.edges():
+        if part[u] != part[v]:
+            want[(u, v)] = 1 if part[u] < part[v] else 2
+        elif part[u] < 2:
+            want[(u, v)] = _ref_color(cls[u][0], cls[v][0], cls[u][1], q)
+        else:
+            (fu, bu, lu, count), (fv, bv, lv, _) = place[u], place[v]
+            if fu != fv:
+                want[(u, v)] = _ref_color(fu, fv, len(p.families), q)
+            elif bu != bv:
+                want[(u, v)] = _ref_color(bu, bv, len(p.families[fu].blocks), q)
+            else:
+                want[(u, v)] = _ref_color(lu, lv, count, q + 1)
+    assert result.coloring == EdgeColoring(q + 1, want)
 
 
 # -- symmetric hosts -------------------------------------------------------

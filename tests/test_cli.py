@@ -128,3 +128,29 @@ def test_non_ascii_input_is_cli_error(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "Error: line 2" in res.output and "non-ASCII" in res.output
+
+
+def test_bad_config_is_cli_error(tmp_path):
+    runner = CliRunner()
+    gpath = tmp_path / "g.graph"
+    runner.invoke(main, ["gen", "--model", "oriented", "--n", "10",
+                         "--seed", "1", "--out", str(gpath)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_such_key": 1}))
+    res = runner.invoke(main, ["adversary", "--config", str(cfg), "--in", str(gpath),
+                               "--out", str(tmp_path / "c.txt")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: bad config" in res.output and "no_such_key" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_non_ascii_manifest_is_cli_error(tmp_path):
+    runner = CliRunner()
+    mpath = tmp_path / "m.json"
+    mpath.write_bytes('{"experiment_id": "caf\u00e9"}'.encode("utf-8"))
+    res = runner.invoke(main, ["experiment", "--manifest", str(mpath)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: line 1" in res.output and "non-ASCII" in res.output
+    assert "Traceback" not in res.output

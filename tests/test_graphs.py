@@ -190,3 +190,25 @@ def test_induced_rejects_a_dropped_color_inside():
 def test_coloring_rejects_negative_vertex():
     with pytest.raises(ColoringError):
         EdgeColoring(1, {(-1, 0): 1})
+
+
+def _is_tournament_pairwise(g) -> bool:
+    return all(g.has_edge(u, v) != g.has_edge(v, u)
+               for u in range(g.n) for v in range(u + 1, g.n))
+
+
+@given(st.integers(0, 9), st.integers(0, 2**31), st.sampled_from(["full", "drop", "both"]))
+def test_is_tournament_matches_pairwise(n, seed, tweak):
+    """Tournaments, tournaments missing a pair, and digraphs with an
+    antiparallel pair, against the pairwise definition."""
+    rng = random.Random(seed)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(n) for v in range(u + 1, n)]
+    if edges and tweak == "drop":
+        edges.pop(rng.randrange(len(edges)))
+    if edges and tweak == "both":
+        u, v = edges[rng.randrange(len(edges))]
+        edges.append((v, u))
+    g = OrientedGraph(n, edges, allow_antiparallel=True)
+    assert is_tournament(g) == _is_tournament_pairwise(g)
+    assert is_tournament(g) == (tweak == "full" or n < 2)

@@ -335,6 +335,31 @@ def test_aggregates_present(tmp_path):
         assert agg["failures"] == 0
 
 
+def test_run_experiment_error_cell_is_failed_row(tmp_path, monkeypatch):
+    """The exact check exceeds its subset budget at n=64; that cell becomes
+    a failed row and the n=8 row survives, in serial and pooled runs."""
+    m = ExperimentManifest(
+        experiment_id="budget", kind="prcheck",
+        generator=GeneratorSpec("tournament", (8, 64)),
+        repetitions=1, params={"mode": "exact"},
+        csv_path=str(tmp_path / "b.csv"), json_path=str(tmp_path / "b.json"))
+    serial = run_experiment(m)
+    assert serial.failures == 1 and not serial.ok
+    small, big = serial.rows
+    assert small[0] == 8 and small[-1] == 1
+    assert big[:3] == (64, 0, derive_seed("budget", 64, 0)) and big[-1] == 0
+    assert set(big[3:-1]) == {""}
+    assert "Error" not in (tmp_path / "b.csv").read_text()
+    assert serial.aggregates["8"]["errors"] == {}
+    assert serial.aggregates["64"]["errors"] == {"BudgetExceededError": 1}
+    payload = json.loads((tmp_path / "b.json").read_text())
+    assert payload["record"]["aggregates"]["64"]["errors"] == {"BudgetExceededError": 1}
+    monkeypatch.setenv("DIPATH_RAMSEY_WORKERS", "2")
+    pooled = run_experiment(m, write_outputs=False)
+    assert pooled.rows == serial.rows
+    assert pooled.aggregates == serial.aggregates
+
+
 # -- adversary vs oracle cross-check ---------------------------------------
 
 def test_adversary_never_beats_oracle_exhaustive():
