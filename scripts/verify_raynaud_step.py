@@ -4,9 +4,9 @@
 Checks every 2-coloring of the complete symmetric digraph for t <= 5
 (over 10^6 instances at t=5), then random colorings for t up to 48.
 Each decomposition is validated structurally and its best segment checked
-against the floor(t/2) promise.  Also reports how often each construction
-layer (plain insert, repair insert, pair repair, exhaustive fallback)
-closed the cycle, by instrumenting the internal helpers.
+against the floor(t/2) promise.  Also reports how often each of the two
+construction layers (single insertion, one-vertex repair) placed a new
+vertex, by instrumenting the internal helpers.
 
 Exits nonzero on the first violation.
 """
@@ -18,36 +18,43 @@ from collections import Counter
 from dipath_ramsey import EdgeColoring, complete_symmetric, raynaud
 from dipath_ramsey import classic
 
-LAYERS = ("single_insert", "repair_insert", "pair_repair", "exhaustive")
+LAYERS = ("single_insert", "repair_insert")
 
 
 class LayerCounter:
-    """Wrap the private construction layers with hit counters."""
+    """Wrap the two private construction layers with hit counters.  The
+    repair single-inserts the vertex it moved; that inner call is the
+    repair's work and is not counted as a single insertion."""
 
     def __init__(self):
         self.hits = Counter()
-        self._orig = {}
+        self._orig = None
+        self._in_repair = False
 
     def __enter__(self):
-        for name, attr in (("single_insert", "_try_single_insert"),
-                           ("repair_insert", "_try_repair_insert"),
-                           ("pair_repair", "_try_pair_repair"),
-                           ("exhaustive", "_exhaustive_cycle")):
-            orig = getattr(classic, attr)
-            self._orig[attr] = orig
+        insert, repair = self._orig = classic._insert, classic._repair
 
-            def wrapped(*args, _orig=orig, _name=name, **kw):
-                out = _orig(*args, **kw)
-                if out:
-                    self.hits[_name] += 1
-                return out
+        def counted_insert(*args):
+            out = insert(*args)
+            if out and not self._in_repair:
+                self.hits["single_insert"] += 1
+            return out
 
-            setattr(classic, attr, wrapped)
+        def counted_repair(*args):
+            self._in_repair = True
+            try:
+                out = repair(*args)
+            finally:
+                self._in_repair = False
+            if out:
+                self.hits["repair_insert"] += 1
+            return out
+
+        classic._insert, classic._repair = counted_insert, counted_repair
         return self
 
     def __exit__(self, *exc):
-        for attr, orig in self._orig.items():
-            setattr(classic, attr, orig)
+        classic._insert, classic._repair = self._orig
         return False
 
 

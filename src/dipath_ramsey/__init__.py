@@ -89,7 +89,6 @@ from .paths import (
     find_cycle,
     is_acyclic,
     level_decomposition,
-    longest_path_auto,
     longest_path_dag,
     longest_path_exact,
     topological_order,

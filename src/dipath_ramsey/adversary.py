@@ -437,14 +437,15 @@ class AdversaryResult:
 def _acyclic_candidates(h: OrientedGraph, cfg: ConstantsConfig) -> list[int]:
     """Largest acyclic set we can cheaply find in h, antiparallel pairs
     reduced first so the sparse search sees an oriented graph."""
-    bad: set[int] = set()
-    for (u, v) in h.edges():
-        if u < v and h.has_edge(v, u) and u not in bad and v not in bad:
-            bad.add(v)
-    keep = [v for v in range(h.n) if v not in bad]
-    if not keep:
-        return []
-    sub, back = h.subgraph(keep)
+    # greedy over pairs u < v in lexicographic order: a pair whose ends
+    # are both still in drops v
+    bad = 0
+    for u in range(h.n):
+        if not bad >> u & 1:
+            bad |= h.out_mask(u) & h.in_mask(u) & ~bad & -(2 << u)
+    if not bad:
+        return sorted(sparse_acyclic_set(h, cfg).vertices)
+    sub, back = h.subgraph(v for v in range(h.n) if not bad >> v & 1)
     res = sparse_acyclic_set(sub, cfg)
     return sorted(back[v] for v in res.vertices)
 

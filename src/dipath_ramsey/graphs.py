@@ -302,13 +302,15 @@ class EdgeColoring:
         per list.  The caller vouches that no edge has two colors."""
         self = cls.__new__(cls)
         self.num_colors = len(masks)
-        n = 0
+        # one row past the highest tail, and past the highest head
+        n = max(map(int.bit_length, chain.from_iterable(masks)), default=0)
         for rows in masks:
-            for u, m in enumerate(rows):
-                if m:
-                    n = max(n, u + 1, m.bit_length())
+            last = len(rows)
+            while last > n and not rows[last - 1]:
+                last -= 1
+            n = max(n, last)
         self._out = [rows[:n] + [0] * (n - len(rows)) for rows in masks]
-        self._m = sum(sum(map(int.bit_count, rows)) for rows in self._out)
+        self._m = sum(map(int.bit_count, chain.from_iterable(self._out)))
         return self
 
     @property
@@ -365,9 +367,10 @@ class EdgeColoring:
         have = self._out[0]
         for rows in self._out[1:]:
             have = list(map(or_, have, rows))
-        size = max(len(have), len(want))
-        have = have + [0] * (size - len(have))
-        want = want + [0] * (size - len(want))
+        if len(have) != len(want):
+            size = max(len(have), len(want))
+            have = have + [0] * (size - len(have))
+            want = want + [0] * (size - len(want))
         if have == want:
             return
         for what, diff in (("uncolored edges", [w & ~h for w, h in zip(want, have)]),

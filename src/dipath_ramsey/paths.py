@@ -226,6 +226,3 @@ def longest_path_exact(g: OrientedGraph, limit: int = EXACT_VERTEX_LIMIT) -> Dir
     vertices, _ = longest_path_masks([g.out_mask(v) for v in range(g.n)], limit=limit)
     return DirectedPath(vertices)
 
-
-# the engine already picks the DAG or the subset route
-longest_path_auto = longest_path_exact

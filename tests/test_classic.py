@@ -1,6 +1,8 @@
 """Two-run Hamilton decompositions and the path/coloring dichotomy."""
 import itertools
 import random
+import re
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dipath_ramsey import (
     BLUE,
     RED,
+    DecompositionError,
     DirectedPath,
     EdgeColoring,
     OrientedGraph,
@@ -20,11 +23,28 @@ from dipath_ramsey import (
 
 
 def _all_colorings(t):
-    host = complete_symmetric(t)
-    edges = host.edges()
-    for bits in range(1 << len(edges)):
-        yield EdgeColoring(2, {e: 1 + (bits >> i & 1)
-                               for i, e in enumerate(edges)})
+    """Every 2-coloring of the complete symmetric digraph on t vertices:
+    bit i of a counter colors edge i of the lexicographic edge list, 0 red
+    and 1 blue.  Vertex u's t-1 out-edges are one run of bits, so a table
+    per vertex spreads that run onto the other vertex ids, and the counter
+    is the product of the tables, vertex 0's run changing fastest."""
+    rows = [((1 << t) - 1) ^ 1 << u for u in range(t)]
+    spread = []
+    for u in range(t):
+        heads = [v for v in range(t) if v != u]
+        spread.append([sum(1 << v for k, v in enumerate(heads) if run >> k & 1)
+                       for run in range(1 << len(heads))])
+    for blue in itertools.product(*spread[::-1]):
+        blue = blue[::-1]
+        yield EdgeColoring.from_masks([list(map(xor, rows, blue)), list(blue)])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_all_colorings_match_edge_dicts(t):
+    edges = complete_symmetric(t).edges()
+    expected = (EdgeColoring(2, {e: 1 + (bits >> i & 1) for i, e in enumerate(edges)})
+                for bits in range(1 << len(edges)))
+    assert list(_all_colorings(t)) == list(expected)
 
 
 def _check(t, coloring):
@@ -60,6 +80,94 @@ def test_raynaud_random_medium(t):
     for _ in range(30):
         coloring = EdgeColoring(2, {e: rng.randint(1, 2) for e in edges})
         _check(t, coloring)
+
+
+def _validate_reference(dec, coloring):
+    """HamiltonDecomposition.validate as it was on (u, v) tuples."""
+    t = dec.t
+    if sorted(dec.cycle) != list(range(t)):
+        raise DecompositionError("cycle is not a permutation of the vertices")
+    arcs = [(dec.cycle[i], dec.cycle[(i + 1) % t]) for i in range(t)] if t > 1 else []
+    for seg, col in ((dec.red_segment, RED), (dec.blue_segment, BLUE)):
+        for u, v in seg.edges():
+            if coloring.color(u, v) != col:
+                raise DecompositionError(f"segment arc {u}->{v} is not color {col}")
+    red_arcs, blue_arcs = dec.red_segment.edges(), dec.blue_segment.edges()
+    if set(red_arcs) & set(blue_arcs):
+        raise DecompositionError("segments share an arc")
+    covered = red_arcs + blue_arcs
+    if not set(covered) <= set(arcs):
+        raise DecompositionError("segment arc not on the cycle")
+    missing = len(arcs) - len(covered)
+    if missing not in (0, 1):
+        raise DecompositionError("segments must cover the cycle up to its closing arc")
+    if missing == 1 and dec.red_segment.length and dec.blue_segment.length:
+        raise DecompositionError("an arc is uncovered but both segments are nonempty")
+    best = max(dec.red_segment.length, dec.blue_segment.length)
+    if best < t // 2:
+        raise DecompositionError(f"longest segment {best} below floor {t // 2}")
+
+
+def _outcome(check, dec, coloring):
+    try:
+        check(dec, coloring)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_matches_tuple_reference():
+    """validate on masks and cycle positions raises what the tuple version
+    raised, with the same message, on mutated decompositions and
+    colorings."""
+    from dipath_ramsey.classic import HamiltonDecomposition
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(3000):
+        t = rng.randint(1, 7)
+        edges = complete_symmetric(t).edges()
+        assign = {e: rng.randint(1, 2) for e in edges}
+        dec = raynaud(t, EdgeColoring(2, assign))
+        cycle = list(dec.cycle)
+        segs = [list(dec.red_segment.vertices), list(dec.blue_segment.vertices)]
+        kind = rng.randrange(9)
+        if kind == 1 and t > 1:
+            i, j = rng.sample(range(t), 2)
+            cycle[i], cycle[j] = cycle[j], cycle[i]
+        elif kind == 2:
+            segs.reverse()
+        elif kind == 3:
+            seg = rng.choice(segs)
+            if seg:
+                seg.pop(rng.choice((0, -1)))
+        elif kind == 4:
+            rng.choice(segs).append(rng.randint(-1, t + 1))
+        elif kind == 5:
+            segs[rng.randrange(2)] = rng.sample(range(t + 1), rng.randint(0, t))
+        elif kind == 6 and edges:
+            e = rng.choice(edges)
+            assign[e] = 3 - assign[e]
+        elif kind == 7 and edges:
+            del assign[rng.choice(edges)]
+        elif kind == 8:
+            cycle[rng.randrange(t)] = rng.choice((-1, t))
+        if len(set(segs[0])) < len(segs[0]) or len(set(segs[1])) < len(segs[1]):
+            continue
+        mutated = HamiltonDecomposition(tuple(cycle), DirectedPath(segs[0]),
+                                        DirectedPath(segs[1]))
+        colors = rng.choice((2, 2, 2, 1, 3))
+        coloring = EdgeColoring(colors, {e: min(c, colors) for e, c in assign.items()})
+        want = _outcome(_validate_reference, mutated, coloring)
+        assert _outcome(HamiltonDecomposition.validate, mutated, coloring) == want
+        seen.add(want and (want[0].__name__, re.sub(r"-?\d+", "#", want[1])))
+    assert {msg for _, msg in filter(None, seen)} >= {
+        "cycle is not a permutation of the vertices",
+        "segment arc #-># is not color #",
+        "segment arc not on the cycle",
+        "segments must cover the cycle up to its closing arc",
+        "an arc is uncovered but both segments are nonempty",
+        "(#, #)",
+    }
 
 
 def test_raynaud_monochromatic_is_hamilton():
@@ -169,3 +277,80 @@ def test_gallai_roy_dichotomy_500_random():
             assert isinstance(out, VertexColoring)
             assert out.is_proper(g)
             assert out.num_classes <= exact + 1
+
+
+def _switches(cols):
+    return sum(c != d for c, d in zip(cols, cols[1:] + cols[:1])) if len(cols) > 1 else 0
+
+
+def _stuck_shape(cols, alpha, beta):
+    """The shape `raynaud`'s lemma gives a new vertex x that single insertion
+    cannot place: both runs have at least two arcs; the arc pair
+    (v_i -> x, x -> v_i+1) is (first, second) color on the first arc of
+    the first run and on the last arc of the second run, (second, first)
+    on the other two junction arcs, and never (c, c) on an interior arc of
+    color c."""
+    m = len(cols)
+    a = cols.index(cols[-1]) if cols[0] != cols[-1] else 0
+    if a < 2 or m - a < 2:
+        return False
+    f, s = cols[0], cols[-1]
+    want = {0: (f, s), a - 1: (s, f), a: (s, f), m - 1: (f, s)}
+    for i, c in enumerate(cols):
+        pair = (alpha[i], beta[(i + 1) % m])
+        if pair != want[i] if i in want else pair == (c, c):
+            return False
+    return True
+
+
+def _check_cycle(cyc, cols, switches, red):
+    m = len(cyc)
+    assert sorted(cyc) == list(range(m))
+    assert cols == [RED if red[u] >> w & 1 else BLUE
+                    for u, w in zip(cyc, cyc[1:] + cyc[:1])]
+    assert switches == _switches(cols) <= 2
+
+
+def test_raynaud_insertion_lemma():
+    """The lemma in raynaud's docstring on every small case: single
+    insertion fails exactly on the stuck shape, a stuck x has a mono
+    2-cycle with an interior vertex of each run, and the one-vertex repair
+    then succeeds (on every coloring of the chords for m <= 4, on seeded
+    random ones above)."""
+    from dipath_ramsey.classic import _insert, _repair
+    rng = random.Random(20)
+    for m in range(2, 8):
+        x, cyc = m, list(range(m))
+        # colors[mask][u]: red where bit u of mask is set
+        colors = [[BLUE - (mask >> u & 1) for u in range(m)] for mask in range(1 << m)]
+        chords = [(u, v) for u in range(m) for v in range(m)
+                  if u != v and v != (u + 1) % m]
+        fills = (range(1 << len(chords)) if m <= 4
+                 else [rng.getrandbits(len(chords)) for _ in range(16)])
+        for a, first in itertools.product(range(m + 1), (RED, BLUE)):
+            cols = [first] * a + [RED + BLUE - first] * (m - a)
+            switches = _switches(cols)
+            base = [(c == RED) << (u + 1) % m for u, c in enumerate(cols)]
+            for into in range(1 << m):
+                alpha = colors[into]
+                head = [b | (into >> u & 1) << x for u, b in enumerate(base)]
+                for out in range(1 << m):
+                    red = head + [out]
+                    placed = _insert(cyc, cols, switches, x, red)
+                    beta = colors[out]
+                    assert (placed is None) == _stuck_shape(cols, alpha, beta)
+                    if placed is not None:
+                        if m <= 5:
+                            _check_cycle(*placed, red)
+                        continue
+                    runs = [[u for u in range(1, m) if cols[u - 1] == cols[u] == c]
+                            for c in (first, cols[-1])]
+                    for run, c in zip(runs, (RED + BLUE - first, first)):
+                        assert any(alpha[u] == beta[u] == c for u in run)
+                    for fill in fills:
+                        full = red[:]
+                        for k, (u, v) in enumerate(chords):
+                            full[u] |= (fill >> k & 1) << v
+                        repaired = _repair(cyc, cols, switches, x, full)
+                        assert repaired is not None
+                        _check_cycle(*repaired, full)

@@ -13,7 +13,6 @@ from dipath_ramsey import (
     find_cycle,
     is_acyclic,
     level_decomposition,
-    longest_path_auto,
     longest_path_dag,
     longest_path_exact,
     topological_order,
@@ -83,8 +82,8 @@ def test_longest_path_exact_size_guard():
 
 
 def test_longest_path_auto_dispatch():
-    assert longest_path_auto(transitive_tournament(20)).length == 19
-    assert longest_path_auto(complete_symmetric(5)).length == 4
+    assert longest_path_exact(transitive_tournament(20)).length == 19
+    assert longest_path_exact(complete_symmetric(5)).length == 4
 
 
 @settings(max_examples=60, deadline=None)
