@@ -488,8 +488,10 @@ def theorem1_adversary(g: OrientedGraph, q: int,
         eps_i = h.edge_count / max(floor_i, 1.0) ** 2
         a_i = max(1, math.floor(cfg.acyclic_target(max(2, int(floor_i)), eps_i)))
         cand = _acyclic_candidates(h, cfg)
-        # never fix a block size the current graph cannot deliver
-        a_i = min(a_i, max(1, len(cand)), len(y_cur))
+        # never fix a block size the current graph cannot deliver; cand is
+        # never empty (vertex 0 is never dropped as antiparallel, and an
+        # acyclic set has a vertex), so the first block is always taken
+        a_i = min(a_i, len(cand))
         blocks_i: list[tuple[int, ...]] = []
         while len(y_cur) > floor_i:
             if len(cand) < a_i:
@@ -498,12 +500,11 @@ def theorem1_adversary(g: OrientedGraph, q: int,
             blocks_i.append(block)
             taken = set(block)
             y_cur = [v for v in y_cur if v not in taken]
-            if not y_cur or len(y_cur) <= floor_i:
+            if len(y_cur) <= floor_i:
                 break
             h, _ = g.subgraph(y_cur)
             cand = _acyclic_candidates(h, cfg)
-        if blocks_i:
-            families_raw.append((a_i, eps_i, tuple(blocks_i)))
+        families_raw.append((a_i, eps_i, tuple(blocks_i)))
         i += 1
         if i > m + 128:
             raise AssertionError("internal: family procedure failed to terminate")
@@ -541,14 +542,12 @@ def theorem1_adversary(g: OrientedGraph, q: int,
         _digit_product(out, blocks, q, rows)
         fam_records.append(FamilyRecord(
             size=a_i, eps=eps_i, blocks=blocks, inner_bound=r_i,
-            bound=q * (r_i + 1) * minimal_base(len(blocks), q)))
+            bound=block_product_bound(len(blocks), q, r_i)))
     _digit_product(out, [[v for b in blocks for v in b] for _, _, blocks in families_raw],
                    q, rows)
 
-    n_fam = len(fam_records)
-    s_fams = minimal_base(n_fam, q) if n_fam else 1
     max_f = max((rec.bound for rec in fam_records), default=0)
-    w_bound = q * (max_f + 1) * s_fams if n_fam else 0
+    w_bound = block_product_bound(len(fam_records), q, max_f)
 
     coloring = EdgeColoring.from_masks(rows[:q + 1])
     coloring.validate_total(g)

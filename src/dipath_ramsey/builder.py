@@ -221,27 +221,14 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
             walk.extend(cyc[(pos + s) % size] for s in range(size))
             break
         nxt = cyc_masks[hpath[idx + 1]]
-        chosen = None
-        for dist in range(min(k - 1, size - 1), size):
+        # the blue auxiliary arc gives >= k exit vertices, and only k-1
+        # positions lie before step k-1, so this scan always finds one
+        for dist in range(k - 1, size):
             w = cyc[(pos + dist) % size]
             if blue.out_mask(w) & nxt:
-                chosen = (dist, w)
                 break
-        if chosen is None:
-            floors = False
-            for dist in range(min(k - 1, size - 1) - 1, -1, -1):
-                w = cyc[(pos + dist) % size]
-                if blue.out_mask(w) & nxt:
-                    chosen = (dist, w)
-                    break
-        if chosen is None:
-            # the auxiliary edge promised blue endpoints; treat as floor failure
-            return _best_effort(g, red, blue, k,
-                                replace(base_trace, aux_branch="blue",
-                                        notes=("no exit endpoint in a cycle",)))
-        dist, w = chosen
         walk.extend(cyc[(pos + s) % size] for s in range(dist + 1))
-        targets = blue.out_mask(w) & cyc_masks[hpath[idx + 1]]
+        targets = blue.out_mask(w) & nxt
         entry = (targets & -targets).bit_length() - 1
     path = DirectedPath(walk)
     trace = replace(base_trace, aux_branch="blue", floors_met=floors)

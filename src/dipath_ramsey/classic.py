@@ -127,9 +127,7 @@ class HamiltonDecomposition:
                 else:
                     off_cycle = True
             covered.append(on)
-        # the color checks already rule out a shared arc, on the cycle or off it
-        if covered[0] & covered[1]:
-            raise DecompositionError("segments share an arc")
+        # a cycle arc cannot pass both mask tests, so the segments share none
         if off_cycle:
             raise DecompositionError("segment arc not on the cycle")
         # every segment arc is a cycle arc now, one tail bit each
@@ -137,10 +135,10 @@ class HamiltonDecomposition:
         missing = (t if t > 1 else 0) - red_len - blue_len
         if missing not in (0, 1):
             raise DecompositionError("segments must cover the cycle up to its closing arc")
+        # these cover checks imply the floor t // 2: the segments hold all t
+        # arcs, or one is empty and the other holds t - 1
         if missing == 1 and red_len and blue_len:
             raise DecompositionError("an arc is uncovered but both segments are nonempty")
-        if max(red_len, blue_len) < t // 2:
-            raise DecompositionError(f"longest segment {max(red_len, blue_len)} below floor {t // 2}")
 
 
 def _delta(cols: list[int], i: int, p: int, s: int) -> int:
@@ -173,10 +171,9 @@ def _repair(cyc: list[int], cols: list[int], switches: int, x: int, red: list[in
     """One-vertex repair: take a resident y out, splicing its neighbors;
     put x on an arc of what is left, whatever that does to the switches;
     then single-insert y.  The first (y, arc for x) pair, in cycle order,
-    whose final cycle has at most two switches wins."""
+    whose final cycle has at most two switches wins.  Only called when
+    single insertion is stuck, so m >= 4 by lemma (1) of raynaud."""
     m = len(cyc)
-    if m < 3:
-        return None
     for yi, y in enumerate(cyc):
         u, w = cyc[yi - 1], cyc[(yi + 1) % m]
         g = RED if red[u] >> w & 1 else BLUE

@@ -24,8 +24,7 @@ class ConstantsConfig:
     block_factor: int = 7
     path_floor_factor: int = 5
     cycle_floor_factor: int = 3
-    # exhaustive-search budgets
-    coloring_budget: int = 1 << 22
+    # subset budget of the exact pseudorandomness check
     subset_budget: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -33,7 +32,7 @@ class ConstantsConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("block_factor", "path_floor_factor", "cycle_floor_factor",
-                     "coloring_budget", "subset_budget"):
+                     "subset_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
@@ -82,18 +81,11 @@ class ConstantsConfig:
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def relaxed(cls, **overrides) -> "ConstantsConfig":
+    def relaxed(cls) -> "ConstantsConfig":
         """Desk-scale defaults: small-degree split and block sizes that stay
         non-degenerate for n in the tens-to-hundreds range."""
-        base = dict(
-            degree_exponent_factor=0.5,
-            termination_edge_threshold=16.0,
-            block_factor=4,
-            path_floor_factor=2,
-            cycle_floor_factor=1,
-        )
-        base.update(overrides)
-        return cls(**base)
+        return cls(degree_exponent_factor=0.5, termination_edge_threshold=16.0,
+                   block_factor=4, path_floor_factor=2, cycle_floor_factor=1)
 
 
 DEFAULT_CONFIG = ConstantsConfig()

@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 from .adversary import check_partition, theorem1_adversary
 from .builder import multicolor_path_finder, two_color_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
-from .errors import (
-    BudgetExceededError,
-    DipathError,
-    ManifestError,
-    SizeLimitError,
-)
+from .errors import DipathError, ManifestError
 from .graphs import EdgeColoring, OrientedGraph
 from .oracle import longest_mono_path
 from .pseudorandom import (
@@ -119,8 +114,6 @@ class ExperimentManifest:
                 csv_path=str(data.get("csv_path", "results.csv")),
                 json_path=str(data.get("json_path", "results.json")),
             )
-        except ManifestError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad manifest field: {exc}") from exc
 
@@ -234,14 +227,13 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
             check_partition(g, result, cfg, q)
         except AssertionError:
             ok = 0
-        measured: object = ""
-        try:
-            per_color = longest_mono_path(g, result.coloring)
-            measured = max((r.value for r in per_color.values()), default=0)
-            if measured > part.total_bound:
-                ok = 0
-        except (SizeLimitError, BudgetExceededError):
-            measured = ""
+        # every class is acyclic (a digit rises along each digit edge, an
+        # escape edge lowers the digit sum, and the parts' colors 1 and 2
+        # run one way each), so this is linear time at any size
+        per_color = longest_mono_path(g, result.coloring)
+        measured = max((r.value for r in per_color.values()), default=0)
+        if measured > part.total_bound:
+            ok = 0
         return (n, run_index, seed, q, result.coloring.num_colors,
                 part.x_bound, part.residue_bound, part.covered_bound,
                 part.total_bound, measured, ok)
@@ -269,10 +261,11 @@ def _pair_str(pair) -> str:
 
 def _run_cell(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
     """(row, error class name or None).  A run that raises a package error
-    is a failed row: n, run and seed, empty fields, ok=0."""
+    or a ValueError (a bad cell parameter) is a failed row: n, run and
+    seed, empty fields, ok=0."""
     try:
         return _run_one(manifest, n, run_index), None
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         seed = derive_seed(manifest.experiment_id, n, run_index)
         blanks = ("",) * (len(_COLUMNS[manifest.kind]) - 4)
         return (n, run_index, seed, *blanks, 0), type(exc).__name__
@@ -290,8 +283,8 @@ def run_experiment(manifest: ExperimentManifest,
 
     Row order is sorted by (n, run index) regardless of how workers finish,
     so identical manifests always produce identical CSV bytes.  A cell that
-    raises a package error is a failed row; the error class is counted in
-    the JSON aggregate, never in the CSV.
+    raises a package error or a ValueError is a failed row; the error class
+    is counted in the JSON aggregate, never in the CSV.
     """
     start = time.monotonic()
     tasks = [(n, r) for n in manifest.generator.sizes

@@ -8,10 +8,8 @@ force over all colorings with a given number of colors.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
 from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
@@ -19,6 +17,9 @@ from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
 # the search only asks for a path of bound+1 edges, so its subset DP stops
 # early and affords a larger cyclic support than a full longest-path call
 _CLASS_SUPPORT_LIMIT = 22
+
+# search nodes min_max_mono_path and arrowing_check may spend by default
+COLORING_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     """
     edges = g.edges()
     m = len(edges)
-    assign: dict[tuple[int, int], int] = {}
     # per-color out-masks and edge counts, updated as edges are (un)assigned
     adj = [[0] * g.n for _ in range(q + 1)]
     count = [0] * (q + 1)
@@ -93,7 +93,6 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
             if nodes > budget:
                 raise BudgetExceededError(
                     f"coloring search exceeded {budget} nodes")
-            assign[e] = c
             adj[c][u] |= bit
             count[c] += 1
             # fewer than bound+1 edges can never form a longer path
@@ -103,35 +102,26 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
                 return True
             adj[c][u] ^= bit
             count[c] -= 1
-            del assign[e]
         return False
 
     if dfs(0, 0):
-        return EdgeColoring(q, dict(assign)), nodes
+        return EdgeColoring.from_masks(adj[1:]), nodes
     return None, nodes
 
 
-def _budget_precheck(m: int, q: int, budget: int) -> None:
-    if q ** m > budget * math.factorial(min(q, m) if m else 1):
-        raise BudgetExceededError(
-            f"{q}^{m} colorings dwarf the budget of {budget} nodes")
-
-
 def min_max_mono_path(g: OrientedGraph, q: int,
-                      budget: int | None = None) -> OracleResult:
+                      budget: int = COLORING_BUDGET) -> OracleResult:
     """Smallest achievable longest-monochromatic-path over all q-colorings.
 
     Exhaustive (with symmetry and pruning); the witness is a coloring
     attaining the minimum.  Intended for |E| around 20 or less at q=2.
+    The search is the only limit: it raises BudgetExceededError when it
+    needs more than `budget` nodes, with no up-front estimate from q^|E|.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if budget is None:
-        budget = DEFAULT_CONFIG.coloring_budget
-    m = g.edge_count
-    if m == 0:
+    if g.edge_count == 0:
         return OracleResult(0, EdgeColoring(q, {}), 0)
-    _budget_precheck(m, q, budget)
     spent = 0
     for bound in range(1, g.n):
         witness, spent = _decision_search(g, q, bound, budget, spent)
@@ -141,7 +131,7 @@ def min_max_mono_path(g: OrientedGraph, q: int,
 
 
 def arrowing_check(g: OrientedGraph, n_target: int, q: int,
-                   budget: int | None = None) -> tuple[bool, EdgeColoring | None]:
+                   budget: int = COLORING_BUDGET) -> tuple[bool, EdgeColoring | None]:
     """Does every q-coloring of g contain a monochromatic path of length
     (in edges) at least n_target?  Equivalent to min_max_mono_path(g, q)
     >= n_target.  Returns (answer, witness) with a refuting coloring when
@@ -152,9 +142,6 @@ def arrowing_check(g: OrientedGraph, n_target: int, q: int,
         raise ValueError("q must be >= 1")
     if n_target == 0:
         return True, None
-    if budget is None:
-        budget = DEFAULT_CONFIG.coloring_budget
-    _budget_precheck(g.edge_count, q, budget)
     witness, _ = _decision_search(g, q, n_target - 1, budget, 0)
     if witness is not None:
         return False, witness

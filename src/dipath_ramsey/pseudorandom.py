@@ -215,57 +215,34 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
 
 
 def dfs_long_path(g, k: int) -> DirectedPath:
-    """Long path via depth-first search, tracking the explored/unvisited split.
+    """Long path via depth-first search: the deepest stack, which always
+    spans a directed path.
 
-    The stack always spans a directed path.  The path is snapshotted at the
-    single moment the explored set and the unvisited set have equal size
-    (where pseudorandomness forces the stack to be large), and the deepest
-    stack overall is kept too; the longer of the two is returned.  For a
-    k-pseudorandom input the result has length >= n - 2k + 1.
+    At the moment the popped set S and the unvisited set T have equal
+    size, no edge runs from S to T, so on a k-pseudorandom input
+    |S| = |T| < k and the stack then holds more than n - 2k vertices: the
+    result has length >= n - 2k + 1.
 
     Vertices are explored in ascending id order for reproducibility.
     """
     g = as_graph(g)
-    n = g.n
-    if n == 0:
-        return DirectedPath(())
     t_mask = g.full_mask()  # unvisited
     s_count = 0
     stack: list[int] = []
-    snapshot: tuple[int, ...] | None = None
     best: tuple[int, ...] = ()
-
-    def note_state():
-        nonlocal snapshot, best
-        if len(stack) > len(best):
-            best = tuple(stack)
-        t_count = t_mask.bit_count()
-        if snapshot is None and s_count == t_count:
-            snapshot = tuple(stack)
-
-    note_state()
-    while s_count < n:
-        if not stack:
-            lowest = t_mask & -t_mask
-            v = lowest.bit_length() - 1
-            t_mask &= ~lowest
-            stack.append(v)
-            note_state()
-            continue
-        v = stack[-1]
-        candidates = g.out_mask(v) & t_mask
-        if candidates:
-            lowest = candidates & -candidates
-            u = lowest.bit_length() - 1
-            t_mask &= ~lowest
-            stack.append(u)
-        else:
+    while s_count < g.n:
+        # an empty stack restarts from the lowest unvisited vertex
+        candidates = g.out_mask(stack[-1]) & t_mask if stack else t_mask
+        if not candidates:
             stack.pop()
             s_count += 1
-        note_state()
-
-    chosen = best if snapshot is None or len(best) >= len(snapshot) else snapshot
-    return DirectedPath(chosen)
+            continue
+        lowest = candidates & -candidates
+        t_mask &= ~lowest
+        stack.append(lowest.bit_length() - 1)
+        if len(stack) > len(best):
+            best = tuple(stack)
+    return DirectedPath(best)
 
 
 def thread_path_through_sets(g: OrientedGraph, k: int,

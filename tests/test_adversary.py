@@ -24,6 +24,7 @@ from dipath_ramsey import (
     constructive_chromatic,
     is_acyclic,
     level_decomposition,
+    longest_mono_path,
     max_mono_path,
     min_max_mono_path,
     minimal_base,
@@ -348,6 +349,25 @@ def test_theorem1_escape_no_reentry():
     for (u, v), c in result.coloring.items():
         if part[u] != part[v]:
             assert c == (1 if part[u] < part[v] else 2)
+
+
+def test_theorem1_color_classes_acyclic():
+    """Every color class of the pipeline coloring is acyclic, so the exact
+    measurement needs no subset DP at any size: limit=0 raises
+    SizeLimitError on any cyclic class."""
+    hosts = [random_oriented_graph(150, round(0.02 * 150 * 150), 1),
+             random_oriented_graph(40, 350, 2),
+             random_digraph(60, 500, 3),
+             random_tournament(32, 4).underlying]
+    families = 0
+    for g in hosts:
+        for q in (1, 2):
+            for cfg in (ConstantsConfig(), RELAXED):
+                res = theorem1_adversary(g, q, cfg)
+                families += len(res.partition.families)
+                per_color = longest_mono_path(g, res.coloring, limit=0)
+                assert max(r.value for r in per_color.values()) <= res.partition.total_bound
+    assert families
 
 
 def test_theorem1_beats_nothing_smaller_than_optimum():

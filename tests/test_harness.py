@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from dipath_ramsey import (
     EdgeColoring,
@@ -25,6 +26,7 @@ from dipath_ramsey import (
     serialize_graph,
     theorem1_adversary,
 )
+from dipath_ramsey.cli import main
 
 
 # -- graph text format -----------------------------------------------------
@@ -358,6 +360,34 @@ def test_run_experiment_error_cell_is_failed_row(tmp_path, monkeypatch):
     pooled = run_experiment(m, write_outputs=False)
     assert pooled.rows == serial.rows
     assert pooled.aggregates == serial.aggregates
+
+
+def test_run_experiment_bad_cell_parameter_is_failed_row(tmp_path):
+    """The default k = 6 exceeds n/2 at n=8, so the refuter raises
+    ValueError there; that cell becomes a failed row, n=32 still runs, and
+    the CLI prints the JSON record with exit code 1 and no traceback."""
+    m = ExperimentManifest(
+        experiment_id="badk", kind="prcheck",
+        generator=GeneratorSpec("tournament", (8, 32)),
+        repetitions=1, params={"mode": "sampled", "trials": 50},
+        csv_path=str(tmp_path / "k.csv"), json_path=str(tmp_path / "k.json"))
+    record = run_experiment(m)
+    small, big = record.rows
+    assert small[:3] == (8, 0, derive_seed("badk", 8, 0)) and small[-1] == 0
+    assert set(small[3:-1]) == {""}
+    assert big[0] == 32 and big[-1] == 1
+    assert record.aggregates["8"]["errors"] == {"ValueError": 1}
+    assert record.aggregates["32"]["errors"] == {}
+
+    mpath = tmp_path / "m.json"
+    mpath.write_text(m.to_json())
+    res = CliRunner().invoke(main, ["experiment", "--manifest", str(mpath)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    printed = json.loads(res.output)
+    assert printed["rows"] == 2 and printed["failures"] == 1
+    assert printed["aggregates"] == record.aggregates
 
 
 # -- adversary vs oracle cross-check ---------------------------------------

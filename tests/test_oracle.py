@@ -149,6 +149,13 @@ def test_minmax_budget_precheck():
         min_max_mono_path(g, 2, budget=1000)
 
 
+def test_arrowing_rot7_three_colors():
+    # the 7-vertex rotational tournament: i -> i+1, i+2, i+3 (mod 7); 3^21
+    # colorings, but the search settles it in a few thousand nodes
+    rot7 = OrientedGraph(7, [(i, (i + d) % 7) for i in range(7) for d in (1, 2, 3)])
+    assert arrowing_check(rot7, 2, 3) == (True, None)
+
+
 def test_minmax_class_support_guard():
     # a color class that stays cyclic on >22 vertices cannot be measured
     g = complete_symmetric(24)

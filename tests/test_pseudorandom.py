@@ -127,6 +127,58 @@ def test_dfs_empty_graph():
     assert dfs_long_path(OrientedGraph(0), 1).length == 0
 
 
+def _dfs_reference(g: OrientedGraph) -> tuple[int, ...]:
+    """The earlier dfs_long_path: it also snapshots the stack when the
+    explored and unvisited sets have equal size and returns the longer of
+    that snapshot and the deepest stack."""
+    n = g.n
+    if n == 0:
+        return ()
+    t_mask = g.full_mask()
+    s_count = 0
+    stack: list[int] = []
+    snapshot = None
+    best: tuple[int, ...] = ()
+
+    def note_state():
+        nonlocal snapshot, best
+        if len(stack) > len(best):
+            best = tuple(stack)
+        if snapshot is None and s_count == t_mask.bit_count():
+            snapshot = tuple(stack)
+
+    note_state()
+    while s_count < n:
+        if not stack:
+            lowest = t_mask & -t_mask
+            t_mask &= ~lowest
+            stack.append(lowest.bit_length() - 1)
+            note_state()
+            continue
+        candidates = g.out_mask(stack[-1]) & t_mask
+        if candidates:
+            lowest = candidates & -candidates
+            t_mask &= ~lowest
+            stack.append(lowest.bit_length() - 1)
+        else:
+            stack.pop()
+            s_count += 1
+        note_state()
+    return best if snapshot is None or len(best) >= len(snapshot) else snapshot
+
+
+def test_dfs_matches_snapshot_reference():
+    rng = random.Random(17)
+    for n in range(61):
+        for seed in range(4):
+            m = rng.randint(0, n * (n - 1) // 2)
+            hosts = [random_oriented_graph(n, m, seed)]
+            if n:
+                hosts.append(random_tournament(n, seed).underlying)
+            for g in hosts:
+                assert dfs_long_path(g, 1).vertices == _dfs_reference(g)
+
+
 def test_thread_simple_chain():
     g = OrientedGraph(6, [(0, 2), (2, 4), (1, 3), (3, 5), (0, 3)])
     p = thread_path_through_sets(g, 1, [(0, 1), (2, 3), (4, 5)])
