@@ -38,6 +38,8 @@ from .pseudorandom import (
 
 _KINDS = ("prcheck", "adversary", "builder")
 _MODELS = ("tournament", "paley", "oriented", "digraph")
+# the params the kinds read: integers, and a string `mode`
+_INT_PARAMS = ("k", "trials", "q", "colors", "n_target")
 
 WORKERS_ENV = "DIPATH_RAMSEY_WORKERS"
 
@@ -80,6 +82,13 @@ class ExperimentManifest:
                 f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.repetitions < 0:
             raise ManifestError("repetitions must be nonnegative")
+        for key in _INT_PARAMS:
+            value = self.params.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ManifestError(f"params.{key} must be an integer, got {value!r}")
+        if not isinstance(self.params.get("mode", ""), str):
+            raise ManifestError(
+                f"params.mode must be a string, got {self.params['mode']!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -213,13 +222,13 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
             return (n, run_index, seed, report.mode,
                     report.k_star if report.k_star is not None else "",
                     int(report.vacuous), cex, report.trials, 1)
-        k = int(params.get("k", max(1, math.ceil(2 * math.log2(max(2, n))))))
-        trials = int(params.get("trials", 1000))
+        k = params.get("k", max(1, math.ceil(2 * math.log2(max(2, n)))))
+        trials = params.get("trials", 1000)
         found = refute_pseudorandomness(g, k, trials, seed)
         cex = "" if found is None else _pair_str(found)
         return (n, run_index, seed, "sampled", k, 0, cex, trials, 1)
     if manifest.kind == "adversary":
-        q = int(params.get("q", 1))
+        q = params.get("q", 1)
         result = theorem1_adversary(g, q, cfg)
         part = result.partition
         ok = 1
@@ -237,13 +246,13 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         return (n, run_index, seed, q, result.coloring.num_colors,
                 part.x_bound, part.residue_bound, part.covered_bound,
                 part.total_bound, measured, ok)
-    colors = int(params.get("colors", 2))
-    k = int(params.get("k", max(1, math.ceil(2 * math.log2(max(2, n))))))
+    colors = params.get("colors", 2)
+    k = params.get("k", max(1, math.ceil(2 * math.log2(max(2, n)))))
     coloring = _random_coloring(g, colors, seed ^ 0x5DEECE66D)
     if colors == 2:
         cert = two_color_path_finder(g, coloring, k, cfg)
     else:
-        n_target = int(params.get("n_target", 2))
+        n_target = params.get("n_target", 2)
         cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
     ok = 1
     try:

@@ -133,20 +133,32 @@ def _violating_pair(g: OrientedGraph, k: int):
     """First (A, B) with |A|=|B|=k and no A->B edge, scanning A ascending.
 
     Only A needs enumeration: a partner B exists exactly when at least k
-    vertices lie outside A and all of A's out-neighborhoods.
+    vertices lie outside A and all of A's out-neighborhoods.  A grows
+    depth-first in lexicographic order, carrying that free set.  Adding a
+    vertex only shrinks it, so a prefix that leaves fewer than k free
+    vertices has no extension and its subtree is skipped.
     """
     n = g.n
-    out = [g.out_mask(v) for v in range(n)]
-    full = g.full_mask()
-    for a_tuple in itertools.combinations(range(n), k):
-        closed = mask_of(a_tuple)
-        for v in a_tuple:
-            closed |= out[v]
-        free = full & ~closed
-        if free.bit_count() >= k:
-            b = list(itertools.islice(iter_bits(free), k))
-            return a_tuple, tuple(b)
-    return None
+    closure = [g.out_mask(v) | 1 << v for v in range(n)]
+    a: list[int] = []
+
+    def grow(start: int, free: int) -> int:
+        if len(a) == k:
+            return free
+        for v in range(start, n - k + len(a) + 1):
+            rest = free & ~closure[v]
+            if rest.bit_count() >= k:
+                a.append(v)
+                found = grow(v + 1, rest)
+                if found:
+                    return found
+                a.pop()
+        return 0
+
+    free = grow(0, g.full_mask())
+    if not free:
+        return None
+    return tuple(a), tuple(itertools.islice(iter_bits(free), k))
 
 
 def pseudorandomness_exact(g, budget: int = 2_000_000) -> PseudorandomnessReport:
@@ -155,6 +167,10 @@ def pseudorandomness_exact(g, budget: int = 2_000_000) -> PseudorandomnessReport
     Monotone: once the property holds at k it holds for larger sizes, so the
     scan stops at the first passing k.  Sizes past floor(n/2) admit no
     disjoint pair at all; reaching them is reported as vacuous.
+
+    `explored` is the budget charge, C(n, k) for each size scanned, not the
+    number of sets A visited: the scan skips every A whose prefix already
+    leaves fewer than k candidates for B.
     """
     g = as_graph(g)
     n = g.n

@@ -390,6 +390,29 @@ def test_run_experiment_bad_cell_parameter_is_failed_row(tmp_path):
     assert printed["aggregates"] == record.aggregates
 
 
+@pytest.mark.parametrize("params", [
+    {"k": [1]}, {"q": "2"}, {"trials": 2.5}, {"colors": True},
+    {"n_target": None}, {"mode": 1},
+])
+def test_manifest_rejects_bad_params(tmp_path, params):
+    """A param of the wrong type is a ManifestError before any cell runs,
+    through run_experiment and as one CLI Error line, never a TypeError
+    traceback from inside the sweep."""
+    data = {**_tiny_manifest(tmp_path, kind="builder").to_dict(), "params": params}
+    with pytest.raises(ManifestError, match=f"params.{next(iter(params))} must be"):
+        run_experiment(ExperimentManifest.from_dict(data))
+    assert not (tmp_path / "out.csv").exists()
+
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["experiment", "--manifest", str(mpath)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: params.{next(iter(params))} must be" in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
 # -- adversary vs oracle cross-check ---------------------------------------
 
 def test_adversary_never_beats_oracle_exhaustive():

@@ -14,9 +14,13 @@ from dipath_ramsey import (
     longest_mono_path,
     max_mono_path,
     min_max_mono_path,
+    random_digraph,
     random_oriented_graph,
+    random_tournament,
     transitive_tournament,
 )
+from dipath_ramsey import oracle
+from dipath_ramsey.paths import is_acyclic, longest_path_masks
 
 
 # -- per-color measurement -------------------------------------------------
@@ -161,6 +165,82 @@ def test_minmax_class_support_guard():
     g = complete_symmetric(24)
     with pytest.raises((SizeLimitError, BudgetExceededError)):
         min_max_mono_path(g, 1, budget=1 << 40)
+
+
+def test_minmax_acyclic_classes_above_guard_size():
+    # the guard only concerns cyclic classes: a 30-vertex path is measured
+    g = OrientedGraph(30, [(i, i + 1) for i in range(29)])
+    res = min_max_mono_path(g, 1)
+    assert res.value == 29
+    assert max_mono_path(g, res.witness) == 29
+
+
+# -- the search's per-edge check against the full engine -------------------
+
+def _reference_through(out, into, u, v, bound):
+    """Reference check: measure the whole class with the full engine."""
+    return len(longest_path_masks(out, bound, oracle._CLASS_SUPPORT_LIMIT)[0]) > bound + 1
+
+
+def test_path_through_matches_full_engine():
+    """Random classes with no path longer than `bound`, plus one new edge:
+    the check through the new edge agrees with measuring the class."""
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        bound = rng.randint(0, 5)
+        out, into = [0] * n, [0] * n
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        rng.shuffle(pairs)
+        for a, b in pairs[:rng.randint(0, len(pairs))]:
+            out[a] |= 1 << b
+            if len(longest_path_masks(out, bound)[0]) > bound + 1:
+                out[a] ^= 1 << b
+            else:
+                into[b] |= 1 << a
+        free = [(a, b) for a, b in pairs if not out[a] >> b & 1]
+        if not free:
+            continue
+        u, v = free[0]
+        out[u] |= 1 << v
+        into[v] |= 1 << u
+        got = oracle._path_through(out, into, u, v, bound)
+        assert got == _reference_through(out, into, u, v, bound)
+        seen.add((got, is_acyclic(OrientedGraph.from_masks(n, out, into, True))))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _search_hosts():
+    """d6 digraphs, t7 tournaments, and rotational hosts on Z_n: the
+    rotational tournaments and circulants with random jump sets."""
+    rng = random.Random(7)
+    for i in range(240):
+        yield random_digraph(6, rng.randint(4, 18), i)
+    for i in range(30):
+        yield random_tournament(7, i).underlying
+    for n in (3, 5, 7):
+        yield OrientedGraph(n, [(i, (i + d) % n) for i in range(n)
+                                for d in range(1, n // 2 + 1)])
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        jumps = rng.sample(range(1, n), rng.randint(1, 3))
+        yield OrientedGraph(n, [(i, (i + d) % n) for i in range(n) for d in jumps],
+                            allow_antiparallel=True)
+
+
+def test_search_matches_full_engine_check(monkeypatch):
+    """The whole search, run once with each check, visits the same nodes:
+    equal value, witness coloring and explored count."""
+    hosts = list(_search_hosts())
+    assert len(hosts) >= 300
+    for g in hosts:
+        for q in (1, 2, 3):
+            fast = min_max_mono_path(g, q)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_path_through", _reference_through)
+                ref = min_max_mono_path(g, q)
+            assert fast.to_dict() == ref.to_dict()
 
 
 # -- arrowing --------------------------------------------------------------

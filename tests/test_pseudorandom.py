@@ -1,4 +1,5 @@
 """Generators, the pseudorandomness scan, and conditional path builders."""
+import itertools
 import math
 import random
 
@@ -18,7 +19,8 @@ from dipath_ramsey import (
     thread_path_through_sets,
     transitive_tournament,
 )
-from dipath_ramsey.graphs import is_tournament
+from dipath_ramsey.graphs import is_tournament, iter_bits
+from dipath_ramsey.pseudorandom import _violating_pair
 
 
 def test_paley_three():
@@ -76,6 +78,37 @@ def test_no_graph_is_very_pseudorandom():
         for seed in range(3):
             report = pseudorandomness_exact(random_tournament(n, seed))
             assert report.k_star > math.log2(n) / 2
+
+
+def _violating_pair_reference(g, k):
+    """The plain scan over itertools.combinations that the pruned search
+    replaced."""
+    full = g.full_mask()
+    for a in itertools.combinations(range(g.n), k):
+        closed = 0
+        for v in a:
+            closed |= g.out_mask(v) | 1 << v
+        free = full & ~closed
+        if free.bit_count() >= k:
+            return a, tuple(itertools.islice(iter_bits(free), k))
+    return None
+
+
+def test_violating_pair_matches_combinations_scan():
+    rng = random.Random(31)
+    found = missing = 0
+    for i in range(300):
+        n = rng.randint(0, 16)
+        if i % 2:
+            g = random_tournament(max(n, 1), i).underlying
+        else:
+            g = random_oriented_graph(n, rng.randint(0, n * (n - 1) // 2), i)
+        for k in range(1, g.n // 2 + 1):
+            got = _violating_pair(g, k)
+            assert got == _violating_pair_reference(g, k)
+            found += got is not None
+            missing += got is None
+    assert found and missing
 
 
 def test_refute_validates_k():
