@@ -38,8 +38,9 @@ from .pseudorandom import (
 
 _KINDS = ("prcheck", "adversary", "builder")
 _MODELS = ("tournament", "paley", "oriented", "digraph")
-# the params the kinds read: integers, and a string `mode`
+# the params the kinds read: integers, and prcheck's `mode`
 _INT_PARAMS = ("k", "trials", "q", "colors", "n_target")
+_PRCHECK_MODES = ("exact", "sampled")
 
 WORKERS_ENV = "DIPATH_RAMSEY_WORKERS"
 
@@ -86,9 +87,9 @@ class ExperimentManifest:
             value = self.params.get(key, 0)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ManifestError(f"params.{key} must be an integer, got {value!r}")
-        if not isinstance(self.params.get("mode", ""), str):
-            raise ManifestError(
-                f"params.mode must be a string, got {self.params['mode']!r}")
+        if self.params.get("mode", "exact") not in _PRCHECK_MODES:
+            raise ManifestError(f"params.mode must be one of {_PRCHECK_MODES}, "
+                                f"got {self.params['mode']!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -14,10 +14,10 @@ from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
 from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
 
-# a guard, not a cost limit: the coloring search checks only the paths
-# through each new edge, but refuses a class that turns cyclic on more than
-# this many vertices, as the full engine at this limit does.  Only a host
-# above this size can have one.
+# a guard, not a cost limit: on a host above this many vertices the
+# coloring search measures a class with the full engine at this limit,
+# which refuses a class that turns cyclic on more vertices.  Smaller hosts
+# check only the paths through each new edge.
 _CLASS_SUPPORT_LIMIT = 22
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
@@ -69,54 +69,27 @@ def max_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     return max((r.value for r in per_color.values()), default=0)
 
 
-def _ahead(out: list[int], w: int, seen: int, cap: int, longest: dict) -> int:
-    """Edges of the longest simple path leaving w along `out` that avoids
-    `seen`, or `cap` (or more) once a path that long is found.  `longest`
-    keeps the exact values of finished states of three or more edges."""
-    m = out[w] & ~seen
-    if not m or cap <= 1:
-        return cap if m else 0
-    if cap > 2:
-        best = longest.get((w, seen))
-        if best is not None:
-            return best
-    best = 0
-    while m:
-        low = m & -m
-        m ^= low
-        d = 1 + _ahead(out, low.bit_length() - 1, seen | low, cap - 1, longest)
-        if d >= cap:
-            return cap
-        if d > best:
-            best = d
-    if cap > 2:
-        longest[w, seen] = best
-    return best
-
-
-def _behind(out: list[int], into: list[int], v: int, w: int, seen: int, a: int,
-            need: int, bound: int, longest: dict, dead: set) -> bool:
-    """Whether a path of `bound` edges runs beside the new edge (u, v) from
-    a path into u that starts at w, covers `seen` and has `a` edges: met
-    by a disjoint path out of v, or extended backward first.  A path out
-    of v is never longer than `bound` - `need`.  `dead` holds the
-    (w, seen) already refuted."""
-    if a >= need and (a == bound or a + _ahead(out, v, seen, bound - a, longest) >= bound):
-        return True
-    m = into[w] & ~seen
-    if not m:
-        return False
-    key = (w, seen)
-    if key in dead:
-        return False
-    while m:
-        low = m & -m
-        m ^= low
-        if _behind(out, into, v, low.bit_length() - 1, seen | low, a + 1,
-                   need, bound, longest, dead):
-            return True
-    dead.add(key)
-    return False
+def _dag_depth(nbr: list[int], s: int) -> int | None:
+    """Edges of the longest path from s along `nbr`, or None when a cycle
+    is reachable from s.  Layer k holds the ends of the walks of k
+    edges from s; without a cycle these are paths, so the last nonempty
+    layer gives the longest.  A walk of as many edges as there are
+    vertices reached shows a cycle."""
+    layer = reach = 1 << s
+    k = 0
+    while True:
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            nxt |= nbr[low.bit_length() - 1]
+        if not nxt:
+            return k
+        reach |= nxt
+        k += 1
+        if k >= reach.bit_count():
+            return None
+        layer = nxt
 
 
 def _path_through(out: list[int], into: list[int], u: int, v: int,
@@ -126,28 +99,69 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     out- and in-masks, the new edge included.
 
     Such a path must use (u, v): it is a path into u, the edge, and a path
-    out of v, the two disjoint, with `bound` edges between them.  The paths
-    into u are tried one by one, each against the longest path out of v
-    that avoids it.  When v cannot reach u no two such paths meet, so the
-    first path into u that is long enough wins: in an acyclic class this
-    is the longest path into u, plus 1, plus the longest path out of v.
-    Every path of the old class has at most `bound` edges, so both searches
-    stop at that depth, and a search that reaches it has found the path.
-    Both remember the (end, vertex set) states they finish, so a dense
-    class costs at most the states of a subset DP.
+    out of v, the two disjoint, with `bound` edges between them.  When no
+    cycle is reachable from v, v does not reach u (the edge would close
+    one), so the two paths never meet.  If no cycle reaches u either, the
+    answer is the longest path into u, plus 1, plus the longest path out
+    of v, each read off its layers of walks.  Otherwise the class is cyclic, on a host of at most
+    _CLASS_SUPPORT_LIMIT vertices, and the paths into u are tried one by
+    one, each against the longest path out of v that avoids it.  Every
+    path of the old class has at most `bound` edges, so both searches stop
+    at that depth, and a search that reaches it has found the path.  Both
+    remember the (end, vertex set) states they finish, so a dense class
+    costs at most the states of a subset DP.
     """
-    longest: dict = {}
+    ahead = _dag_depth(out, v)
+    if ahead is not None:
+        behind = _dag_depth(into, u)
+        if behind is not None:
+            return behind + ahead >= bound
+    longest: dict = {}  # exact values of finished states of 3+ edges
+    dead: set = set()  # (w, seen) refuted in backward()
+
+    def forward(w: int, seen: int, cap: int) -> int:
+        # edges of the longest path out of w avoiding `seen`, or `cap`
+        # once one that long is found
+        m = out[w] & ~seen
+        if not m or cap <= 1:
+            return cap if m else 0
+        if cap > 2:
+            best = longest.get((w, seen))
+            if best is not None:
+                return best
+        best = 0
+        while m:
+            low = m & -m
+            m ^= low
+            d = 1 + forward(low.bit_length() - 1, seen | low, cap - 1)
+            if d >= cap:
+                return cap
+            if d > best:
+                best = d
+        if cap > 2:
+            longest[w, seen] = best
+        return best
+
+    def backward(w: int, seen: int, a: int) -> bool:
+        # a path into u that starts at w, covers `seen` and has `a` edges:
+        # met by a long enough path out of v, or extended backward first
+        if a >= need and (a == bound or a + forward(v, seen, bound - a) >= bound):
+            return True
+        m = into[w] & ~seen
+        if not m or (w, seen) in dead:
+            return False
+        while m:
+            low = m & -m
+            m ^= low
+            if backward(low.bit_length() - 1, seen | low, a + 1):
+                return True
+        dead.add((w, seen))
+        return False
+
     ends = 1 << u | 1 << v
-    need = bound - _ahead(out, v, ends, bound, longest)
-    return need <= 0 or _behind(out, into, v, u, ends, 0, need, bound, longest, set())
-
-
-def _check_support(out: list[int], into: list[int]) -> None:
-    """Raise SizeLimitError on a class that is cyclic on more than
-    _CLASS_SUPPORT_LIMIT vertices, with the engine's own message."""
-    if sum(1 for a, b in zip(out, into) if a | b) > _CLASS_SUPPORT_LIMIT:
-        # the engine raises exactly when the class has a cycle
-        longest_path_masks(out, 0, _CLASS_SUPPORT_LIMIT)
+    # a path out of v is never longer than bound - need
+    need = bound - forward(v, ends, bound)
+    return need <= 0 or backward(u, ends, 0)
 
 
 def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
@@ -158,7 +172,9 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     past the highest color already used (canonical-form symmetry
     reduction).  `spent` nodes are already charged against the budget.
     The search only goes deeper while no class has a path longer than
-    `bound`, so each node checks only the paths through its new edge.
+    `bound`, so each node checks only the paths through its new edge.  On
+    a host above _CLASS_SUPPORT_LIMIT vertices each node measures the
+    whole class with the engine instead, as a guard on cyclic classes.
     """
     edges = g.edges()
     m = len(edges)
@@ -189,8 +205,12 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
             ok = count[c] <= bound
             if not ok:
                 if guard:
-                    _check_support(out, inn)
-                ok = not _path_through(out, inn, u, v, bound)
+                    # measure the class as a whole: at any size when it
+                    # is acyclic, and SizeLimitError when it is cyclic
+                    path, _ = longest_path_masks(out, bound, _CLASS_SUPPORT_LIMIT)
+                    ok = len(path) <= bound + 1
+                else:
+                    ok = not _path_through(out, inn, u, v, bound)
             if ok and dfs(pos + 1, max(used, c)):
                 return True
             out[u] ^= vbit
@@ -210,13 +230,14 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     Exhaustive (with symmetry and pruning); the witness is a coloring
     attaining the minimum.  Each node checks only the paths through its
     new edge.  Reach, on a 2-vCPU VM: the 9-vertex rotational tournament
-    (36 edges) arrows P_4 with q=2 in about 3 s, the transitive TT9 is
-    found not to arrow P_3 with q=2 in about 6 s, and a 7-vertex
-    tournament's minmax at q=2 takes a few ms.  The search is the only
-    limit: it raises BudgetExceededError when it needs more than `budget`
-    nodes, with no up-front estimate from q^|E|.  A class that turns
-    cyclic on more than _CLASS_SUPPORT_LIMIT vertices raises
-    SizeLimitError; only a host that large can have one.
+    (36 edges) arrows P_4 with q=2 in about 5 s, the transitive TT9 is
+    found not to arrow P_3 with q=2 in about 7 s, a 7-vertex tournament's
+    minmax at q=2 takes a few ms, and TT22's at q=1 about 0.05 s.  The
+    search is the only limit: it raises BudgetExceededError when it needs
+    more than `budget` nodes, with no up-front estimate from q^|E|.  A
+    host above _CLASS_SUPPORT_LIMIT vertices has each node measure the
+    whole class with the engine, which raises SizeLimitError on a class
+    that turns cyclic on more than that many vertices.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -392,12 +392,12 @@ def test_run_experiment_bad_cell_parameter_is_failed_row(tmp_path):
 
 @pytest.mark.parametrize("params", [
     {"k": [1]}, {"q": "2"}, {"trials": 2.5}, {"colors": True},
-    {"n_target": None}, {"mode": 1},
+    {"n_target": None}, {"mode": 1}, {"mode": "exakt"},
 ])
 def test_manifest_rejects_bad_params(tmp_path, params):
-    """A param of the wrong type is a ManifestError before any cell runs,
-    through run_experiment and as one CLI Error line, never a TypeError
-    traceback from inside the sweep."""
+    """A param of the wrong type, or an unknown mode, is a ManifestError
+    before any cell runs, through run_experiment and as one CLI Error line,
+    never a TypeError traceback from inside the sweep."""
     data = {**_tiny_manifest(tmp_path, kind="builder").to_dict(), "params": params}
     with pytest.raises(ManifestError, match=f"params.{next(iter(params))} must be"):
         run_experiment(ExperimentManifest.from_dict(data))

@@ -1,6 +1,7 @@
 """Exact reference answers: longest mono paths, best colorings, arrowing."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -175,6 +176,24 @@ def test_minmax_acyclic_classes_above_guard_size():
     assert max_mono_path(g, res.witness) == 29
 
 
+def test_minmax_dense_acyclic_hosts_q1():
+    """At q=1 the value is the host's longest path.  Dense acyclic hosts
+    of 22 vertices, the largest checked edge by edge, stay fast: the check
+    through each new edge is one DAG DP per side, not a search over the
+    paths into its tail."""
+    rng = random.Random(5)
+    perm = list(range(22))
+    rng.shuffle(perm)
+    dense = OrientedGraph(22, [(perm[i], perm[j]) for i in range(22)
+                               for j in range(i + 1, 22) if rng.random() < 0.7])
+    t0 = time.perf_counter()
+    for g in (transitive_tournament(22), dense, transitive_tournament(24)):
+        longest, _ = longest_path_masks([g.out_mask(v) for v in range(g.n)])
+        assert min_max_mono_path(g, 1).value == len(longest) - 1
+    assert len(longest) - 1 == 23
+    assert time.perf_counter() - t0 < 10
+
+
 # -- the search's per-edge check against the full engine -------------------
 
 def _reference_through(out, into, u, v, bound):
@@ -207,8 +226,15 @@ def test_path_through_matches_full_engine():
         into[v] |= 1 << u
         got = oracle._path_through(out, into, u, v, bound)
         assert got == _reference_through(out, into, u, v, bound)
-        seen.add((got, is_acyclic(OrientedGraph.from_masks(n, out, into, True))))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        dag_sides = (oracle._dag_depth(out, v) is not None
+                     and oracle._dag_depth(into, u) is not None)
+        seen.add((got, is_acyclic(OrientedGraph.from_masks(n, out, into, True)),
+                  dag_sides))
+    # both answers, on acyclic and cyclic classes, by the DAG DP on both
+    # sides and by the search; a cyclic class may still take the DAG DP
+    assert {(got, acyc) for got, acyc, _ in seen} == set(itertools.product((True, False), repeat=2))
+    assert {(got, dag) for got, _, dag in seen} == set(itertools.product((True, False), repeat=2))
+    assert (True, False, True) in seen
 
 
 def _search_hosts():
