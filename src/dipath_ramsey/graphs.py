@@ -138,9 +138,6 @@ class OrientedGraph:
     def out_neighbors(self, v: int) -> list[int]:
         return list(iter_bits(self._out[v]))
 
-    def in_neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.in_mask(v)))
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -14,10 +14,10 @@ from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
 from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
 
-# a guard, not a cost limit: on a host above this many vertices the
-# coloring search measures a class with the full engine at this limit,
-# which refuses a class that turns cyclic on more vertices.  Smaller hosts
-# check only the paths through each new edge.
+# the coloring search raises SizeLimitError when a cycle leaves the head
+# or reaches the tail of a class's new edge and the class has an edge at
+# more than this many vertices: this bounds the search through that edge
+# by a subset DP's states and its recursion by the support
 _CLASS_SUPPORT_LIMIT = 22
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
@@ -103,19 +103,27 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     cycle is reachable from v, v does not reach u (the edge would close
     one), so the two paths never meet.  If no cycle reaches u either, the
     answer is the longest path into u, plus 1, plus the longest path out
-    of v, each read off its layers of walks.  Otherwise the class is cyclic, on a host of at most
-    _CLASS_SUPPORT_LIMIT vertices, and the paths into u are tried one by
-    one, each against the longest path out of v that avoids it.  Every
-    path of the old class has at most `bound` edges, so both searches stop
-    at that depth, and a search that reaches it has found the path.  Both
-    remember the (end, vertex set) states they finish, so a dense class
-    costs at most the states of a subset DP.
+    of v, each read off its layers of walks, at any size.  Otherwise the
+    class is cyclic: SizeLimitError is raised when its support (the
+    vertices with an edge) is above _CLASS_SUPPORT_LIMIT, and else the
+    paths into u are tried one by one, each against the longest path out
+    of v that avoids it.  Every path of the old class has at most `bound`
+    edges, so both searches stop at that depth, and a search that reaches
+    it has found the path.  Both remember the (end, vertex set) states
+    they finish, so a dense class costs at most the states of a subset DP.
     """
     ahead = _dag_depth(out, v)
     if ahead is not None:
         behind = _dag_depth(into, u)
         if behind is not None:
             return behind + ahead >= bound
+    if len(out) > _CLASS_SUPPORT_LIMIT:  # a smaller host cannot exceed it
+        support = 0  # the masks of `into` name the tails, those of `out` the heads
+        for a, b in zip(out, into):
+            support |= a | b
+        if support.bit_count() > _CLASS_SUPPORT_LIMIT:
+            raise SizeLimitError(f"cyclic support {support.bit_count()} > "
+                                 f"limit {_CLASS_SUPPORT_LIMIT}")
     longest: dict = {}  # exact values of finished states of 3+ edges
     dead: set = set()  # (w, seen) refuted in backward()
 
@@ -172,9 +180,7 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     past the highest color already used (canonical-form symmetry
     reduction).  `spent` nodes are already charged against the budget.
     The search only goes deeper while no class has a path longer than
-    `bound`, so each node checks only the paths through its new edge.  On
-    a host above _CLASS_SUPPORT_LIMIT vertices each node measures the
-    whole class with the engine instead, as a guard on cyclic classes.
+    `bound`, so each node checks only the paths through its new edge.
     """
     edges = g.edges()
     m = len(edges)
@@ -183,7 +189,6 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     adj = [[0] * g.n for _ in range(q + 1)]
     into = [[0] * g.n for _ in range(q + 1)]
     count = [0] * (q + 1)
-    guard = g.n > _CLASS_SUPPORT_LIMIT
     nodes = spent
 
     def dfs(pos: int, used: int) -> bool:
@@ -202,15 +207,7 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
             inn[v] |= ubit
             count[c] += 1
             # fewer than bound+1 edges can never form a longer path
-            ok = count[c] <= bound
-            if not ok:
-                if guard:
-                    # measure the class as a whole: at any size when it
-                    # is acyclic, and SizeLimitError when it is cyclic
-                    path, _ = longest_path_masks(out, bound, _CLASS_SUPPORT_LIMIT)
-                    ok = len(path) <= bound + 1
-                else:
-                    ok = not _path_through(out, inn, u, v, bound)
+            ok = count[c] <= bound or not _path_through(out, inn, u, v, bound)
             if ok and dfs(pos + 1, max(used, c)):
                 return True
             out[u] ^= vbit
@@ -232,12 +229,13 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     new edge.  Reach, on a 2-vCPU VM: the 9-vertex rotational tournament
     (36 edges) arrows P_4 with q=2 in about 5 s, the transitive TT9 is
     found not to arrow P_3 with q=2 in about 7 s, a 7-vertex tournament's
-    minmax at q=2 takes a few ms, and TT22's at q=1 about 0.05 s.  The
-    search is the only limit: it raises BudgetExceededError when it needs
-    more than `budget` nodes, with no up-front estimate from q^|E|.  A
-    host above _CLASS_SUPPORT_LIMIT vertices has each node measure the
-    whole class with the engine, which raises SizeLimitError on a class
-    that turns cyclic on more than that many vertices.
+    minmax at q=2 takes a few ms, and TT28's at q=1 about 0.06 s.  The
+    node count is the only cost limit: BudgetExceededError is raised when
+    the search needs more than `budget` nodes, with no up-front estimate
+    from q^|E|.  The one size limit: SizeLimitError is raised when a
+    class's new edge meets a cycle while the class has an edge at more
+    than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at
+    any size.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

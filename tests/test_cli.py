@@ -30,6 +30,17 @@ def test_gen_paley_requires_prime(tmp_path):
     assert res.exit_code != 0
 
 
+def test_gen_rejects_negative_density(tmp_path):
+    runner = CliRunner()
+    for model in ("oriented", "digraph"):
+        gpath = tmp_path / f"{model}.graph"
+        res = runner.invoke(main, ["gen", "--model", model, "--n", "10",
+                                   "--density", "-0.5", "--out", str(gpath)])
+        assert res.exit_code != 0
+        assert "Error: m=-50 is outside" in res.output
+        assert not gpath.exists()
+
+
 def test_adversary_command(tmp_path):
     runner = CliRunner()
     gpath = tmp_path / "g.graph"

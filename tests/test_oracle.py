@@ -178,9 +178,8 @@ def test_minmax_acyclic_classes_above_guard_size():
 
 def test_minmax_dense_acyclic_hosts_q1():
     """At q=1 the value is the host's longest path.  Dense acyclic hosts
-    of 22 vertices, the largest checked edge by edge, stay fast: the check
-    through each new edge is one DAG DP per side, not a search over the
-    paths into its tail."""
+    of 22 and 24 vertices stay fast: the check through each new edge is
+    one DAG DP per side, not a search over the paths into its tail."""
     rng = random.Random(5)
     perm = list(range(22))
     rng.shuffle(perm)
@@ -192,6 +191,16 @@ def test_minmax_dense_acyclic_hosts_q1():
         assert min_max_mono_path(g, 1).value == len(longest) - 1
     assert len(longest) - 1 == 23
     assert time.perf_counter() - t0 < 10
+
+
+def test_minmax_cycle_off_the_new_edges_above_guard_size():
+    """A 3-cycle beside a 21-edge path on 25 vertices: the class is cyclic
+    on more than 22 vertices, but no new edge after the cycle's own meets
+    a cycle, so every check is exact and the value is the path."""
+    g = OrientedGraph(25, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 24)])
+    res = min_max_mono_path(g, 1)
+    assert res.value == 21
+    assert max_mono_path(g, res.witness, limit=25) == 21
 
 
 # -- the search's per-edge check against the full engine -------------------
@@ -267,6 +276,72 @@ def test_search_matches_full_engine_check(monkeypatch):
                 m.setattr(oracle, "_path_through", _reference_through)
                 ref = min_max_mono_path(g, q)
             assert fast.to_dict() == ref.to_dict()
+
+
+def _guard_size_hosts():
+    """Hosts of 23-30 vertices: sparse oriented graphs and digraphs, DAGs
+    with shuffled labels, and short cycles with a long path and chords."""
+    rng = random.Random(23)
+    for i in range(24):
+        n = rng.randint(23, 30)
+        kind = i % 4
+        if kind == 0:
+            yield random_oriented_graph(n, rng.randint(n, 2 * n), i)
+        elif kind == 1:
+            yield random_digraph(n, rng.randint(n, 2 * n), i)
+        elif kind == 2:
+            perm = rng.sample(range(n), n)
+            p = rng.uniform(0.05, 0.4)
+            yield OrientedGraph(n, [(perm[a], perm[b]) for a in range(n)
+                                    for b in range(a + 1, n) if rng.random() < p])
+        else:
+            c = rng.randint(3, 6)
+            edges = {(j, (j + 1) % c) for j in range(c)}
+            edges |= {(j, j + 1) for j in range(c, n - 1)}
+            for _ in range(rng.randint(0, n // 2)):
+                a, b = rng.sample(range(n), 2)
+                if (b, a) not in edges:
+                    edges.add((a, b))
+            yield OrientedGraph(n, sorted(edges))
+
+
+def _outcome(g, q, budget):
+    try:
+        return min_max_mono_path(g, q, budget)
+    except (BudgetExceededError, SizeLimitError) as exc:
+        return type(exc)
+
+
+def test_search_matches_full_engine_above_guard_size(monkeypatch):
+    """On hosts above 22 vertices the check through the new edge visits
+    the reference's nodes: where the reference, the whole class measured
+    with the engine, gives an answer or runs out of budget, so does the
+    search, identically.  The reference raises SizeLimitError on every
+    cyclic class above 22 vertices; the search raises it only when a cycle
+    meets the new edge, so past that node it may go on, and an answer it
+    gives is checked on its witness."""
+    budget = 20_000
+    seen = set()
+    for g in _guard_size_hosts():
+        for q in (1, 2):
+            fast = _outcome(g, q, budget)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_path_through", _reference_through)
+                ref = _outcome(g, q, budget)
+            seen.add(ref if isinstance(ref, type) else "answer")
+            if ref is SizeLimitError and not isinstance(fast, type):
+                seen.add("answer past the reference's limit")
+                fast.witness.validate_total(g)
+                for c in range(1, q + 1):
+                    path, _ = longest_path_masks(fast.witness.out_masks(c, g.n),
+                                                 fast.value, g.n)
+                    assert len(path) <= fast.value + 1
+            elif isinstance(ref, type):
+                assert fast is ref
+            else:
+                assert fast.to_dict() == ref.to_dict()
+    assert seen == {"answer", BudgetExceededError, SizeLimitError,
+                    "answer past the reference's limit"}
 
 
 # -- arrowing --------------------------------------------------------------

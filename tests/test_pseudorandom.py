@@ -13,6 +13,7 @@ from dipath_ramsey import (
     dfs_long_path,
     paley_tournament,
     pseudorandomness_exact,
+    random_digraph,
     random_oriented_graph,
     random_tournament,
     refute_pseudorandomness,
@@ -52,6 +53,13 @@ def test_random_oriented_graph_edge_count():
     g = random_oriented_graph(10, 17, 0)
     assert g.edge_count == 17
     assert not g.allow_antiparallel
+
+
+@pytest.mark.parametrize("make", [random_oriented_graph, random_digraph])
+def test_random_graphs_reject_negative_edge_count(make):
+    with pytest.raises(GraphShapeError, match="m=-1 is outside"):
+        make(10, -1, 0)
+    assert make(10, 0, 0).edge_count == 0
 
 
 def test_exact_on_transitive_three():
