@@ -74,7 +74,7 @@ def gen(model: str, n, p, density: float, seed: int, out_path: str) -> None:
             else:
                 g = random_digraph(n, round(density * n * n), seed)
         write_graph(out_path, g)
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {g.n} vertices, {g.edge_count} edges to {out_path}")
 
@@ -100,7 +100,7 @@ def prcheck(mode: str, k, trials: int, seed: int, in_path: str) -> None:
                    "counterexample": [list(found[0]), list(found[1])]
                    if found else None}
         _echo_json(payload)
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -121,7 +121,7 @@ def adversary(q: int, config_path, in_path: str, out_path: str, trace_path) -> N
             with open(trace_path, "w", encoding="ascii") as fh:
                 json.dump(result.partition.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"colored {g.edge_count} edges with "
                f"{result.coloring.num_colors} colors; "
@@ -157,7 +157,7 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
                 fh.write("\n")
         else:
             _echo_json(payload)
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -192,7 +192,7 @@ def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
                    "witness": [[u, v, c] for (u, v), c in witness.items()]
                    if witness else None}
         _echo_json(payload)
-    except DipathError as exc:
+    except (DipathError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
-from .paths import EXACT_VERTEX_LIMIT, longest_path_masks
+from .paths import EXACT_VERTEX_LIMIT, _ahead, longest_path_masks
 
 # the coloring search raises SizeLimitError when a cycle leaves the head
 # or reaches the tail of a class's new edge and the class has an edge at
 # more than this many vertices: this bounds the search through that edge
-# by a subset DP's states and its recursion by the support
+# by the (end, vertex set) states of 22 vertices and its recursion by 22
+# frames
 _CLASS_SUPPORT_LIMIT = 22
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
@@ -45,9 +46,9 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     """Exact longest path per color class, as {color: result}.
 
     Acyclic classes are handled in linear time at any size.  Cyclic classes
-    are compressed to their support (vertices with an incident edge of that
-    color) and solved by subset DP; support beyond `limit` raises
-    SizeLimitError rather than returning an estimate.
+    are searched over their support (vertices with an incident edge of that
+    color) by the engine's memoized path search; support beyond `limit`
+    raises SizeLimitError rather than returning an estimate.
     """
     coloring.validate_total(g)
     out: dict[int, OracleResult] = {}
@@ -107,10 +108,12 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     class is cyclic: SizeLimitError is raised when its support (the
     vertices with an edge) is above _CLASS_SUPPORT_LIMIT, and else the
     paths into u are tried one by one, each against the longest path out
-    of v that avoids it.  Every path of the old class has at most `bound`
-    edges, so both searches stop at that depth, and a search that reaches
-    it has found the path.  Both remember the (end, vertex set) states
-    they finish, so a dense class costs at most the states of a subset DP.
+    of v that avoids it, found by the engine's own search, `paths._ahead`.
+    Every path of the old class has at most `bound` edges, so both
+    searches stop at that depth, and a search that reaches it has found
+    the path.  `_ahead` keeps the exact value of each (end, vertex set)
+    state it finishes in one memo, and the backward search keeps the
+    states it refutes, so a dense class costs at most one visit per state.
     """
     ahead = _dag_depth(out, v)
     if ahead is not None:
@@ -124,36 +127,14 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
         if support.bit_count() > _CLASS_SUPPORT_LIMIT:
             raise SizeLimitError(f"cyclic support {support.bit_count()} > "
                                  f"limit {_CLASS_SUPPORT_LIMIT}")
-    longest: dict = {}  # exact values of finished states of 3+ edges
+    memo: dict = {}  # _ahead's finished states
     dead: set = set()  # (w, seen) refuted in backward()
-
-    def forward(w: int, seen: int, cap: int) -> int:
-        # edges of the longest path out of w avoiding `seen`, or `cap`
-        # once one that long is found
-        m = out[w] & ~seen
-        if not m or cap <= 1:
-            return cap if m else 0
-        if cap > 2:
-            best = longest.get((w, seen))
-            if best is not None:
-                return best
-        best = 0
-        while m:
-            low = m & -m
-            m ^= low
-            d = 1 + forward(low.bit_length() - 1, seen | low, cap - 1)
-            if d >= cap:
-                return cap
-            if d > best:
-                best = d
-        if cap > 2:
-            longest[w, seen] = best
-        return best
 
     def backward(w: int, seen: int, a: int) -> bool:
         # a path into u that starts at w, covers `seen` and has `a` edges:
         # met by a long enough path out of v, or extended backward first
-        if a >= need and (a == bound or a + forward(v, seen, bound - a) >= bound):
+        if a >= need and (a == bound
+                          or a + _ahead(out, memo, v, seen, bound - a) >= bound):
             return True
         m = into[w] & ~seen
         if not m or (w, seen) in dead:
@@ -168,7 +149,7 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
 
     ends = 1 << u | 1 << v
     # a path out of v is never longer than bound - need
-    need = bound - forward(v, ends, bound)
+    need = bound - _ahead(out, memo, v, ends, bound)
     return need <= 0 or backward(u, ends, 0)
 
 

@@ -1,12 +1,15 @@
-"""Longest-path primitives: one exact engine (linear DP on DAGs, subset DP
-on small cyclic supports), cycle detection, and the level decomposition
-that underpins the coloring constructions."""
+"""Longest-path primitives: one exact engine (linear DP on DAGs, a memoized
+path search on small cyclic supports, shared with the oracle's coloring
+search), cycle detection, and the level decomposition that underpins the
+coloring constructions."""
 from __future__ import annotations
 
 from .errors import CyclicGraphError, SizeLimitError
 from .graphs import DirectedPath, OrientedGraph
 
-# the full subset DP on a complete 16-vertex digraph already takes ~1.5 s
+# bounds a cyclic search by 16 * 2^15 (end, vertex set) states and 15 frames
+# of recursion; K16's longest path is found on the first descent, but a class
+# whose longest path is far shorter than its support visits many states
 EXACT_VERTEX_LIMIT = 16
 
 
@@ -90,60 +93,35 @@ def _dag_path(dist: list[int], pred: list[int]) -> list[int]:
     return path
 
 
-def _subset_path(adj: list[int], support: list[int], bound: int | None) -> list[int]:
-    """Longest simple path inside `support` by layered subset DP.
+def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int) -> int:
+    """Edges of the longest path out of w along `adj` that avoids `seen`,
+    or `cap` once one that long is found.
 
-    Layer s maps each vertex set of size s that some simple path covers
-    to the mask of vertices where such a path can end.  The last layer
-    (or the layer of bound+2 vertices, when bound is given) yields the
-    witness: lowest set mask, then lowest end vertex, then at each step
-    back the lowest predecessor with an edge into the current vertex.
+    `seen` holds w.  `memo` maps `seen | w << len(adj)` to the exact value
+    of a finished state of 3+ edges, so one dict serves calls with any
+    cap.  The memo is a plain argument, not a closure's cell: it is freed
+    when the caller drops it, not at the next full collection.
     """
-    k = len(support)
-    index = {v: i for i, v in enumerate(support)}
-    sadj = []
-    for v in support:
-        m, s = adj[v], 0
-        while m:
-            low = m & -m
-            s |= 1 << index[low.bit_length() - 1]
-            m ^= low
-        sadj.append(s)
-    size = k if bound is None else min(k, bound + 2)
-    layers = [{1 << i: 1 << i for i in range(k)}]
-    while len(layers) < size:
-        nxt = {}
-        get = nxt.get
-        for mask, ends in layers[-1].items():
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                new = sadj[low.bit_length() - 1] & ~mask
-                while new:
-                    bit = new & -new
-                    new ^= bit
-                    m2 = mask | bit
-                    nxt[m2] = get(m2, 0) | bit
-        if not nxt:
-            break
-        layers.append(nxt)
-    mask = min(layers[-1])
-    ends = layers[-1][mask]
-    v = (ends & -ends).bit_length() - 1
-    path = [v]
-    for layer in reversed(layers[:-1]):
-        mask ^= 1 << v
-        ends = layer[mask]
-        while True:
-            low = ends & -ends
-            u = low.bit_length() - 1
-            if sadj[u] >> v & 1:
-                break
-            ends ^= low
-        path.append(u)
-        v = u
-    path.reverse()
-    return [support[i] for i in path]
+    m = adj[w] & ~seen
+    if not m or cap <= 1:
+        return cap if m else 0
+    if cap > 2:
+        key = seen | w << len(adj)
+        best = memo.get(key)
+        if best is not None:
+            return best
+    best = 0
+    while m:
+        low = m & -m
+        m ^= low
+        d = 1 + _ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1)
+        if d >= cap:
+            return cap
+        if d > best:
+            best = d
+    if cap > 2:
+        memo[key] = best
+    return best
 
 
 def longest_path_masks(adj: list[int], bound: int | None = None,
@@ -151,12 +129,15 @@ def longest_path_masks(adj: list[int], bound: int | None = None,
     """Longest simple path of the digraph with out-masks `adj`, exactly.
 
     Returns (vertices, explored).  An acyclic input is solved by the DAG
-    DP at any size, with explored = n.  A cyclic input is restricted to its
-    support (vertices with an edge) and solved by subset DP, with explored
-    = 2^support; a support above `limit` raises SizeLimitError.  With
-    `bound`, the subset DP stops at the first path of bound+1 edges, so the
-    result is the longest path when that has at most `bound` edges and a
-    path of exactly bound+1 edges otherwise.
+    DP at any size, with explored = n.  A cyclic input is searched from
+    each vertex of its support (vertices with an edge) by `_ahead`, with
+    one memo of (end, vertex set) states; a support above `limit` raises
+    SizeLimitError, and explored = 2^support is charged as the bound on
+    the vertex sets.  The witness starts at the lowest vertex with a
+    longest path and takes, at each step, the lowest next vertex that
+    keeps one that long.  With `bound`, the search stops at the first path
+    of bound+1 edges, so the result is the longest path when that has at
+    most `bound` edges and a path of exactly bound+1 edges otherwise.
     """
     n = len(adj)
     indeg = [0] * n
@@ -171,9 +152,31 @@ def longest_path_masks(adj: list[int], bound: int | None = None,
     if len(order) == n:
         return _dag_path(dist, pred), n
     support = [v for v in range(n) if adj[v] or into >> v & 1]
-    if len(support) > limit:
-        raise SizeLimitError(f"cyclic support {len(support)} > limit {limit}")
-    return _subset_path(adj, support, bound), 1 << len(support)
+    k = len(support)
+    if k > limit:
+        raise SizeLimitError(f"cyclic support {k} > limit {limit}")
+    cap = k - 1 if bound is None else min(bound + 1, k - 1)
+    memo: dict = {}
+    need = -1
+    for w in support:
+        d = _ahead(adj, memo, w, 1 << w, cap)
+        if d > need:
+            need, v = d, w
+            if d == cap:
+                break
+    path = [v]
+    seen = 1 << v
+    for rest in range(need - 1, -1, -1):
+        # the lowest next vertex with `rest` edges still ahead of it
+        m = adj[v] & ~seen
+        low = m & -m
+        while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest) < rest:
+            m ^= low
+            low = m & -m
+        v = low.bit_length() - 1
+        path.append(v)
+        seen |= low
+    return path, 1 << k
 
 
 def _dag_dp(g: OrientedGraph) -> tuple[list[int], list[int], list[int]]:

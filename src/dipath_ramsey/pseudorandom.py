@@ -72,6 +72,8 @@ def paley_tournament(p: int) -> Tournament:
 
 def random_oriented_graph(n: int, m: int, seed: int) -> OrientedGraph:
     """Random oriented graph with exactly m edges (no antiparallel pairs)."""
+    if n < 0:
+        raise GraphShapeError(f"vertex count must be nonnegative, got {n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise GraphShapeError(f"m={m} is outside 0..{n * (n - 1) // 2} for n={n}")
     rng = random.Random(seed)
@@ -92,6 +94,8 @@ def random_oriented_graph(n: int, m: int, seed: int) -> OrientedGraph:
 
 def random_digraph(n: int, m: int, seed: int) -> OrientedGraph:
     """Random non-simple digraph with exactly m edges (antiparallel allowed)."""
+    if n < 0:
+        raise GraphShapeError(f"vertex count must be nonnegative, got {n}")
     if not 0 <= m <= n * (n - 1):
         raise GraphShapeError(f"m={m} is outside 0..{n * (n - 1)} for n={n}")
     rng = random.Random(seed)

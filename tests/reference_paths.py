@@ -1,0 +1,84 @@
+"""The layered subset DP that the exact engine once ran on cyclic supports,
+kept verbatim as the reference for `paths.longest_path_masks` and for the
+oracle's check through a new edge.  It shares no search code with either:
+only the DAG DP, which both run on acyclic input."""
+from dipath_ramsey.errors import SizeLimitError
+from dipath_ramsey.paths import EXACT_VERTEX_LIMIT, _dag_path, _kahn
+
+
+def _subset_path(adj: list[int], support: list[int], bound: int | None) -> list[int]:
+    """Longest simple path inside `support` by layered subset DP.
+
+    Layer s maps each vertex set of size s that some simple path covers
+    to the mask of vertices where such a path can end.  The last layer
+    (or the layer of bound+2 vertices, when bound is given) yields the
+    witness: lowest set mask, then lowest end vertex, then at each step
+    back the lowest predecessor with an edge into the current vertex.
+    """
+    k = len(support)
+    index = {v: i for i, v in enumerate(support)}
+    sadj = []
+    for v in support:
+        m, s = adj[v], 0
+        while m:
+            low = m & -m
+            s |= 1 << index[low.bit_length() - 1]
+            m ^= low
+        sadj.append(s)
+    size = k if bound is None else min(k, bound + 2)
+    layers = [{1 << i: 1 << i for i in range(k)}]
+    while len(layers) < size:
+        nxt = {}
+        get = nxt.get
+        for mask, ends in layers[-1].items():
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                new = sadj[low.bit_length() - 1] & ~mask
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    m2 = mask | bit
+                    nxt[m2] = get(m2, 0) | bit
+        if not nxt:
+            break
+        layers.append(nxt)
+    mask = min(layers[-1])
+    ends = layers[-1][mask]
+    v = (ends & -ends).bit_length() - 1
+    path = [v]
+    for layer in reversed(layers[:-1]):
+        mask ^= 1 << v
+        ends = layer[mask]
+        while True:
+            low = ends & -ends
+            u = low.bit_length() - 1
+            if sadj[u] >> v & 1:
+                break
+            ends ^= low
+        path.append(u)
+        v = u
+    path.reverse()
+    return [support[i] for i in path]
+
+
+def reference_longest_path(adj: list[int], bound: int | None = None,
+                           limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
+    """`longest_path_masks` with the subset DP on cyclic input: same
+    lengths, bound semantics, limit and explored, its own witnesses."""
+    n = len(adj)
+    indeg = [0] * n
+    into = 0
+    for m in adj:
+        into |= m
+        while m:
+            low = m & -m
+            indeg[low.bit_length() - 1] += 1
+            m ^= low
+    order, dist, pred = _kahn(adj, indeg)
+    if len(order) == n:
+        return _dag_path(dist, pred), n
+    support = [v for v in range(n) if adj[v] or into >> v & 1]
+    if len(support) > limit:
+        raise SizeLimitError(f"cyclic support {len(support)} > limit {limit}")
+    return _subset_path(adj, support, bound), 1 << len(support)

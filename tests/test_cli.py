@@ -41,6 +41,34 @@ def test_gen_rejects_negative_density(tmp_path):
         assert not gpath.exists()
 
 
+def test_bad_numeric_options_are_cli_errors(tmp_path):
+    runner = CliRunner()
+    gpath, cpath = tmp_path / "t.graph", tmp_path / "t.col"
+    res = runner.invoke(main, ["gen", "--model", "random", "--n", "6",
+                               "--seed", "1", "--out", str(gpath)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["adversary", "--q", "1", "--in", str(gpath),
+                               "--out", str(cpath)])
+    assert res.exit_code == 0, res.output
+    cases = [
+        (["oracle", "--mode", "minmax", "--q", "0"], "q must be >= 1"),
+        (["oracle", "--mode", "arrow", "--n", "-1"], "n_target must be >= 0"),
+        (["prcheck", "--mode", "sampled", "--k", "0"], "k must be in [1, 3]"),
+        (["adversary", "--q", "0", "--out", str(tmp_path / "x.col")], "q must be >= 1"),
+        (["build-path", "--k", "0", "--coloring", str(cpath)], "k must be >= 1"),
+        (["gen", "--model", "oriented", "--n", "-3", "--out", str(tmp_path / "x.graph")],
+         "vertex count must be nonnegative, got -3"),
+    ]
+    for args, message in cases:
+        if args[0] != "gen":
+            args = args + ["--in", str(gpath)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, args
+        assert not isinstance(res.exception, ValueError), args
+        assert f"Error: {message}" in res.output, args
+    assert not (tmp_path / "x.graph").exists()
+
+
 def test_adversary_command(tmp_path):
     runner = CliRunner()
     gpath = tmp_path / "g.graph"

@@ -1,4 +1,5 @@
 """Longest-path machinery: DAG DP, exact search, cycle detection."""
+import gc
 import random
 
 import pytest
@@ -15,10 +16,13 @@ from dipath_ramsey import (
     level_decomposition,
     longest_path_dag,
     longest_path_exact,
+    random_digraph,
+    random_oriented_graph,
     topological_order,
     transitive_tournament,
 )
 from dipath_ramsey.paths import longest_path_masks
+from reference_paths import reference_longest_path
 
 
 def _random_oriented(n, m, seed):
@@ -133,6 +137,21 @@ def _brute_longest(n, adj):
     return best
 
 
+def _brute_first_longest(n, adj):
+    """The lexicographically first longest simple path, by DFS."""
+    paths = []
+
+    def dfs(path, seen):
+        paths.append(path)
+        for w in range(n):
+            if adj[path[-1]] >> w & 1 and not seen >> w & 1:
+                dfs(path + [w], seen | 1 << w)
+
+    for v in range(n):
+        dfs([v], 1 << v)
+    return min(paths, key=lambda p: (-len(p), p))
+
+
 @st.composite
 def _digraphs(draw):
     """(n, edges): acyclic ones orient every edge along a random order."""
@@ -158,9 +177,69 @@ def test_engine_matches_brute_force(graph, bound):
     assert p.length == best
     support = sum(1 for v in range(n) if g.degree(v))
     assert explored == (n if is_acyclic(g) else 1 << support)
+    if not is_acyclic(g):
+        # the search's witness: lowest start, then lowest next vertex
+        assert vertices == _brute_first_longest(n, adj)
     # with a bound, a path longer than it comes back exactly when one exists
     vertices, _ = longest_path_masks(adj, bound=bound)
     p = DirectedPath(vertices)
     assert p.is_valid_in(g)
     assert (p.length > bound) == (best > bound)
     assert p.length <= best
+
+
+def _bipartite_both_ways(a, b):
+    n = a + b
+    left, right = (1 << a) - 1, ((1 << n) - 1) ^ ((1 << a) - 1)
+    return [right if v < a else left for v in range(n)]
+
+
+def _reference_classes():
+    """Cyclic classes of 9-16 vertices: random digraphs of 30-120 edges,
+    the two classes of 2-colored 16-vertex 100-edge oriented graphs,
+    K_{6,10} with both directions and two disjoint K8s."""
+    rng = random.Random(1010)
+    for i in range(40):
+        n = rng.randint(9, 16)
+        g = random_digraph(n, rng.randint(30, min(120, n * (n - 1))), i)
+        yield [g.out_mask(v) for v in range(n)]
+    for i in range(12):
+        g = random_oriented_graph(16, 100, 500 + i)
+        classes = [[0] * 16, [0] * 16]
+        for u, v in g.edges():
+            classes[rng.getrandbits(1)][u] |= 1 << v
+        yield from classes
+    yield _bipartite_both_ways(6, 10)
+    k8 = (1 << 8) - 1
+    yield [(k8 << (v & 8)) ^ 1 << v for v in range(16)]
+
+
+def test_engine_matches_subset_dp_reference():
+    """Same length, bound semantics and explored as the subset DP it
+    replaced, on cyclic classes; witnesses may differ but are paths."""
+    rng = random.Random(99)
+    cyclic = 0
+    for adj in _reference_classes():
+        n = len(adj)
+        g = OrientedGraph.from_masks(n, adj, allow_antiparallel=True)
+        cyclic += not is_acyclic(g)
+        for bound in (None, rng.randint(0, n), rng.randint(0, 3)):
+            got, explored = longest_path_masks(adj, bound)
+            ref, ref_explored = reference_longest_path(adj, bound)
+            assert len(got) == len(ref)
+            assert explored == ref_explored
+            assert DirectedPath(got).is_valid_in(g)
+    assert cyclic == 40 + 24 + 2
+
+
+def test_engine_leaves_no_reference_cycles():
+    """The search's memo is freed when the engine returns, not left in a
+    reference cycle for the next full collection."""
+    adj = _bipartite_both_ways(4, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(longest_path_masks(adj)[0]) == 9
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -22,6 +22,7 @@ from dipath_ramsey import (
 )
 from dipath_ramsey import oracle
 from dipath_ramsey.paths import is_acyclic, longest_path_masks
+from reference_paths import reference_longest_path
 
 
 # -- per-color measurement -------------------------------------------------
@@ -203,11 +204,12 @@ def test_minmax_cycle_off_the_new_edges_above_guard_size():
     assert max_mono_path(g, res.witness, limit=25) == 21
 
 
-# -- the search's per-edge check against the full engine -------------------
+# -- the search's per-edge check against measuring the whole class ------
 
 def _reference_through(out, into, u, v, bound):
-    """Reference check: measure the whole class with the full engine."""
-    return len(longest_path_masks(out, bound, oracle._CLASS_SUPPORT_LIMIT)[0]) > bound + 1
+    """Reference check: measure the whole class with the subset DP, which
+    shares no search code with `_path_through`."""
+    return len(reference_longest_path(out, bound, oracle._CLASS_SUPPORT_LIMIT)[0]) > bound + 1
 
 
 def test_path_through_matches_full_engine():
@@ -223,7 +225,7 @@ def test_path_through_matches_full_engine():
         rng.shuffle(pairs)
         for a, b in pairs[:rng.randint(0, len(pairs))]:
             out[a] |= 1 << b
-            if len(longest_path_masks(out, bound)[0]) > bound + 1:
+            if len(reference_longest_path(out, bound)[0]) > bound + 1:
                 out[a] ^= 1 << b
             else:
                 into[b] |= 1 << a
@@ -315,7 +317,7 @@ def _outcome(g, q, budget):
 def test_search_matches_full_engine_above_guard_size(monkeypatch):
     """On hosts above 22 vertices the check through the new edge visits
     the reference's nodes: where the reference, the whole class measured
-    with the engine, gives an answer or runs out of budget, so does the
+    with the subset DP, gives an answer or runs out of budget, so does the
     search, identically.  The reference raises SizeLimitError on every
     cyclic class above 22 vertices; the search raises it only when a cycle
     meets the new edge, so past that node it may go on, and an answer it

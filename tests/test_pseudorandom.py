@@ -62,6 +62,14 @@ def test_random_graphs_reject_negative_edge_count(make):
     assert make(10, 0, 0).edge_count == 0
 
 
+@pytest.mark.parametrize("make", [random_oriented_graph, random_digraph])
+def test_random_graphs_reject_negative_vertex_count(make):
+    for m in (0, 3):
+        with pytest.raises(GraphShapeError, match="vertex count must be nonnegative, got -3"):
+            make(-3, m, 0)
+    assert make(0, 0, 0).n == 0
+
+
 def test_exact_on_transitive_three():
     report = pseudorandomness_exact(transitive_tournament(3))
     assert report.mode == "exact"
