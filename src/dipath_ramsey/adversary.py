@@ -16,8 +16,8 @@ from operator import and_, or_
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
-from .graphs import EdgeColoring, OrientedGraph, Tournament, VertexColoring, mask_of
-from .paths import find_cycle, level_decomposition, longest_path_masks
+from .graphs import EdgeColoring, OrientedGraph, Tournament, VertexColoring, iter_bits, mask_of
+from .paths import _reach, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
 # digit encodings
@@ -110,20 +110,21 @@ def tournament_acyclic_set(t: Tournament) -> list[int]:
     return _chain_in_tournament(g.out_masks(), g.full_mask())
 
 
-def _completion_chain(g: OrientedGraph, verts: list[int]) -> list[int]:
-    """Chain via an implicit tournament completion of g restricted to verts.
+def _completion_chain(out: list[int], inn: list[int], within: int) -> list[int]:
+    """Chain via an implicit tournament completion of the graph with out-
+    and in-masks `out` and `inn`, restricted to the vertex mask `within`.
 
     Missing pairs are oriented low id -> high id.  An acyclic set of the
-    completion is acyclic in g, because the completion only gains edges.
+    completion is acyclic in the graph, because the completion only gains
+    edges.
     """
-    within = mask_of(verts)
-    out = [0] * g.n
-    for v in verts:
-        o, i = g.out_mask(v), g.in_mask(v)
+    comp = [0] * len(out)
+    for v in iter_bits(within):
+        o, i = out[v], inn[v]
         lower = within & ((1 << v) - 1)
-        higher = within & ~lower & ~(1 << v)
-        out[v] = (higher & (o | ~i)) | (lower & o & ~i)
-    return _chain_in_tournament(out, within)
+        higher = within & -(2 << v)
+        comp[v] = (higher & (o | ~i)) | (lower & o & ~i)
+    return _chain_in_tournament(comp, within)
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,20 @@ class AcyclicSetResult:
         return len(self.vertices)
 
 
-def _greedy_acyclic(g: OrientedGraph) -> list[int]:
-    """Vertices accepted in id order while the induced subgraph stays acyclic."""
-    kept: list[int] = []
-    for v in range(g.n):
-        sub, _ = g.subgraph(kept + [v])
-        if find_cycle(sub) is None:
-            kept.append(v)
+def _edges_within(out: list[int], within: int) -> int:
+    return sum((out[v] & within).bit_count() for v in iter_bits(within))
+
+
+def _greedy_acyclic(out: list[int], inn: list[int], within: int) -> int:
+    """The vertices of the mask `within` accepted in id order while they
+    stay acyclic, as a mask.  With the kept set acyclic, v closes a cycle
+    with it exactly when a kept out-neighbor of v reaches a kept
+    in-neighbor of v through kept vertices; so a vertex set is acyclic
+    exactly when this keeps all of it."""
+    kept = 0
+    for v in iter_bits(within):
+        if not _reach(out, out[v] & kept, kept) & inn[v]:
+            kept |= 1 << v
     return kept
 
 
@@ -165,65 +173,71 @@ def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) 
     """Large acyclic vertex set in a sparse oriented graph.
 
     Density >= 1/4 delegates to the tournament-completion chain.  Otherwise:
-    drop vertices of in-degree > 2*eps*n, grow a greedy acyclic set, then
-    improve: among vertices whose out-neighborhoods in U fit a shared small
-    cover, extract a chain R'' and swap it in for the covered part of U.
+    drop vertices of in-degree > 2*eps*n, grow a greedy acyclic set U, then
+    improve: among the vertices R whose out-neighborhoods in U are small,
+    pack R' while their union `cover` stays small, extract a chain R'' of
+    R', and swap it in for the covered part of U.  The new set
+    R'' + (U - cover) stays acyclic: both parts are, and no edge leaves R''
+    into U - cover, since cover holds every out-neighbor in U of R'.
     Stops at the configured target or on non-improvement (flagged, never an
     error).  The result always has at least floor(log2 n) + 1 vertices.
+    Vertex ids, the steps' included, are g's.
     """
-    n = g.n
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
+    if any(map(and_, out, inn)):
+        raise GraphShapeError("input must be oriented (no antiparallel pairs)")
+    return _sparse_acyclic(out, inn, g.full_mask(), cfg)
+
+
+def _sparse_acyclic(out: list[int], inn: list[int], within: int,
+                    cfg: ConstantsConfig) -> AcyclicSetResult:
+    """`sparse_acyclic_set` of the oriented graph that the masks `out` and
+    `inn` induce on the vertex mask `within`."""
+    n = within.bit_count()
     if n == 0:
         return AcyclicSetResult((), 0.0, True)
-    if any(g.out_mask(v) & g.in_mask(v) for v in range(n)):
-        raise GraphShapeError("input must be oriented (no antiparallel pairs)")
-    eps = g.edge_count / (n * n)
+    eps = _edges_within(out, within) / (n * n)
     target = cfg.acyclic_target(n, eps)
-    floor_chain = _completion_chain(g, list(range(n)))
+    floor_chain = sorted(_completion_chain(out, inn, within))
 
     if eps >= 0.25 or n <= 2:
-        best = floor_chain
-        return AcyclicSetResult(tuple(sorted(best)), target, len(best) >= target)
+        return AcyclicSetResult(tuple(floor_chain), target, len(floor_chain) >= target)
 
-    keep = [v for v in range(n) if g.in_degree(v) <= 2 * eps * n]
-    h, back = g.subgraph(keep)
-    u_local = _greedy_acyclic(h)
+    keep = mask_of(v for v in iter_bits(within)
+                   if (inn[v] & within).bit_count() <= 2 * eps * n)
+    u_mask = _greedy_acyclic(out, inn, keep)
     steps: list[AcyclicSearchState] = []
 
-    while len(u_local) < target:
-        u_mask = mask_of(u_local)
-        cover_limit = max(1, math.ceil(5 * eps * len(u_local)))
-        outside = [v for v in range(h.n) if not (u_mask >> v) & 1]
+    while (size := u_mask.bit_count()) < target:
+        cover_limit = max(1, math.ceil(5 * eps * size))
         r_star, r = [], []
-        for v in outside:
-            if (h.out_mask(v) & u_mask).bit_count() > cover_limit:
-                r_star.append(v)
-            else:
-                r.append(v)
+        for v in iter_bits(keep & ~u_mask):
+            (r_star if (out[v] & u_mask).bit_count() > cover_limit else r).append(v)
         if not r:
             break
         # pack candidates while their combined cover stays within budget
-        r.sort(key=lambda v: ((h.out_mask(v) & u_mask).bit_count(), v))
+        r.sort(key=lambda v: ((out[v] & u_mask).bit_count(), v))
         cover = 0
         r_prime = []
         for v in r:
-            newcov = cover | (h.out_mask(v) & u_mask)
+            newcov = cover | (out[v] & u_mask)
             if newcov.bit_count() <= cover_limit:
                 r_prime.append(v)
                 cover = newcov
-        r_dp = _completion_chain(h, r_prime)
-        u_new = sorted(set(r_dp) | {v for v in u_local if not (cover >> v) & 1})
-        if len(u_new) <= len(u_local):
+        r_dp = _completion_chain(out, inn, mask_of(r_prime))
+        u_new = mask_of(r_dp) | (u_mask & ~cover)
+        if u_new.bit_count() <= size:
             break
         steps.append(AcyclicSearchState(
-            U=tuple(u_local), R_star=tuple(r_star), R=tuple(r),
+            U=tuple(iter_bits(u_mask)), R_star=tuple(r_star), R=tuple(r),
             R_prime=tuple(r_prime), R_double_prime=tuple(r_dp)))
-        u_local = u_new
+        u_mask = u_new
 
-    best = sorted(back[v] for v in u_local)
+    best = list(iter_bits(u_mask))
     if len(floor_chain) > len(best):
-        best = sorted(floor_chain)
-    sub, _ = g.subgraph(best)
-    if find_cycle(sub) is not None:
+        best = floor_chain
+    best_mask = mask_of(best)
+    if _greedy_acyclic(out, inn, best_mask) != best_mask:
         raise AssertionError("internal: produced vertex set is not acyclic")
     return AcyclicSetResult(tuple(best), target, len(best) >= target, tuple(steps))
 
@@ -434,20 +448,18 @@ class AdversaryResult:
     partition: FamilyPartition
 
 
-def _acyclic_candidates(h: OrientedGraph, cfg: ConstantsConfig) -> list[int]:
-    """Largest acyclic set we can cheaply find in h, antiparallel pairs
-    reduced first so the sparse search sees an oriented graph."""
+def _acyclic_candidates(out: list[int], inn: list[int], within: int,
+                        cfg: ConstantsConfig) -> list[int]:
+    """Largest acyclic set we can cheaply find among the vertices of the
+    mask `within`, in ascending order, antiparallel pairs reduced first so
+    the sparse search sees an oriented graph."""
     # greedy over pairs u < v in lexicographic order: a pair whose ends
     # are both still in drops v
     bad = 0
-    for u in range(h.n):
+    for u in iter_bits(within):
         if not bad >> u & 1:
-            bad |= h.out_mask(u) & h.in_mask(u) & ~bad & -(2 << u)
-    if not bad:
-        return sorted(sparse_acyclic_set(h, cfg).vertices)
-    sub, back = h.subgraph(v for v in range(h.n) if not bad >> v & 1)
-    res = sparse_acyclic_set(sub, cfg)
-    return sorted(back[v] for v in res.vertices)
+            bad |= out[u] & inn[u] & ~bad & -(2 << u)
+    return list(_sparse_acyclic(out, inn, within & ~bad, cfg).vertices)
 
 
 def theorem1_adversary(g: OrientedGraph, q: int,
@@ -471,48 +483,45 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     deg_thr = cfg.degree_threshold(n, q)
     term = cfg.termination_threshold(n, q)
     x_verts = [v for v in range(n) if g.degree(v) <= deg_thr]
-    x_set = set(x_verts)
-    y_cur = [v for v in range(n) if v not in x_set]
-    m = len(y_cur)
+    y_mask = g.full_mask() ^ mask_of(x_verts)
+    m = y_mask.bit_count()
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
 
     families_raw: list[tuple[int, float, tuple[tuple[int, ...], ...]]] = []
     i = 1
-    while y_cur:
-        h, _ = g.subgraph(y_cur)
-        if h.edge_count <= term:
+    while y_mask:
+        edges = _edges_within(out, y_mask)
+        if edges <= term:
             break
         floor_i = m / 2 ** i
-        if len(y_cur) <= floor_i:
+        if y_mask.bit_count() <= floor_i:
             i += 1  # this step's coverage goal is already met
             continue
-        eps_i = h.edge_count / max(floor_i, 1.0) ** 2
+        eps_i = edges / max(floor_i, 1.0) ** 2
         a_i = max(1, math.floor(cfg.acyclic_target(max(2, int(floor_i)), eps_i)))
-        cand = _acyclic_candidates(h, cfg)
+        cand = _acyclic_candidates(out, inn, y_mask, cfg)
         # never fix a block size the current graph cannot deliver; cand is
-        # never empty (vertex 0 is never dropped as antiparallel, and an
-        # acyclic set has a vertex), so the first block is always taken
+        # never empty (the lowest vertex is never dropped as antiparallel, and
+        # an acyclic set has a vertex), so the first block is always taken
         a_i = min(a_i, len(cand))
         blocks_i: list[tuple[int, ...]] = []
-        while len(y_cur) > floor_i:
+        while y_mask.bit_count() > floor_i:
             if len(cand) < a_i:
                 break  # leftovers stay for later steps or the residue
-            block = tuple(sorted(y_cur[lv] for lv in cand[:a_i]))
+            block = tuple(cand[:a_i])
             blocks_i.append(block)
-            taken = set(block)
-            y_cur = [v for v in y_cur if v not in taken]
-            if len(y_cur) <= floor_i:
+            y_mask ^= mask_of(block)
+            if y_mask.bit_count() <= floor_i:
                 break
-            h, _ = g.subgraph(y_cur)
-            cand = _acyclic_candidates(h, cfg)
+            cand = _acyclic_candidates(out, inn, y_mask, cfg)
         families_raw.append((a_i, eps_i, tuple(blocks_i)))
         i += 1
         if i > m + 128:
             raise AssertionError("internal: family procedure failed to terminate")
 
-    residue = tuple(sorted(y_cur))
+    residue = tuple(iter_bits(y_mask))
     covered = tuple(sorted(v for (_, _, blocks) in families_raw for b in blocks for v in b))
 
-    out = g.out_masks()
     # colors 1..q+1, plus one row list for the escape color of the level
     # products, which never occurs because block edges ascend levels
     rows = [[0] * n for _ in range(q + 2)]
@@ -567,18 +576,17 @@ def check_partition(g: OrientedGraph, result: AdversaryResult,
     all_parts = list(p.x) + list(p.residue) + list(p.covered)
     if sorted(all_parts) != list(range(g.n)):
         raise AssertionError("X, residue, covered do not partition V")
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
     for rec in p.families:
         sizes = {len(b) for b in rec.blocks}
         if sizes and sizes != {rec.size}:
             raise AssertionError(f"family block sizes {sizes} != {rec.size}")
-        for b in rec.blocks:
-            sub, _ = g.subgraph(list(b))
-            if find_cycle(sub) is not None:
+        for b in map(mask_of, rec.blocks):
+            if _greedy_acyclic(out, inn, b) != b:
                 raise AssertionError("family block is not acyclic")
-    res_sub, _ = g.subgraph(list(p.residue))
-    if res_sub.edge_count > cfg.termination_threshold(g.n, q):
-        raise AssertionError("residue edge count above the termination threshold")
     x, res, cov = mask_of(p.x), mask_of(p.residue), mask_of(p.covered)
+    if _edges_within(out, res) > cfg.termination_threshold(g.n, q):
+        raise AssertionError("residue edge count above the termination threshold")
     coloring = result.coloring
     masks = [coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)]
     for u in range(g.n):

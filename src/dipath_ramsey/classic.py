@@ -20,7 +20,7 @@ from .graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from .paths import level_decomposition, longest_path_dag
+from .paths import _reach, level_decomposition, longest_path_dag
 
 RED, BLUE = 1, 2
 
@@ -34,16 +34,7 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     for u in range(n):
         # a head v > u has no kept out-edge yet, so the set of vertices
         # reaching u cannot change while u's edges are tried
-        reach = frontier = 1 << u
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= kept_in[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~reach
-            reach |= frontier
-        keep = kept_out[u] = g.out_mask(u) & ~reach
+        keep = kept_out[u] = g.out_mask(u) & ~_reach(kept_in, 1 << u, -1)
         bit = 1 << u
         while keep:
             low = keep & -keep

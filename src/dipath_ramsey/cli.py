@@ -43,7 +43,19 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  A package error, a bad value (a ValueError) or a
+    failed read or write (an OSError) in any subcommand ends in one
+    `Error:` line and exit status 1, not a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DipathError, ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Monochromatic directed-path toolkit."""
 
@@ -59,23 +71,20 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen(model: str, n, p, density: float, seed: int, out_path: str) -> None:
     """Generate a graph and write it in the text format."""
-    try:
-        if model == "paley":
-            if p is None:
-                raise click.UsageError("--model paley requires --p")
-            g = paley_tournament(p).underlying
+    if model == "paley":
+        if p is None:
+            raise click.UsageError("--model paley requires --p")
+        g = paley_tournament(p).underlying
+    else:
+        if n is None:
+            raise click.UsageError(f"--model {model} requires --n")
+        if model == "random":
+            g = random_tournament(n, seed).underlying
+        elif model == "oriented":
+            g = random_oriented_graph(n, round(density * n * n), seed)
         else:
-            if n is None:
-                raise click.UsageError(f"--model {model} requires --n")
-            if model == "random":
-                g = random_tournament(n, seed).underlying
-            elif model == "oriented":
-                g = random_oriented_graph(n, round(density * n * n), seed)
-            else:
-                g = random_digraph(n, round(density * n * n), seed)
-        write_graph(out_path, g)
-    except (DipathError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+            g = random_digraph(n, round(density * n * n), seed)
+    write_graph(out_path, g)
     click.echo(f"wrote {g.n} vertices, {g.edge_count} edges to {out_path}")
 
 
@@ -87,21 +96,18 @@ def gen(model: str, n, p, density: float, seed: int, out_path: str) -> None:
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 def prcheck(mode: str, k, trials: int, seed: int, in_path: str) -> None:
     """Pseudorandomness check: exact threshold or sampled refutation."""
-    try:
-        g = read_graph(in_path)
-        if mode == "exact":
-            report = pseudorandomness_exact(g)
-            _echo_json(report.to_dict())
-            return
-        if k is None:
-            raise click.UsageError("--mode sampled requires --k")
-        found = refute_pseudorandomness(g, k, trials, seed)
-        payload = {"mode": "sampled", "k": k, "trials": trials,
-                   "counterexample": [list(found[0]), list(found[1])]
-                   if found else None}
-        _echo_json(payload)
-    except (DipathError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    g = read_graph(in_path)
+    if mode == "exact":
+        report = pseudorandomness_exact(g)
+        _echo_json(report.to_dict())
+        return
+    if k is None:
+        raise click.UsageError("--mode sampled requires --k")
+    found = refute_pseudorandomness(g, k, trials, seed)
+    payload = {"mode": "sampled", "k": k, "trials": trials,
+               "counterexample": [list(found[0]), list(found[1])]
+               if found else None}
+    _echo_json(payload)
 
 
 @main.command()
@@ -112,17 +118,14 @@ def prcheck(mode: str, k, trials: int, seed: int, in_path: str) -> None:
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
 def adversary(q: int, config_path, in_path: str, out_path: str, trace_path) -> None:
     """Color a sparse graph to avoid long monochromatic paths."""
-    try:
-        cfg = _load_config(config_path)
-        g = read_graph(in_path)
-        result = theorem1_adversary(g, q, cfg)
-        write_coloring(out_path, g, result.coloring)
-        if trace_path:
-            with open(trace_path, "w", encoding="ascii") as fh:
-                json.dump(result.partition.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    except (DipathError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg = _load_config(config_path)
+    g = read_graph(in_path)
+    result = theorem1_adversary(g, q, cfg)
+    write_coloring(out_path, g, result.coloring)
+    if trace_path:
+        with open(trace_path, "w", encoding="ascii") as fh:
+            json.dump(result.partition.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     click.echo(f"colored {g.edge_count} edges with "
                f"{result.coloring.num_colors} colors; "
                f"certified mono-path bound {result.partition.total_bound}")
@@ -141,24 +144,21 @@ def adversary(q: int, config_path, in_path: str, out_path: str, trace_path) -> N
 def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
                coloring_path: str, out_path) -> None:
     """Extract a long monochromatic path and emit its certificate."""
-    try:
-        cfg = _load_config(config_path)
-        g = read_graph(in_path)
-        coloring = read_coloring(coloring_path, g, num_colors=colors)
-        if colors == 2:
-            cert = two_color_path_finder(g, coloring, k, cfg)
-        else:
-            cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
-        cert.validate(g, coloring)
-        payload = cert.to_dict()
-        if out_path:
-            with open(out_path, "w", encoding="ascii") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            _echo_json(payload)
-    except (DipathError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg = _load_config(config_path)
+    g = read_graph(in_path)
+    coloring = read_coloring(coloring_path, g, num_colors=colors)
+    if colors == 2:
+        cert = two_color_path_finder(g, coloring, k, cfg)
+    else:
+        cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
+    cert.validate(g, coloring)
+    payload = cert.to_dict()
+    if out_path:
+        with open(out_path, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        _echo_json(payload)
 
 
 @main.command()
@@ -172,28 +172,25 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
               default=None)
 def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
     """Exhaustive ground truth on small instances."""
-    try:
-        g = read_graph(in_path)
-        if mode == "path":
-            if coloring_path is None:
-                raise click.UsageError("--mode path requires --coloring")
-            coloring = read_coloring(coloring_path, g)
-            per_color = longest_mono_path(g, coloring)
-            _echo_json({str(c): r.to_dict() for c, r in per_color.items()})
-            return
-        if mode == "minmax":
-            result = min_max_mono_path(g, q)
-            _echo_json(result.to_dict())
-            return
-        if n_target is None:
-            raise click.UsageError("--mode arrow requires --n")
-        answer, witness = arrowing_check(g, n_target, q)
-        payload = {"arrows": answer,
-                   "witness": [[u, v, c] for (u, v), c in witness.items()]
-                   if witness else None}
-        _echo_json(payload)
-    except (DipathError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    g = read_graph(in_path)
+    if mode == "path":
+        if coloring_path is None:
+            raise click.UsageError("--mode path requires --coloring")
+        coloring = read_coloring(coloring_path, g)
+        per_color = longest_mono_path(g, coloring)
+        _echo_json({str(c): r.to_dict() for c, r in per_color.items()})
+        return
+    if mode == "minmax":
+        result = min_max_mono_path(g, q)
+        _echo_json(result.to_dict())
+        return
+    if n_target is None:
+        raise click.UsageError("--mode arrow requires --n")
+    answer, witness = arrowing_check(g, n_target, q)
+    payload = {"arrows": answer,
+               "witness": [[u, v, c] for (u, v), c in witness.items()]
+               if witness else None}
+    _echo_json(payload)
 
 
 @main.command()
@@ -201,11 +198,8 @@ def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
               type=click.Path(exists=True))
 def experiment(manifest_path: str) -> None:
     """Run a manifest; nonzero exit if any run violated an invariant."""
-    try:
-        manifest = ExperimentManifest.from_json(_read_text(manifest_path))
-        record = run_experiment(manifest)
-    except DipathError as exc:
-        raise click.ClickException(str(exc)) from exc
+    manifest = ExperimentManifest.from_json(_read_text(manifest_path))
+    record = run_experiment(manifest)
     _echo_json(record.to_dict())
     if not record.ok:
         sys.exit(1)

@@ -135,9 +135,6 @@ class OrientedGraph:
     def degree(self, v: int) -> int:
         return self.out_degree(v) + self.in_degree(v)
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._out[v]))
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -128,29 +128,32 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
             raise SizeLimitError(f"cyclic support {support.bit_count()} > "
                                  f"limit {_CLASS_SUPPORT_LIMIT}")
     memo: dict = {}  # _ahead's finished states
-    dead: set = set()  # (w, seen) refuted in backward()
-
-    def backward(w: int, seen: int, a: int) -> bool:
-        # a path into u that starts at w, covers `seen` and has `a` edges:
-        # met by a long enough path out of v, or extended backward first
-        if a >= need and (a == bound
-                          or a + _ahead(out, memo, v, seen, bound - a) >= bound):
-            return True
-        m = into[w] & ~seen
-        if not m or (w, seen) in dead:
-            return False
-        while m:
-            low = m & -m
-            m ^= low
-            if backward(low.bit_length() - 1, seen | low, a + 1):
-                return True
-        dead.add((w, seen))
-        return False
-
     ends = 1 << u | 1 << v
-    # a path out of v is never longer than bound - need
-    need = bound - _ahead(out, memo, v, ends, bound)
-    return need <= 0 or backward(u, ends, 0)
+    # no path out of v is longer than `most`
+    most = _ahead(out, memo, v, ends, bound)
+    return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+
+
+def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
+            most: int, w: int, seen: int, left: int) -> bool:
+    """Whether a path into u that starts at w and covers `seen` is met by
+    a path out of v of `left` edges that avoids it, or can be extended
+    backward first.  `most` caps the paths out of v; `dead` holds the
+    (w, seen) states refuted so far.  Like `_ahead`, a plain function that
+    gets its tables as arguments, so they die with the caller's frame."""
+    if left <= most and (not left or _ahead(out, memo, v, seen, left) >= left):
+        return True
+    m = into[w] & ~seen
+    if not m or (w, seen) in dead:
+        return False
+    while m:
+        low = m & -m
+        m ^= low
+        if _behind(out, into, memo, dead, v, most, low.bit_length() - 1,
+                   seen | low, left - 1):
+            return True
+    dead.add((w, seen))
+    return False
 
 
 def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,

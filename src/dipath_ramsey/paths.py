@@ -5,46 +5,12 @@ coloring constructions."""
 from __future__ import annotations
 
 from .errors import CyclicGraphError, SizeLimitError
-from .graphs import DirectedPath, OrientedGraph
+from .graphs import DirectedPath, OrientedGraph, mask_of
 
 # bounds a cyclic search by 16 * 2^15 (end, vertex set) states and 15 frames
 # of recursion; K16's longest path is found on the first descent, but a class
 # whose longest path is far shorter than its support visits many states
 EXACT_VERTEX_LIMIT = 16
-
-
-def find_cycle(g: OrientedGraph) -> list[int] | None:
-    """Some directed cycle as a vertex list, or None if g is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = [WHITE] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if state[root] != WHITE:
-            continue
-        stack = [(root, iter(g.out_neighbors(root)))]
-        state[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == GRAY:
-                    cycle = [w]
-                    cur = v
-                    while cur != w:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if state[w] == WHITE:
-                    state[w] = GRAY
-                    parent[w] = v
-                    stack.append((w, iter(g.out_neighbors(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = BLACK
-                stack.pop()
-    return None
 
 
 def _kahn(adj: list[int], indeg: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -78,6 +44,25 @@ def _kahn(adj: list[int], indeg: list[int]) -> tuple[list[int], list[int], list[
             if not indeg[w]:
                 ready.append(w)
     return order, dist, pred
+
+
+def _graph_kahn(g: OrientedGraph) -> tuple[list[int], list[int], list[int]]:
+    return _kahn(g.out_masks(), [g.in_degree(v) for v in range(g.n)])
+
+
+def _reach(adj: list[int], start: int, within: int) -> int:
+    """The vertices reached from the set `start` along the masks `adj`
+    through `within`, `start` included."""
+    reach = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~reach
+        reach |= frontier
+    return reach
 
 
 def _dag_path(dist: list[int], pred: list[int]) -> list[int]:
@@ -180,11 +165,30 @@ def longest_path_masks(adj: list[int], bound: int | None = None,
 
 
 def _dag_dp(g: OrientedGraph) -> tuple[list[int], list[int], list[int]]:
-    order, dist, pred = _kahn([g.out_mask(v) for v in range(g.n)],
-                              [g.in_degree(v) for v in range(g.n)])
+    order, dist, pred = _graph_kahn(g)
     if len(order) != g.n:
         raise CyclicGraphError("graph contains a directed cycle", find_cycle(g))
     return order, dist, pred
+
+
+def find_cycle(g: OrientedGraph) -> list[int] | None:
+    """Some directed cycle as a vertex list, or None if g is acyclic.
+
+    Kahn's algorithm leaves exactly the vertices with an in-neighbor it
+    also leaves, so a walk back along in-masks inside them must repeat a
+    vertex; the walk from the repeat to itself, reversed, is the cycle.
+    """
+    left = g.full_mask() ^ mask_of(_graph_kahn(g)[0])
+    if not left:
+        return None
+    walk, seen = [], 0
+    v = (left & -left).bit_length() - 1
+    while not seen >> v & 1:
+        seen |= 1 << v
+        walk.append(v)
+        m = g.in_mask(v) & left
+        v = (m & -m).bit_length() - 1
+    return walk[walk.index(v):][::-1]
 
 
 def topological_order(g: OrientedGraph) -> list[int]:
@@ -193,11 +197,7 @@ def topological_order(g: OrientedGraph) -> list[int]:
 
 
 def is_acyclic(g: OrientedGraph) -> bool:
-    try:
-        topological_order(g)
-        return True
-    except CyclicGraphError:
-        return False
+    return len(_graph_kahn(g)[0]) == g.n
 
 
 def level_decomposition(g: OrientedGraph) -> list[list[int]]:

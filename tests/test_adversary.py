@@ -1,6 +1,7 @@
 """Avoidance colorings: digit products, acyclic sets, the full pipeline."""
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +38,14 @@ from dipath_ramsey import (
     tournament_acyclic_set,
     transitive_tournament,
 )
-from dipath_ramsey.adversary import _digits
+from dipath_ramsey.adversary import (
+    AcyclicSearchState,
+    _acyclic_candidates,
+    _completion_chain,
+    _digits,
+)
+from dipath_ramsey.graphs import mask_of
+import reference_adversary
 
 RELAXED = ConstantsConfig.relaxed()
 
@@ -171,14 +179,105 @@ def test_sparse_acyclic_greedy_beats_target_on_random():
         res = sparse_acyclic_set(g)
         assert res.achieved
         assert len(res.vertices) >= res.target
-        # state vertex ids live in the degree-filtered subgraph; check
-        # the containment chain whenever steps do occur
+        # state vertex ids are host ids; check the containment chain
+        # whenever steps do occur
         for state in res.steps:
             u = set(state.U)
             assert not (u & set(state.R_star))
             assert not (set(state.R) & (u | set(state.R_star)))
             assert set(state.R_prime) <= set(state.R)
             assert set(state.R_double_prime) <= set(state.R_prime)
+
+
+def _gadget(k: int, hubs: int = 0, seed: int | None = None) -> OrientedGraph:
+    """k copies of w->a, a->v1, a->v2, v1->w, v2->w in role-major ids
+    (w_i = i, a_i = k+i, v1_i = 2k+i, v2_i = 3k+i), plus `hubs` vertices
+    that every gadget vertex points to, ids shuffled when `seed` is set."""
+    edges = []
+    for i in range(k):
+        w, a, v1, v2 = i, k + i, 2 * k + i, 3 * k + i
+        edges += [(w, a), (a, v1), (a, v2), (v1, w), (v2, w)]
+    edges += [(u, 4 * k + h) for h in range(hubs) for u in range(4 * k)]
+    perm = list(range(4 * k + hubs))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    return OrientedGraph(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_sparse_acyclic_improvement_step_on_gadgets():
+    """The greedy pass keeps every w and a (8 vertices at k=4) and the
+    completion chain has 9; one step swaps the covered w's for the
+    chain of all v's, and the a's and v's (12) are acyclic."""
+    g = _gadget(4)
+    res = sparse_acyclic_set(g, ConstantsConfig(c=4.0))
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
+    assert len(_completion_chain(out, inn, g.full_mask())) == 9
+    assert len(res.steps) == 1
+    step = res.steps[0]
+    assert step.U == tuple(range(8))
+    assert step.R_double_prime == tuple(range(8, 16))
+    assert res.vertices == tuple(range(4, 16))
+    assert not res.achieved
+    assert is_acyclic(g.subgraph(res.vertices)[0])
+
+
+def _reference_cases():
+    """(graph, config) pairs for the reference comparison: random oriented
+    graphs of every density regime, and the gadgets with and without hubs
+    that the degree filter drops."""
+    rng = random.Random(11)
+    cases = []
+    for i in range(900):
+        n = rng.randint(0, 36)
+        density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.18, 0.24, 0.3])
+        m = min(round(density * n * n), n * (n - 1) // 2)
+        cfg = ConstantsConfig(c=rng.choice([0.1, 0.5, 1.0, 2.0, 4.0]))
+        cases.append((random_oriented_graph(n, m, i), cfg))
+    for k in range(1, 7):
+        for hubs in range(3):
+            for seed in (None, 1, 2):
+                for c in (0.5, 4.0):
+                    cases.append((_gadget(k, hubs, seed), ConstantsConfig(c=c)))
+    return cases
+
+
+def test_sparse_acyclic_matches_relabelling_reference():
+    """The mask-level search gives the reference's vertices, target, flag
+    and steps; the reference's step ids name the degree-filtered subgraph,
+    so they are mapped to host ids first."""
+    stepped = filtered = 0
+    cases = _reference_cases()
+    assert len(cases) >= 1000
+    for g, cfg in cases:
+        got, ref = sparse_acyclic_set(g, cfg), reference_adversary.sparse_acyclic_set(g, cfg)
+        assert (got.vertices, got.target, got.achieved) == \
+            (ref.vertices, ref.target, ref.achieved)
+        eps = g.edge_count / (g.n * g.n) if g.n else 0.0
+        keep = [v for v in range(g.n) if g.in_degree(v) <= 2 * eps * g.n]
+        host = [AcyclicSearchState(*(tuple(keep[v] for v in part) for part in astuple(s)))
+                for s in ref.steps]
+        assert list(got.steps) == host
+        stepped += bool(got.steps)
+        filtered += bool(got.steps) and len(keep) < g.n
+    assert stepped >= 20 and filtered >= 10
+
+
+def test_acyclic_candidates_match_relabelling_reference():
+    """On digraphs with antiparallel pairs, restricted to a random vertex
+    set: the candidates found on the host's masks are the reference's,
+    found on the relabelled subgraph, mapped back to host ids."""
+    rng = random.Random(12)
+    for i in range(300):
+        n = rng.randint(1, 30)
+        gen = random_digraph if i % 2 else random_oriented_graph
+        cap = n * (n - 1) // (1 if i % 2 else 2)
+        g = gen(n, min(cap, round(rng.choice([0.05, 0.15, 0.3, 0.6]) * n * n)), i)
+        within = [v for v in range(n) if rng.random() < 0.8] or [0]
+        cfg = RELAXED if i % 3 else ConstantsConfig()
+        sub, back = g.subgraph(within)
+        ref = [back[v] for v in reference_adversary._acyclic_candidates(sub, cfg)]
+        out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
+        assert _acyclic_candidates(out, inn, mask_of(within), cfg) == ref
 
 
 # -- digit colorings -------------------------------------------------------

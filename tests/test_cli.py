@@ -193,3 +193,32 @@ def test_non_ascii_manifest_is_cli_error(tmp_path):
     assert isinstance(res.exception, SystemExit)
     assert "Error: line 1" in res.output and "non-ASCII" in res.output
     assert "Traceback" not in res.output
+
+
+def test_unwritable_output_is_cli_error(tmp_path):
+    """An output path under a missing directory, or a worker count that is
+    not a number, ends in one `Error:` line, not a traceback."""
+    runner = CliRunner()
+    missing = tmp_path / "no-such-dir"
+    res = runner.invoke(main, ["gen", "--model", "random", "--n", "6",
+                               "--out", str(missing / "t.graph")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: " in res.output and "No such file or directory" in res.output
+    cases = [(str(missing / "r.csv"), {}, "No such file or directory"),
+             (str(tmp_path / "r.csv"), {"DIPATH_RAMSEY_WORKERS": "abc"},
+              "invalid literal for int()")]
+    for csv_path, env, message in cases:
+        manifest = ExperimentManifest(
+            experiment_id="cli-unwritable", kind="prcheck",
+            generator=GeneratorSpec("tournament", (6,)),
+            repetitions=1, params={"mode": "exact"},
+            csv_path=csv_path, json_path=str(tmp_path / "r.json"))
+        mpath = tmp_path / "m.json"
+        mpath.write_text(manifest.to_json())
+        res = runner.invoke(main, ["experiment", "--manifest", str(mpath)], env=env)
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: " in res.output and message in res.output
+        assert "Traceback" not in res.output
+    assert not missing.exists()

@@ -21,7 +21,9 @@ from dipath_ramsey import (
     topological_order,
     transitive_tournament,
 )
+from dipath_ramsey.graphs import iter_bits
 from dipath_ramsey.paths import longest_path_masks
+from reference_adversary import find_cycle as reference_find_cycle
 from reference_paths import reference_longest_path
 
 
@@ -42,6 +44,20 @@ def test_find_cycle_returns_real_cycle():
     assert t >= 2
     for i in range(t):
         assert g.has_edge(cyc[i], cyc[(i + 1) % t])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 132), st.integers(0, 2**31))
+def test_find_cycle_exactly_when_cyclic(n, m, seed):
+    """On random digraphs, antiparallel pairs included: a simple cycle of
+    real edges when the graph is cyclic, by the reference's depth-first
+    search as well as by Kahn's algorithm, and None otherwise."""
+    g = random_digraph(n, min(m, n * (n - 1)), seed)
+    cyc = find_cycle(g)
+    assert (cyc is None) == is_acyclic(g) == (reference_find_cycle(g) is None)
+    if cyc is not None:
+        assert len(set(cyc)) == len(cyc) >= 2
+        assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_topological_order_raises_with_witness():
@@ -101,7 +117,7 @@ def test_exact_path_is_valid_and_maximal_greedily(n, m, seed):
     if p.vertices:
         used = set(p.vertices)
         tail = p.vertices[-1]
-        assert all(v in used for v in g.out_neighbors(tail)) or p.length >= 1
+        assert all(v in used for v in iter_bits(g.out_mask(tail))) or p.length >= 1
 
 
 def test_longest_path_exact_limit_counts_cyclic_support():

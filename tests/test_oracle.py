@@ -1,4 +1,5 @@
 """Exact reference answers: longest mono paths, best colorings, arrowing."""
+import gc
 import itertools
 import random
 import time
@@ -246,6 +247,22 @@ def test_path_through_matches_full_engine():
     assert {(got, acyc) for got, acyc, _ in seen} == set(itertools.product((True, False), repeat=2))
     assert {(got, dag) for got, _, dag in seen} == set(itertools.product((True, False), repeat=2))
     assert (True, False, True) in seen
+
+
+def test_path_through_leaves_no_reference_cycles():
+    """A cyclic check frees its memo and refuted states when it returns,
+    not at the next full collection: on a complete 8-vertex class no
+    path has more than 7 edges, so the backward search refutes states
+    until it has tried every path into u."""
+    full = (1 << 8) - 1
+    out = [full ^ 1 << v for v in range(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert not oracle._path_through(out, list(out), 0, 1, 7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _search_hosts():
