@@ -17,7 +17,7 @@ from operator import and_, or_
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
 from .graphs import EdgeColoring, OrientedGraph, Tournament, VertexColoring, iter_bits, mask_of
-from .paths import _reach, level_decomposition, longest_path_masks
+from .paths import _levels, _reach, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
 # digit encodings
@@ -145,12 +145,6 @@ class AcyclicSetResult:
     achieved: bool
     steps: tuple[AcyclicSearchState, ...] = ()
 
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
 
 def _edges_within(out: list[int], within: int) -> int:
     return sum((out[v] & within).bit_count() for v in iter_bits(within))
@@ -254,32 +248,35 @@ def constructive_chromatic(g: OrientedGraph) -> VertexColoring:
     them in either direction.  On exit every pair of classes is adjacent,
     so m >= C(count, 2) and the class count is at most 2*sqrt(m) + 1.
     """
-    if g.n == 0:
-        return VertexColoring((), num_classes=0)
-    members: list[list[int]] = [[v] for v in range(g.n)]
-    outm = [g.out_mask(v) for v in range(g.n)]
-    inm = [g.in_mask(v) for v in range(g.n)]
-    vmask = [1 << v for v in range(g.n)]
+    classes = _chromatic_classes(g.out_masks(), [g.in_mask(v) for v in range(g.n)],
+                                 g.full_mask())
+    colors = [0] * g.n
+    for idx, cls in enumerate(classes, 1):
+        for v in cls:
+            colors[v] = idx
+    return VertexColoring(colors, num_classes=len(classes))
+
+
+def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list[int]]:
+    """`constructive_chromatic`'s classes of the graph that the masks `out`
+    and `inn` induce on the vertex mask `within`.  Class i absorbs later
+    classes, singletons still, so every class is ascending."""
+    members = [[v] for v in iter_bits(within)]
+    near = [out[v] | inn[v] for v in iter_bits(within)]  # neighbors either way
+    vmask = [1 << v for v in iter_bits(within)]
     i = 0
     while i < len(members):
         j = i + 1
         while j < len(members):
-            joined = (outm[i] & vmask[j]) | (inm[i] & vmask[j]) \
-                | (outm[j] & vmask[i]) | (inm[j] & vmask[i])
-            if joined == 0:
-                members[i].extend(members[j])
-                outm[i] |= outm[j]
-                inm[i] |= inm[j]
-                vmask[i] |= vmask[j]
-                del members[j], outm[j], inm[j], vmask[j]
-            else:
+            if near[i] & vmask[j]:
                 j += 1
+            else:
+                members[i] += members[j]
+                near[i] |= near[j]
+                vmask[i] |= vmask[j]
+                del members[j], near[j], vmask[j]
         i += 1
-    colors = [0] * g.n
-    for idx, cls in enumerate(members):
-        for v in cls:
-            colors[v] = idx + 1
-    return VertexColoring(colors, num_classes=len(members))
+    return members
 
 
 def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
@@ -314,8 +311,8 @@ def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
         if stray:
             v = (stray & -stray).bit_length() - 1
             raise ColoringError(f"inner edge ({u},{v}) does not stay within one block")
-    _verify_inner_bound(g, blocks, inner, r)
     out = g.out_masks()
+    _verify_inner_bound(out, blocks, rows, r)
     for u, (o, m, mine) in enumerate(zip(out, colored, own)):
         missing = o & mine & ~m
         if missing:
@@ -329,17 +326,17 @@ def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
 _VERIFY_BLOCK_LIMIT = 12
 
 
-def _verify_inner_bound(g, blocks, inner: EdgeColoring, r: int) -> None:
-    # precondition spot-check, only where exact search is affordable
+def _verify_inner_bound(out: list[int], blocks, rows: list[list[int]], r: int) -> None:
+    # precondition spot-check, only where exact search is affordable; the
+    # inner coloring's mask `rows` keep every edge inside one block
     for blk in blocks:
         if not blk or len(blk) > _VERIFY_BLOCK_LIMIT:
             continue
-        sub = inner.induced(blk, inner.num_colors)
-        if not len(sub):
+        if not any(row[v] for row in rows for v in blk):
             continue  # no inner edge, no inner path
-        host = g.subgraph(blk)[0].out_masks()
-        for c in range(1, inner.num_colors + 1):
-            adj = list(map(and_, sub.out_masks(c, len(host)), host))
+        bmask, top = mask_of(blk), max(blk) + 1
+        for c, row in enumerate(rows, 1):
+            adj = [m & o & bmask for m, o in zip(row[:top], out)]
             if len(longest_path_masks(adj, bound=r)[0]) > r + 1:
                 raise ColoringError(
                     f"inner coloring has a color-{c} path longer than r={r} in a block")
@@ -386,10 +383,7 @@ def acyclic_edge_coloring(z: OrientedGraph, q: int) -> EdgeColoring:
 
 def acyclic_coloring_bound(z: OrientedGraph, q: int) -> int:
     """Edge-length bound certified by acyclic_edge_coloring: s - 1."""
-    levels = level_decomposition(z)
-    if not levels:
-        return 0
-    return minimal_base(len(levels), q) - 1
+    return minimal_base(len(level_decomposition(z)), q) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +477,8 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     deg_thr = cfg.degree_threshold(n, q)
     term = cfg.termination_threshold(n, q)
     x_verts = [v for v in range(n) if g.degree(v) <= deg_thr]
-    y_mask = g.full_mask() ^ mask_of(x_verts)
+    x_mask = mask_of(x_verts)
+    y_mask = g.full_mask() ^ x_mask
     m = y_mask.bit_count()
     out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
 
@@ -529,14 +524,14 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     # color 1, all reverse directions in color 2
     _digit_product(out, [x_verts, residue, covered], 1, rows)
 
-    # X and the residue: proper coloring of the part, then its classes
+    # X and the residue (what y_mask holds now): proper coloring of the
+    # part, then its classes
     found = []
-    for verts in (x_verts, residue):
-        sub, back = g.subgraph(verts)
-        vc = constructive_chromatic(sub)
-        _digit_product(out, [[back[v] for v in cls] for cls in vc.classes()], q, rows)
-        bound = class_coloring_bound(vc.num_classes, q) if sub.edge_count else 0
-        found.append((bound, vc.num_classes))
+    for part in (x_mask, y_mask):
+        classes = _chromatic_classes(out, inn, part)
+        _digit_product(out, classes, q, rows)
+        bound = class_coloring_bound(len(classes), q) if _edges_within(out, part) else 0
+        found.append((bound, len(classes)))
     (x_bound, x_classes), (r_bound, r_classes) = found
 
     # blocks by levels with q+1 digits, then blocks within a family, then
@@ -545,8 +540,8 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     for a_i, eps_i, blocks in families_raw:
         r_i = 0
         for block in blocks:
-            levels = level_decomposition(g.subgraph(block)[0])
-            _digit_product(out, [[block[v] for v in lv] for lv in levels], q + 1, rows)
+            levels = _levels(out, inn, mask_of(block))
+            _digit_product(out, levels, q + 1, rows)
             r_i = max(r_i, minimal_base(len(levels), q + 1) - 1)
         _digit_product(out, blocks, q, rows)
         fam_records.append(FamilyRecord(
@@ -562,7 +557,7 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     coloring.validate_total(g)
     total = x_bound + r_bound + w_bound + 2
     partition = FamilyPartition(
-        x=tuple(sorted(x_verts)), families=tuple(fam_records), residue=residue,
+        x=tuple(x_verts), families=tuple(fam_records), residue=residue,
         covered=covered, x_bound=x_bound, covered_bound=w_bound,
         residue_bound=r_bound, crossing_bound=2, total_bound=total,
         x_classes=x_classes, residue_classes=r_classes)

@@ -18,7 +18,7 @@ from .classic import BLUE, RED, gallai_roy, raynaud
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError, ThreadingError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph, mask_of
-from .pseudorandom import dfs_long_path, thread_path_through_sets
+from .pseudorandom import _dfs_path, dfs_long_path, thread_path_through_sets
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,15 @@ def _best_effort(g: OrientedGraph, red: OrientedGraph, blue: OrientedGraph,
     return BuilderCertificate(path, color, "small-n-fallback", False, trace)
 
 
-def _close_cycle(sub: OrientedGraph, p: DirectedPath, k: int):
-    """Longest cycle formed by one back edge from the path's last k vertices
-    to its first k; None when no such edge exists."""
+def _close_cycle(g: OrientedGraph, p: DirectedPath, k: int):
+    """Longest cycle of g formed by one back edge from the path's last k
+    vertices to its first k; None when no such edge exists."""
     vs = p.vertices
     top = len(vs)
     best = None
     for j in range(max(0, top - k), top):
         for i in range(min(k, top)):
-            if i < j and sub.has_edge(vs[j], vs[i]):
+            if i < j and g.has_edge(vs[j], vs[i]):
                 if best is None or j - i + 1 > best[1] - best[0] + 1:
                     best = (i, j)
     if best is None:
@@ -151,19 +151,19 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     floors = True
     cycles: list[tuple[int, ...]] = []
     block_paths: list[tuple[int, ...]] = []
+    blue_out = blue.out_masks()
     for block in blocks:
-        sub, back = blue.subgraph(block)
-        p = dfs_long_path(sub, k)
-        block_paths.append(tuple(back[v] for v in p.vertices))
+        p = DirectedPath(_dfs_path(blue_out, mask_of(block)))
+        block_paths.append(p.vertices)
         if p.length < cfg.path_floor_factor * k:
             floors = False
-        cyc_local = _close_cycle(sub, p, k)
-        if cyc_local is None:
+        cyc = _close_cycle(blue, p, k)
+        if cyc is None:
             floors = False
             continue
-        if len(cyc_local) < cfg.cycle_floor_factor * k:
+        if len(cyc) < cfg.cycle_floor_factor * k:
             floors = False
-        cycles.append(tuple(back[v] for v in cyc_local))
+        cycles.append(tuple(cyc))
     base_trace = replace(base_trace, block_paths=tuple(block_paths),
                          cycles=tuple(cycles))
     if not cycles:

@@ -20,7 +20,7 @@ from .graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from .paths import _reach, level_decomposition, longest_path_dag
+from .paths import _dag_path, _graph_kahn, _reach
 
 RED, BLUE = 1, 2
 
@@ -54,15 +54,12 @@ def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPat
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    h = maximal_acyclic_subgraph(g)
-    levels = level_decomposition(h)
-    if len(levels) <= threshold:
-        colors = [0] * g.n
-        for depth, members in enumerate(levels):
-            for v in members:
-                colors[v] = depth + 1
-        return VertexColoring(colors, num_classes=len(levels))
-    return longest_path_dag(h)
+    # one Kahn pass on the acyclic H gives both the levels and the path
+    _, dist, pred = _graph_kahn(maximal_acyclic_subgraph(g))
+    count = max(dist, default=0) + 1
+    if count <= threshold:
+        return VertexColoring([d + 1 for d in dist], num_classes=count)
+    return DirectedPath(_dag_path(dist, pred))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 import click
 
 from .adversary import theorem1_adversary
-from .builder import multicolor_path_finder, two_color_path_finder
+from .builder import multicolor_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import DipathError
 from .experiment import ExperimentManifest, run_experiment
@@ -147,10 +147,7 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
     cfg = _load_config(config_path)
     g = read_graph(in_path)
     coloring = read_coloring(coloring_path, g, num_colors=colors)
-    if colors == 2:
-        cert = two_color_path_finder(g, coloring, k, cfg)
-    else:
-        cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
+    cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
     cert.validate(g, coloring)
     payload = cert.to_dict()
     if out_path:

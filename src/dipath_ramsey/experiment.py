@@ -20,9 +20,10 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .adversary import check_partition, theorem1_adversary
-from .builder import multicolor_path_finder, two_color_path_finder
+from .builder import multicolor_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import DipathError, ManifestError
 from .graphs import EdgeColoring, OrientedGraph
@@ -250,11 +251,7 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
     colors = params.get("colors", 2)
     k = params.get("k", max(1, math.ceil(2 * math.log2(max(2, n)))))
     coloring = _random_coloring(g, colors, seed ^ 0x5DEECE66D)
-    if colors == 2:
-        cert = two_color_path_finder(g, coloring, k, cfg)
-    else:
-        n_target = params.get("n_target", 2)
-        cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
+    cert = multicolor_path_finder(g, coloring, k, params.get("n_target", 2), cfg)
     ok = 1
     try:
         cert.validate(g, coloring)
@@ -281,12 +278,6 @@ def _run_cell(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         return (n, run_index, seed, *blanks, 0), type(exc).__name__
 
 
-def _worker(args: tuple) -> tuple:
-    manifest_json, n, run_index = args
-    manifest = ExperimentManifest.from_json(manifest_json)
-    return _run_cell(manifest, n, run_index)
-
-
 def run_experiment(manifest: ExperimentManifest,
                    write_outputs: bool = True) -> ResultRecord:
     """Execute every (size, repetition) cell and persist CSV + JSON.
@@ -301,10 +292,8 @@ def run_experiment(manifest: ExperimentManifest,
              for r in range(manifest.repetitions)]
     workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     if workers > 1 and len(tasks) > 1:
-        payload = manifest.to_json()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_worker,
-                                  [(payload, n, r) for n, r in tasks]))
+            cells = list(pool.map(_run_cell, repeat(manifest), *zip(*tasks)))
     else:
         cells = [_run_cell(manifest, n, r) for n, r in tasks]
     cells.sort(key=lambda cell: (cell[0][0], cell[0][1]))

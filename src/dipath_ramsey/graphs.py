@@ -109,10 +109,6 @@ class OrientedGraph:
     def edge_count(self) -> int:
         return self._m
 
-    @property
-    def density(self) -> float:
-        return self._m / (self.n * self.n) if self.n else 0.0
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._out[u] >> v & 1)
 
@@ -134,9 +130,6 @@ class OrientedGraph:
 
     def degree(self, v: int) -> int:
         return self.out_degree(v) + self.in_degree(v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges sorted lexicographically; this is the canonical order

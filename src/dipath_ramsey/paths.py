@@ -5,7 +5,7 @@ coloring constructions."""
 from __future__ import annotations
 
 from .errors import CyclicGraphError, SizeLimitError
-from .graphs import DirectedPath, OrientedGraph, mask_of
+from .graphs import DirectedPath, OrientedGraph, iter_bits, mask_of
 
 # bounds a cyclic search by 16 * 2^15 (end, vertex set) states and 15 frames
 # of recursion; K16's longest path is found on the first descent, but a class
@@ -206,10 +206,26 @@ def level_decomposition(g: OrientedGraph) -> list[list[int]]:
     Level j holds the vertices whose longest incoming path has exactly j
     edges; every edge goes from a strictly lower level to a higher one.
     """
-    level = _dag_dp(g)[1]
-    out = [[] for _ in range(max(level, default=0) + 1)]
-    for v in range(g.n):
-        out[level[v]].append(v)
+    return _bucket(_dag_dp(g)[1], range(g.n))
+
+
+def _levels(out: list[int], inn: list[int], within: int) -> list[list[int]]:
+    """`level_decomposition` of the acyclic graph that the masks `out` and
+    `inn` induce on the vertex mask `within`, in their ids."""
+    adj = [0] * len(out)
+    indeg = [1] * len(out)  # a vertex outside `within` is never ready
+    for v in iter_bits(within):
+        adj[v] = out[v] & within
+        indeg[v] = (inn[v] & within).bit_count()
+    return _bucket(_kahn(adj, indeg)[1], iter_bits(within))
+
+
+def _bucket(dist: list[int], vertices) -> list[list[int]]:
+    """`vertices` grouped by their value in `dist`, one list per value
+    0..max(dist)."""
+    out = [[] for _ in range(max(dist, default=0) + 1)]
+    for v in vertices:
+        out[dist[v]].append(v)
     return out
 
 

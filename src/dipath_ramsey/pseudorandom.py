@@ -246,13 +246,20 @@ def dfs_long_path(g, k: int) -> DirectedPath:
     Vertices are explored in ascending id order for reproducibility.
     """
     g = as_graph(g)
-    t_mask = g.full_mask()  # unvisited
+    return DirectedPath(_dfs_path(g.out_masks(), g.full_mask()))
+
+
+def _dfs_path(out: list[int], within: int) -> tuple[int, ...]:
+    """`dfs_long_path`'s vertices on the graph that the out-masks `out`
+    induce on the vertex mask `within`, in their ids."""
+    t_mask = within  # unvisited
+    n = within.bit_count()
     s_count = 0
     stack: list[int] = []
     best: tuple[int, ...] = ()
-    while s_count < g.n:
+    while s_count < n:
         # an empty stack restarts from the lowest unvisited vertex
-        candidates = g.out_mask(stack[-1]) & t_mask if stack else t_mask
+        candidates = out[stack[-1]] & t_mask if stack else t_mask
         if not candidates:
             stack.pop()
             s_count += 1
@@ -262,7 +269,7 @@ def dfs_long_path(g, k: int) -> DirectedPath:
         stack.append(lowest.bit_length() - 1)
         if len(stack) > len(best):
             best = tuple(stack)
-    return DirectedPath(best)
+    return best
 
 
 def thread_path_through_sets(g: OrientedGraph, k: int,

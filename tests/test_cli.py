@@ -102,6 +102,21 @@ def test_build_path_command(tmp_path):
     assert len(cert["path"]) == cert["length"] + 1
 
 
+def test_build_path_two_colors_refuses_bad_n_target(tmp_path):
+    """Every color count goes through the multicolor finder, which refuses
+    n_target < 1 before it looks at the colors."""
+    runner = CliRunner()
+    gpath, cpath = tmp_path / "g.graph", tmp_path / "col.txt"
+    runner.invoke(main, ["gen", "--model", "random", "--n", "16",
+                         "--seed", "5", "--out", str(gpath)])
+    runner.invoke(main, ["adversary", "--q", "1", "--in", str(gpath), "--out", str(cpath)])
+    res = runner.invoke(main, ["build-path", "--colors", "2", "--k", "2", "--n-target", "0",
+                               "--in", str(gpath), "--coloring", str(cpath)])
+    assert res.exit_code == 1
+    assert "Error: n_target must be >= 1" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_oracle_modes(tmp_path):
     runner = CliRunner()
     gpath = tmp_path / "g.graph"

@@ -320,6 +320,19 @@ def test_run_experiment_builder_kind(tmp_path):
     assert all(row[branch_idx] for row in record.rows)
 
 
+def test_run_experiment_builder_two_colors_refuses_bad_n_target(tmp_path):
+    """Two colors take the multicolor finder too, so n_target < 1 makes
+    every cell a failed row."""
+    m = ExperimentManifest(
+        experiment_id="bld0", kind="builder",
+        generator=GeneratorSpec("tournament", (12,)),
+        repetitions=2, params={"colors": 2, "k": 2, "n_target": 0},
+        csv_path=str(tmp_path / "b.csv"), json_path=str(tmp_path / "b.json"))
+    record = run_experiment(m, write_outputs=False)
+    assert record.failures == 2
+    assert record.aggregates["12"]["errors"] == {"ValueError": 2}
+
+
 def test_run_experiment_parallel_matches_serial(tmp_path, monkeypatch):
     m = _tiny_manifest(tmp_path, mode="exact")
     serial = run_experiment(m, write_outputs=False)

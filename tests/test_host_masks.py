@@ -1,0 +1,179 @@
+"""The host-id mask helpers against the relabelling compositions they
+replace: each one, run on a host's masks and a vertex mask, must give what
+the same computation gives on the relabelled induced subgraph, mapped back
+through `subgraph`'s new-to-old list.  Relabelling is left to the color
+recursion, which a guard test checks."""
+import random
+
+import pytest
+
+from dipath_ramsey import (
+    BLUE,
+    RED,
+    ColoringError,
+    ConstantsConfig,
+    DirectedPath,
+    EdgeColoring,
+    OrientedGraph,
+    VertexColoring,
+    block_product_coloring,
+    complete_symmetric,
+    constructive_chromatic,
+    dfs_long_path,
+    gallai_roy,
+    level_decomposition,
+    longest_path_dag,
+    maximal_acyclic_subgraph,
+    random_digraph,
+    random_oriented_graph,
+    random_tournament,
+    theorem1_adversary,
+    transitive_tournament,
+    two_color_path_finder,
+)
+from dipath_ramsey import paths
+from dipath_ramsey.adversary import _chromatic_classes, _greedy_acyclic
+from dipath_ramsey.graphs import iter_bits, mask_of
+from dipath_ramsey.paths import _levels
+from dipath_ramsey.pseudorandom import _dfs_path
+
+PAIRS = 1200
+
+
+def _host(rng: random.Random, i: int) -> OrientedGraph:
+    """Oriented graphs, digraphs with antiparallel pairs, tournaments and
+    DAGs on shuffled ids, n <= 40, one kind after another."""
+    n = rng.randint(0, 40)
+    kind = i % 4
+    if kind == 0:
+        return random_oriented_graph(n, rng.randint(0, n * (n - 1) // 2), i)
+    if kind == 1:
+        return random_digraph(n, rng.randint(0, n * (n - 1)), i)
+    if kind == 2:
+        return random_tournament(n, i).underlying if n else OrientedGraph(0)
+    rank = rng.sample(range(n), n)
+    g = random_oriented_graph(n, rng.randint(0, n * (n - 1) // 2), i)
+    return OrientedGraph(n, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()])
+
+
+def _pairs():
+    """(host, out, inn, vertex mask): every fifth subset empty, every fifth
+    full, the rest random at densities 0.2 to 0.9."""
+    rng = random.Random(1205)
+    for i in range(PAIRS):
+        g = _host(rng, i)
+        full = g.full_mask()
+        pick = i % 5
+        if pick == 0:
+            within = 0
+        elif pick == 1:
+            within = full
+        else:
+            p = pick * 0.2 + 0.1
+            within = mask_of(v for v in range(g.n) if rng.random() < p)
+        yield g, g.out_masks(), [g.in_mask(v) for v in range(g.n)], within
+
+
+def test_chromatic_classes_match_relabelling():
+    for g, out, inn, within in _pairs():
+        sub, back = g.subgraph(iter_bits(within))
+        want = [[back[v] for v in cls] for cls in constructive_chromatic(sub).classes()]
+        assert _chromatic_classes(out, inn, within) == want
+
+
+def test_block_levels_match_relabelling():
+    """On acyclic vertex sets: the random set itself when it is acyclic,
+    else the part of it the greedy pass keeps."""
+    whole = 0
+    for g, out, inn, within in _pairs():
+        acyclic = _greedy_acyclic(out, inn, within)
+        whole += acyclic == within
+        sub, back = g.subgraph(iter_bits(acyclic))
+        want = [[back[v] for v in lv] for lv in level_decomposition(sub)]
+        assert _levels(out, inn, acyclic) == want
+    assert whole >= PAIRS // 3  # empty sets, sparse sets and DAG hosts
+
+
+def test_dfs_path_matches_relabelling():
+    for g, out, _, within in _pairs():
+        sub, back = g.subgraph(iter_bits(within))
+        want = tuple(back[v] for v in dfs_long_path(sub, 1).vertices)
+        assert _dfs_path(out, within) == want
+
+
+def _parent_gallai_roy(g, threshold):
+    """gallai_roy as the composition of its three public parts, with the
+    two Kahn passes it used to make."""
+    h = maximal_acyclic_subgraph(g)
+    levels = level_decomposition(h)
+    if len(levels) <= threshold:
+        colors = [0] * g.n
+        for depth, members in enumerate(levels):
+            for v in members:
+                colors[v] = depth + 1
+        return VertexColoring(colors, num_classes=len(levels))
+    return longest_path_dag(h)
+
+
+def _as_tuple(outcome):
+    if isinstance(outcome, DirectedPath):
+        return ("path", outcome.vertices)
+    return ("coloring", outcome.colors, outcome.num_classes)
+
+
+def test_gallai_roy_matches_composition(monkeypatch):
+    rng = random.Random(77)
+    for i in range(300):
+        g = _host(rng, i)
+        for threshold in (1, 2, 3, 5, 8, 40):
+            want = _as_tuple(_parent_gallai_roy(g, threshold))
+            calls = []
+            kahn = paths._kahn
+            monkeypatch.setattr(paths, "_kahn", lambda *a: calls.append(1) or kahn(*a))
+            got = gallai_roy(g, threshold)
+            monkeypatch.undo()
+            assert _as_tuple(got) == want
+            assert len(calls) == 1  # one Kahn pass per call
+
+
+def test_gallai_roy_empty_graph():
+    outcome = gallai_roy(OrientedGraph(0), 1)
+    assert isinstance(outcome, VertexColoring)
+    assert outcome.colors == () and outcome.num_classes == 1
+
+
+def test_no_relabelling_outside_the_color_recursion(monkeypatch):
+    """The adversary, the two-color finder's block stage and the block
+    product's inner check run with `subgraph` and `induced` disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("relabelled outside the color recursion")
+
+    monkeypatch.setattr(OrientedGraph, "subgraph", refuse)
+    monkeypatch.setattr(EdgeColoring, "induced", refuse)
+
+    dense = random_oriented_graph(40, 350, 2)
+    result = theorem1_adversary(dense, 1)
+    assert result.partition.families and result.partition.x
+    digraph = random_digraph(40, 800, 1)
+    result = theorem1_adversary(digraph, 2, ConstantsConfig.relaxed())
+    assert len(result.partition.families) == 2 and result.partition.residue_classes
+
+    g = complete_symmetric(42)
+    col = EdgeColoring(2, {(u, v): RED if u % 2 == 0 and v == u + 1 else BLUE
+                           for u, v in g.edges()})
+    cert = two_color_path_finder(g, col, 1)
+    cert.validate(g, col)
+    assert len(cert.trace.cycles) == 6 and cert.branch == "blue-case"
+
+    # two blocks on high ids, each with inner edges, small enough for the
+    # exact inner check
+    host = transitive_tournament(12)
+    blocks = [(5, 7, 9), (8, 10, 11)]
+    inner = EdgeColoring(2, {(5, 7): 1, (7, 9): 2, (5, 9): 2, (8, 10): 1, (10, 11): 1,
+                             (8, 11): 2})
+    inside = {e for b in blocks for e in host.edges() if e[0] in b and e[1] in b}
+    assert inside == set(dict(inner.items()))
+    others = [(v,) for v in range(12) if all(v not in b for b in blocks)]
+    block_product_coloring(host, blocks + others, inner, 2).validate_total(host)
+    with pytest.raises(ColoringError, match="color-1 path longer than r=1"):
+        block_product_coloring(host, blocks + others, inner, 1)
