@@ -306,21 +306,29 @@ def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
     own = [bmasks[b] if b >= 0 else 0 for b in owner]
     rows = [inner.out_masks(c, size) for c in range(1, q + 2)]
     colored = [reduce(or_, col) for col in zip(*rows)]
-    for u, (m, mine) in enumerate(zip(colored, own)):
-        stray = m & ~mine
-        if stray:
-            v = (stray & -stray).bit_length() - 1
-            raise ColoringError(f"inner edge ({u},{v}) does not stay within one block")
+    stray = _first_edge(m & ~mine for m, mine in zip(colored, own))
+    if stray:
+        raise ColoringError("inner edge (%d,%d) does not stay within one block" % stray)
     out = g.out_masks()
+    # past the block check every inner edge lies on host vertices
+    extra = _first_edge(m & ~o for m, o in zip(colored, out))
+    if extra:
+        raise ColoringError("inner edge (%d,%d) is not an edge of the host graph" % extra)
     _verify_inner_bound(out, blocks, rows, r)
-    for u, (o, m, mine) in enumerate(zip(out, colored, own)):
-        missing = o & mine & ~m
-        if missing:
-            v = (missing & -missing).bit_length() - 1
-            raise ColoringError(
-                f"edge ({u},{v}) inside block {owner[u]} missing from inner coloring")
+    missing = _first_edge(o & mine & ~m for o, m, mine in zip(out, colored, own))
+    if missing:
+        raise ColoringError(f"edge ({missing[0]},{missing[1]}) inside block "
+                            f"{owner[missing[0]]} missing from inner coloring")
     _digit_product(out, blocks, q, rows)
     return EdgeColoring.from_masks(rows)
+
+
+def _first_edge(masks) -> tuple[int, int] | None:
+    """(u, v) for the lowest bit v of the first nonzero mask, row u."""
+    for u, m in enumerate(masks):
+        if m:
+            return u, (m & -m).bit_length() - 1
+    return None
 
 
 _VERIFY_BLOCK_LIMIT = 12

@@ -20,12 +20,12 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 
 from .adversary import check_partition, theorem1_adversary
 from .builder import multicolor_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
-from .errors import DipathError, ManifestError
+from .errors import ColoringError, DipathError, ManifestError
 from .graphs import EdgeColoring, OrientedGraph
 from .oracle import longest_mono_path
 from .pseudorandom import (
@@ -187,11 +187,8 @@ def _generate(spec: GeneratorSpec, n: int, seed: int) -> OrientedGraph:
         return random_tournament(n, seed).underlying
     if spec.model == "paley":
         return paley_tournament(n).underlying
-    if spec.model == "oriented":
-        m = round(spec.density * n * n)
-        return random_oriented_graph(n, m, seed)
-    m = round(spec.density * n * n)
-    return random_digraph(n, m, seed)
+    make = random_oriented_graph if spec.model == "oriented" else random_digraph
+    return make(n, round(spec.density * n * n), seed)
 
 
 _COLUMNS = {
@@ -206,9 +203,18 @@ _COLUMNS = {
 
 
 def _random_coloring(g: OrientedGraph, colors: int, seed: int) -> EdgeColoring:
-    rng = random.Random(seed)
-    return EdgeColoring(colors,
-                        {e: rng.randint(1, colors) for e in g.edges()})
+    """Each edge in canonical order takes `rng.randint(1, colors)`, spelled
+    out as colors.bit_length() random bits drawn again while >= colors."""
+    if colors < 1:
+        raise ColoringError(f"need at least one color, got {colors}")
+    bits, k = random.Random(seed).getrandbits, colors.bit_length()
+    rows = [[0] * g.n for _ in range(colors)]
+    for u, v in g.edges():
+        c = colors
+        while c >= colors:
+            c = bits(k)
+        rows[c][u] |= 1 << v
+    return EdgeColoring.from_masks(rows)
 
 
 def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
@@ -297,28 +303,22 @@ def run_experiment(manifest: ExperimentManifest,
     else:
         cells = [_run_cell(manifest, n, r) for n, r in tasks]
     cells.sort(key=lambda cell: (cell[0][0], cell[0][1]))
-    rows = [row for row, _ in cells]
     columns = _COLUMNS[manifest.kind]
-    ok_col = columns.index("ok")
-    failures = sum(1 for row in rows if not row[ok_col])
     aggregates = _aggregate(manifest.kind, columns, cells)
     record = ResultRecord(
         manifest_hash=manifest.hash(),
         kind=manifest.kind,
         columns=columns,
-        rows=tuple(rows),
-        failures=failures,
+        rows=tuple(row for row, _ in cells),
+        failures=sum(agg["failures"] for agg in aggregates.values()),
         aggregates=aggregates,
         wall_clock_seconds=round(time.monotonic() - start, 6),
     )
     if write_outputs:
         with open(manifest.csv_path, "w", encoding="ascii", newline="") as fh:
             fh.write(record.csv_text())
-        payload = {
-            "manifest": manifest.to_dict(),
-            "record": record.to_dict(),
-            "config": manifest.config.to_dict(),
-        }
+        payload = {"manifest": manifest.to_dict(), "record": record.to_dict(),
+                   "config": manifest.config.to_dict()}
         with open(manifest.json_path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -326,21 +326,19 @@ def run_experiment(manifest: ExperimentManifest,
 
 
 def _aggregate(kind: str, columns: tuple[str, ...], cells: list) -> dict:
-    by_n: dict[int, list] = {}
-    for cell in cells:
-        by_n.setdefault(cell[0][0], []).append(cell)
+    """Per-size summary of `cells`, which come sorted by n."""
     numeric = {"prcheck": "k_star", "adversary": "total_bound",
                "builder": "length"}[kind]
     idx = columns.index(numeric)
     ok_idx = columns.index("ok")
     out = {}
-    for n in sorted(by_n):
-        rows = [row for row, _ in by_n[n]]
+    for n, group in groupby(cells, key=lambda cell: cell[0][0]):
+        rows, errors = zip(*group)
         values = [row[idx] for row in rows if isinstance(row[idx], (int, float))]
         out[str(n)] = {
             "runs": len(rows),
             "failures": sum(1 for row in rows if not row[ok_idx]),
-            "errors": dict(sorted(Counter(e for _, e in by_n[n] if e).items())),
+            "errors": dict(sorted(Counter(e for e in errors if e).items())),
             numeric: {
                 "min": min(values) if values else None,
                 "max": max(values) if values else None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .errors import BudgetExceededError, GraphShapeError, ThreadingError
 from .graphs import (
@@ -28,30 +28,23 @@ from .graphs import (
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
-    """Uniform random tournament; identical (n, seed) gives identical edges."""
+    """Uniform random tournament: one `random()` coin per pair u < v, in
+    lexicographic order, gives u -> v below 0.5."""
     if n < 1:
         raise GraphShapeError("need n >= 1")
-    rng = random.Random(seed)
-    edges = []
+    coin = random.Random(seed).random
+    out = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
-            edges.append((u, v) if rng.random() < 0.5 else (v, u))
-    return Tournament(OrientedGraph(n, edges))
+            if coin() < 0.5:
+                out[u] |= 1 << v
+            else:
+                out[v] |= 1 << u
+    return _tournament(out)
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def paley_tournament(p: int) -> Tournament:
@@ -64,48 +57,54 @@ def paley_tournament(p: int) -> Tournament:
         raise GraphShapeError(f"{p} is not prime")
     if p % 4 != 3:
         raise GraphShapeError(f"{p} is not congruent to 3 mod 4")
-    residues = {(x * x) % p for x in range(1, p)}
-    edges = [(i, j) for i in range(p) for j in range(p)
-             if i != j and (i - j) % p in residues]
-    return Tournament(OrientedGraph(p, edges))
+    # 0 -> j exactly when -j is a square; i -> i + j whenever 0 -> j, so
+    # vertex i's out-mask is vertex 0's rotated by i inside p bits
+    first, full = mask_of({-(x * x) % p for x in range(1, p)}), (1 << p) - 1
+    return _tournament([(first << i | first >> (p - i)) & full for i in range(p)])
+
+
+def _tournament(out: list[int]) -> Tournament:
+    # each vertex's in-mask is every other vertex outside its out-mask
+    full = (1 << len(out)) - 1
+    inn = [full ^ 1 << v ^ o for v, o in enumerate(out)]
+    return Tournament(OrientedGraph.from_masks(len(out), out, inn))
 
 
 def random_oriented_graph(n: int, m: int, seed: int) -> OrientedGraph:
     """Random oriented graph with exactly m edges (no antiparallel pairs)."""
-    if n < 0:
-        raise GraphShapeError(f"vertex count must be nonnegative, got {n}")
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise GraphShapeError(f"m={m} is outside 0..{n * (n - 1) // 2} for n={n}")
-    rng = random.Random(seed)
-    chosen = set()
-    edges = []
-    while len(edges) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in chosen:
-            continue
-        chosen.add(key)
-        edges.append((u, v))
-    return OrientedGraph(n, edges)
+    return _random_edges(n, m, seed, antiparallel=False)
 
 
 def random_digraph(n: int, m: int, seed: int) -> OrientedGraph:
     """Random non-simple digraph with exactly m edges (antiparallel allowed)."""
+    return _random_edges(n, m, seed, antiparallel=True)
+
+
+def _random_edges(n: int, m: int, seed: int, antiparallel: bool) -> OrientedGraph:
+    """m edges drawn as pairs u, v of `rng.randrange(n)`, spelled out as
+    n.bit_length() random bits drawn again while >= n, so the same
+    (n, m, seed) gives the same graph as every earlier version.  A loop, a
+    taken edge and, unless antiparallel, a taken edge's reverse are skipped."""
     if n < 0:
         raise GraphShapeError(f"vertex count must be nonnegative, got {n}")
-    if not 0 <= m <= n * (n - 1):
-        raise GraphShapeError(f"m={m} is outside 0..{n * (n - 1)} for n={n}")
-    rng = random.Random(seed)
-    chosen = set()
-    while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            chosen.add((u, v))
-    return OrientedGraph(n, sorted(chosen), allow_antiparallel=True)
+    top = n * (n - 1) if antiparallel else n * (n - 1) // 2
+    if not 0 <= m <= top:
+        raise GraphShapeError(f"m={m} is outside 0..{top} for n={n}")
+    bits, k = random.Random(seed).getrandbits, n.bit_length()
+    out, inn = [0] * n, [0] * n
+    taken_in = [0] * n if antiparallel else inn
+    while m:
+        u = v = n
+        while u >= n:
+            u = bits(k)
+        while v >= n:
+            v = bits(k)
+        if u == v or (out[u] | taken_in[u]) >> v & 1:
+            continue
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+        m -= 1
+    return OrientedGraph.from_masks(n, out, inn, allow_antiparallel=antiparallel)
 
 
 # ---------------------------------------------------------------------------

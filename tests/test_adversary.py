@@ -316,6 +316,15 @@ def test_block_product_rejects_understated_inner_bound():
         block_product_coloring(g, [(0, 1, 2)], inner, 1)
 
 
+def test_block_product_rejects_inner_non_edge():
+    """An inner pair inside a block that the host lacks is refused, before
+    it could reach the result as a colored non-edge."""
+    g = OrientedGraph(2, [(0, 1)])
+    inner = EdgeColoring(2, {(0, 1): 1, (1, 0): 2})
+    with pytest.raises(ColoringError, match=r"inner edge \(1,0\) is not an edge"):
+        block_product_coloring(g, [(0, 1)], inner, 1)
+
+
 def test_color_classes_three_cycle_singletons():
     g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
     vc = VertexColoring((1, 2, 3))

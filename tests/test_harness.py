@@ -1,4 +1,5 @@
 """Text formats, manifests, and the experiment runner."""
+import hashlib
 import json
 import random
 
@@ -331,6 +332,26 @@ def test_run_experiment_builder_two_colors_refuses_bad_n_target(tmp_path):
     record = run_experiment(m, write_outputs=False)
     assert record.failures == 2
     assert record.aggregates["12"]["errors"] == {"ValueError": 2}
+
+
+# sha256 of the CSV that three fixed one-cell manifests write, recorded
+# from the edge-by-edge generators; a drift in a generator's or the random
+# coloring's stream changes the host and with it the row
+@pytest.mark.parametrize("kind, spec, params, digest", [
+    ("adversary", GeneratorSpec("oriented", (60,), density=0.3), {"q": 1},
+     "681b0732a76d477cc01d9d92dbb467205284cc7f30d070ae87f0df3c9e34f4fd"),
+    ("adversary", GeneratorSpec("digraph", (40,), density=0.4), {"q": 2},
+     "6043754ed169a295c26dc2055596c6c01caea09e0305b45cc03b44e7649c9e6e"),
+    ("builder", GeneratorSpec("tournament", (32,)), {"colors": 2},
+     "a4f802b153c8ebbd25f6acd0aa08100639bbbfcbd33cc0d01fdd60fa2204417c"),
+])
+def test_fixed_manifest_csv_bytes(tmp_path, kind, spec, params, digest):
+    m = ExperimentManifest(
+        experiment_id=f"csv-{kind}-{spec.model}", kind=kind, generator=spec,
+        params=params, csv_path=str(tmp_path / "c.csv"),
+        json_path=str(tmp_path / "c.json"))
+    assert run_experiment(m).ok
+    assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path, monkeypatch):
