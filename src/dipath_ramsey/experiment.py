@@ -59,6 +59,23 @@ class GeneratorSpec:
             raise ManifestError("sizes must be nonnegative")
         if not 0.0 <= self.density <= 1.0:
             raise ManifestError("density must lie in [0, 1]")
+        if self.model in ("oriented", "digraph"):
+            for n in self.sizes:
+                # an oriented host has at most one edge per pair, a digraph two
+                top = n * (n - 1) // (2 if self.model == "oriented" else 1)
+                if self._edge_count(n) > top:
+                    # the largest density of four decimals that fits
+                    fits = math.floor((top + 0.5) / (n * n) * 10**4)
+                    while round(fits / 10**4 * n * n) > top:
+                        fits -= 1
+                    raise ManifestError(
+                        f"density {self.density} asks for {self._edge_count(n)} edges "
+                        f"at n={n}, above the {top} that the {self.model} model "
+                        f"allows; the largest density for n={n} is {fits / 10**4:g}")
+
+    def _edge_count(self, n: int) -> int:
+        """Edges of an oriented or digraph host of n vertices."""
+        return round(self.density * n * n)
 
     def to_dict(self) -> dict:
         return {"model": self.model, "sizes": list(self.sizes),
@@ -188,7 +205,7 @@ def _generate(spec: GeneratorSpec, n: int, seed: int) -> OrientedGraph:
     if spec.model == "paley":
         return paley_tournament(n).underlying
     make = random_oriented_graph if spec.model == "oriented" else random_digraph
-    return make(n, round(spec.density * n * n), seed)
+    return make(n, spec._edge_count(n), seed)
 
 
 _COLUMNS = {

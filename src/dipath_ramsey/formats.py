@@ -5,32 +5,73 @@ Graph format, bit-exact: one header line ``n m d`` with d in
 lexicographic order, LF endings, trailing newline.  A coloring is m lines
 ``u v c`` in the same edge order as its host graph.
 
-Parsing checks a body in bulk first: one regular expression for the line
-shape and the ASCII digits, one conversion of all tokens, then mask
-checks.  Only a body that fails a bulk check is scanned line by line, which
-reports the first offending line (and parses a body whose only quirk is
-whitespace other than single spaces).
+Parsing checks a body in bulk first.  With its digits deleted, the body
+must be exactly the separators of m lines as the serializers write them
+(single spaces, LF ends), and every token must be a key of the token table
+``{"0": 0, ..., str(n - 1): n - 1}`` of the graph's n (for a coloring, the
+host's n, which bounds its color ids too).  The token table and the bit
+table of ``1 << i`` for i < n are built once per size and kept.  So a leading
+zero, a sign, an id at or above n or a color at or above the host's n
+leaves the bulk path, as does a body too sparse for the O(n^2) bit work
+below (at most n^2/64 lines of a graph, n^2/1024 of a coloring).  The masks are ORed together from the bit table, an oriented
+graph's in-masks come from one bit-matrix transpose, and mask checks
+follow.  Only a body that fails a bulk check is scanned line by line, which
+reports the first offending line (and parses a body whose only quirks are
+other whitespace, leading zeros or large color ids).
+
+The serializers write each vertex's lines with one join: the bit string of
+its row selects the id (or ``v c``) strings through ``compress``, so a row
+costs O(n) C steps per color in use, however few edges it has.
 """
 from __future__ import annotations
 
-import re
-from operator import and_, eq, or_
+from functools import lru_cache
+from itertools import compress
+from operator import and_, or_
 
 from .errors import FormatError
 from .graphs import EdgeColoring, OrientedGraph
 
 _KINDS = {"oriented": False, "symmetric": True}
 
-# bodies as the serializers write them: single spaces, LF line ends
-_EDGE_BODY = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-_COLORING_BODY = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+_DIGITS = b"0123456789"
+# a row's bit string, "0"/"1" per vertex, as compress selectors
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+# the tables are kept per size, shared by every parse of that size and
+# never written to
+@lru_cache(maxsize=64)
+def _ids(size: int) -> dict[str, int]:
+    """The token table: each id below `size` keyed by its decimal string."""
+    return {str(i): i for i in range(size)}
+
+
+@lru_cache(maxsize=64)
+def _bits(size: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(size))
+
+
+def _lines(n: int, layers: list[list[int]], words: list[str]) -> str:
+    """One line ``u w`` per set bit v of some layers[i][u], in (u, v)
+    order, where w = words[v * len(layers) + i]."""
+    k = len(layers)
+    spec = f"0{n}b"
+    select = bytearray(n * k)
+    out = []
+    for u, rows in enumerate(zip(*layers)):
+        if any(rows):
+            for i, row in enumerate(rows):
+                select[i::k] = format(row, spec).encode().translate(_SELECT)[::-1]
+            lead = f"{u} "
+            out.append(lead + ("\n" + lead).join(compress(words, select)) + "\n")
+    return "".join(out)
 
 
 def serialize_graph(g: OrientedGraph) -> str:
     kind = "symmetric" if g.allow_antiparallel else "oriented"
-    lines = [f"{g.n} {g.edge_count} {kind}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return (f"{g.n} {g.edge_count} {kind}\n"
+            + _lines(g.n, [g.out_masks()], list(map(str, range(g.n)))))
 
 
 def _int_field(token: str, line_no: int, col: int, what: str) -> int:
@@ -45,11 +86,29 @@ def _line_count(body: str) -> int:
     return body.count("\n") + (1 if body and not body.endswith("\n") else 0)
 
 
-def _bulk_ints(pattern: re.Pattern, body: str) -> list[int] | None:
-    """All tokens of a canonical body as ints, or None to scan by line."""
-    if body and not body.endswith("\n") or not pattern.fullmatch(body):
+def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
+    """The tokens of `body` looked up in the token table of n, when the
+    body is m lines with the separators `sep` as the serializers write them
+    and every token is in the table; None sends it to the line scan."""
+    if not body.isascii() or not body.endswith("\n"):
         return None
-    return list(map(int, body.split()))
+    if body.encode().translate(None, _DIGITS) != sep * m:
+        return None
+    tokens = body.split()
+    if len(tokens) != len(sep) * m:
+        return None
+    try:
+        return list(map(_ids(n).__getitem__, tokens))
+    except KeyError:
+        return None
+
+
+def _transpose(out: list[int], n: int) -> list[int]:
+    """In-masks of the n x n bit matrix whose rows are `out`: row u's
+    digits run from bit n - 1 down, so column v is every n-th digit."""
+    spec = f"0{n}b"
+    digits = "".join([format(row, spec) for row in reversed(out)])
+    return [int(digits[n - 1 - v::n], 2) for v in range(n)]
 
 
 def parse_graph(text: str) -> OrientedGraph:
@@ -70,17 +129,19 @@ def parse_graph(text: str) -> OrientedGraph:
         raise FormatError(f"header promises {m} edges, found {found}",
                           min(found + 2, m + 2))
     symmetric = _KINDS[head[2]]
-    nums = _bulk_ints(_EDGE_BODY, body)
-    if nums is not None and (not nums or max(nums) < n):
-        us, vs = nums[0::2], nums[1::2]
+    # the transpose writes n^2 digits: worth it from n^2/64 lines on
+    nums = _bulk_ints(body, b" \n", m, n) if n * n < 64 * m else None
+    if nums is not None:
+        bits = _bits(n)
         out = [0] * n
-        inn = [0] * n
-        for u, v in zip(us, vs):
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        if (sum(map(int.bit_count, out)) == m and not any(map(eq, us, vs))
-                and (symmetric or not any(map(and_, out, inn)))):
-            return OrientedGraph.from_masks(n, out, inn, symmetric)
+        pairs = iter(nums)
+        for u, v in zip(pairs, pairs):
+            out[u] |= bits[v]
+        # m distinct edges from m lines leave no room for a duplicate
+        if sum(map(int.bit_count, out)) == m and not any(map(and_, out, bits)):
+            inn = _transpose(out, n)
+            if symmetric or not any(map(and_, out, inn)):
+                return OrientedGraph.from_masks(n, out, inn, symmetric)
     return _scan_graph(n, symmetric, body.split("\n")[:m])
 
 
@@ -108,18 +169,11 @@ def _scan_graph(n: int, symmetric: bool, lines: list[str]) -> OrientedGraph:
 
 def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
     coloring.validate_total(g)
-    masks = [coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)]
-    lines = []
-    for u, m in enumerate(g.out_masks()):
-        rows = [col[u] for col in masks]
-        while m:
-            low = m & -m
-            m ^= low
-            c = 1
-            while not rows[c - 1] & low:
-                c += 1
-            lines.append(f"{u} {low.bit_length() - 1} {c}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    # only the colors in use, so that a large num_colors costs nothing
+    layers = {c: coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)}
+    used = [c for c, rows in layers.items() if any(rows)]
+    words = [f"{v} {c}" for v in range(g.n) for c in used]
+    return _lines(g.n, [layers[c] for c in used], words)
 
 
 def parse_coloring(text: str, g: OrientedGraph,
@@ -130,25 +184,25 @@ def parse_coloring(text: str, g: OrientedGraph,
     Color ids below 1 or above an explicit num_colors are format errors, as
     are edges absent from g, duplicates, or missing edges.
     """
-    nums = _bulk_ints(_COLORING_BODY, text)
-    if nums is not None and len(nums) == 3 * g.edge_count:
-        if not nums:
-            return EdgeColoring(1 if num_colors is None else num_colors, {})
-        us, vs, cs = nums[0::3], nums[1::3], nums[2::3]
-        top = max(cs)
-        if (max(us) < g.n and max(vs) < g.n and min(cs) >= 1
-                and (num_colors is None or top <= num_colors)):
-            q = top if num_colors is None else num_colors
-            masks = [[0] * g.n for _ in range(q)]
-            for u, v, c in zip(us, vs, cs):
-                masks[c - 1][u] |= 1 << v
-            union = masks[0]
-            for rows in masks[1:]:
+    n, m = g.n, g.edge_count
+    # the bit table holds n^2/2 bits: worth keeping from n^2/1024 lines on
+    nums = _bulk_ints(text, b"  \n", m, n) if n * n < 1024 * m else None
+    if nums is not None:
+        top = max(nums[2::3])
+        q = top if num_colors is None else num_colors
+        if 0 < top <= q:
+            bits = _bits(n)
+            masks = [[0] * n for _ in range(q + 1)]
+            triples = iter(nums)
+            for u, v, c in zip(triples, triples, triples):
+                masks[c][u] |= bits[v]
+            union = masks[1]
+            for rows in masks[2:]:
                 union = list(map(or_, union, rows))
-            # as many lines as host edges: covering them all leaves no
-            # room for a duplicate
+            # as many lines as host edges: covering them all in colors 1..q
+            # leaves no room for a duplicate or a color 0
             if union == g.out_masks():
-                return EdgeColoring.from_masks(masks)
+                return EdgeColoring.from_masks(masks[1:])
     return _scan_coloring(text, g, num_colors)
 
 
@@ -196,7 +250,9 @@ def _read_text(path) -> str:
         raise FormatError(f"non-ASCII byte 0x{data[exc.start]:02x}",
                           before.count(b"\n") + 1,
                           len(before) - before.rfind(b"\n")) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def write_graph(path, g: OrientedGraph) -> None:

@@ -240,6 +240,30 @@ def test_manifest_rejects_bad_density():
         GeneratorSpec("oriented", (4,), density=1.5)
 
 
+def test_manifest_rejects_density_beyond_the_model(tmp_path):
+    """A host of n vertices gets round(density * n^2) edges.  An oriented
+    host of 10 vertices holds 45, so density 0.5 (50 edges) is refused at
+    load rather than run as a failed row."""
+    with pytest.raises(ManifestError, match=r"50 edges at n=10.*largest density "
+                                            r"for n=10 is 0\.4549$"):
+        GeneratorSpec("oriented", (10,), density=0.5)
+    data = _tiny_manifest(tmp_path, kind="adversary").to_dict()
+    # n=20 fits 184 of its 190 pairs, n=10 not 46 of its 45
+    data["generator"] = {"model": "oriented", "sizes": [20, 10], "density": 0.46}
+    with pytest.raises(ManifestError, match="46 edges at n=10"):
+        ExperimentManifest.from_dict(data)
+    with pytest.raises(ManifestError, match="n=10"):
+        GeneratorSpec("oriented", (10,), density=0.455)
+    with pytest.raises(ManifestError, match=r"above the 90 that the digraph model"):
+        GeneratorSpec("digraph", (10,), density=0.91)
+    # at the boundary: the named largest density, a full digraph, and the
+    # dense oriented regime of the benchmark all load
+    GeneratorSpec("oriented", (10,), density=0.4549)
+    GeneratorSpec("digraph", (10,), density=0.9)
+    GeneratorSpec("oriented", (0, 1, 150), density=0.3)
+    GeneratorSpec("tournament", (10,), density=1.0)
+
+
 def test_manifest_rejects_garbage_json():
     with pytest.raises(ManifestError):
         ExperimentManifest.from_json("{not json")
