@@ -7,27 +7,31 @@ lexicographic order, LF endings, trailing newline.  A coloring is m lines
 
 Parsing checks a body in bulk first.  With its digits deleted, the body
 must be exactly the separators of m lines as the serializers write them
-(single spaces, LF ends), and every token must be a key of the token table
-``{"0": 0, ..., str(n - 1): n - 1}`` of the graph's n (for a coloring, the
-host's n, which bounds its color ids too).  The token table and the bit
-table of ``1 << i`` for i < n are built once per size and kept.  So a leading
-zero, a sign, an id at or above n or a color at or above the host's n
-leaves the bulk path, as does a body too sparse for the O(n^2) bit work
-below (at most n^2/64 lines of a graph, n^2/1024 of a coloring).  The masks are ORed together from the bit table, an oriented
-graph's in-masks come from one bit-matrix transpose, and mask checks
-follow.  Only a body that fails a bulk check is scanned line by line, which
-reports the first offending line (and parses a body whose only quirks are
-other whitespace, leading zeros or large color ids).
+(single spaces, LF ends), and every token must be an id below the graph's n
+(for a coloring, the host's n, which bounds its color ids too).  A body of
+at least 8n tokens looks them up in the token table
+``{"0": 0, ..., str(n - 1): n - 1}``, built once per size and kept, so that a
+leading zero or an id at or above n leaves the bulk path; a shorter body,
+which would not repay the table, converts them with ``int``.  The masks of a
+dense body (n^2 below 32 m) are ORed together from a bit table of
+``1 << i``, and an oriented graph's in-masks come from one bit-matrix
+transpose; a sparser body ORs ``1 << v`` per edge, in-masks too, so its
+cost stays in its edges.  Mask checks follow.  Only a body that fails a bulk
+check is scanned line by line, which reports the first offending line (and
+parses a body whose only quirks are other whitespace, leading zeros or
+color ids at or above n).
 
-The serializers write each vertex's lines with one join: the bit string of
-its row selects the id (or ``v c``) strings through ``compress``, so a row
-costs O(n) C steps per color in use, however few edges it has.
+The serializers pick by the host's density.  A dense host (colors * n^2
+at most 48 m) writes each vertex's lines with one join, its row's bit
+strings selecting the id (or ``v c``) strings through ``compress``: O(n) C
+steps per row and color in use.  A sparser host walks each row's set bits,
+one step per edge.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import and_, or_
+from operator import and_, eq, or_
 
 from .errors import FormatError
 from .graphs import EdgeColoring, OrientedGraph
@@ -39,26 +43,46 @@ _DIGITS = b"0123456789"
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-# the tables are kept per size, shared by every parse of that size and
-# never written to
+# A body takes the token table from 8n tokens on: building the table costs
+# about 0.5 us an entry, and a lookup saves about 70 ns a token over int().
+# The bit table and the transpose cost O(n^2); from n^2 < 32 m on they beat
+# ORing 1 << v into the out-masks (and 1 << u into the in-masks) per edge,
+# with which they tie at n^2 = 32 m for n = 256 and 1000.  There the
+# transpose's 2n^2 transient bytes stay below the 2m token strings of at
+# least 50 bytes each that split() held just before.  Writing, compress and
+# the bit walk tie near colors * n^2 = 48 m for n = 256 to 3000 and one or
+# two colors.  All measured in-process on random oriented hosts, best of 5
+# to 7, CPython 3.11 on a shared 2-vCPU VM.
+_TABLE, _DENSE, _WALK = 8, 32, 48
+
+
+# kept per size, shared by every parse of that size and never written to;
+# only a body of at least 8n tokens, whose strings took several times the
+# table's bytes, builds one
 @lru_cache(maxsize=64)
 def _ids(size: int) -> dict[str, int]:
     """The token table: each id below `size` keyed by its decimal string."""
     return {str(i): i for i in range(size)}
 
 
-@lru_cache(maxsize=64)
-def _bits(size: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(size))
-
-
-def _lines(n: int, layers: list[list[int]], words: list[str]) -> str:
-    """One line ``u w`` per set bit v of some layers[i][u], in (u, v)
-    order, where w = words[v * len(layers) + i]."""
-    k = len(layers)
+def _lines(g: OrientedGraph, layers: list[list[int]], tags: list[str]) -> str:
+    """One line ``u v`` + tags[i] per edge (u, v) of g, in (u, v) order,
+    where layers[i][u] holds bit v."""
+    n, k = g.n, len(layers)
+    out = []
+    if _WALK * g.edge_count < k * n * n:
+        for u, row in enumerate(g.out_masks()):
+            while row:
+                low = row & -row
+                row ^= low
+                i = 0
+                while not layers[i][u] & low:
+                    i += 1
+                out.append(f"{u} {low.bit_length() - 1}{tags[i]}\n")
+        return "".join(out)
     spec = f"0{n}b"
     select = bytearray(n * k)
-    out = []
+    words = [f"{v}{tag}" for v in range(n) for tag in tags]
     for u, rows in enumerate(zip(*layers)):
         if any(rows):
             for i, row in enumerate(rows):
@@ -70,8 +94,7 @@ def _lines(n: int, layers: list[list[int]], words: list[str]) -> str:
 
 def serialize_graph(g: OrientedGraph) -> str:
     kind = "symmetric" if g.allow_antiparallel else "oriented"
-    return (f"{g.n} {g.edge_count} {kind}\n"
-            + _lines(g.n, [g.out_masks()], list(map(str, range(g.n)))))
+    return f"{g.n} {g.edge_count} {kind}\n" + _lines(g, [g.out_masks()], [""])
 
 
 def _int_field(token: str, line_no: int, col: int, what: str) -> int:
@@ -87,9 +110,9 @@ def _line_count(body: str) -> int:
 
 
 def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
-    """The tokens of `body` looked up in the token table of n, when the
-    body is m lines with the separators `sep` as the serializers write them
-    and every token is in the table; None sends it to the line scan."""
+    """The tokens of `body` as ids below n, when the body is m lines with
+    the separators `sep` as the serializers write them; None sends it to
+    the line scan."""
     if not body.isascii() or not body.endswith("\n"):
         return None
     if body.encode().translate(None, _DIGITS) != sep * m:
@@ -97,6 +120,9 @@ def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
     tokens = body.split()
     if len(tokens) != len(sep) * m:
         return None
+    if len(tokens) < _TABLE * n:
+        nums = list(map(int, tokens))
+        return nums if max(nums) < n else None
     try:
         return list(map(_ids(n).__getitem__, tokens))
     except KeyError:
@@ -129,17 +155,27 @@ def parse_graph(text: str) -> OrientedGraph:
         raise FormatError(f"header promises {m} edges, found {found}",
                           min(found + 2, m + 2))
     symmetric = _KINDS[head[2]]
-    # the transpose writes n^2 digits: worth it from n^2/64 lines on
-    nums = _bulk_ints(body, b" \n", m, n) if n * n < 64 * m else None
+    nums = _bulk_ints(body, b" \n", m, n)
     if nums is not None:
-        bits = _bits(n)
         out = [0] * n
-        pairs = iter(nums)
-        for u, v in zip(pairs, pairs):
-            out[u] |= bits[v]
+        if n * n < _DENSE * m:
+            bits = [1 << i for i in range(n)]
+            pairs = iter(nums)
+            for u, v in zip(pairs, pairs):
+                out[u] |= bits[v]
+            loops = any(map(and_, out, bits))
+            inn = None
+        else:
+            us, vs = nums[0::2], nums[1::2]
+            inn = [0] * n
+            for u, v in zip(us, vs):
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
+            loops = any(map(eq, us, vs))
         # m distinct edges from m lines leave no room for a duplicate
-        if sum(map(int.bit_count, out)) == m and not any(map(and_, out, bits)):
-            inn = _transpose(out, n)
+        if sum(map(int.bit_count, out)) == m and not loops:
+            if inn is None:
+                inn = _transpose(out, n)
             if symmetric or not any(map(and_, out, inn)):
                 return OrientedGraph.from_masks(n, out, inn, symmetric)
     return _scan_graph(n, symmetric, body.split("\n")[:m])
@@ -172,8 +208,7 @@ def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
     # only the colors in use, so that a large num_colors costs nothing
     layers = {c: coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)}
     used = [c for c, rows in layers.items() if any(rows)]
-    words = [f"{v} {c}" for v in range(g.n) for c in used]
-    return _lines(g.n, [layers[c] for c in used], words)
+    return _lines(g, [layers[c] for c in used], [f" {c}" for c in used])
 
 
 def parse_coloring(text: str, g: OrientedGraph,
@@ -185,17 +220,20 @@ def parse_coloring(text: str, g: OrientedGraph,
     are edges absent from g, duplicates, or missing edges.
     """
     n, m = g.n, g.edge_count
-    # the bit table holds n^2/2 bits: worth keeping from n^2/1024 lines on
-    nums = _bulk_ints(text, b"  \n", m, n) if n * n < 1024 * m else None
+    nums = _bulk_ints(text, b"  \n", m, n)
     if nums is not None:
         top = max(nums[2::3])
         q = top if num_colors is None else num_colors
         if 0 < top <= q:
-            bits = _bits(n)
             masks = [[0] * n for _ in range(q + 1)]
             triples = iter(nums)
-            for u, v, c in zip(triples, triples, triples):
-                masks[c][u] |= bits[v]
+            if n * n < _DENSE * m:
+                bits = [1 << i for i in range(n)]
+                for u, v, c in zip(triples, triples, triples):
+                    masks[c][u] |= bits[v]
+            else:
+                for u, v, c in zip(triples, triples, triples):
+                    masks[c][u] |= 1 << v
             union = masks[1]
             for rows in masks[2:]:
                 union = list(map(or_, union, rows))

@@ -4,6 +4,7 @@ parsers return the same graph or coloring, or raise the same error class
 with the same message, line and column, and the serializers write the same
 bytes.  Round trips are checked on hypothesis-drawn graphs and colorings."""
 import random
+import tracemalloc
 from operator import add
 
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,14 @@ from dipath_ramsey import (
     serialize_graph,
 )
 
-# (n, edge counts): every count at 128 and 256 is over n^2/64, so those
-# bodies take the bulk path, and 8128 is one edge per pair at 128; 7 covers
-# the small oracle hosts
+# (n, edge counts) covering each bulk regime: 7 converts its few tokens
+# with int, dense at 9 and 21 edges and sparse at 1; 128 (8128 is one edge
+# per pair) takes the token table and the bit table; 256 takes the token
+# table with per-edge masks; 300 (the README's adversary size) is sparse,
+# with int at 600 edges and the token table at 1800.  The writers walk the
+# bits of the 300-vertex hosts and compress the rows of the 128-vertex ones.
 HOSTS = ((0, (0,)), (1, (0,)), (2, (1,)), (7, (0, 1, 9, 21)),
-         (128, (1500, 8128)), (256, (2000,)))
+         (128, (1500, 8128)), (256, (2000,)), (300, (600, 1800)))
 
 
 def _outcome(parse, *args):
@@ -193,9 +197,8 @@ def test_serializers_match_reference():
 
 
 def test_canonical_bodies_take_the_bulk_path(monkeypatch):
-    """A body as the serializers write it never reaches the line scan once
-    it has enough lines for its size (n^2 below 64 m; a coloring needs
-    fewer) and its colors lie below n, inside the token table."""
+    """A body as the serializers write it never reaches the line scan, at
+    any density, once it has a line and its colors lie below n."""
     def no_scan(*args):
         raise AssertionError("line scan reached")
 
@@ -204,29 +207,38 @@ def test_canonical_bodies_take_the_bulk_path(monkeypatch):
     rng = random.Random(17)
     bulk = 0
     for g in _hosts():
-        if g.n * g.n >= 64 * g.edge_count:
+        if not g.edge_count:
             continue
         assert parse_graph(serialize_graph(g)) == g
         q = min(3, g.n - 1)
         col = EdgeColoring(q, {e: rng.randint(1, q) for e in g.edges()})
         assert parse_coloring(serialize_coloring(g, col), g, q) == col
         bulk += 1
-    assert bulk >= 6
+    assert bulk >= 14
 
 
-def test_sparse_bodies_skip_the_bulk_tables(monkeypatch):
-    """A body of a large sparse host goes to the line scan: it costs no
-    n-entry tables and no n x n transpose."""
-    def no_tables(*args):
-        raise AssertionError("bulk path taken")
+def test_sparse_bodies_take_the_bulk_path_without_tables(monkeypatch):
+    """A few edges of a large host are parsed in bulk, as the reference
+    parser does, at a cost in their edges: no token table, no bit table and
+    no transpose of n x n bits."""
+    def no_call(*args):
+        raise AssertionError("not for a sparse body")
 
-    monkeypatch.setattr(formats, "_ids", no_tables)
-    monkeypatch.setattr(formats, "_bits", no_tables)
-    text = "100000 2 oriented\n0 1\n99999 5\n"
-    assert _outcome(parse_graph, text) == _outcome(ref.parse_graph, text)
+    for name in ("_scan_graph", "_scan_coloring", "_ids", "_transpose"):
+        monkeypatch.setattr(formats, name, no_call)
+    n = 20000
+    text = f"{n} 3 oriented\n0 1\n7 {n - 1}\n{n - 1} 5\n"
+    body = "0 1 1\n7 19999 2\n19999 5 2\n"
     g = ref.parse_graph(text)
-    text = "0 1 1\n99999 5 2\n"
-    assert _outcome(parse_coloring, text, g) == _outcome(ref.parse_coloring, text, g)
+    tracemalloc.start()
+    try:
+        assert _outcome(parse_graph, text) == _outcome(ref.parse_graph, text)
+        assert (_outcome(parse_coloring, body, g)
+                == _outcome(ref.parse_coloring, body, g))
+        # a bit table alone would hold n^2/16 bytes, 25 MB
+        assert tracemalloc.get_traced_memory()[1] < 2_000_000
+    finally:
+        tracemalloc.stop()
 
 
 # -- round trips ------------------------------------------------------------
