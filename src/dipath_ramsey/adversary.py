@@ -259,24 +259,24 @@ def constructive_chromatic(g: OrientedGraph) -> VertexColoring:
 
 def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list[int]]:
     """`constructive_chromatic`'s classes of the graph that the masks `out`
-    and `inn` induce on the vertex mask `within`.  Class i absorbs later
-    classes, singletons still, so every class is ascending."""
-    members = [[v] for v in iter_bits(within)]
-    near = [out[v] | inn[v] for v in iter_bits(within)]  # neighbors either way
-    vmask = [1 << v for v in iter_bits(within)]
-    i = 0
-    while i < len(members):
-        j = i + 1
-        while j < len(members):
-            if near[i] & vmask[j]:
-                j += 1
-            else:
-                members[i] += members[j]
-                near[i] |= near[j]
-                vmask[i] |= vmask[j]
-                del members[j], near[j], vmask[j]
-        i += 1
-    return members
+    and `inn` induce on the vertex mask `within`.  Class i starts at the
+    lowest vertex still single and absorbs, while there is one, the lowest
+    single vertex outside its neighborhood, so every class is ascending."""
+    classes = []
+    single = within
+    while single:
+        cls = []
+        near = 0  # neighbors of the class either way
+        free = single
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            cls.append(v)
+            single ^= low
+            near |= out[v] | inn[v]
+            free = single & ~near
+        classes.append(cls)
+    return classes
 
 
 def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
@@ -484,11 +484,12 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     n = g.n
     deg_thr = cfg.degree_threshold(n, q)
     term = cfg.termination_threshold(n, q)
-    x_verts = [v for v in range(n) if g.degree(v) <= deg_thr]
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
+    x_verts = [v for v, o, i in zip(range(n), out, inn)
+               if o.bit_count() + i.bit_count() <= deg_thr]
     x_mask = mask_of(x_verts)
     y_mask = g.full_mask() ^ x_mask
     m = y_mask.bit_count()
-    out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
 
     families_raw: list[tuple[int, float, tuple[tuple[int, ...], ...]]] = []
     i = 1

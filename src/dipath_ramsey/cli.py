@@ -124,8 +124,7 @@ def adversary(q: int, config_path, in_path: str, out_path: str, trace_path) -> N
     write_coloring(out_path, g, result.coloring)
     if trace_path:
         with open(trace_path, "w", encoding="ascii") as fh:
-            json.dump(result.partition.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(result.partition.to_dict(), indent=2, sort_keys=True) + "\n")
     click.echo(f"colored {g.edge_count} edges with "
                f"{result.coloring.num_colors} colors; "
                f"certified mono-path bound {result.partition.total_bound}")
@@ -152,8 +151,7 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
     payload = cert.to_dict()
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _echo_json(payload)
 

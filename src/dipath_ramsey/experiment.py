@@ -263,7 +263,9 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
             ok = 0
         # every class is acyclic (a digit rises along each digit edge, an
         # escape edge lowers the digit sum, and the parts' colors 1 and 2
-        # run one way each), so this is linear time at any size
+        # run one way each) and shallow, so the engine peels its sinks in
+        # a few rounds; its scans are capped at twice the class's edge
+        # count, past which one depth-first pass takes over, at any size
         per_color = longest_mono_path(g, result.coloring)
         measured = max((r.value for r in per_color.values()), default=0)
         if measured > part.total_bound:
@@ -337,8 +339,7 @@ def run_experiment(manifest: ExperimentManifest,
         payload = {"manifest": manifest.to_dict(), "record": record.to_dict(),
                    "config": manifest.config.to_dict()}
         with open(manifest.json_path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return record
 
 

@@ -9,6 +9,11 @@ the configuration come from the package.
 Step states of `sparse_acyclic_set` here carry the ids of the
 degree-filtered subgraph, and `_acyclic_candidates` returns ids of its
 argument graph; the tests map both to host ids before comparing.
+
+`_chromatic_classes` is the pairwise class merge of the adversary, which
+tested each later singleton against each class in turn and deleted list
+items as it merged, kept verbatim as the reference for the merge by
+neighborhood masks.
 """
 import math
 
@@ -159,3 +164,25 @@ def _acyclic_candidates(h: OrientedGraph, cfg: ConstantsConfig) -> list[int]:
     sub, back = h.subgraph(v for v in range(h.n) if not bad >> v & 1)
     res = sparse_acyclic_set(sub, cfg)
     return sorted(back[v] for v in res.vertices)
+
+
+def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list[int]]:
+    """`constructive_chromatic`'s classes of the graph that the masks `out`
+    and `inn` induce on the vertex mask `within`.  Class i absorbs later
+    classes, singletons still, so every class is ascending."""
+    members = [[v] for v in iter_bits(within)]
+    near = [out[v] | inn[v] for v in iter_bits(within)]  # neighbors either way
+    vmask = [1 << v for v in iter_bits(within)]
+    i = 0
+    while i < len(members):
+        j = i + 1
+        while j < len(members):
+            if near[i] & vmask[j]:
+                j += 1
+            else:
+                members[i] += members[j]
+                near[i] |= near[j]
+                vmask[i] |= vmask[j]
+                del members[j], near[j], vmask[j]
+        i += 1
+    return members

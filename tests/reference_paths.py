@@ -1,7 +1,9 @@
 """The layered subset DP that the exact engine once ran on cyclic supports,
 kept verbatim as the reference for `paths.longest_path_masks` and for the
-oracle's check through a new edge.  It shares no search code with either:
-only the DAG DP, which both run on acyclic input."""
+oracle's check through a new edge.  It shares no search code with either.
+On acyclic input it runs Kahn's DP, which the engine ran there before it
+peeled sinks: same lengths, its own witness, and a cost the tests hold
+the peel's fallback to on long paths."""
 from dipath_ramsey.errors import SizeLimitError
 from dipath_ramsey.paths import EXACT_VERTEX_LIMIT, _dag_path, _kahn
 
@@ -64,8 +66,9 @@ def _subset_path(adj: list[int], support: list[int], bound: int | None) -> list[
 
 def reference_longest_path(adj: list[int], bound: int | None = None,
                            limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
-    """`longest_path_masks` with the subset DP on cyclic input: same
-    lengths, bound semantics, limit and explored, its own witnesses."""
+    """`longest_path_masks` with Kahn's DP on acyclic input and the subset
+    DP on cyclic input: same lengths, bound semantics, limit and explored,
+    its own witnesses."""
     n = len(adj)
     indeg = [0] * n
     into = 0

@@ -1,4 +1,5 @@
 """End-to-end runs of the command line interface."""
+import io
 import json
 
 from click.testing import CliRunner
@@ -163,6 +164,42 @@ def test_experiment_command(tmp_path):
     summary = json.loads(res.output)
     assert summary["failures"] == 0
     assert (tmp_path / "r.csv").read_text().startswith("n,run,seed")
+
+
+def _streamed(path) -> bytes:
+    """The bytes `json.dump` streams for the file's object, chunk by
+    chunk, with the trailing newline: the files' format."""
+    buf = io.StringIO()
+    json.dump(json.loads(path.read_text()), buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode("ascii")
+
+
+def test_json_files_are_written_as_streamed(tmp_path):
+    """`adversary --trace`, `build-path --out` and an experiment's JSON
+    record each write their file in one piece, with the same bytes."""
+    runner = CliRunner()
+    gpath, cpath = tmp_path / "g.graph", tmp_path / "col.txt"
+    runner.invoke(main, ["gen", "--model", "random", "--n", "16",
+                         "--seed", "5", "--out", str(gpath)])
+    tpath, opath = tmp_path / "trace.json", tmp_path / "cert.json"
+    res = runner.invoke(main, ["adversary", "--q", "1", "--in", str(gpath),
+                               "--out", str(cpath), "--trace", str(tpath)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["build-path", "--colors", "2", "--k", "2", "--in", str(gpath),
+                               "--coloring", str(cpath), "--out", str(opath)])
+    assert res.exit_code == 0, res.output
+    manifest = ExperimentManifest(
+        experiment_id="json-bytes", kind="adversary",
+        generator=GeneratorSpec("oriented", (40,), density=0.05),
+        repetitions=1, params={"q": 1},
+        csv_path=str(tmp_path / "r.csv"), json_path=str(tmp_path / "r.json"))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(manifest.to_json())
+    res = runner.invoke(main, ["experiment", "--manifest", str(mpath)])
+    assert res.exit_code == 0, res.output
+    for path in (tpath, opath, tmp_path / "r.json"):
+        assert path.read_bytes() == _streamed(path)
 
 
 def test_malformed_graph_is_cli_error(tmp_path):

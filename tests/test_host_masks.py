@@ -36,6 +36,7 @@ from dipath_ramsey.adversary import _chromatic_classes, _greedy_acyclic
 from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _levels
 from dipath_ramsey.pseudorandom import _dfs_path
+from reference_adversary import _chromatic_classes as reference_chromatic_classes
 
 PAIRS = 1200
 
@@ -79,6 +80,32 @@ def test_chromatic_classes_match_relabelling():
         sub, back = g.subgraph(iter_bits(within))
         want = [[back[v] for v in cls] for cls in constructive_chromatic(sub).classes()]
         assert _chromatic_classes(out, inn, within) == want
+
+
+# (generator, n, density) of the adversary benchmark's three regimes:
+# sparse oriented hosts, dense oriented hosts, digraphs with antiparallel
+# pairs; density is edges over n^2, as in experiment manifests
+_ADVERSARY_HOSTS = ((random_oriented_graph, 300, 0.02), (random_oriented_graph, 150, 0.3),
+                    (random_digraph, 120, 0.2))
+
+
+def test_chromatic_classes_match_pairwise_reference():
+    """The merge by neighborhood masks against the pairwise merge it
+    replaced, on 1,020 hosts of the three regimes at up to full size and
+    four vertex masks each: every vertex, the low-degree part X as the
+    adversary splits it at q = 1, the rest, and a random half."""
+    rng = random.Random(1509)
+    cfg = ConstantsConfig()
+    for i in range(1020):
+        gen, top, density = _ADVERSARY_HOSTS[i % 3]
+        n = rng.randint(1, top)
+        g = gen(n, round(density * n * n), i)
+        out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
+        x = mask_of(v for v in range(n) if g.degree(v) <= cfg.degree_threshold(n, 1))
+        half = mask_of(v for v in range(n) if rng.random() < 0.5)
+        for within in (g.full_mask(), x, g.full_mask() ^ x, half):
+            assert _chromatic_classes(out, inn, within) == \
+                reference_chromatic_classes(out, inn, within)
 
 
 def test_block_levels_match_relabelling():

@@ -1,6 +1,7 @@
 """Longest-path machinery: DAG DP, exact search, cycle detection."""
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,9 @@ from dipath_ramsey import (
     topological_order,
     transitive_tournament,
 )
-from dipath_ramsey.graphs import iter_bits
-from dipath_ramsey.paths import longest_path_masks
+from dipath_ramsey import paths
+from dipath_ramsey.graphs import iter_bits, mask_of
+from dipath_ramsey.paths import _dfs_heights, _heights, longest_path_masks
 from reference_adversary import find_cycle as reference_find_cycle
 from reference_paths import reference_longest_path
 
@@ -165,7 +167,7 @@ def _brute_first_longest(n, adj):
 
     for v in range(n):
         dfs([v], 1 << v)
-    return min(paths, key=lambda p: (-len(p), p))
+    return min(paths, key=lambda p: (-len(p), p), default=[])
 
 
 @st.composite
@@ -193,15 +195,110 @@ def test_engine_matches_brute_force(graph, bound):
     assert p.length == best
     support = sum(1 for v in range(n) if g.degree(v))
     assert explored == (n if is_acyclic(g) else 1 << support)
-    if not is_acyclic(g):
-        # the search's witness: lowest start, then lowest next vertex
-        assert vertices == _brute_first_longest(n, adj)
+    # one witness rule on both routes: lowest start, then lowest next vertex
+    assert vertices == _brute_first_longest(n, adj)
     # with a bound, a path longer than it comes back exactly when one exists
     vertices, _ = longest_path_masks(adj, bound=bound)
     p = DirectedPath(vertices)
     assert p.is_valid_in(g)
     assert (p.length > bound) == (best > bound)
     assert p.length <= best
+
+
+def _path(n, ids):
+    """Out-masks on n vertices of the directed path through `ids`."""
+    adj = [0] * n
+    for u, v in zip(ids, ids[1:]):
+        adj[u] |= 1 << v
+    return adj
+
+
+def _deep_dags():
+    """Acyclic inputs, the paths among them deep enough for the peel to
+    spend its budget: directed paths along ascending, descending and
+    shuffled ids; the same with a fan of sinks that every path vertex
+    points to, so the last step has ties; TT_k; and random DAGs on
+    shuffled ids."""
+    rng = random.Random(4000)
+    for k in (2, 3, 9, 40, 300):
+        for ids in (range(k), range(k - 1, -1, -1), rng.sample(range(k), k)):
+            yield _path(k, list(ids))
+            sinks = rng.sample(range(k + 4), 4)
+            rest = [v for v in range(k + 4) if v not in sinks]
+            fan = _path(k + 4, [rest[i] for i in ids])
+            yield [m | mask_of(sinks) if v in rest else 0 for v, m in enumerate(fan)]
+        yield [((1 << k) - 1) ^ ((2 << v) - 1) for v in range(k)]
+    for i in range(40):
+        n = rng.randint(1, 60)
+        rank = rng.sample(range(n), n)
+        g = _random_oriented(n, rng.randint(0, 3 * n), i)
+        yield [mask_of(v for v in iter_bits(g.out_mask(u) | g.in_mask(u)) if rank[u] < rank[v])
+               for u in range(n)]
+
+
+def test_depth_first_heights_match_the_peel(monkeypatch):
+    """The fallback gives the heights the uncapped peel gives, so the same
+    length and witness, and it is what runs once the cap is hit."""
+    fell_back = 0
+
+    def counted(adj):
+        nonlocal fell_back
+        fell_back += 1
+        return _dfs_heights(adj)
+
+    monkeypatch.setattr(paths, "_dfs_heights", counted)
+    for adj in _deep_dags():
+        n = len(adj)
+        peeled = _heights(adj, n * n)  # n rounds of at most n vertices
+        assert peeled is not None
+        assert _dfs_heights(adj) == peeled
+        before = fell_back
+        got = longest_path_masks(adj)
+        with monkeypatch.context() as m:
+            m.setattr(paths, "_heights", lambda a, budget: _heights(a, n * n))
+            assert longest_path_masks(adj) == got
+        with monkeypatch.context() as m:
+            m.setattr(paths, "_heights", lambda a, budget: _dfs_heights(a))
+            assert longest_path_masks(adj) == got
+        assert DirectedPath(got[0]).length == max(peeled)
+        # the rounds scan each vertex once per unit of its height
+        assert fell_back == before + (sum(peeled) > 2 * sum(map(int.bit_count, adj)))
+    assert fell_back >= 15
+    # a back edge closes a cycle on either side
+    cyclic = _path(300, list(range(300)))
+    cyclic[299] |= 1 << 5
+    assert _heights(cyclic, 300 * 300) is None and _dfs_heights(cyclic) is None
+
+
+def test_fallback_witness_is_lexicographically_first(monkeypatch):
+    monkeypatch.setattr(paths, "_heights", lambda a, budget: _dfs_heights(a))
+    rng = random.Random(7)
+    for i in range(200):
+        n = rng.randint(1, 8)
+        rank = rng.sample(range(n), n)
+        adj = [mask_of(v for v in range(n) if rank[u] < rank[v] and rng.random() < 0.4)
+               for u in range(n)]
+        assert longest_path_masks(adj)[0] == _brute_first_longest(n, adj)
+
+
+def _cpu_ms(f, adj):
+    t0 = time.process_time()
+    f(adj)
+    return (time.process_time() - t0) * 1e3
+
+
+def test_deep_and_dense_dags_against_the_kahn_route():
+    """A 4000-vertex directed path, which spends the peel's budget and then
+    takes the depth-first pass, costs at most twice the Kahn DP that
+    `reference_longest_path` runs on acyclic input; TT300, which the peel
+    finishes, costs less.  Best of 7 interleaved runs in CPU time."""
+    for adj, most in ((_path(4000, list(range(4000))), 2.0),
+                      ([((1 << 300) - 1) ^ ((2 << v) - 1) for v in range(300)], 1.0)):
+        ours, ref = [], []
+        for _ in range(7):
+            ours.append(_cpu_ms(longest_path_masks, adj))
+            ref.append(_cpu_ms(reference_longest_path, adj))
+        assert min(ours) < most * min(ref), (min(ours), min(ref))
 
 
 def _bipartite_both_ways(a, b):
