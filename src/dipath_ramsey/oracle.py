@@ -16,7 +16,8 @@ from .paths import EXACT_VERTEX_LIMIT, _ahead, longest_path_masks
 
 # the coloring search raises SizeLimitError when a cycle leaves the head
 # or reaches the tail of a class's new edge and the class has an edge at
-# more than this many vertices: this bounds the search through that edge
+# more than this many vertices (and more than bound + 1, below which no
+# path can exceed the bound): this bounds the search through that edge
 # by the (end, vertex set) states of 22 vertices and its recursion by 22
 # frames
 _CLASS_SUPPORT_LIMIT = 22
@@ -109,8 +110,10 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     one), so the two paths never meet.  If no cycle reaches u either, the
     answer is the longest path into u, plus 1, plus the longest path out
     of v, each read off its layers of walks, at any size.  Otherwise the
-    class is cyclic: SizeLimitError is raised when its support (the
-    vertices with an edge) is above _CLASS_SUPPORT_LIMIT, and else the
+    class is cyclic, and its support (the vertices with an edge) decides
+    first: a support of at most bound + 1 vertices holds no path of more
+    than `bound` edges, so the answer is no with no search, and a support
+    above _CLASS_SUPPORT_LIMIT raises SizeLimitError.  Else the
     paths into u are tried one by one, each against the longest path out
     of v that avoids it, found by the engine's own search, `paths._ahead`.
     Every path of the old class has at most `bound` edges, so both
@@ -124,13 +127,14 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
         behind = _dag_depth(into, u)
         if behind is not None:
             return behind + ahead >= bound
-    if len(out) > _CLASS_SUPPORT_LIMIT:  # a smaller host cannot exceed it
-        support = 0  # the masks of `into` name the tails, those of `out` the heads
-        for a, b in zip(out, into):
-            support |= a | b
-        if support.bit_count() > _CLASS_SUPPORT_LIMIT:
-            raise SizeLimitError(f"cyclic support {support.bit_count()} > "
-                                 f"limit {_CLASS_SUPPORT_LIMIT}")
+    support = 0  # the masks of `into` name the tails, those of `out` the heads
+    for a, b in zip(out, into):
+        support |= a | b
+    size = support.bit_count()
+    if size <= bound + 1:  # no simple path there has more than `bound` edges
+        return False
+    if size > _CLASS_SUPPORT_LIMIT:
+        raise SizeLimitError(f"cyclic support {size} > limit {_CLASS_SUPPORT_LIMIT}")
     memo: dict = {}  # _ahead's finished states
     ends = 1 << u | 1 << v
     # no path out of v is longer than `most`
@@ -164,13 +168,17 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
                      spent: int) -> tuple[EdgeColoring | None, int]:
     """A q-coloring of g with every monochromatic path <= bound, or None.
 
-    Colors are interchangeable, so edge i may only use colors up to one
-    past the highest color already used (canonical-form symmetry
-    reduction).  `spent` nodes are already charged against the budget.
-    The search only goes deeper while no class has a path longer than
-    `bound`, so each node checks only the paths through its new edge.
+    Edges are colored vertex by vertex: every edge among vertices
+    0..k-1 comes before any edge of vertex k, so a class's paths close,
+    and a coloring that cannot be completed is refuted, a few edges after
+    they start.  Colors are interchangeable, so edge i may only use colors
+    up to one past the highest color already used (canonical-form
+    symmetry reduction; the edge order is fixed, so this stays sound).
+    `spent` nodes are already charged against the budget.  The search
+    only goes deeper while no class has a path longer than `bound`, so
+    each node checks only the paths through its new edge.
     """
-    edges = g.edges()
+    edges = sorted(g.edges(), key=lambda e: (max(e), min(e), e[0] > e[1]))
     m = len(edges)
     # per-color out- and in-masks and edge counts, updated as edges are
     # (un)assigned
@@ -215,15 +223,19 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     Exhaustive (with symmetry and pruning); the witness is a coloring
     attaining the minimum.  Each node checks only the paths through its
     new edge.  Reach, on a 2-vCPU VM: the 9-vertex rotational tournament
-    (36 edges) arrows P_4 with q=2 in about 5 s, the transitive TT9 is
-    found not to arrow P_3 with q=2 in about 7 s, a 7-vertex tournament's
-    minmax at q=2 takes a few ms, and TT28's at q=1 about 0.06 s.  The
-    node count is the only cost limit: BudgetExceededError is raised when
-    the search needs more than `budget` nodes, with no up-front estimate
-    from q^|E|.  The one size limit: SizeLimitError is raised when a
-    class's new edge meets a cycle while the class has an edge at more
-    than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at
-    any size.
+    (36 edges) arrows P_4 with q=2 in about 40,000 nodes and 0.1 s, the
+    transitive TT9 is found not to arrow P_3 with q=2 in about 45,000
+    nodes and 0.07 s, TT10 arrows P_3 with q=2 in 3.4M nodes and about
+    7 s, a 7-vertex tournament's minmax at q=2 takes a few ms, and TT28's
+    at q=1 about 0.05 s.  The node count is the only cost limit:
+    BudgetExceededError is raised when the search needs more than
+    `budget` nodes, with no up-front estimate from q^|E|.  `budget`
+    counts colorings tried, one per (edge, color), not the steps of the
+    check through each new edge; one check is bounded instead by the
+    one size limit: SizeLimitError is raised when a class's new edge
+    meets a cycle while the class has an edge at more than
+    _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at any
+    size.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

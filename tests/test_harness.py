@@ -7,11 +7,14 @@ import pytest
 from click.testing import CliRunner
 
 from dipath_ramsey import (
+    BuilderCertificate,
+    ColoringError,
     EdgeColoring,
     ExperimentManifest,
     FormatError,
     GeneratorSpec,
     ManifestError,
+    OracleResult,
     OrientedGraph,
     complete_symmetric,
     derive_seed,
@@ -27,6 +30,7 @@ from dipath_ramsey import (
     serialize_graph,
     theorem1_adversary,
 )
+from dipath_ramsey import experiment
 from dipath_ramsey.cli import main
 
 
@@ -446,6 +450,65 @@ def test_run_experiment_bad_cell_parameter_is_failed_row(tmp_path):
     printed = json.loads(res.output)
     assert printed["rows"] == 2 and printed["failures"] == 1
     assert printed["aggregates"] == record.aggregates
+
+
+def _fail_check_partition(real):
+    def check(g, result, cfg, q):
+        if g.n == 12:
+            raise AssertionError("partition invariant broken")
+        return real(g, result, cfg, q)
+    return check
+
+
+def _measure_above_bound(real):
+    def measure(g, coloring):
+        per_color = real(g, coloring)
+        if g.n == 12:
+            # no adversary bound on 12 vertices comes near this
+            per_color[1] = OracleResult(10**6, None, 0)
+        return per_color
+    return measure
+
+
+def _fail_validate(real):
+    def validate(self, g, coloring):
+        if g.n == 12:
+            raise ColoringError("certificate path changes color")
+        return real(self, g, coloring)
+    return validate
+
+
+@pytest.mark.parametrize("kind, model, params, owner, name, wrap", [
+    ("adversary", "oriented", {"q": 1}, experiment, "check_partition",
+     _fail_check_partition),
+    ("adversary", "oriented", {"q": 1}, experiment, "longest_mono_path",
+     _measure_above_bound),
+    ("builder", "tournament", {"colors": 2, "k": 2}, BuilderCertificate, "validate",
+     _fail_validate),
+])
+def test_run_experiment_failed_check_is_failed_row(tmp_path, monkeypatch, kind, model,
+                                                  params, owner, name, wrap):
+    """A cell whose own check fails (the adversary's partition check, its
+    measured path against the claimed bound, or the builder certificate's
+    validation) keeps its full row with ok=0 and no error class, while
+    the other cell passes and the CSV is written."""
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    m = ExperimentManifest(
+        experiment_id=f"bad-{name}", kind=kind,
+        generator=GeneratorSpec(model, (10, 12), density=0.2),
+        params=params, csv_path=str(tmp_path / "f.csv"),
+        json_path=str(tmp_path / "f.json"))
+    record = run_experiment(m)
+    assert record.failures == 1
+    good, bad = record.rows
+    assert good[0] == 10 and good[-1] == 1
+    assert bad[0] == 12 and bad[-1] == 0
+    assert "" not in bad  # a full row, not an error cell's blanks
+    assert record.aggregates["12"]["errors"] == {}
+    if name == "longest_mono_path":
+        data = dict(zip(record.columns, bad))
+        assert data["measured"] > data["total_bound"]
+    assert (tmp_path / "f.csv").read_text() == record.csv_text()
 
 
 @pytest.mark.parametrize("params", [

@@ -23,6 +23,7 @@ from dipath_ramsey import (
 )
 from dipath_ramsey import oracle
 from dipath_ramsey.paths import is_acyclic, longest_path_masks
+from reference_oracle import lexicographic_min_max
 from reference_paths import reference_longest_path
 
 
@@ -249,20 +250,46 @@ def test_path_through_matches_full_engine():
     assert (True, False, True) in seen
 
 
+def _complete_class(n):
+    full = (1 << n) - 1
+    out = [full ^ 1 << v for v in range(n)]
+    return out, list(out)
+
+
 def test_path_through_leaves_no_reference_cycles():
     """A cyclic check frees its memo and refuted states when it returns,
     not at the next full collection: on a complete 8-vertex class no
     path has more than 7 edges, so the backward search refutes states
     until it has tried every path into u."""
-    full = (1 << 8) - 1
-    out = [full ^ 1 << v for v in range(8)]
+    out, into = _complete_class(8)
     gc.collect()
     gc.disable()
     try:
-        assert not oracle._path_through(out, list(out), 0, 1, 7)
+        assert not oracle._path_through(out, into, 0, 1, 7)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_path_through_small_support_needs_no_search(monkeypatch):
+    """A cyclic class on bound + 1 vertices holds no path of more than
+    `bound` edges, so the check answers no before any search."""
+    def no_search(*args):
+        raise AssertionError("searched a support of bound + 1 vertices")
+
+    monkeypatch.setattr(oracle, "_ahead", no_search)
+    out, into = _complete_class(20)
+    assert not oracle._path_through(out, into, 0, 1, 19)
+
+
+def test_path_through_support_cutoff_comes_before_size_guard():
+    """A cyclic class on 24 vertices is refused at bound 22, but at bound
+    23 or more its support alone answers the check."""
+    out, into = _complete_class(24)
+    for bound in (23, 30):
+        assert not oracle._path_through(out, into, 0, 1, bound)
+    with pytest.raises(SizeLimitError):
+        oracle._path_through(out, into, 0, 1, 22)
 
 
 def _search_hosts():
@@ -361,6 +388,68 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
                 assert fast.to_dict() == ref.to_dict()
     assert seen == {"answer", BudgetExceededError, SizeLimitError,
                     "answer past the reference's limit"}
+
+
+# -- the vertex-by-vertex edge order against the lexicographic one --------
+
+def _order_corpus():
+    """(host, q): the search hosts at q = 1, 2, 3, and seeded 18-edge
+    6-vertex digraphs and 7-vertex tournaments at q = 2, 3."""
+    hosts = list(_search_hosts())
+    for q in (1, 2, 3):
+        for g in hosts:
+            yield g, q
+    rng = random.Random(16)
+    corpus = [random_digraph(6, 18, rng.getrandbits(32)) for _ in range(40)]
+    corpus += [random_tournament(7, rng.getrandbits(32)).underlying for _ in range(20)]
+    for q in (2, 3):
+        for g in corpus:
+            yield g, q
+
+
+def _reaches(g, coloring):
+    """Longest monochromatic path of a total coloring of g."""
+    coloring.validate_total(g)
+    return max_mono_path(g, coloring, limit=g.n)
+
+
+def test_vertex_order_matches_lexicographic_reference():
+    """Coloring edges vertex by vertex changes which coloring is found
+    first and how many nodes it takes, never the value or an arrow
+    answer: both orders agree on every host, each new witness reaches
+    exactly the value (below the target for arrow), and the new order
+    visits fewer nodes over the corpus."""
+    fast_nodes = ref_nodes = 0
+    cases = 0
+    for g, q in _order_corpus():
+        if not g.edge_count:
+            continue
+        cases += 1
+        res = min_max_mono_path(g, q)
+        value, explored = lexicographic_min_max(g, q)
+        assert res.value == value
+        assert _reaches(g, res.witness) == value
+        fast_nodes += res.explored
+        ref_nodes += explored
+        for target in (value, value + 1):  # the reference's answers: yes, no
+            ok, witness = arrowing_check(g, target, q)
+            assert ok == (value >= target)
+            if not ok:
+                assert _reaches(g, witness) < target
+    assert cases >= 1000
+    assert fast_nodes < ref_nodes
+
+
+def test_nine_vertex_arrow_decisions_within_small_budget():
+    """At q=2 the 9-vertex rotational tournament arrows P_4 and TT9 does
+    not arrow P_3, each within 200,000 nodes; the lexicographic order
+    needs about 1.17M and 2.83M."""
+    rot9 = OrientedGraph(9, [(i, (i + d) % 9) for i in range(9) for d in range(1, 5)])
+    assert arrowing_check(rot9, 4, 2, budget=200_000) == (True, None)
+    tt9 = transitive_tournament(9)
+    ok, witness = arrowing_check(tt9, 3, 2, budget=200_000)
+    assert not ok
+    assert _reaches(tt9, witness) == 2
 
 
 # -- arrowing --------------------------------------------------------------
