@@ -178,7 +178,9 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     only goes deeper while no class has a path longer than `bound`, so
     each node checks only the paths through its new edge.
     """
-    edges = sorted(g.edges(), key=lambda e: (max(e), min(e), e[0] > e[1]))
+    # g.edges() is lexicographic and the sort stable, so (a, b) with a < b
+    # stays ahead of (b, a)
+    edges = sorted(g.edges(), key=lambda e: (max(e), min(e)))
     m = len(edges)
     # per-color out- and in-masks and edge counts, updated as edges are
     # (un)assigned

@@ -1,4 +1,5 @@
 """Exact reference answers: longest mono paths, best colorings, arrowing."""
+import collections
 import gc
 import itertools
 import random
@@ -214,9 +215,22 @@ def _reference_through(out, into, u, v, bound):
     return len(reference_longest_path(out, bound, oracle._CLASS_SUPPORT_LIMIT)[0]) > bound + 1
 
 
-def test_path_through_matches_full_engine():
+def _count_searches(monkeypatch):
+    """Count the calls of the check's two searches, `_ahead` and `_behind`,
+    by name, through wrappers patched into the oracle module."""
+    calls = collections.Counter()
+    for name in ("_ahead", "_behind"):
+        def counted(*args, _search=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _search(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_path_through_matches_full_engine(monkeypatch):
     """Random classes with no path longer than `bound`, plus one new edge:
     the check through the new edge agrees with measuring the class."""
+    calls = _count_searches(monkeypatch)
     rng = random.Random(2024)
     seen = set()
     for _ in range(3000):
@@ -237,17 +251,23 @@ def test_path_through_matches_full_engine():
         u, v = free[0]
         out[u] |= 1 << v
         into[v] |= 1 << u
+        before = sum(calls.values())
         got = oracle._path_through(out, into, u, v, bound)
+        searched = sum(calls.values()) > before
         assert got == _reference_through(out, into, u, v, bound)
         dag_sides = (oracle._dag_depth(out, v) is not None
                      and oracle._dag_depth(into, u) is not None)
         seen.add((got, is_acyclic(OrientedGraph.from_masks(n, out, into, True)),
-                  dag_sides))
+                  dag_sides, searched))
     # both answers, on acyclic and cyclic classes, by the DAG DP on both
     # sides and by the search; a cyclic class may still take the DAG DP
-    assert {(got, acyc) for got, acyc, _ in seen} == set(itertools.product((True, False), repeat=2))
-    assert {(got, dag) for got, _, dag in seen} == set(itertools.product((True, False), repeat=2))
-    assert (True, False, True) in seen
+    assert {(got, acyc) for got, acyc, _, _ in seen} == set(itertools.product((True, False), repeat=2))
+    assert {(got, dag) for got, _, dag, _ in seen} == set(itertools.product((True, False), repeat=2))
+    assert (True, False, True, False) in seen
+    # cyclic classes off the DAG DP: both answers from the search, and a
+    # no from the support cutoff alone
+    assert {(got, searched) for got, acyc, dag, searched in seen
+            if not acyc and not dag} == {(True, True), (False, True), (False, False)}
 
 
 def _complete_class(n):
@@ -256,12 +276,17 @@ def _complete_class(n):
     return out, list(out)
 
 
-def test_path_through_leaves_no_reference_cycles():
+def test_path_through_leaves_no_reference_cycles(monkeypatch):
     """A cyclic check frees its memo and refuted states when it returns,
     not at the next full collection: on a complete 8-vertex class no
     path has more than 7 edges, so the backward search refutes states
-    until it has tried every path into u."""
+    until it has tried every path into u.  A disjoint edge 8->9 lifts the
+    support to 10 vertices, past the cutoff at bound + 1, so the search
+    runs."""
     out, into = _complete_class(8)
+    out += [1 << 9, 0]
+    into += [0, 1 << 8]
+    calls = _count_searches(monkeypatch)
     gc.collect()
     gc.disable()
     try:
@@ -269,6 +294,7 @@ def test_path_through_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert calls["_ahead"] and calls["_behind"] > 1
 
 
 def test_path_through_small_support_needs_no_search(monkeypatch):
