@@ -91,7 +91,6 @@ from .paths import (
     level_decomposition,
     longest_path_dag,
     longest_path_exact,
-    topological_order,
 )
 from .pseudorandom import (
     PseudorandomnessReport,

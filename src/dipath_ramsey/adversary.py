@@ -549,7 +549,7 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     for a_i, eps_i, blocks in families_raw:
         r_i = 0
         for block in blocks:
-            levels = _levels(out, inn, mask_of(block))
+            levels = _levels(inn, mask_of(block))
             _digit_product(out, levels, q + 1, rows)
             r_i = max(r_i, minimal_base(len(levels), q + 1) - 1)
         _digit_product(out, blocks, q, rows)

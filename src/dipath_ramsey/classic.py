@@ -20,7 +20,7 @@ from .graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from .paths import _dag_path, _graph_kahn, _reach
+from .paths import _heights, _reach, _walk
 
 RED, BLUE = 1, 2
 
@@ -54,12 +54,16 @@ def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPat
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    # one Kahn pass on the acyclic H gives both the levels and the path
-    _, dist, pred = _graph_kahn(maximal_acyclic_subgraph(g))
-    count = max(dist, default=0) + 1
-    if count <= threshold:
-        return VertexColoring([d + 1 for d in dist], num_classes=count)
-    return DirectedPath(_dag_path(dist, pred))
+    # the heights on the acyclic H give the count and the path; only a
+    # coloring needs the levels, the heights on H's in-masks
+    h = maximal_acyclic_subgraph(g)
+    out = h.out_masks()
+    height = _heights(out, 2 * h.edge_count)[0]
+    count = max(height, default=0) + 1
+    if count > threshold:
+        return DirectedPath(_walk(out, height))
+    depth = _heights([h.in_mask(v) for v in range(g.n)], 2 * h.edge_count)[0]
+    return VertexColoring([d + 1 for d in depth], num_classes=count)
 
 
 # ---------------------------------------------------------------------------

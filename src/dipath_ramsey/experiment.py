@@ -265,7 +265,7 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         # escape edge lowers the digit sum, and the parts' colors 1 and 2
         # run one way each) and shallow, so the engine peels its sinks in
         # a few rounds; its scans are capped at twice the class's edge
-        # count, past which one depth-first pass takes over, at any size
+        # count, past which Kahn's counting pass takes over, at any size
         per_color = longest_mono_path(g, result.coloring)
         measured = max((r.value for r in per_color.values()), default=0)
         if measured > part.total_bound:

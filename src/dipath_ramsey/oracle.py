@@ -48,12 +48,12 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
 
     Acyclic classes are solved at any size by the engine's sink peel, or,
     once the peel has scanned more than twice as many vertices as the
-    class has edges, by one depth-first pass.  Cyclic classes are searched
-    over their support (vertices with an incident edge of that color) by
-    the engine's memoized path search; support beyond `limit` raises
-    SizeLimitError rather than returning an estimate.  Each witness is the
-    class's lexicographically first longest path (see
-    `longest_path_masks`).
+    class has edges, by Kahn's counting pass on what is left.  Cyclic
+    classes are searched over their support (vertices with an incident
+    edge of that color) by the engine's memoized path search; support
+    beyond `limit` raises SizeLimitError rather than returning an
+    estimate.  Each witness is the class's lexicographically first
+    longest path (see `longest_path_masks`).
     """
     coloring.validate_total(g)
     out: dict[int, OracleResult] = {}

@@ -1,11 +1,58 @@
 """The layered subset DP that the exact engine once ran on cyclic supports,
 kept verbatim as the reference for `paths.longest_path_masks` and for the
 oracle's check through a new edge.  It shares no search code with either.
-On acyclic input it runs Kahn's DP, which the engine ran there before it
-peeled sinks: same lengths, its own witness, and a cost the tests hold
-the peel's fallback to on long paths."""
+On acyclic input it runs Kahn's DP, kept verbatim too, which the package
+ran on every DAG before `paths._heights` served them all: same lengths
+and levels, its own witness, and a cost the tests hold the heights'
+Kahn handover to on deep graphs."""
 from dipath_ramsey.errors import SizeLimitError
-from dipath_ramsey.paths import EXACT_VERTEX_LIMIT, _dag_path, _kahn
+from dipath_ramsey.paths import EXACT_VERTEX_LIMIT
+
+
+def _kahn(adj: list[int], indeg: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Kahn's algorithm on out-masks with the longest-path DP folded in.
+
+    `indeg` holds the in-degrees and is used up.  Returns (order, dist,
+    pred).  Ready vertices leave a stack from the top and successors are
+    scanned in ascending order.  dist[v] is the length of the longest path
+    ending at v and pred[v] the predecessor on the first such path found
+    (-1 at a source).  `order` misses some vertex exactly when the graph
+    has a cycle.
+    """
+    n = len(adj)
+    ready = [v for v in range(n) if not indeg[v]]
+    order = []
+    dist = [0] * n
+    pred = [-1] * n
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        d = dist[v] + 1
+        m = adj[v]
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            m ^= low
+            if d > dist[w]:
+                dist[w] = d
+                pred[w] = v
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return order, dist, pred
+
+
+def _dag_path(dist: list[int], pred: list[int]) -> list[int]:
+    """The longest path ending at the lowest vertex of greatest depth."""
+    if not dist:
+        return []
+    v = dist.index(max(dist))
+    path = [v]
+    while pred[v] != -1:
+        v = pred[v]
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def _subset_path(adj: list[int], support: list[int], bound: int | None) -> list[int]:

@@ -4,7 +4,13 @@ import json
 
 from click.testing import CliRunner
 
-from dipath_ramsey import ExperimentManifest, GeneratorSpec
+from dipath_ramsey import (
+    ExperimentManifest,
+    GeneratorSpec,
+    random_tournament,
+    transitive_tournament,
+    write_graph,
+)
 from dipath_ramsey.cli import main
 
 
@@ -22,6 +28,31 @@ def test_gen_and_prcheck(tmp_path):
     report = json.loads(res.output)
     assert report["k_star"] >= 1
     assert report["mode"] == "exact"
+
+
+def test_prcheck_sampled_output(tmp_path):
+    """The sampled mode's JSON, and any counterexample it returns checked
+    on its own: two disjoint k-sets with no edge from the first to the
+    second.  About half the draws of A in TT8 at k=2 give one."""
+    runner = CliRunner()
+    for name, g, k in (("random", random_tournament(12, 3).underlying, 3),
+                       ("tt", transitive_tournament(8), 2)):
+        gpath = tmp_path / f"{name}.graph"
+        write_graph(str(gpath), g)
+        res = runner.invoke(main, ["prcheck", "--mode", "sampled", "--k", str(k),
+                                   "--trials", "50", "--seed", "1", "--in", str(gpath)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert set(payload) == {"mode", "k", "trials", "counterexample"}
+        assert (payload["mode"], payload["k"], payload["trials"]) == ("sampled", k, 50)
+        found = payload["counterexample"]
+        if name == "tt":
+            assert found is not None
+        if found is not None:
+            a, b = found
+            assert len(set(a)) == len(set(b)) == k and not set(a) & set(b)
+            assert all(0 <= v < g.n for v in a + b)
+            assert not any(g.has_edge(u, v) for u in a for v in b)
 
 
 def test_gen_paley_requires_prime(tmp_path):

@@ -337,6 +337,20 @@ def test_run_experiment_adversary_kind(tmp_path):
             assert int(data["measured"]) <= int(data["total_bound"])
 
 
+def test_run_experiment_paley_model(tmp_path):
+    """A paley cell builds the Paley tournament on p vertices."""
+    m = ExperimentManifest(
+        experiment_id="pal", kind="adversary",
+        generator=GeneratorSpec("paley", (11,)),
+        repetitions=1, params={"q": 1},
+        csv_path=str(tmp_path / "p.csv"), json_path=str(tmp_path / "p.json"))
+    record = run_experiment(m)
+    assert record.ok
+    (row,) = record.rows
+    data = dict(zip(record.columns, row))
+    assert data["n"] == 11 and data["ok"] == 1
+
+
 def test_run_experiment_builder_kind(tmp_path):
     m = ExperimentManifest(
         experiment_id="bld", kind="builder",

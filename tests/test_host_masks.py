@@ -31,7 +31,7 @@ from dipath_ramsey import (
     transitive_tournament,
     two_color_path_finder,
 )
-from dipath_ramsey import paths
+from dipath_ramsey import classic
 from dipath_ramsey.adversary import _chromatic_classes, _greedy_acyclic
 from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _levels
@@ -117,7 +117,7 @@ def test_block_levels_match_relabelling():
         whole += acyclic == within
         sub, back = g.subgraph(iter_bits(acyclic))
         want = [[back[v] for v in lv] for lv in level_decomposition(sub)]
-        assert _levels(out, inn, acyclic) == want
+        assert _levels(inn, acyclic) == want
     assert whole >= PAIRS // 3  # empty sets, sparse sets and DAG hosts
 
 
@@ -129,8 +129,7 @@ def test_dfs_path_matches_relabelling():
 
 
 def _parent_gallai_roy(g, threshold):
-    """gallai_roy as the composition of its three public parts, with the
-    two Kahn passes it used to make."""
+    """gallai_roy as the composition of its three public parts."""
     h = maximal_acyclic_subgraph(g)
     levels = level_decomposition(h)
     if len(levels) <= threshold:
@@ -149,18 +148,21 @@ def _as_tuple(outcome):
 
 
 def test_gallai_roy_matches_composition(monkeypatch):
+    """Same outcome as the composition, from one pass of `_heights` on the
+    path branch and at most two on the coloring branch."""
     rng = random.Random(77)
     for i in range(300):
         g = _host(rng, i)
         for threshold in (1, 2, 3, 5, 8, 40):
             want = _as_tuple(_parent_gallai_roy(g, threshold))
             calls = []
-            kahn = paths._kahn
-            monkeypatch.setattr(paths, "_kahn", lambda *a: calls.append(1) or kahn(*a))
+            heights = classic._heights
+            monkeypatch.setattr(classic, "_heights",
+                                lambda *a: calls.append(1) or heights(*a))
             got = gallai_roy(g, threshold)
             monkeypatch.undo()
             assert _as_tuple(got) == want
-            assert len(calls) == 1  # one Kahn pass per call
+            assert len(calls) == 1 if want[0] == "path" else len(calls) <= 2
 
 
 def test_gallai_roy_empty_graph():

@@ -1,4 +1,4 @@
-"""Longest-path machinery: DAG DP, exact search, cycle detection."""
+"""Longest-path machinery: DAG heights, exact search, cycle detection."""
 import gc
 import random
 import time
@@ -13,20 +13,22 @@ from dipath_ramsey import (
     SizeLimitError,
     complete_symmetric,
     find_cycle,
+    gallai_roy,
     is_acyclic,
     level_decomposition,
     longest_path_dag,
     longest_path_exact,
+    maximal_acyclic_subgraph,
     random_digraph,
     random_oriented_graph,
-    topological_order,
+    random_tournament,
     transitive_tournament,
 )
 from dipath_ramsey import paths
 from dipath_ramsey.graphs import iter_bits, mask_of
-from dipath_ramsey.paths import _dfs_heights, _heights, longest_path_masks
+from dipath_ramsey.paths import _heights, _levels, longest_path_masks
 from reference_adversary import find_cycle as reference_find_cycle
-from reference_paths import reference_longest_path
+from reference_paths import _kahn, reference_longest_path
 
 
 def _random_oriented(n, m, seed):
@@ -62,13 +64,6 @@ def test_find_cycle_exactly_when_cyclic(n, m, seed):
         assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
-def test_topological_order_raises_with_witness():
-    g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(CyclicGraphError) as exc:
-        topological_order(g)
-    assert exc.value.cycle
-
-
 def test_level_decomposition_path():
     g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
     levels = level_decomposition(g)
@@ -82,13 +77,17 @@ def test_longest_path_dag_transitive():
 
 
 def test_longest_path_exact_matches_dag_on_acyclic():
+    """One witness rule on acyclic graphs: the lexicographically first
+    longest path, so on 0->2, 1->2 the path starts at 0."""
+    g = OrientedGraph(3, [(0, 2), (1, 2)])
+    assert longest_path_dag(g).vertices == longest_path_exact(g).vertices == (0, 2)
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 9)
         g = _random_oriented(n, rng.randint(0, 2 * n), rng.randint(0, 10**6))
         if not is_acyclic(g):
             continue
-        assert longest_path_exact(g).length == longest_path_dag(g).length
+        assert longest_path_exact(g).vertices == longest_path_dag(g).vertices
 
 
 def test_longest_path_exact_on_cycle():
@@ -133,10 +132,12 @@ def test_longest_path_exact_limit_counts_cyclic_support():
 
 
 def test_longest_path_dag_rejects_cycle():
-    g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(CyclicGraphError) as exc:
-        longest_path_dag(g)
-    assert exc.value.cycle
+    g = OrientedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+    for dag_only in (longest_path_dag, level_decomposition):
+        with pytest.raises(CyclicGraphError) as exc:
+            dag_only(g)
+        cyc = exc.value.cycle
+        assert cyc and all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def _brute_longest(n, adj):
@@ -236,42 +237,37 @@ def _deep_dags():
                for u in range(n)]
 
 
-def test_depth_first_heights_match_the_peel(monkeypatch):
-    """The fallback gives the heights the uncapped peel gives, so the same
-    length and witness, and it is what runs once the cap is hit."""
-    fell_back = 0
-
-    def counted(adj):
-        nonlocal fell_back
-        fell_back += 1
-        return _dfs_heights(adj)
-
-    monkeypatch.setattr(paths, "_dfs_heights", counted)
+def test_handover_heights_match_the_peel():
+    """Kahn's pass, handed the rest after any number of rounds, gives the
+    heights the uncapped peel gives, so the same length and witness; the
+    engine's cap hands over on the deep inputs.  The peel scans each
+    vertex once per unit of its height, so it hands over exactly when the
+    heights sum to more than the budget."""
+    handed = 0
     for adj in _deep_dags():
         n = len(adj)
-        peeled = _heights(adj, n * n)  # n rounds of at most n vertices
-        assert peeled is not None
-        assert _dfs_heights(adj) == peeled
-        before = fell_back
+        peeled, left = _heights(adj, n * n)  # n rounds of at most n vertices
+        assert not left
+        edges = sum(map(int.bit_count, adj))
+        for budget in (0, sum(peeled) // 2, 2 * edges):
+            assert _heights(adj, budget) == (peeled, 0)
+        handed += sum(peeled) > 2 * edges
         got = longest_path_masks(adj)
-        with monkeypatch.context() as m:
-            m.setattr(paths, "_heights", lambda a, budget: _heights(a, n * n))
-            assert longest_path_masks(adj) == got
-        with monkeypatch.context() as m:
-            m.setattr(paths, "_heights", lambda a, budget: _dfs_heights(a))
-            assert longest_path_masks(adj) == got
         assert DirectedPath(got[0]).length == max(peeled)
-        # the rounds scan each vertex once per unit of its height
-        assert fell_back == before + (sum(peeled) > 2 * sum(map(int.bit_count, adj)))
-    assert fell_back >= 15
-    # a back edge closes a cycle on either side
+    assert handed >= 15
+    # a back edge closes a cycle: the vertices that reach it get no height,
+    # the rest get theirs, at any budget
     cyclic = _path(300, list(range(300)))
-    cyclic[299] |= 1 << 5
-    assert _heights(cyclic, 300 * 300) is None and _dfs_heights(cyclic) is None
+    cyclic[200] |= 1 << 100
+    for budget in (0, 5000, 300 * 300):
+        height, left = _heights(cyclic, budget)
+        assert left == (1 << 201) - 1
+        assert height[201:] == list(range(98, -1, -1))
 
 
 def test_fallback_witness_is_lexicographically_first(monkeypatch):
-    monkeypatch.setattr(paths, "_heights", lambda a, budget: _dfs_heights(a))
+    """The walk on heights from Kahn's pass alone, on small DAGs."""
+    monkeypatch.setattr(paths, "_heights", lambda a, budget: _heights(a, 0))
     rng = random.Random(7)
     for i in range(200):
         n = rng.randint(1, 8)
@@ -279,6 +275,79 @@ def test_fallback_witness_is_lexicographically_first(monkeypatch):
         adj = [mask_of(v for v in range(n) if rank[u] < rank[v] and rng.random() < 0.4)
                for u in range(n)]
         assert longest_path_masks(adj)[0] == _brute_first_longest(n, adj)
+
+
+def _red_mas(n, seed):
+    """The maximal acyclic subgraph of a random half of a random
+    tournament's edges, as `gallai_roy` builds it on the builder's red
+    class: deep (a longest path of about 0.8n) and sparse, so its peel
+    hands over to Kahn's pass in both directions."""
+    rng = random.Random(seed)
+    t = random_tournament(n, seed).underlying
+    red = OrientedGraph(n, [e for e in t.edges() if rng.random() < 0.5])
+    return red, maximal_acyclic_subgraph(red)
+
+
+def _kahn_depths(out, within):
+    """The reference: Kahn's `dist` on the graph `out` induces on the
+    vertex mask `within`, the longest path ending at each vertex."""
+    adj = [out[v] & within if within >> v & 1 else 0 for v in range(len(out))]
+    indeg = [0 if within >> v & 1 else 1 for v in range(len(out))]
+    for m in adj:
+        for w in iter_bits(m):
+            indeg[w] += 1
+    return _kahn(adj, indeg)[1]
+
+
+def _bucketed(depth, vertices):
+    levels = [[] for _ in range(max(depth, default=0) + 1)]
+    for v in vertices:
+        levels[depth[v]].append(v)
+    return levels
+
+
+def test_levels_and_colorings_match_kahn():
+    """`level_decomposition`, `_levels` on block masks and `gallai_roy`'s
+    colorings give the levels of Kahn's DP, on random DAGs, transitive
+    tournaments, a 4000-vertex path both ways and the deep maximal
+    acyclic subgraphs that hand over to Kahn's pass.  `gallai_roy` is
+    given the DAG itself (its own maximal acyclic subgraph) or, for the
+    deep inputs, the red half; the path on ascending ids is left to the
+    levels, since building its maximal acyclic subgraph is quadratic."""
+    rng = random.Random(1717)
+    cases = []
+    for i in range(60):
+        n = rng.randint(0, 60)
+        rank = rng.sample(range(n), n)
+        g = _random_oriented(n, rng.randint(0, 3 * n), i)
+        dag = OrientedGraph(n, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()])
+        cases.append((dag, dag))
+    for k in (1, 2, 7, 40, 150):
+        tt = transitive_tournament(k)
+        cases.append((tt, tt))
+    down = OrientedGraph(4000, [(v + 1, v) for v in range(3999)])
+    cases.append((down, down))
+    cases.append((OrientedGraph(4000, [(v, v + 1) for v in range(3999)]), None))
+    handed = 0
+    for n in (128, 256):
+        red, mas = _red_mas(n, n)
+        for adj in (mas.out_masks(), [mas.in_mask(v) for v in range(n)]):
+            handed += sum(_heights(adj, n * n)[0]) > 2 * mas.edge_count
+        cases.append((mas, red))
+    assert handed == 4
+    for dag, host in cases:
+        n = dag.n
+        out, inn = dag.out_masks(), [dag.in_mask(v) for v in range(n)]
+        depth = _kahn_depths(out, dag.full_mask())
+        assert level_decomposition(dag) == _bucketed(depth, range(n))
+        half = mask_of(v for v in range(n) if rng.random() < 0.5)
+        for within in (dag.full_mask(), half):
+            assert _levels(inn, within) == \
+                _bucketed(_kahn_depths(out, within), iter_bits(within))
+        if host is not None:
+            coloring = gallai_roy(host, max(n, 1))
+            assert coloring.colors == tuple(d + 1 for d in depth)
+            assert coloring.num_classes == max(depth, default=0) + 1
 
 
 def _cpu_ms(f, adj):
@@ -289,10 +358,13 @@ def _cpu_ms(f, adj):
 
 def test_deep_and_dense_dags_against_the_kahn_route():
     """A 4000-vertex directed path, which spends the peel's budget and then
-    takes the depth-first pass, costs at most twice the Kahn DP that
-    `reference_longest_path` runs on acyclic input; TT300, which the peel
-    finishes, costs less.  Best of 7 interleaved runs in CPU time."""
+    hands over to Kahn's pass, costs at most twice the Kahn DP that
+    `reference_longest_path` runs on acyclic input; the deep maximal
+    acyclic subgraph at n=256, which hands over too, at most 1.5 times;
+    TT300, which the peel finishes, costs less.  Best of 7 interleaved
+    runs in CPU time."""
     for adj, most in ((_path(4000, list(range(4000))), 2.0),
+                      (_red_mas(256, 256)[1].out_masks(), 1.5),
                       ([((1 << 300) - 1) ^ ((2 << v) - 1) for v in range(300)], 1.0)):
         ours, ref = [], []
         for _ in range(7):
