@@ -7,18 +7,18 @@ a blue path and close it into a cycle inside each block, rank the cycles in
 an auxiliary complete symmetric 2-colored graph, split its Hamilton cycle
 into two runs, and convert the better run into either a threaded red path
 or a walked blue path.  Multicolor inputs recurse on the top color's
-subgraph.  Certificates carry the full trace plus a guarantee flag that is
-set only when every stage met its configured floor.
+largest class, in host ids.  Certificates carry the full trace plus a
+guarantee flag that is set only when every stage met its configured floor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .classic import BLUE, RED, gallai_roy, raynaud
+from .classic import BLUE, RED, _raynaud, gallai_roy, raynaud
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError, ThreadingError
-from .graphs import DirectedPath, EdgeColoring, OrientedGraph, mask_of
-from .pseudorandom import _dfs_path, dfs_long_path, thread_path_through_sets
+from .graphs import DirectedPath, EdgeColoring, OrientedGraph, VertexColoring, iter_bits, mask_of
+from .pseudorandom import _dfs_path, thread_path_through_sets
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,26 @@ class BuilderCertificate:
         }
 
 
-def _best_effort(g: OrientedGraph, red: OrientedGraph, blue: OrientedGraph,
-                 k: int, trace: BuilderTrace) -> BuilderCertificate:
-    """Fallback when the pipeline cannot complete: longest cheap mono path."""
-    pr = dfs_long_path(red, k)
-    pb = dfs_long_path(blue, k)
+def _best_effort(red_out: list[int], blue_out: list[int], within: int,
+                 trace: BuilderTrace) -> BuilderCertificate:
+    """Fallback when the pipeline stalls: longest cheap mono path in `within`."""
+    pr = DirectedPath(_dfs_path(red_out, within))
+    pb = DirectedPath(_dfs_path(blue_out, within))
     path, color = (pr, RED) if pr.length >= pb.length else (pb, BLUE)
     trace = replace(trace, floors_met=False,
                     notes=trace.notes + ("pipeline fell back to plain search",))
     return BuilderCertificate(path, color, "small-n-fallback", False, trace)
 
 
-def _close_cycle(g: OrientedGraph, p: DirectedPath, k: int):
-    """Longest cycle of g formed by one back edge from the path's last k
-    vertices to its first k; None when no such edge exists."""
+def _close_cycle(out: list[int], p: DirectedPath, k: int):
+    """Longest cycle closed by one edge of the out-masks `out` from the
+    path's last k vertices to its first k; None when no such edge exists."""
     vs = p.vertices
     top = len(vs)
     best = None
     for j in range(max(0, top - k), top):
         for i in range(min(k, top)):
-            if i < j and g.has_edge(vs[j], vs[i]):
+            if i < j and out[vs[j]] >> vs[i] & 1:
                 if best is None or j - i + 1 > best[1] - best[0] + 1:
                     best = (i, j)
     if best is None:
@@ -122,11 +122,25 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     coloring.validate_total(g)
-    n = g.n
+    return _two_color(g, coloring, g.full_mask(), k, cfg)
+
+
+def _cut_rows(coloring: EdgeColoring, c: int, n: int, within: int) -> list[int]:
+    """Out-masks of color c's edges with both ends in the vertex mask `within`."""
+    return [row & within if within >> u & 1 else 0
+            for u, row in enumerate(coloring.out_masks(c, n))]
+
+
+def _two_color(g: OrientedGraph, coloring: EdgeColoring, within: int, k: int,
+               cfg: ConstantsConfig) -> BuilderCertificate:
+    """two_color_path_finder on the vertex mask `within` of g, inside which
+    every edge has color 1 or 2; all ids are g's."""
+    n = within.bit_count()
     f = cfg.block_factor
     c_red = c_blue = 4 * f
-    red = coloring.class_graph(g, RED)
-    blue = coloring.class_graph(g, BLUE)
+    red_out = _cut_rows(coloring, RED, g.n, within)
+    blue_out = _cut_rows(coloring, BLUE, g.n, within)
+    red = OrientedGraph.from_masks(g.n, red_out, allow_antiparallel=True)
     thr = cfg.red_threshold(n, k)
     base_trace = BuilderTrace(threshold=thr, c_red=c_red, c_blue=c_blue)
 
@@ -137,7 +151,7 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
                                   replace(base_trace, aux_branch="red",
                                           notes=("red dichotomy returned a path",)))
 
-    classes = [cls for cls in outcome.classes() if cls]
+    classes = _classes_in(outcome, within)
     base_trace = replace(base_trace, num_classes=len(classes))
     bsize = f * k
     blocks: list[tuple[int, ...]] = []
@@ -146,18 +160,17 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
             blocks.append(tuple(cls[start:start + bsize]))
     base_trace = replace(base_trace, blocks=tuple(blocks))
     if not blocks:
-        return _best_effort(g, red, blue, k, base_trace)
+        return _best_effort(red_out, blue_out, within, base_trace)
 
     floors = True
     cycles: list[tuple[int, ...]] = []
     block_paths: list[tuple[int, ...]] = []
-    blue_out = blue.out_masks()
     for block in blocks:
         p = DirectedPath(_dfs_path(blue_out, mask_of(block)))
         block_paths.append(p.vertices)
         if p.length < cfg.path_floor_factor * k:
             floors = False
-        cyc = _close_cycle(blue, p, k)
+        cyc = _close_cycle(blue_out, p, k)
         if cyc is None:
             floors = False
             continue
@@ -167,7 +180,7 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     base_trace = replace(base_trace, block_paths=tuple(block_paths),
                          cycles=tuple(cycles))
     if not cycles:
-        return _best_effort(g, red, blue, k, base_trace)
+        return _best_effort(red_out, blue_out, within, base_trace)
 
     t = len(cycles)
     cyc_masks = [mask_of(c) for c in cycles]
@@ -176,7 +189,7 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
         for b in range(t):
             if a == b:
                 continue
-            strong = sum(1 for v in cycles[a] if blue.out_mask(v) & cyc_masks[b])
+            strong = sum(1 for v in cycles[a] if blue_out[v] & cyc_masks[b])
             aux[(a, b)] = BLUE if strong >= k else RED
     aux_coloring = EdgeColoring(2, aux)
     seg, seg_color = raynaud(t, aux_coloring).best_segment()
@@ -194,15 +207,15 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
                 sets.append(cycles[ci])
                 continue
             nxt = cyc_masks[hpath[idx + 1]]
-            r = tuple(v for v in cycles[ci] if not blue.out_mask(v) & nxt)
+            r = tuple(v for v in cycles[ci] if not blue_out[v] & nxt)
             if len(r) < 2 * k:
                 floors = False
             sets.append(r)
         try:
-            path = thread_path_through_sets(red, k, [tuple(s) for s in sets])
+            path = thread_path_through_sets(red, [tuple(s) for s in sets])
         except ThreadingError as exc:
             note = f"red threading failed: {exc}"
-            return _best_effort(g, red, blue, k,
+            return _best_effort(red_out, blue_out, within,
                                 replace(base_trace, aux_branch="red",
                                         notes=(note,)))
         trace = replace(base_trace, aux_branch="red", floors_met=floors)
@@ -225,10 +238,10 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
         # positions lie before step k-1, so this scan always finds one
         for dist in range(k - 1, size):
             w = cyc[(pos + dist) % size]
-            if blue.out_mask(w) & nxt:
+            if blue_out[w] & nxt:
                 break
         walk.extend(cyc[(pos + s) % size] for s in range(dist + 1))
-        targets = blue.out_mask(w) & nxt
+        targets = blue_out[w] & nxt
         entry = (targets & -targets).bit_length() - 1
     path = DirectedPath(walk)
     trace = replace(base_trace, aux_branch="blue", floors_met=floors)
@@ -236,33 +249,36 @@ def two_color_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     return BuilderCertificate(path, BLUE, "blue-case", guarantee, trace)
 
 
-def _color_recursion(coloring: EdgeColoring, n: int, n_target: int,
-                     base, recurse) -> BuilderCertificate:
-    """The top-color step shared by both multicolor finders.
+def _classes_in(outcome: VertexColoring, within: int) -> list[list[int]]:
+    """The nonempty classes of a vertex coloring cut to the mask `within`."""
+    return [cut for cls in outcome.classes() if (cut := [v for v in cls if within >> v & 1])]
 
-    Up to two colors go to `base()`.  Otherwise the top color's subgraph
-    either holds a path of length n_target (the shortcut certificate) or is
-    n_target-colorable; `recurse(vertices, sub_coloring)` runs on its
-    largest class with the top color stripped, and its path is lifted back.
-    """
-    qp1 = coloring.num_colors
-    if qp1 <= 2:
-        return base()
-    top = OrientedGraph.from_masks(n, coloring.out_masks(qp1, n), allow_antiparallel=True)
+
+def _color_recursion(coloring: EdgeColoring, n: int, colors: int, within: int,
+                     n_target: int, base) -> BuilderCertificate:
+    """The top-color step shared by both multicolor finders, on the vertex
+    mask `within` of an n-vertex host, inside which the colors are 1..colors.
+
+    Up to two colors go to `base(within)`.  Otherwise the top color's graph
+    on `within` either holds a path of length n_target (the shortcut
+    certificate) or is n_target-colorable, and the step recurses on its
+    largest class with one color fewer."""
+    if colors <= 2:
+        return base(within)
+    top = OrientedGraph.from_masks(n, _cut_rows(coloring, colors, n, within),
+                                   allow_antiparallel=True)
     outcome = gallai_roy(top, n_target)
     if isinstance(outcome, DirectedPath):
         trace = BuilderTrace(threshold=n_target,
-                             notes=(f"path found directly in color {qp1}",))
-        return BuilderCertificate(outcome, qp1, "monochromatic-shortcut",
+                             notes=(f"path found directly in color {colors}",))
+        return BuilderCertificate(outcome, colors, "monochromatic-shortcut",
                                   outcome.length >= n_target, trace)
-    back = max((cls for cls in outcome.classes() if cls), key=len)
-    inner = recurse(back, coloring.induced(back, qp1 - 1))
-    lifted = DirectedPath(back[v] for v in inner.path.vertices)
-    note = (f"recursed on a class of {len(back)} vertices "
-            f"(trace below is in recursion-local ids)",)
-    trace = replace(inner.trace, notes=inner.trace.notes + note)
-    return BuilderCertificate(lifted, inner.color, inner.branch,
-                              inner.guarantee_active, trace)
+    # the vertices outside `within` are isolated in `top`, so they sit in
+    # class 1 and are cut away before the largest class is chosen
+    back = max(_classes_in(outcome, within), key=len)
+    inner = _color_recursion(coloring, n, colors - 1, mask_of(back), n_target, base)
+    note = (f"recursed on a class of {len(back)} vertices",)
+    return replace(inner, trace=replace(inner.trace, notes=inner.trace.notes + note))
 
 
 def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
@@ -277,22 +293,25 @@ def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
+    if coloring.num_colors <= 2:
+        return two_color_path_finder(g, coloring, k, cfg)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     coloring.validate_total(g)
-    return _color_recursion(
-        coloring, g.n, n_target,
-        lambda: two_color_path_finder(g, coloring, k, cfg),
-        lambda back, sub: multicolor_path_finder(g.subgraph(back)[0], sub, k, n_target, cfg))
+    return _color_recursion(coloring, g.n, coloring.num_colors, g.full_mask(), n_target,
+                            lambda within: _two_color(g, coloring, within, k, cfg))
 
 
-def _symmetric_base(t: int, coloring: EdgeColoring, n_target: int) -> BuilderCertificate:
+def _symmetric_base(coloring: EdgeColoring, within: int,
+                    n_target: int) -> BuilderCertificate:
     """One color: the identity Hamilton path.  Two colors: the longer run of
-    a two-run Hamilton cycle, at least floor(t/2) edges."""
+    a two-run Hamilton cycle through the t vertices of `within`, >= t // 2."""
     if coloring.num_colors == 1:
-        path = DirectedPath(range(t))
+        path = DirectedPath(iter_bits(within))
         return BuilderCertificate(
             path, 1, "monochromatic-shortcut", path.length >= n_target,
             BuilderTrace(notes=("single-color input; identity Hamilton path",)))
-    seg, seg_color = raynaud(t, coloring).best_segment()
+    seg, seg_color = _raynaud(list(iter_bits(within)), coloring).best_segment()
     branch = "red-case" if seg_color == RED else "blue-case"
     trace = BuilderTrace(aux_branch="red" if seg_color == RED else "blue",
                          aux_path=tuple(seg.vertices))
@@ -311,7 +330,5 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     coloring.validate_complete(t)
-    return _color_recursion(
-        coloring, t, n_target,
-        lambda: _symmetric_base(t, coloring, n_target),
-        lambda back, sub: symmetric_multicolor_finder(len(back), sub, n_target))
+    return _color_recursion(coloring, t, coloring.num_colors, (1 << t) - 1, n_target,
+                            lambda within: _symmetric_base(coloring, within, n_target))

@@ -96,18 +96,23 @@ class HamiltonDecomposition:
 
     def validate(self, coloring: EdgeColoring) -> None:
         """Re-check every invariant against the source coloring."""
+        self._validate(coloring, range(self.t))
+
+    def _validate(self, coloring: EdgeColoring, vertices) -> None:
+        """validate() for a cycle through the ascending ids `vertices`."""
         cycle, t = self.cycle, len(self.cycle)
-        if sorted(cycle) != list(range(t)):
+        if sorted(cycle) != list(vertices):
             raise DecompositionError("cycle is not a permutation of the vertices")
         # the cycle arc leaving u ends at succ[u]; a set of cycle arcs is a
         # mask over their tails
         succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
-        red = coloring.out_masks(RED, t)
+        n = max(cycle, default=-1) + 1
+        red = coloring.out_masks(RED, n)
         covered = []
         off_cycle = False
         # color() reads the lowest color first, so an arc in both masks is red
-        for seg, col, rows, veto in ((self.red_segment, RED, red, [0] * t),
-                                     (self.blue_segment, BLUE, coloring.out_masks(BLUE, t), red)):
+        for seg, col, rows, veto in ((self.red_segment, RED, red, [0] * n),
+                                     (self.blue_segment, BLUE, coloring.out_masks(BLUE, n), red)):
             on = 0
             vs = seg.vertices
             for u, v in zip(vs, vs[1:]):
@@ -256,18 +261,27 @@ def raynaud(t: int, coloring: EdgeColoring) -> HamiltonDecomposition:
     if coloring.num_colors != 2:
         raise ColoringError(f"need exactly 2 colors, got {coloring.num_colors}")
     coloring.validate_complete(t)
-    red = coloring.out_masks(RED, t)
-    if t == 1:
+    return _raynaud(range(t), coloring)
+
+
+def _raynaud(vertices, coloring: EdgeColoring) -> HamiltonDecomposition:
+    """raynaud's construction on the ascending, nonempty ids `vertices`, in
+    those ids: every arc between two of them has color 1 or 2, and the
+    cycle starts as their first two and takes the others in turn."""
+    red = coloring.out_masks(RED, vertices[-1] + 1)
+    cyc = list(vertices[:2])
+    if len(cyc) == 1:
         # the red segment holds the lone vertex
-        cyc, cols, switches = [0], [RED], 0
+        cols, switches = [RED], 0
     else:
-        cols = [RED if red[0] >> 1 & 1 else BLUE, RED if red[1] & 1 else BLUE]
-        cyc, switches = [0, 1], 2 * (cols[0] != cols[1])
-    for x in range(2, t):
+        u, w = cyc
+        cols = [RED if red[u] >> w & 1 else BLUE, RED if red[w] >> u & 1 else BLUE]
+        switches = 2 * (cols[0] != cols[1])
+    for x in vertices[2:]:
         placed = (_insert(cyc, cols, switches, x, red)
                   or _repair(cyc, cols, switches, x, red))
         if placed is None:
-            raise DecompositionError(f"no two-run Hamilton cycle found for t={t}")
+            raise DecompositionError(f"no two-run Hamilton cycle found for t={len(vertices)}")
         cyc, cols, switches = placed
     if switches == 0:
         seg = DirectedPath(cyc)
@@ -280,5 +294,5 @@ def raynaud(t: int, coloring: EdgeColoring) -> HamiltonDecomposition:
         a = cols.count(RED)
         d = HamiltonDecomposition(tuple(cyc), DirectedPath(cyc[:a + 1]),
                                   DirectedPath(cyc[a:] + cyc[:1]))
-    d.validate(coloring)
+    d._validate(coloring, vertices)
     return d

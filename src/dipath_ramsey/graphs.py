@@ -31,16 +31,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _relabel(mask: int, index: dict[int, int]) -> int:
-    """`mask` with each set bit v moved to position index[v]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << index[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 class OrientedGraph:
     """A finite digraph without self loops.
 
@@ -142,21 +132,6 @@ class OrientedGraph:
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    # -- derived graphs --------------------------------------------------
-
-    def subgraph(self, vertices: Iterable[int]) -> tuple["OrientedGraph", list[int]]:
-        """Induced subgraph on `vertices`.
-
-        Returns (graph, new_to_old) where the subgraph's vertex i corresponds
-        to new_to_old[i] in self.  Vertex order is ascending.
-        """
-        keep = sorted(set(vertices))
-        index = {old: new for new, old in enumerate(keep)}
-        kmask = mask_of(keep)
-        out = [_relabel(self._out[u] & kmask, index) for u in keep]
-        return OrientedGraph.from_masks(len(keep), out,
-                                        allow_antiparallel=self.allow_antiparallel), keep
 
     # -- plumbing --------------------------------------------------------
 
@@ -382,22 +357,6 @@ class EdgeColoring:
         """Subgraph of g holding exactly the edges of color c (same ids)."""
         out = list(map(and_, self.out_masks(c, g.n), g.out_masks()))
         return OrientedGraph.from_masks(g.n, out, allow_antiparallel=True)
-
-    def induced(self, vertices: Iterable[int], num_colors: int) -> "EdgeColoring":
-        """The coloring of the edges inside `vertices`, relabelled in
-        ascending order as OrientedGraph.subgraph does, with colors
-        1..num_colors; a higher color with an edge inside is an error."""
-        keep = sorted(set(vertices))
-        index = {old: new for new, old in enumerate(keep)}
-        kmask = mask_of(keep)
-        n = self.n
-        masks = [[_relabel(rows[u] & kmask, index) if u < n else 0 for u in keep]
-                 for rows in self._out]
-        for c, rows in enumerate(masks[num_colors:], num_colors + 1):
-            if any(rows):
-                raise ColoringError(f"color {c} has an edge inside the vertex set")
-        return EdgeColoring.from_masks(
-            masks[:num_colors] + [[]] * (num_colors - len(masks)))
 
 
 class VertexColoring:

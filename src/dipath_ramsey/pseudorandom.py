@@ -233,7 +233,7 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def dfs_long_path(g, k: int) -> DirectedPath:
+def dfs_long_path(g) -> DirectedPath:
     """Long path via depth-first search: the deepest stack, which always
     spans a directed path.
 
@@ -271,7 +271,7 @@ def _dfs_path(out: list[int], within: int) -> tuple[int, ...]:
     return best
 
 
-def thread_path_through_sets(g: OrientedGraph, k: int,
+def thread_path_through_sets(g: OrientedGraph,
                              sets: list[tuple[int, ...]]) -> DirectedPath:
     """Path visiting one vertex from each set, in order.
 

@@ -21,6 +21,7 @@ from dipath_ramsey.adversary import AcyclicSearchState, AcyclicSetResult, _chain
 from dipath_ramsey.config import DEFAULT_CONFIG, ConstantsConfig
 from dipath_ramsey.errors import GraphShapeError
 from dipath_ramsey.graphs import OrientedGraph, iter_bits, mask_of
+from reference_builder import subgraph
 
 
 def find_cycle(g: OrientedGraph) -> list[int] | None:
@@ -77,7 +78,7 @@ def _greedy_acyclic(g: OrientedGraph) -> list[int]:
     """Vertices accepted in id order while the induced subgraph stays acyclic."""
     kept: list[int] = []
     for v in range(g.n):
-        sub, _ = g.subgraph(kept + [v])
+        sub, _ = subgraph(g, kept + [v])
         if find_cycle(sub) is None:
             kept.append(v)
     return kept
@@ -107,7 +108,7 @@ def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) 
         return AcyclicSetResult(tuple(sorted(best)), target, len(best) >= target)
 
     keep = [v for v in range(n) if g.in_degree(v) <= 2 * eps * n]
-    h, back = g.subgraph(keep)
+    h, back = subgraph(g, keep)
     u_local = _greedy_acyclic(h)
     steps: list[AcyclicSearchState] = []
 
@@ -144,7 +145,7 @@ def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) 
     best = sorted(back[v] for v in u_local)
     if len(floor_chain) > len(best):
         best = sorted(floor_chain)
-    sub, _ = g.subgraph(best)
+    sub, _ = subgraph(g, best)
     if find_cycle(sub) is not None:
         raise AssertionError("internal: produced vertex set is not acyclic")
     return AcyclicSetResult(tuple(best), target, len(best) >= target, tuple(steps))
@@ -161,7 +162,7 @@ def _acyclic_candidates(h: OrientedGraph, cfg: ConstantsConfig) -> list[int]:
             bad |= h.out_mask(u) & h.in_mask(u) & ~bad & -(2 << u)
     if not bad:
         return sorted(sparse_acyclic_set(h, cfg).vertices)
-    sub, back = h.subgraph(v for v in range(h.n) if not bad >> v & 1)
+    sub, back = subgraph(h, (v for v in range(h.n) if not bad >> v & 1))
     res = sparse_acyclic_set(sub, cfg)
     return sorted(back[v] for v in res.vertices)
 

@@ -169,7 +169,7 @@ def test_criterion_5_dfs_path_bound():
         n = rng.randint(3, 14)
         t = random_tournament(n, i)
         k_star = pseudorandomness_exact(t).k_star
-        p = dfs_long_path(t, k_star)
+        p = dfs_long_path(t)
         if p.length < n - 2 * k_star + 1:
             ok = False
     _verdict(5, ok, "200 tournaments n<=14, exact k_star",

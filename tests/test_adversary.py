@@ -46,6 +46,7 @@ from dipath_ramsey.adversary import (
 )
 from dipath_ramsey.graphs import mask_of
 import reference_adversary
+from reference_builder import subgraph
 
 RELAXED = ConstantsConfig.relaxed()
 
@@ -111,7 +112,7 @@ def test_tournament_chain_log_bound(seed):
     t = random_tournament(n, seed)
     chain = tournament_acyclic_set(t)
     assert len(chain) >= math.floor(math.log2(n)) + 1
-    sub, _ = t.underlying.subgraph(chain)
+    sub, _ = subgraph(t.underlying, chain)
     assert is_acyclic(sub)
 
 
@@ -139,7 +140,7 @@ def test_sparse_acyclic_output_always_acyclic():
         m = rng.randint(0, n * (n - 1) // 2)
         g = random_oriented_graph(n, m, i)
         res = sparse_acyclic_set(g)
-        sub, _ = g.subgraph(res.vertices)
+        sub, _ = subgraph(g, res.vertices)
         assert is_acyclic(sub)
         eps = g.edge_count / (n * n)
         if eps < 0.25 and n >= 2:
@@ -155,7 +156,7 @@ def test_sparse_acyclic_vs_bruteforce_subsamples():
     rng = random.Random(13)
     for _ in range(4):
         sample = sorted(rng.sample(range(n), 15))
-        sub, _ = g.subgraph(sample)
+        sub, _ = subgraph(g, sample)
         best = _max_acyclic_bruteforce(sub)
         assert len(res.vertices) >= best
 
@@ -165,7 +166,7 @@ def _max_acyclic_bruteforce(g) -> int:
     import itertools
     for size in range(g.n, 0, -1):
         for cand in itertools.combinations(range(g.n), size):
-            sub, _ = g.subgraph(cand)
+            sub, _ = subgraph(g, cand)
             if is_acyclic(sub):
                 return size
     return 0
@@ -218,7 +219,7 @@ def test_sparse_acyclic_improvement_step_on_gadgets():
     assert step.R_double_prime == tuple(range(8, 16))
     assert res.vertices == tuple(range(4, 16))
     assert not res.achieved
-    assert is_acyclic(g.subgraph(res.vertices)[0])
+    assert is_acyclic(subgraph(g, res.vertices)[0])
 
 
 def _reference_cases():
@@ -274,7 +275,7 @@ def test_acyclic_candidates_match_relabelling_reference():
         g = gen(n, min(cap, round(rng.choice([0.05, 0.15, 0.3, 0.6]) * n * n)), i)
         within = [v for v in range(n) if rng.random() < 0.8] or [0]
         cfg = RELAXED if i % 3 else ConstantsConfig()
-        sub, back = g.subgraph(within)
+        sub, back = subgraph(g, within)
         ref = [back[v] for v in reference_adversary._acyclic_candidates(sub, cfg)]
         out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
         assert _acyclic_candidates(out, inn, mask_of(within), cfg) == ref
@@ -426,7 +427,7 @@ def test_theorem1_dense_families_appear():
     for fam in result.partition.families:
         assert len({len(b) for b in fam.blocks}) == 1
         for block in fam.blocks:
-            sub, _ = g.subgraph(block)
+            sub, _ = subgraph(g, block)
             assert is_acyclic(sub)
     measured = max_mono_path(g, result.coloring)
     assert measured <= result.partition.total_bound
@@ -518,14 +519,14 @@ def test_theorem1_colors_follow_from_partition(n, density, q, seed, digraph, rel
     part = {v: i for i, verts in enumerate((p.x, p.residue, p.covered)) for v in verts}
     cls = {}
     for verts in (p.x, p.residue):
-        sub, back = g.subgraph(verts)
+        sub, back = subgraph(g, verts)
         vc = constructive_chromatic(sub)
         for v, c in enumerate(vc.colors):
             cls[back[v]] = (c - 1, vc.num_classes)
     place = {}
     for f, rec in enumerate(p.families):
         for b, block in enumerate(rec.blocks):
-            levels = level_decomposition(g.subgraph(block)[0])
+            levels = level_decomposition(subgraph(g, block)[0])
             for depth, members in enumerate(levels):
                 for v in members:
                     place[block[v]] = (f, b, depth, len(levels))

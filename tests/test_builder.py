@@ -1,8 +1,13 @@
 """Path construction in 2-colored and many-colored hosts."""
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_builder
 
 from dipath_ramsey import (
     BLUE,
@@ -229,6 +234,17 @@ def test_multicolor_random_valid():
     assert shortcut_seen
 
 
+def test_multicolor_rejects_bad_k():
+    """k is checked whatever the coloring holds, also when the top color
+    alone would give the certificate."""
+    g = complete_symmetric(8)
+    for colors, c in ((2, 2), (3, 2), (3, 3)):
+        col = EdgeColoring(colors, {e: c for e in g.edges()})
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                multicolor_path_finder(g, col, k, 3)
+
+
 def test_multicolor_single_color_rejected():
     # the sparse finder bottoms out at the 2-color engine, which insists
     # on exactly two declared colors
@@ -324,3 +340,90 @@ def test_certificate_serialization_roundtrip_fields():
     assert d["color"] == cert.color
     assert d["path"] == list(cert.path.vertices)
     assert "trace" in d and "threshold" in d["trace"]
+
+
+# -- against the relabelling recursion -------------------------------------
+
+def _in_host_ids(trace, ids, symmetric):
+    """A trace of the reference recursion in host ids: vertex ids mapped
+    through `ids`, and the recursion notes without their old tail.  The
+    two-color finder's aux_path holds cycle indices, which stay."""
+    def lift(vs):
+        return tuple(ids[v] for v in vs)
+    return replace(trace,
+                   blocks=tuple(map(lift, trace.blocks)),
+                   block_paths=tuple(map(lift, trace.block_paths)),
+                   cycles=tuple(map(lift, trace.cycles)),
+                   aux_path=lift(trace.aux_path) if symmetric else trace.aux_path,
+                   notes=tuple(note.replace(" (trace below is in recursion-local ids)", "")
+                               for note in trace.notes))
+
+
+def _assert_matches_reference(got, want, ids, symmetric=False):
+    assert got.path == want.path
+    assert (got.color, got.branch, got.guarantee_active) == (
+        want.color, want.branch, want.guarantee_active)
+    assert got.trace == _in_host_ids(want.trace, ids, symmetric)
+
+
+def _planted(g, colors, rng, red_classes):
+    """Each color c >= 3 runs forward between 4 random vertex classes of
+    its own on the edges no higher color took, so every top color is
+    4-colorable and the finder recurses once per color above 2.  Red does
+    the same between `red_classes` classes, or takes a fair coin's half of
+    the rest when that is 0; blue takes what is left."""
+    parts = [[rng.randrange(4) for _ in range(g.n)] for _ in range(colors - 2)]
+    red = [rng.randrange(red_classes) for _ in range(g.n)] if red_classes else None
+    assign = {}
+    for u, v in g.edges():
+        for c, cls in zip(range(colors, 2, -1), parts):
+            if cls[u] < cls[v]:
+                assign[(u, v)] = c
+                break
+        else:
+            forward = red[u] < red[v] if red else rng.random() < 0.5
+            assign[(u, v)] = RED if forward else BLUE
+    return EdgeColoring(colors, assign)
+
+
+def test_multicolor_matches_relabelling_reference_planted():
+    rng = random.Random(18)
+    branches = set()
+    for n in (64, 128, 256):
+        g = random_tournament(n, n).underlying
+        for colors, red_classes in itertools.product((3, 4, 5), (0, 2, 4)):
+            col = _planted(g, colors, rng, red_classes)
+            for cfg in (RELAXED, DEFAULT_CONFIG):
+                for k in (1, 2, math.ceil(2 * math.log2(n))):
+                    got = multicolor_path_finder(g, col, k, 4, cfg)
+                    want, ids = reference_builder.multicolor_path_finder(g, col, k, 4, cfg)
+                    _assert_matches_reference(got, want, ids)
+                    got.validate(g, col)
+                    assert len(ids) < n
+                    branches.add((got.branch, bool(got.trace.cycles)))
+    # the dichotomy's path, the threaded red path, the blue walk, the fallback
+    assert {("red-case", False), ("red-case", True), ("blue-case", True),
+            ("small-n-fallback", False)} <= branches
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(3, 5), st.integers(1, 3), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2**32))
+def test_multicolor_matches_relabelling_reference(n, colors, k, n_target, symmetric, seed):
+    rng = random.Random(seed)
+    g = complete_symmetric(n) if symmetric else random_tournament(n, seed).underlying
+    col = EdgeColoring(colors, {e: rng.randint(1, colors) for e in g.edges()})
+    got = multicolor_path_finder(g, col, k, n_target, RELAXED)
+    want, ids = reference_builder.multicolor_path_finder(g, col, k, n_target, RELAXED)
+    _assert_matches_reference(got, want, ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32))
+def test_symmetric_matches_relabelling_reference(t, colors, n_target, seed):
+    rng = random.Random(seed)
+    col = EdgeColoring(colors, {e: rng.randint(1, colors)
+                                for e in complete_symmetric(t).edges()})
+    got = symmetric_multicolor_finder(t, col, n_target)
+    want, ids = reference_builder.symmetric_multicolor_finder(t, col, n_target)
+    _assert_matches_reference(got, want, ids, symmetric=True)

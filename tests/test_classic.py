@@ -1,8 +1,12 @@
 """Two-run Hamilton decompositions and the path/coloring dichotomy."""
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from operator import xor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,3 +358,19 @@ def test_raynaud_insertion_lemma():
                         repaired = _repair(cyc, cols, switches, x, full)
                         assert repaired is not None
                         _check_cycle(*repaired, full)
+
+
+def test_verify_raynaud_step_script_runs():
+    """The audit script patches `classic._insert` and `classic._repair` to
+    count the construction layers, so it must still reach them through
+    `raynaud`."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_raynaud_step.py"),
+         "--max-exhaustive", "4", "--samples", "5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    hits = re.search(r"single_insert: (\d+)", res.stdout)
+    assert hits and int(hits.group(1)) > 0, res.stdout

@@ -5,9 +5,12 @@ import json
 from click.testing import CliRunner
 
 from dipath_ramsey import (
+    EdgeColoring,
     ExperimentManifest,
     GeneratorSpec,
     random_tournament,
+    serialize_coloring,
+    serialize_graph,
     transitive_tournament,
     write_graph,
 )
@@ -146,6 +149,22 @@ def test_build_path_two_colors_refuses_bad_n_target(tmp_path):
                                "--in", str(gpath), "--coloring", str(cpath)])
     assert res.exit_code == 1
     assert "Error: n_target must be >= 1" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_build_path_three_colors_refuses_bad_k(tmp_path):
+    """k is checked up front also when the top color alone would give a
+    shortcut certificate."""
+    runner = CliRunner()
+    gpath, cpath = tmp_path / "g.graph", tmp_path / "col.txt"
+    g = transitive_tournament(8)
+    gpath.write_text(serialize_graph(g))
+    cpath.write_text(serialize_coloring(g, EdgeColoring(3, {e: 3 for e in g.edges()})))
+    res = runner.invoke(main, ["build-path", "--colors", "3", "--k", "0", "--n-target", "1",
+                               "--in", str(gpath), "--coloring", str(cpath)])
+    assert res.exit_code == 1
+    assert res.output.count("Error:") == 1
+    assert "Error: k must be >= 1" in res.output
     assert "Traceback" not in res.output
 
 

@@ -1,8 +1,9 @@
 """The host-id mask helpers against the relabelling compositions they
 replace: each one, run on a host's masks and a vertex mask, must give what
 the same computation gives on the relabelled induced subgraph, mapped back
-through `subgraph`'s new-to-old list.  Relabelling is left to the color
-recursion, which a guard test checks."""
+through the new-to-old list of `reference_builder.subgraph`.  No stage of
+the package relabels; the last test checks a recursed trace against the
+host."""
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from dipath_ramsey import (
     level_decomposition,
     longest_path_dag,
     maximal_acyclic_subgraph,
+    multicolor_path_finder,
     random_digraph,
     random_oriented_graph,
     random_tournament,
@@ -37,6 +39,7 @@ from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _levels
 from dipath_ramsey.pseudorandom import _dfs_path
 from reference_adversary import _chromatic_classes as reference_chromatic_classes
+from reference_builder import subgraph
 
 PAIRS = 1200
 
@@ -77,7 +80,7 @@ def _pairs():
 
 def test_chromatic_classes_match_relabelling():
     for g, out, inn, within in _pairs():
-        sub, back = g.subgraph(iter_bits(within))
+        sub, back = subgraph(g, iter_bits(within))
         want = [[back[v] for v in cls] for cls in constructive_chromatic(sub).classes()]
         assert _chromatic_classes(out, inn, within) == want
 
@@ -115,7 +118,7 @@ def test_block_levels_match_relabelling():
     for g, out, inn, within in _pairs():
         acyclic = _greedy_acyclic(out, inn, within)
         whole += acyclic == within
-        sub, back = g.subgraph(iter_bits(acyclic))
+        sub, back = subgraph(g, iter_bits(acyclic))
         want = [[back[v] for v in lv] for lv in level_decomposition(sub)]
         assert _levels(inn, acyclic) == want
     assert whole >= PAIRS // 3  # empty sets, sparse sets and DAG hosts
@@ -123,8 +126,8 @@ def test_block_levels_match_relabelling():
 
 def test_dfs_path_matches_relabelling():
     for g, out, _, within in _pairs():
-        sub, back = g.subgraph(iter_bits(within))
-        want = tuple(back[v] for v in dfs_long_path(sub, 1).vertices)
+        sub, back = subgraph(g, iter_bits(within))
+        want = tuple(back[v] for v in dfs_long_path(sub).vertices)
         assert _dfs_path(out, within) == want
 
 
@@ -171,15 +174,11 @@ def test_gallai_roy_empty_graph():
     assert outcome.colors == () and outcome.num_classes == 1
 
 
-def test_no_relabelling_outside_the_color_recursion(monkeypatch):
-    """The adversary, the two-color finder's block stage and the block
-    product's inner check run with `subgraph` and `induced` disabled."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("relabelled outside the color recursion")
-
-    monkeypatch.setattr(OrientedGraph, "subgraph", refuse)
-    monkeypatch.setattr(EdgeColoring, "induced", refuse)
-
+def test_no_relabelling_outside_the_color_recursion():
+    """The adversary, the two-color finder's block stage, the block
+    product's inner check and the color recursion all run in host ids: a
+    3-color run that recurses into the block stage leaves a trace whose
+    blocks, block paths and cycles are checked on the host coloring."""
     dense = random_oriented_graph(40, 350, 2)
     result = theorem1_adversary(dense, 1)
     assert result.partition.families and result.partition.x
@@ -193,6 +192,27 @@ def test_no_relabelling_outside_the_color_recursion(monkeypatch):
     cert = two_color_path_finder(g, col, 1)
     cert.validate(g, col)
     assert len(cert.trace.cycles) == 6 and cert.branch == "blue-case"
+
+    # color 3 runs from the even vertices to the odd ones, so the recursion
+    # takes the evens, where the coloring above sits on their ranks; the
+    # odd-to-even arcs keep colors 1 and 2 outside the class
+    g = complete_symmetric(84)
+    col = EdgeColoring(3, {(u, v): 3 if u % 2 < v % 2 else
+                           RED if u % 4 == 0 and v == u + 2 else BLUE
+                           for u, v in g.edges()})
+    cert = multicolor_path_finder(g, col, 1, 2)
+    cert.validate(g, col)
+    trace = cert.trace
+    assert trace.notes[-1] == "recursed on a class of 42 vertices"
+    assert cert.branch == "blue-case" and len(trace.cycles) == 6
+    seen = 0
+    for block, path in zip(trace.blocks, trace.block_paths):
+        assert not seen & mask_of(block) and all(v % 2 == 0 for v in block)
+        seen |= mask_of(block)
+        assert set(path) <= set(block)
+        assert all(col.get(u, v) == BLUE for u, v in zip(path, path[1:]))
+    for cyc in trace.cycles:
+        assert all(col.get(u, v) == BLUE for u, v in zip(cyc, cyc[1:] + cyc[:1]))
 
     # two blocks on high ids, each with inner edges, small enough for the
     # exact inner check

@@ -151,7 +151,7 @@ def test_refute_one_sided():
 
 
 def test_dfs_long_path_hamilton_on_transitive():
-    p = dfs_long_path(transitive_tournament(9), 1)
+    p = dfs_long_path(transitive_tournament(9))
     assert p.vertices == tuple(range(9))
 
 
@@ -162,18 +162,18 @@ def test_dfs_long_path_bound_small():
             report = pseudorandomness_exact(t)
             if report.vacuous:
                 continue
-            p = dfs_long_path(t, report.k_star)
+            p = dfs_long_path(t)
             assert p.is_valid_in(t.underlying)
             assert p.length >= n - 2 * report.k_star + 1
 
 
 def test_dfs_deterministic():
     t = random_tournament(20, 5)
-    assert dfs_long_path(t, 2).vertices == dfs_long_path(t, 2).vertices
+    assert dfs_long_path(t).vertices == dfs_long_path(t).vertices
 
 
 def test_dfs_empty_graph():
-    assert dfs_long_path(OrientedGraph(0), 1).length == 0
+    assert dfs_long_path(OrientedGraph(0)).length == 0
 
 
 def _dfs_reference(g: OrientedGraph) -> tuple[int, ...]:
@@ -225,12 +225,12 @@ def test_dfs_matches_snapshot_reference():
             if n:
                 hosts.append(random_tournament(n, seed).underlying)
             for g in hosts:
-                assert dfs_long_path(g, 1).vertices == _dfs_reference(g)
+                assert dfs_long_path(g).vertices == _dfs_reference(g)
 
 
 def test_thread_simple_chain():
     g = OrientedGraph(6, [(0, 2), (2, 4), (1, 3), (3, 5), (0, 3)])
-    p = thread_path_through_sets(g, 1, [(0, 1), (2, 3), (4, 5)])
+    p = thread_path_through_sets(g, [(0, 1), (2, 3), (4, 5)])
     assert p.is_valid_in(g)
     assert len(p.vertices) == 3
 
@@ -238,32 +238,32 @@ def test_thread_simple_chain():
 def test_thread_prefers_smallest_ids():
     from dipath_ramsey import complete_symmetric
     g = complete_symmetric(6)
-    p = thread_path_through_sets(g, 1, [(0, 1), (2, 3), (4, 5)])
+    p = thread_path_through_sets(g, [(0, 1), (2, 3), (4, 5)])
     assert p.vertices == (0, 2, 4)
 
 
 def test_thread_error_reports_index():
     g = OrientedGraph(4, [(0, 1)])
     with pytest.raises(ThreadingError) as exc:
-        thread_path_through_sets(g, 1, [(0,), (2,), (3,)])
+        thread_path_through_sets(g, [(0,), (2,), (3,)])
     assert exc.value.index == 2  # set 2 cannot reach set 3
 
     with pytest.raises(ThreadingError) as exc:
-        thread_path_through_sets(g, 1, [(0,), (), (3,)])
+        thread_path_through_sets(g, [(0,), (), (3,)])
     assert exc.value.index == 2
 
     with pytest.raises(ThreadingError):
-        thread_path_through_sets(g, 1, [(0, 1), (1, 2)])
+        thread_path_through_sets(g, [(0, 1), (1, 2)])
 
 
 def test_thread_empty_input():
-    assert thread_path_through_sets(OrientedGraph(1), 1, []).length == 0
+    assert thread_path_through_sets(OrientedGraph(1), []).length == 0
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 18), st.integers(0, 2**31), st.integers(1, 4))
-def test_dfs_path_always_valid(n, seed, k):
+@given(st.integers(1, 18), st.integers(0, 2**31))
+def test_dfs_path_always_valid(n, seed):
     t = random_tournament(n, seed)
-    p = dfs_long_path(t, k)
+    p = dfs_long_path(t)
     assert p.is_valid_in(t.underlying)
     assert len(set(p.vertices)) == len(p.vertices)
