@@ -8,12 +8,10 @@ from .adversary import (
     AdversaryResult,
     FamilyPartition,
     FamilyRecord,
-    acyclic_coloring_bound,
     acyclic_edge_coloring,
     block_product_bound,
     block_product_coloring,
     check_partition,
-    class_coloring_bound,
     color_classes_coloring,
     constructive_chromatic,
     minimal_base,
@@ -87,7 +85,6 @@ from .oracle import (
 from .paths import (
     EXACT_VERTEX_LIMIT,
     find_cycle,
-    is_acyclic,
     level_decomposition,
     longest_path_dag,
     longest_path_exact,

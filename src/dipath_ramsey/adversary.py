@@ -100,7 +100,8 @@ def _chain_in_tournament(out: list[int], alive: int) -> list[int]:
 
 
 def tournament_acyclic_set(t: Tournament) -> list[int]:
-    """Acyclic set of size >= floor(log2 n) + 1 in a tournament.
+    """Acyclic set of size >= floor(log2 n) + 1 in a tournament: the
+    Erdős–Moser bound, the dense case of the acyclic-set lemma.
 
     Picks a vertex of maximum out-degree (at least half the rest), keeps
     only its out-neighbors, and repeats; the picked vertices form a
@@ -164,7 +165,8 @@ def _greedy_acyclic(out: list[int], inn: list[int], within: int) -> int:
 
 
 def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) -> AcyclicSetResult:
-    """Large acyclic vertex set in a sparse oriented graph.
+    """Large acyclic vertex set in a sparse oriented graph: the paper's
+    acyclic-set lemma, on which the lower bound's blocks rest.
 
     Density >= 1/4 delegates to the tournament-completion chain.  Otherwise:
     drop vertices of in-degree > 2*eps*n, grow a greedy acyclic set U, then
@@ -345,14 +347,9 @@ def _verify_inner_bound(out: list[int], blocks, rows: list[list[int]], r: int) -
         bmask, top = mask_of(blk), max(blk) + 1
         for c, row in enumerate(rows, 1):
             adj = [m & o & bmask for m, o in zip(row[:top], out)]
-            if len(longest_path_masks(adj, bound=r)[0]) > r + 1:
+            if len(longest_path_masks(adj)[0]) > r + 1:
                 raise ColoringError(
                     f"inner coloring has a color-{c} path longer than r={r} in a block")
-
-
-def class_coloring_bound(num_classes: int, q: int) -> int:
-    """Monochromatic-path bound for a class-based digit coloring."""
-    return q * minimal_base(num_classes, q) if num_classes else 0
 
 
 def block_product_bound(num_blocks: int, q: int, r: int) -> int:
@@ -372,7 +369,8 @@ def color_classes_coloring(g: OrientedGraph, vc: VertexColoring, q: int) -> Edge
 
 
 def acyclic_edge_coloring(z: OrientedGraph, q: int) -> EdgeColoring:
-    """q-coloring of an acyclic graph with no long monochromatic path.
+    """q-coloring of an acyclic graph with no long monochromatic path: the
+    level-digit coloring of one block in the paper's lower bound.
 
     Vertices are bucketed by longest-path level; every edge ascends levels,
     and it takes the color of the lowest digit position where the head's
@@ -387,11 +385,6 @@ def acyclic_edge_coloring(z: OrientedGraph, q: int) -> EdgeColoring:
     # a later level has the larger code, so some digit rises: the escape
     # color q+1 never occurs
     return EdgeColoring.from_masks(rows[:q])
-
-
-def acyclic_coloring_bound(z: OrientedGraph, q: int) -> int:
-    """Edge-length bound certified by acyclic_edge_coloring: s - 1."""
-    return minimal_base(len(level_decomposition(z)), q) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +532,7 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     for part in (x_mask, y_mask):
         classes = _chromatic_classes(out, inn, part)
         _digit_product(out, classes, q, rows)
-        bound = class_coloring_bound(len(classes), q) if _edges_within(out, part) else 0
+        bound = block_product_bound(len(classes), q, 0) if _edges_within(out, part) else 0
         found.append((bound, len(classes)))
     (x_bound, x_classes), (r_bound, r_classes) = found
 
@@ -611,7 +604,8 @@ def check_partition(g: OrientedGraph, result: AdversaryResult,
 
 
 def symmetric_adversary(g: OrientedGraph, q: int) -> EdgeColoring:
-    """Adversary for dense or non-simple digraphs: proper-color then digit.
+    """Adversary for dense or non-simple digraphs: proper-color then digit,
+    the lower bound for digraphs with antiparallel edges.
 
     With m edges the class count is at most 2*sqrt(m) + 1, so monochromatic
     paths have length <= q * ceil((2*sqrt(m)+1)^(1/q)).

@@ -320,7 +320,8 @@ def _symmetric_base(coloring: EdgeColoring, within: int,
 
 def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
                                 n_target: int) -> BuilderCertificate:
-    """Monochromatic path from a (q+1)-colored complete symmetric digraph.
+    """Monochromatic path from a (q+1)-colored complete symmetric digraph,
+    the upper bound for digraphs with antiparallel edges.
 
     Same recursion as the sparse finder, but the two-color base extracts
     the longer run of a two-run Hamilton cycle, guaranteeing floor(t/2).

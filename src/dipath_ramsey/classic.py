@@ -58,11 +58,11 @@ def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPat
     # coloring needs the levels, the heights on H's in-masks
     h = maximal_acyclic_subgraph(g)
     out = h.out_masks()
-    height = _heights(out, 2 * h.edge_count)[0]
+    height = _heights(out)[0]
     count = max(height, default=0) + 1
     if count > threshold:
         return DirectedPath(_walk(out, height))
-    depth = _heights([h.in_mask(v) for v in range(g.n)], 2 * h.edge_count)[0]
+    depth = _heights([h.in_mask(v) for v in range(g.n)])[0]
     return VertexColoring([d + 1 for d in depth], num_classes=count)
 
 

@@ -73,9 +73,6 @@ class ConstantsConfig:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**data)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ConstantsConfig":
         return cls.from_dict(json.loads(text))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import and_, itemgetter, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ColoringError, GraphShapeError
@@ -157,6 +157,7 @@ def complete_symmetric(n: int) -> OrientedGraph:
 
 
 def transitive_tournament(n: int) -> OrientedGraph:
+    """The transitive tournament TT_n: the edge (u, v) for every u < v."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return OrientedGraph(n, edges)
 
@@ -181,10 +182,6 @@ class Tournament:
     def __post_init__(self):
         if not is_tournament(self.underlying):
             raise GraphShapeError("underlying graph is not a tournament")
-
-    @property
-    def n(self) -> int:
-        return self.underlying.n
 
 
 def as_graph(g) -> OrientedGraph:
@@ -234,29 +231,24 @@ class EdgeColoring:
 
     __slots__ = ("num_colors", "_out", "_m")
 
-    def __init__(self, num_colors: int,
-                 assignment: Iterable[tuple[tuple[int, int], int]] | dict = ()):
+    def __init__(self, num_colors: int, assignment: dict[tuple[int, int], int]):
         if num_colors < 1:
             raise ColoringError(f"need at least one color, got {num_colors}")
-        if isinstance(assignment, dict):
-            items, assign, colors = assignment.items(), assignment, assignment.values()
-        else:
-            items = list(assignment)
-            # a repeated edge takes its last color
-            assign, colors = dict(items), list(map(itemgetter(1), items))
+        colors = assignment.values()
         if colors and not (1 <= min(colors) and max(colors) <= num_colors):
-            (u, v), c = next(item for item in items if not 1 <= item[1] <= num_colors)
+            (u, v), c = next(item for item in assignment.items()
+                             if not 1 <= item[1] <= num_colors)
             raise ColoringError(f"color {c} for edge ({u},{v}) outside 1..{num_colors}")
-        ids = list(chain.from_iterable(assign))
+        ids = list(chain.from_iterable(assignment))
         if ids and min(ids) < 0:
             raise ColoringError("vertex ids must be nonnegative")
         n = 1 + max(ids, default=-1)
         out = [[0] * n for _ in range(num_colors)]
-        for (u, v), c in assign.items():
+        for (u, v), c in assignment.items():
             out[c - 1][u] |= 1 << v
         self.num_colors = num_colors
         self._out = out
-        self._m = len(assign)
+        self._m = len(assignment)
 
     @classmethod
     def from_masks(cls, masks: list[list[int]]) -> "EdgeColoring":
@@ -353,11 +345,6 @@ class EdgeColoring:
         full = (1 << t) - 1
         self._check_covers([full ^ 1 << u for u in range(t)])
 
-    def class_graph(self, g: OrientedGraph, c: int) -> OrientedGraph:
-        """Subgraph of g holding exactly the edges of color c (same ids)."""
-        out = list(map(and_, self.out_masks(c, g.n), g.out_masks()))
-        return OrientedGraph.from_masks(g.n, out, allow_antiparallel=True)
-
 
 class VertexColoring:
     """A map from every vertex to a class id 1..num_classes."""
@@ -370,9 +357,6 @@ class VertexColoring:
         self.num_classes = num_classes if num_classes is not None else top
         if any(not (1 <= c <= self.num_classes) for c in self.colors):
             raise ColoringError("vertex class id outside 1..num_classes")
-
-    def __getitem__(self, v: int) -> int:
-        return self.colors[v]
 
     def classes(self) -> list[list[int]]:
         """Vertex lists per class id, 0-indexed list of classes 1..k."""

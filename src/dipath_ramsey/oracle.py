@@ -29,16 +29,14 @@ COLORING_BUDGET = 1 << 22
 @dataclass(frozen=True)
 class OracleResult:
     value: int
-    witness: object  # DirectedPath, EdgeColoring, or None
+    witness: DirectedPath | EdgeColoring
     explored: int
 
     def to_dict(self) -> dict:
         if isinstance(self.witness, DirectedPath):
             witness = list(self.witness.vertices)
-        elif isinstance(self.witness, EdgeColoring):
-            witness = [[u, v, c] for (u, v), c in self.witness.items()]
         else:
-            witness = None
+            witness = [[u, v, c] for (u, v), c in self.witness.items()]
         return {"value": self.value, "witness": witness, "explored": self.explored}
 
 
@@ -70,7 +68,9 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
 
 def max_mono_path(g: OrientedGraph, coloring: EdgeColoring,
                   limit: int = EXACT_VERTEX_LIMIT) -> int:
-    """Longest monochromatic path over all colors of one coloring."""
+    """Longest monochromatic path over all colors of one coloring: the
+    oracle's one-number answer, which every witness bound is checked
+    against."""
     per_color = longest_mono_path(g, coloring, limit)
     return max((r.value for r in per_color.values()), default=0)
 

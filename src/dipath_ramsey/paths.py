@@ -63,7 +63,7 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int) -> int:
     return best
 
 
-def _heights(adj: list[int], budget: int) -> tuple[list[int], int]:
+def _heights(adj: list[int], budget: int | None = None) -> tuple[list[int], int]:
     """The edges of the longest path out of each vertex of the digraph
     with out-masks `adj`, and the mask of the vertices that reach a cycle,
     which get no height; the package's one DAG routine.
@@ -72,15 +72,17 @@ def _heights(adj: list[int], budget: int) -> tuple[list[int], int]:
     misses the vertices still left, and the round number is its height.  A
     round that peels nothing leaves only vertices that reach a cycle.  A
     long thin graph would cost a scan of what is left per edge of its
-    depth, so once the rounds have scanned more than `budget` vertices,
-    Kahn's counting pass finishes: after h rounds each vertex left has
-    height at least h + 1 and no peeled out-neighbor above h, so heights
-    start at h + 1 and rise along the in-lists of what is left as each
-    vertex's last out-neighbor there finishes.  A vertex that never
-    finishes reaches a cycle.  Either way each unassigned vertex has an
-    out-neighbor that is unassigned too.
+    depth, so once the rounds have scanned more than `budget` vertices
+    (by default twice the edge count), Kahn's counting pass finishes:
+    after h rounds each vertex left has height at least h + 1 and no
+    peeled out-neighbor above h, so heights start at h + 1 and rise along
+    the in-lists of what is left as each vertex's last out-neighbor there
+    finishes.  A vertex that never finishes reaches a cycle.  Either way
+    each unassigned vertex has an out-neighbor that is unassigned too.
     """
     n = len(adj)
+    if budget is None:
+        budget = 2 * sum(map(int.bit_count, adj))
     height = [0] * n
     live = [v for v, m in enumerate(adj) if m]
     left = mask_of(live)
@@ -153,8 +155,7 @@ def _walk(adj: list[int], height: list[int]) -> list[int]:
     return path
 
 
-def longest_path_masks(adj: list[int], bound: int | None = None,
-                       limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
+def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
     """Longest simple path of the digraph with out-masks `adj`, exactly.
 
     Returns (vertices, explored).  The witness is the lexicographically
@@ -162,25 +163,21 @@ def longest_path_masks(adj: list[int], bound: int | None = None,
     and takes, at each step, the lowest next vertex that keeps one that
     long.
 
-    An acyclic input is solved at any size, with explored = n and `bound`
-    ignored: `_heights` gives each vertex's height, its peel capped at
-    twice as many scans as there are edges, and `_walk` reads the path
-    off them.  The adversary's classes scan up to 1.15 times their edge
-    count, so they finish the peel; a long path hands over to Kahn's
-    pass.
+    An acyclic input is solved at any size, with explored = n: `_heights`
+    gives each vertex's height, its peel capped at twice as many scans as
+    there are edges, and `_walk` reads the path off them.  The
+    adversary's classes scan up to 1.15 times their edge count, so they
+    finish the peel; a long path hands over to Kahn's pass.
 
     A cyclic input is searched from each vertex of its support (vertices
     with an edge) by `_ahead`, with one memo of (end, vertex set) states;
     a support above `limit` raises SizeLimitError, and explored =
-    2^support is charged as the bound on the vertex sets.  With `bound`,
-    the search stops at the first path of bound+1 edges, so the result is
-    the longest path when that has at most `bound` edges and a path of
-    exactly bound+1 edges otherwise.
+    2^support is charged as the bound on the vertex sets.
     """
     n = len(adj)
     if not n:
         return [], 0
-    height, cyclic = _heights(adj, 2 * sum(map(int.bit_count, adj)))
+    height, cyclic = _heights(adj)
     if not cyclic:
         return _walk(adj, height), n
     into = reduce(or_, adj)
@@ -188,7 +185,7 @@ def longest_path_masks(adj: list[int], bound: int | None = None,
     k = len(support)
     if k > limit:
         raise SizeLimitError(f"cyclic support {k} > limit {limit}")
-    cap = k - 1 if bound is None else min(bound + 1, k - 1)
+    cap = k - 1
     memo: dict = {}
     need = -1
     for w in support:
@@ -229,12 +226,8 @@ def _cycle(adj: list[int], left: int) -> list[int]:
 def find_cycle(g: OrientedGraph) -> list[int] | None:
     """Some directed cycle as a vertex list, or None if g is acyclic."""
     out = g.out_masks()
-    left = _heights(out, 2 * g.edge_count)[1]
+    left = _heights(out)[1]
     return _cycle(out, left) if left else None
-
-
-def is_acyclic(g: OrientedGraph) -> bool:
-    return not _heights(g.out_masks(), 2 * g.edge_count)[1]
 
 
 def level_decomposition(g: OrientedGraph) -> list[list[int]]:
@@ -246,7 +239,7 @@ def level_decomposition(g: OrientedGraph) -> list[list[int]]:
     witness cycle.
     """
     inn = [g.in_mask(v) for v in range(g.n)]
-    depth, left = _heights(inn, 2 * g.edge_count)
+    depth, left = _heights(inn)
     if left:
         raise CyclicGraphError("graph contains a directed cycle", _cycle(inn, left)[::-1])
     return _bucket(depth, range(g.n))
@@ -258,7 +251,7 @@ def _levels(inn: list[int], within: int) -> list[list[int]]:
     adj = [0] * len(inn)
     for v in iter_bits(within):
         adj[v] = inn[v] & within
-    return _bucket(_heights(adj, 2 * sum(map(int.bit_count, adj)))[0], iter_bits(within))
+    return _bucket(_heights(adj)[0], iter_bits(within))
 
 
 def _bucket(depth: list[int], vertices) -> list[list[int]]:
@@ -275,7 +268,7 @@ def longest_path_dag(g: OrientedGraph) -> DirectedPath:
     lexicographically first one (see `longest_path_masks`); raises
     CyclicGraphError with a witness cycle."""
     out = g.out_masks()
-    height, left = _heights(out, 2 * g.edge_count)
+    height, left = _heights(out)
     if left:
         raise CyclicGraphError("graph contains a directed cycle", _cycle(out, left))
     return DirectedPath(_walk(out, height))
@@ -287,5 +280,5 @@ def longest_path_exact(g: OrientedGraph, limit: int = EXACT_VERTEX_LIMIT) -> Dir
     Acyclic graphs of any size take the DAG route; only a cyclic support
     (vertices with an edge) above `limit` raises SizeLimitError.
     """
-    vertices, _ = longest_path_masks([g.out_mask(v) for v in range(g.n)], limit=limit)
+    vertices, _ = longest_path_masks(g.out_masks(), limit=limit)
     return DirectedPath(vertices)

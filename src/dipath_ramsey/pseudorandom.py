@@ -235,7 +235,7 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
 
 def dfs_long_path(g) -> DirectedPath:
     """Long path via depth-first search: the deepest stack, which always
-    spans a directed path.
+    spans a directed path; the DFS lemma behind the paper's upper bound.
 
     At the moment the popped set S and the unvisited set T have equal
     size, no edge runs from S to T, so on a k-pseudorandom input

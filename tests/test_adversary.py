@@ -14,16 +14,14 @@ from dipath_ramsey import (
     OrientedGraph,
     Tournament,
     VertexColoring,
-    acyclic_coloring_bound,
     acyclic_edge_coloring,
     block_product_bound,
     block_product_coloring,
     check_partition,
-    class_coloring_bound,
     color_classes_coloring,
     complete_symmetric,
     constructive_chromatic,
-    is_acyclic,
+    find_cycle,
     level_decomposition,
     longest_mono_path,
     max_mono_path,
@@ -113,7 +111,7 @@ def test_tournament_chain_log_bound(seed):
     chain = tournament_acyclic_set(t)
     assert len(chain) >= math.floor(math.log2(n)) + 1
     sub, _ = subgraph(t.underlying, chain)
-    assert is_acyclic(sub)
+    assert find_cycle(sub) is None
 
 
 def test_sparse_acyclic_edgeless_takes_everything():
@@ -141,7 +139,7 @@ def test_sparse_acyclic_output_always_acyclic():
         g = random_oriented_graph(n, m, i)
         res = sparse_acyclic_set(g)
         sub, _ = subgraph(g, res.vertices)
-        assert is_acyclic(sub)
+        assert find_cycle(sub) is None
         eps = g.edge_count / (n * n)
         if eps < 0.25 and n >= 2:
             assert len(res.vertices) >= math.floor(math.log2(n))
@@ -167,7 +165,7 @@ def _max_acyclic_bruteforce(g) -> int:
     for size in range(g.n, 0, -1):
         for cand in itertools.combinations(range(g.n), size):
             sub, _ = subgraph(g, cand)
-            if is_acyclic(sub):
+            if find_cycle(sub) is None:
                 return size
     return 0
 
@@ -219,7 +217,7 @@ def test_sparse_acyclic_improvement_step_on_gadgets():
     assert step.R_double_prime == tuple(range(8, 16))
     assert res.vertices == tuple(range(4, 16))
     assert not res.achieved
-    assert is_acyclic(subgraph(g, res.vertices)[0])
+    assert find_cycle(subgraph(g, res.vertices)[0]) is None
 
 
 def _reference_cases():
@@ -331,7 +329,7 @@ def test_color_classes_three_cycle_singletons():
     vc = VertexColoring((1, 2, 3))
     col = color_classes_coloring(g, vc, 2)
     assert [col.color(u, v) for (u, v) in [(0, 1), (1, 2), (2, 0)]] == [2, 1, 3]
-    assert max_mono_path(g, col) <= class_coloring_bound(3, 2) == 4
+    assert max_mono_path(g, col) <= block_product_bound(3, 2, 0) == 4
     assert max_mono_path(g, col) <= 1
 
 
@@ -339,7 +337,7 @@ def test_color_classes_bipartite_q1():
     g = OrientedGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     vc = constructive_chromatic(g)
     col = color_classes_coloring(g, vc, 1)
-    assert max_mono_path(g, col) <= class_coloring_bound(vc.num_classes, 1)
+    assert max_mono_path(g, col) <= block_product_bound(vc.num_classes, 1, 0)
 
 
 def test_color_classes_requires_proper():
@@ -353,7 +351,8 @@ def test_acyclic_coloring_path_example():
     col = acyclic_edge_coloring(g, 2)
     assert [col.color(u, v) for (u, v) in [(0, 1), (1, 2), (2, 3)]] == [2, 1, 2]
     assert max_mono_path(g, col) == 1
-    assert acyclic_coloring_bound(g, 2) == 1
+    # 4 levels, base s = 2 (4 <= s^2): paths of at most s - 1 = 1 edge
+    assert minimal_base(len(level_decomposition(g)), 2) - 1 == 1
 
 
 def test_acyclic_coloring_q1_single_color():
@@ -420,17 +419,22 @@ def test_theorem1_medium_trace_bound():
 
 
 def test_theorem1_dense_families_appear():
-    g = random_oriented_graph(40, 350, 2)
-    result = theorem1_adversary(g, 1)
-    check_partition(g, result, ConstantsConfig(), 1)
-    assert result.partition.families
-    for fam in result.partition.families:
-        assert len({len(b) for b in fam.blocks}) == 1
-        for block in fam.blocks:
-            sub, _ = subgraph(g, block)
-            assert is_acyclic(sub)
-    measured = max_mono_path(g, result.coloring)
-    assert measured <= result.partition.total_bound
+    """Default constants at q=1.  The second host reaches a step whose
+    coverage goal is already met, which adds no family; the third runs out
+    of candidates before a step's goal, and the leftovers stay behind."""
+    for g, blocks in ((random_oriented_graph(40, 350, 2), [2]),
+                      (random_oriented_graph(12, 43, 0), [2, 1]),
+                      (random_digraph(40, 720, 0), [1, 5, 4])):
+        result = theorem1_adversary(g, 1)
+        check_partition(g, result, ConstantsConfig(), 1)
+        assert [len(fam.blocks) for fam in result.partition.families] == blocks
+        for fam in result.partition.families:
+            assert len({len(b) for b in fam.blocks}) == 1
+            for block in fam.blocks:
+                sub, _ = subgraph(g, block)
+                assert find_cycle(sub) is None
+        measured = max_mono_path(g, result.coloring)
+        assert measured <= result.partition.total_bound
 
 
 @pytest.mark.parametrize("q", [1, 2])

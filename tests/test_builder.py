@@ -19,11 +19,13 @@ from dipath_ramsey import (
     OrientedGraph,
     complete_symmetric,
     multicolor_path_finder,
+    random_oriented_graph,
     random_tournament,
     symmetric_multicolor_finder,
     transitive_tournament,
     two_color_path_finder,
 )
+from dipath_ramsey.graphs import mask_of
 
 RELAXED = ConstantsConfig.relaxed()
 
@@ -113,6 +115,63 @@ def test_acyclic_blue_falls_back():
     assert cert.path.length == 11
     assert not cert.guarantee_active
     assert not cert.trace.floors_met
+
+
+def _planted_red_forward(g, k, cfg, seed):
+    """Red runs forward between cfg.red_threshold(n, k) random vertex
+    classes and blue takes the rest, so the red dichotomy gives a coloring
+    and the block, cycle and Raynaud stages run."""
+    rng = random.Random(seed)
+    parts = cfg.red_threshold(g.n, k)
+    cls = [rng.randrange(parts) for _ in range(g.n)]
+    return EdgeColoring(2, {(u, v): RED if cls[u] < cls[v] else BLUE for u, v in g.edges()})
+
+
+def test_short_block_cycle_misses_the_floors():
+    # a cycle floor of the whole block (4k vertices): every block path meets
+    # its floor, but some cycle is shorter than its block
+    cfg = replace(RELAXED, cycle_floor_factor=4)
+    g = random_tournament(48, 0).underlying
+    col = _planted_red_forward(g, 2, cfg, 2001)
+    cert = two_color_path_finder(g, col, 2, cfg)
+    cert.validate(g, col)
+    assert cert.branch == "blue-case"
+    assert all(len(p) - 1 >= cfg.path_floor_factor * 2 for p in cert.trace.block_paths)
+    assert min(map(len, cert.trace.cycles)) < cfg.cycle_floor_factor * 2
+    assert cert.trace.floors_met is False
+    assert cert.guarantee_active is False
+
+
+def test_small_representative_set_misses_the_floors():
+    # the red path threads the cycles and every block meets its floors,
+    # but some cycle keeps fewer than 2k vertices with no blue edge into
+    # the next cycle on the auxiliary path
+    k = 4
+    g = random_oriented_graph(48, 460, 0)
+    col = _planted_red_forward(g, k, RELAXED, 4002)
+    cert = two_color_path_finder(g, col, k, RELAXED)
+    cert.validate(g, col)
+    assert (cert.branch, cert.trace.aux_branch, cert.trace.notes) == ("red-case", "red", ())
+    assert all(len(p) - 1 >= RELAXED.path_floor_factor * k for p in cert.trace.block_paths)
+    assert len(cert.trace.cycles) == len(cert.trace.blocks)
+    assert all(len(c) >= RELAXED.cycle_floor_factor * k for c in cert.trace.cycles)
+    blue, cycles, hpath = col.out_masks(BLUE, g.n), cert.trace.cycles, cert.trace.aux_path
+    reps = [sum(1 for v in cycles[a] if not blue[v] & mask_of(cycles[b]))
+            for a, b in zip(hpath, hpath[1:])]
+    assert min(reps) < 2 * k
+    assert cert.trace.floors_met is False
+    assert cert.guarantee_active is False
+
+
+def test_red_threading_failure_falls_back():
+    g = random_tournament(48, 3).underlying
+    col = _planted_red_forward(g, 1, RELAXED, 3049)
+    cert = two_color_path_finder(g, col, 1, RELAXED)
+    cert.validate(g, col)
+    assert (cert.branch, cert.trace.aux_branch) == ("small-n-fallback", "red")
+    assert cert.trace.notes[0].startswith("red threading failed: ")
+    assert cert.trace.floors_met is False
+    assert cert.guarantee_active is False
 
 
 def test_empty_graph_fallback():

@@ -14,7 +14,6 @@ from dipath_ramsey import (
     complete_symmetric,
     find_cycle,
     gallai_roy,
-    is_acyclic,
     level_decomposition,
     longest_path_dag,
     longest_path_exact,
@@ -58,7 +57,7 @@ def test_find_cycle_exactly_when_cyclic(n, m, seed):
     search as well as by Kahn's algorithm, and None otherwise."""
     g = random_digraph(n, min(m, n * (n - 1)), seed)
     cyc = find_cycle(g)
-    assert (cyc is None) == is_acyclic(g) == (reference_find_cycle(g) is None)
+    assert (cyc is None) == (reference_find_cycle(g) is None)
     if cyc is not None:
         assert len(set(cyc)) == len(cyc) >= 2
         assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
@@ -85,7 +84,7 @@ def test_longest_path_exact_matches_dag_on_acyclic():
     for _ in range(40):
         n = rng.randint(1, 9)
         g = _random_oriented(n, rng.randint(0, 2 * n), rng.randint(0, 10**6))
-        if not is_acyclic(g):
+        if find_cycle(g) is not None:
             continue
         assert longest_path_exact(g).vertices == longest_path_dag(g).vertices
 
@@ -184,8 +183,8 @@ def _digraphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_digraphs(), st.integers(0, 8))
-def test_engine_matches_brute_force(graph, bound):
+@given(_digraphs())
+def test_engine_matches_brute_force(graph):
     n, edges = graph
     g = OrientedGraph(n, edges, allow_antiparallel=True)
     adj = [g.out_mask(v) for v in range(n)]
@@ -195,15 +194,9 @@ def test_engine_matches_brute_force(graph, bound):
     assert p.is_valid_in(g)
     assert p.length == best
     support = sum(1 for v in range(n) if g.degree(v))
-    assert explored == (n if is_acyclic(g) else 1 << support)
+    assert explored == (n if find_cycle(g) is None else 1 << support)
     # one witness rule on both routes: lowest start, then lowest next vertex
     assert vertices == _brute_first_longest(n, adj)
-    # with a bound, a path longer than it comes back exactly when one exists
-    vertices, _ = longest_path_masks(adj, bound=bound)
-    p = DirectedPath(vertices)
-    assert p.is_valid_in(g)
-    assert (p.length > bound) == (best > bound)
-    assert p.length <= best
 
 
 def _path(n, ids):
@@ -251,6 +244,7 @@ def test_handover_heights_match_the_peel():
         edges = sum(map(int.bit_count, adj))
         for budget in (0, sum(peeled) // 2, 2 * edges):
             assert _heights(adj, budget) == (peeled, 0)
+        assert _heights(adj) == _heights(adj, 2 * edges)
         handed += sum(peeled) > 2 * edges
         got = longest_path_masks(adj)
         assert DirectedPath(got[0]).length == max(peeled)
@@ -267,7 +261,7 @@ def test_handover_heights_match_the_peel():
 
 def test_fallback_witness_is_lexicographically_first(monkeypatch):
     """The walk on heights from Kahn's pass alone, on small DAGs."""
-    monkeypatch.setattr(paths, "_heights", lambda a, budget: _heights(a, 0))
+    monkeypatch.setattr(paths, "_heights", lambda a: _heights(a, 0))
     rng = random.Random(7)
     for i in range(200):
         n = rng.randint(1, 8)
@@ -400,20 +394,18 @@ def _reference_classes():
 
 
 def test_engine_matches_subset_dp_reference():
-    """Same length, bound semantics and explored as the subset DP it
-    replaced, on cyclic classes; witnesses may differ but are paths."""
-    rng = random.Random(99)
+    """Same length and explored as the subset DP it replaced, on cyclic
+    classes; witnesses may differ but are paths."""
     cyclic = 0
     for adj in _reference_classes():
         n = len(adj)
         g = OrientedGraph.from_masks(n, adj, allow_antiparallel=True)
-        cyclic += not is_acyclic(g)
-        for bound in (None, rng.randint(0, n), rng.randint(0, 3)):
-            got, explored = longest_path_masks(adj, bound)
-            ref, ref_explored = reference_longest_path(adj, bound)
-            assert len(got) == len(ref)
-            assert explored == ref_explored
-            assert DirectedPath(got).is_valid_in(g)
+        cyclic += find_cycle(g) is not None
+        got, explored = longest_path_masks(adj)
+        ref, ref_explored = reference_longest_path(adj)
+        assert len(got) == len(ref)
+        assert explored == ref_explored
+        assert DirectedPath(got).is_valid_in(g)
     assert cyclic == 40 + 24 + 2
 
 

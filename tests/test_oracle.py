@@ -23,7 +23,7 @@ from dipath_ramsey import (
     transitive_tournament,
 )
 from dipath_ramsey import oracle
-from dipath_ramsey.paths import is_acyclic, longest_path_masks
+from dipath_ramsey.paths import find_cycle, longest_path_masks
 from reference_oracle import lexicographic_min_max
 from reference_paths import reference_longest_path
 
@@ -257,7 +257,7 @@ def test_path_through_matches_full_engine(monkeypatch):
         assert got == _reference_through(out, into, u, v, bound)
         dag_sides = (oracle._dag_depth(out, v) is not None
                      and oracle._dag_depth(into, u) is not None)
-        seen.add((got, is_acyclic(OrientedGraph.from_masks(n, out, into, True)),
+        seen.add((got, find_cycle(OrientedGraph.from_masks(n, out, into, True)) is None,
                   dag_sides, searched))
     # both answers, on acyclic and cyclic classes, by the DAG DP on both
     # sides and by the search; a cyclic class may still take the DAG DP
@@ -405,8 +405,7 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
                 seen.add("answer past the reference's limit")
                 fast.witness.validate_total(g)
                 for c in range(1, q + 1):
-                    path, _ = longest_path_masks(fast.witness.out_masks(c, g.n),
-                                                 fast.value, g.n)
+                    path, _ = longest_path_masks(fast.witness.out_masks(c, g.n), g.n)
                     assert len(path) <= fast.value + 1
             elif isinstance(ref, type):
                 assert fast is ref
