@@ -174,6 +174,10 @@ def _two_color(g: OrientedGraph, coloring: EdgeColoring, within: int, k: int,
         if cyc is None:
             floors = False
             continue
+        # a block path on its floor of path_floor_factor * k edges closes a
+        # cycle of at least (path_floor_factor - 2) * k + 3 vertices, so this
+        # check fails alone only when that is below cycle_floor_factor * k:
+        # never under the default constants (see ConstantsConfig)
         if len(cyc) < cfg.cycle_floor_factor * k:
             floors = False
         cycles.append(tuple(cyc))

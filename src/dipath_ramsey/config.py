@@ -23,6 +23,11 @@ class ConstantsConfig:
     # two-color extraction stage factors, in units of k vertices per block
     block_factor: int = 7
     path_floor_factor: int = 5
+    # a block path of L >= path_floor_factor * k edges closes, by an edge
+    # from its last k vertices to its first k, a cycle of at least
+    # L - 2k + 3 vertices, so this floor can be the only one missed only
+    # when (cycle_floor_factor - path_floor_factor + 2) * k > 3: never
+    # under these defaults, and under relaxed() only for k > 3
     cycle_floor_factor: int = 3
     # subset budget of the exact pseudorandomness check
     subset_budget: int = 2_000_000

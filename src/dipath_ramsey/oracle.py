@@ -48,10 +48,12 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     once the peel has scanned more than twice as many vertices as the
     class has edges, by Kahn's counting pass on what is left.  Cyclic
     classes are searched over their support (vertices with an incident
-    edge of that color) by the engine's memoized path search; support
-    beyond `limit` raises SizeLimitError rather than returning an
-    estimate.  Each witness is the class's lexicographically first
-    longest path (see `longest_path_masks`).
+    edge of that color) by the engine's path search, bounded by what a
+    path can still reach; support beyond `limit` raises SizeLimitError
+    rather than returning an estimate.  Each witness is the class's
+    lexicographically first longest path (see `longest_path_masks`), and
+    `explored` of a cyclic class is 2^support, the bound on the vertex
+    sets, not the states the search visited.
     """
     coloring.validate_total(g)
     out: dict[int, OracleResult] = {}
@@ -118,9 +120,11 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     of v that avoids it, found by the engine's own search, `paths._ahead`.
     Every path of the old class has at most `bound` edges, so both
     searches stop at that depth, and a search that reaches it has found
-    the path.  `_ahead` keeps the exact value of each (end, vertex set)
-    state it finishes in one memo, and the backward search keeps the
-    states it refutes, so a dense class costs at most one visit per state.
+    the path.  The longest path out of v alone, `most`, is asked for with
+    no floor; each path into u then asks only whether `left` edges out of
+    v remain, with floor `left` - 1, so a state whose reach falls short
+    ends at once.  `_ahead` keeps a bound on each (end, vertex set) state
+    in one memo, and the backward search keeps the states it refutes.
     """
     ahead = _dag_depth(out, v)
     if ahead is not None:
@@ -135,10 +139,10 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
         return False
     if size > _CLASS_SUPPORT_LIMIT:
         raise SizeLimitError(f"cyclic support {size} > limit {_CLASS_SUPPORT_LIMIT}")
-    memo: dict = {}  # _ahead's finished states
+    memo: dict = {}  # _ahead's bounds on (end, vertex set) states
     ends = 1 << u | 1 << v
     # no path out of v is longer than `most`
-    most = _ahead(out, memo, v, ends, bound)
+    most = _ahead(out, memo, v, ends, bound, -1)
     return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
 
 
@@ -149,7 +153,7 @@ def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
     backward first.  `most` caps the paths out of v; `dead` holds the
     (w, seen) states refuted so far.  Like `_ahead`, a plain function that
     gets its tables as arguments, so they die with the caller's frame."""
-    if left <= most and (not left or _ahead(out, memo, v, seen, left) >= left):
+    if left <= most and (not left or _ahead(out, memo, v, seen, left, left - 1) >= left):
         return True
     m = into[w] & ~seen
     if not m or (w, seen) in dead:

@@ -1,8 +1,9 @@
 """Longest-path primitives: one exact engine (vertex heights on DAGs, a
-memoized path search on small cyclic supports, shared with the oracle's
-coloring search), cycle detection, and the level decomposition that
-underpins the coloring constructions.  One routine, `_heights`, computes
-every height, level, longest DAG path and acyclicity answer."""
+path search on small cyclic supports bounded by what the path can still
+reach, shared with the oracle's coloring search), cycle detection, and
+the level decomposition that underpins the coloring constructions.  One
+routine, `_heights`, computes every height, level, longest DAG path and
+acyclicity answer; one, `_ahead`, searches every cyclic class."""
 from __future__ import annotations
 
 from functools import reduce
@@ -12,8 +13,9 @@ from .errors import CyclicGraphError, SizeLimitError
 from .graphs import DirectedPath, OrientedGraph, iter_bits, mask_of
 
 # bounds a cyclic search by 16 * 2^15 (end, vertex set) states and 15 frames
-# of recursion; K16's longest path is found on the first descent, but a class
-# whose longest path is far shorter than its support visits many states
+# of recursion; K16's longest path is found on the first descent, and a state
+# ends at once when the vertices it can still reach cannot beat the longest
+# path found, but a class whose reach overstates its paths still visits many
 EXACT_VERTEX_LIMIT = 16
 
 
@@ -32,34 +34,74 @@ def _reach(adj: list[int], start: int, within: int) -> int:
     return reach
 
 
-def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int) -> int:
+def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
+           floor: int) -> int:
     """Edges of the longest path out of w along `adj` that avoids `seen`,
-    or `cap` once one that long is found.
+    exactly when that value lies strictly between `floor` and `cap`;
+    otherwise at least `cap` when the path is that long, and an upper
+    bound at most `floor` when it is that short.  A caller asking "at
+    least r?" passes cap r and floor r - 1; floor -1 asks for the value.
 
-    `seen` holds w.  `memo` maps `seen | w << len(adj)` to the exact value
-    of a finished state of 3+ edges, so one dict serves calls with any
-    cap.  The memo is a plain argument, not a closure's cell: it is freed
-    when the caller drops it, not at the next full collection.
+    `seen` holds w.  A path out of w stays inside R, the vertices that w
+    reaches outside `seen`, and only its last vertex may be a dead end of
+    R (no out-neighbor outside `seen`), so the value is at most |R| less
+    all dead ends but one; a state whose bound is at most `floor` returns
+    at once, and one whose bound is below `cap` stops at the first path
+    that long.  `memo` maps `seen | w << len(adj)` of a state that may
+    have 3+ edges to its exact value d, or to ~u for an upper bound u, so
+    one dict serves calls with any cap and floor.  The memo is a plain
+    argument, not a closure's cell: it is freed when the caller drops it,
+    not at the next full collection.
     """
-    m = adj[w] & ~seen
+    free = ~seen
+    m = adj[w] & free
     if not m or cap <= 1:
         return cap if m else 0
+    key = None
     if cap > 2:
         key = seen | w << len(adj)
-        best = memo.get(key)
-        if best is not None:
-            return best
+        top = memo.get(key)
+        if top is None:
+            reach = dead = 0
+            frontier = m
+            while frontier:
+                reach |= frontier
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    out = adj[low.bit_length() - 1] & free
+                    if out:
+                        nxt |= out
+                    else:
+                        dead += 1
+                frontier = nxt & ~reach
+            top = reach.bit_count() - max(0, dead - 1)
+        elif top >= 0:
+            return top
+        else:
+            top = ~top
+        if top <= floor:
+            memo[key] = ~top
+            return top
+        if top < cap:
+            cap = top
     best = 0
     while m:
         low = m & -m
         m ^= low
-        d = 1 + _ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1)
+        # a child only counts once it beats both the floor and the best so far
+        d = 1 + _ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1,
+                       (best if best > floor else floor) - 1)
         if d >= cap:
+            if key is not None:
+                memo[key] = cap if cap == top else ~top
             return cap
         if d > best:
             best = d
-    if cap > 2:
-        memo[key] = best
+    if key is not None:
+        # above the floor the best child is exact, and so is the value
+        memo[key] = best if best > floor else ~best
     return best
 
 
@@ -170,9 +212,12 @@ def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple
     finish the peel; a long path hands over to Kahn's pass.
 
     A cyclic input is searched from each vertex of its support (vertices
-    with an edge) by `_ahead`, with one memo of (end, vertex set) states;
-    a support above `limit` raises SizeLimitError, and explored =
-    2^support is charged as the bound on the vertex sets.
+    with an edge) by `_ahead`, with one memo of bounds on (end, vertex
+    set) states: each start is asked only whether it beats the longest
+    path so far, and each step of the witness whether it keeps the
+    length still needed, so states whose reach cannot do so end at once.
+    A support above `limit` raises SizeLimitError.  explored = 2^support
+    is charged as the bound on the vertex sets, not the states visited.
     """
     n = len(adj)
     if not n:
@@ -189,7 +234,7 @@ def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple
     memo: dict = {}
     need = -1
     for w in support:
-        d = _ahead(adj, memo, w, 1 << w, cap)
+        d = _ahead(adj, memo, w, 1 << w, cap, need)
         if d > need:
             need, v = d, w
             if d == cap:
@@ -200,7 +245,7 @@ def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple
         # the lowest next vertex with `rest` edges still ahead of it
         m = adj[v] & ~seen
         low = m & -m
-        while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest) < rest:
+        while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
             m ^= low
             low = m & -m
         v = low.bit_length() - 1

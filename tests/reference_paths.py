@@ -1,12 +1,20 @@
-"""The layered subset DP that the exact engine once ran on cyclic supports,
-kept verbatim as the reference for `paths.longest_path_masks` and for the
-oracle's check through a new edge.  It shares no search code with either.
-On acyclic input it runs Kahn's DP, kept verbatim too, which the package
-ran on every DAG before `paths._heights` served them all: same lengths
-and levels, its own witness, and a cost the tests hold the heights'
-Kahn handover to on deep graphs."""
+"""Reference routes that the exact engine once ran, kept verbatim.
+
+The layered subset DP is the reference for `paths.longest_path_masks` and
+for the oracle's check through a new edge; it shares no search code with
+either.  On acyclic input it runs Kahn's DP, which the package ran on
+every DAG before `paths._heights` served them all: same lengths and
+levels, its own witness, and a cost the tests hold the heights' Kahn
+handover to on deep graphs.  `memo_search_longest_path` is the engine's
+route before its cyclic search took a floor and a reach bound: the same
+start loop and witness walk over `_ahead`, which memoizes the exact
+value of each (end, vertex set) state, so it must give the same witness
+and explored on every input."""
+from functools import reduce
+from operator import or_
+
 from dipath_ramsey.errors import SizeLimitError
-from dipath_ramsey.paths import EXACT_VERTEX_LIMIT
+from dipath_ramsey.paths import EXACT_VERTEX_LIMIT, _heights, _walk
 
 
 def _kahn(adj: list[int], indeg: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -132,3 +140,73 @@ def reference_longest_path(adj: list[int], bound: int | None = None,
     if len(support) > limit:
         raise SizeLimitError(f"cyclic support {len(support)} > limit {limit}")
     return _subset_path(adj, support, bound), 1 << len(support)
+
+
+def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int) -> int:
+    """Edges of the longest path out of w along `adj` that avoids `seen`,
+    or `cap` once one that long is found.
+
+    `seen` holds w.  `memo` maps `seen | w << len(adj)` to the exact value
+    of a finished state of 3+ edges, so one dict serves calls with any
+    cap.  The memo is a plain argument, not a closure's cell: it is freed
+    when the caller drops it, not at the next full collection.
+    """
+    m = adj[w] & ~seen
+    if not m or cap <= 1:
+        return cap if m else 0
+    if cap > 2:
+        key = seen | w << len(adj)
+        best = memo.get(key)
+        if best is not None:
+            return best
+    best = 0
+    while m:
+        low = m & -m
+        m ^= low
+        d = 1 + _ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1)
+        if d >= cap:
+            return cap
+        if d > best:
+            best = d
+    if cap > 2:
+        memo[key] = best
+    return best
+
+
+def memo_search_longest_path(adj: list[int], limit: int = EXACT_VERTEX_LIMIT
+                             ) -> tuple[list[int], int]:
+    """`longest_path_masks` with the exact-value memo search on cyclic
+    input: the package's heights and walk on acyclic input."""
+    n = len(adj)
+    if not n:
+        return [], 0
+    height, cyclic = _heights(adj)
+    if not cyclic:
+        return _walk(adj, height), n
+    into = reduce(or_, adj)
+    support = [v for v in range(n) if adj[v] or into >> v & 1]
+    k = len(support)
+    if k > limit:
+        raise SizeLimitError(f"cyclic support {k} > limit {limit}")
+    cap = k - 1
+    memo: dict = {}
+    need = -1
+    for w in support:
+        d = _ahead(adj, memo, w, 1 << w, cap)
+        if d > need:
+            need, v = d, w
+            if d == cap:
+                break
+    path = [v]
+    seen = 1 << v
+    for rest in range(need - 1, -1, -1):
+        # the lowest next vertex with `rest` edges still ahead of it
+        m = adj[v] & ~seen
+        low = m & -m
+        while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest) < rest:
+            m ^= low
+            low = m & -m
+        v = low.bit_length() - 1
+        path.append(v)
+        seen |= low
+    return path, 1 << k

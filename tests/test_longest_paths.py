@@ -27,7 +27,7 @@ from dipath_ramsey import paths
 from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _heights, _levels, longest_path_masks
 from reference_adversary import find_cycle as reference_find_cycle
-from reference_paths import _kahn, reference_longest_path
+from reference_paths import _kahn, memo_search_longest_path, reference_longest_path
 
 
 def _random_oriented(n, m, seed):
@@ -407,6 +407,122 @@ def test_engine_matches_subset_dp_reference():
         assert explored == ref_explored
         assert DirectedPath(got).is_valid_in(g)
     assert cyclic == 40 + 24 + 2
+
+
+def _split(g, colors, rng):
+    """The color classes of g under a seeded coin per edge, as out-masks."""
+    classes = [[0] * g.n for _ in range(colors)]
+    for u, v in g.edges():
+        classes[rng.randrange(colors)][u] |= 1 << v
+    return classes
+
+
+def _memo_search_classes():
+    """The reference classes; both classes of 100 seeded 2-colored
+    16-vertex 100-edge oriented graphs, the shape of the oracle's path
+    jobs; 16-vertex oriented graphs of 30, 40 and 60 edges split into 1,
+    2 and 3 classes; and the 2-color classes of 14-vertex 150-edge
+    digraphs."""
+    yield from _reference_classes()
+    rng = random.Random(2020)
+    for s in range(100):
+        yield from _split(random_oriented_graph(16, 100, s), 2, rng)
+    for m in (30, 40, 60):
+        for colors in (1, 2, 3):
+            for s in range(8):
+                yield from _split(random_oriented_graph(16, m, 100 * m + s), colors, rng)
+    for s in range(12):
+        yield from _split(random_digraph(14, 150, s), 2, rng)
+
+
+def _outcome(search, adj, limit):
+    try:
+        return search(adj, limit)
+    except SizeLimitError as exc:
+        return SizeLimitError, str(exc)
+
+
+def test_engine_matches_memo_search_reference():
+    """The bounded search gives the exact-value memo search's witness and
+    explored, and the same SizeLimitError, on every class: at the default
+    limit and at 12, which refuses the cyclic classes of larger support."""
+    kinds = set()
+    for adj in _memo_search_classes():
+        for limit in (paths.EXACT_VERTEX_LIMIT, 12):
+            got = _outcome(longest_path_masks, adj, limit)
+            assert got == _outcome(memo_search_longest_path, adj, limit)
+            kinds.add((limit, "refused" if got[0] is SizeLimitError
+                       else "searched" if got[1] > len(adj) else "acyclic"))
+    # no class has more than 16 vertices, so only the limit of 12 refuses
+    assert kinds == {(16, "searched"), (16, "acyclic"),
+                     (12, "searched"), (12, "acyclic"), (12, "refused")}
+
+
+def _brute_from(adj, w):
+    """Edges of the longest simple path out of w, by DFS."""
+    def dfs(v, seen):
+        return max((1 + dfs(x, seen | 1 << x) for x in iter_bits(adj[v] & ~seen)),
+                   default=0)
+    return dfs(w, 1 << w)
+
+
+def test_search_window_holds_with_one_memo_for_every_call():
+    """`_ahead` answers exactly inside its window, at least `cap` above it
+    and an upper bound at most `floor` below it, when one memo serves
+    calls from every start with caps and floors in random order: a bound
+    stored under a high floor must not come back as a value under a lower
+    one."""
+    rng = random.Random(3030)
+    below = 0
+    for i in range(150):
+        n = rng.randint(5, 9)
+        g = random_digraph(n, rng.randint(n, n * (n - 1) // 2), i)
+        adj = g.out_masks()
+        values = [_brute_from(adj, w) for w in range(n)]
+        memo = {}
+        windows = [(w, cap, floor) for w in range(n) for cap in range(1, n)
+                   for floor in range(-1, cap)]
+        rng.shuffle(windows)
+        for w, cap, floor in windows:
+            got = paths._ahead(adj, memo, w, 1 << w, cap, floor)
+            value = values[w]
+            if value <= floor:
+                assert value <= got <= floor
+                below += got > value
+            elif value >= cap:
+                assert got >= cap
+            else:
+                assert got == value
+    assert below  # some answers below the window are bounds, not values
+
+
+def _clique_with_sinks(k, sinks):
+    """Out-masks of the complete symmetric digraph on 0..k-1 with an edge
+    from each clique vertex to each of `sinks` further vertices."""
+    clique = (1 << k) - 1
+    fan = ((1 << sinks) - 1) << k
+    return [clique ^ 1 << v | fan for v in range(k)] + [0] * sinks
+
+
+def test_reach_bound_settles_a_clique_with_sinks(monkeypatch):
+    """K14 sending an edge to each of 2 sinks: support 16, longest path
+    14 edges, one short of the 15 that the support allows.  A path out of
+    a clique vertex ends at no more than one sink, so the reach bound caps
+    it at 14 and the first descent settles it, in under 1,000 search
+    calls; the exact-value memo search makes 975,215 to rule out 15."""
+    calls = 0
+    search = paths._ahead
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(paths, "_ahead", counted)
+    vertices, explored = longest_path_masks(_clique_with_sinks(14, 2))
+    assert vertices == list(range(15))
+    assert explored == 1 << 16
+    assert calls < 1000
 
 
 def test_engine_leaves_no_reference_cycles():

@@ -25,6 +25,7 @@ from dipath_ramsey import (
 from dipath_ramsey import oracle
 from dipath_ramsey.paths import find_cycle, longest_path_masks
 from reference_oracle import lexicographic_min_max
+import reference_paths
 from reference_paths import reference_longest_path
 
 
@@ -216,8 +217,9 @@ def _reference_through(out, into, u, v, bound):
 
 
 def _count_searches(monkeypatch):
-    """Count the calls of the check's two searches, `_ahead` and `_behind`,
-    by name, through wrappers patched into the oracle module."""
+    """Count the calls of the check's two searches, the engine's shared
+    `_ahead` and `_behind`, by name, through wrappers patched into the
+    oracle module."""
     calls = collections.Counter()
     for name in ("_ahead", "_behind"):
         def counted(*args, _search=getattr(oracle, name), _name=name):
@@ -268,6 +270,41 @@ def test_path_through_matches_full_engine(monkeypatch):
     # no from the support cutoff alone
     assert {(got, searched) for got, acyc, dag, searched in seen
             if not acyc and not dag} == {(True, True), (False, True), (False, False)}
+
+
+def _memo_search(adj, memo, w, seen, cap, floor):
+    """The exact-value memo search in the shared search's place: it takes
+    no floor and answers the value capped at `cap`."""
+    return reference_paths._ahead(adj, memo, w, seen, cap)
+
+
+def test_check_matches_memo_search_reference(monkeypatch):
+    """The coloring search visits the same nodes whether its check runs
+    the bounded search or the exact-value memo search it replaced: equal
+    value, witness coloring and explored for minmax, and equal answer and
+    refuting coloring for arrow, on 7-vertex tournaments and 18-edge
+    6-vertex digraphs, the oracle's minmax and arrow job shapes."""
+    hosts = [random_tournament(7, s).underlying for s in range(20)]
+    hosts += [random_digraph(6, 18, s) for s in range(40)]
+    searched = refuted = 0
+    for g in hosts:
+        with monkeypatch.context() as m:
+            calls = _count_searches(m)
+            fast = min_max_mono_path(g, 2)
+            ok, witness = arrowing_check(g, 3, 2)
+        searched += calls["_ahead"] > 0
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_ahead", _memo_search)
+            ref = min_max_mono_path(g, 2)
+            ref_ok, ref_witness = arrowing_check(g, 3, 2)
+        assert fast.to_dict() == ref.to_dict()
+        assert ok == ref_ok
+        assert (witness is None) == (ref_witness is None)
+        if witness is not None:
+            assert list(witness.items()) == list(ref_witness.items())
+        refuted += not ok
+    # the cyclic search runs on 59 hosts; arrow answers both ways
+    assert searched >= 55 and 0 < refuted < len(hosts)
 
 
 def _complete_class(n):
