@@ -14,12 +14,19 @@ from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
 from .paths import EXACT_VERTEX_LIMIT, _ahead, longest_path_masks
 
-# the coloring search raises SizeLimitError when a cycle leaves the head
-# or reaches the tail of a class's new edge and the class has an edge at
-# more than this many vertices (and more than bound + 1, below which no
-# path can exceed the bound): this bounds the search through that edge
-# by the (end, vertex set) states of 22 vertices and its recursion by 22
-# frames
+# a check at a bound up to this is the plain depth-first search
+# `_short_through`, whose recursion is at most `bound` + 1 frames deep and
+# which needs no walks, support pass or memo at any class size; questions
+# about P_2 to P_4 ask no more, and above it the paths the plain search
+# tries grow as the degree to the power `bound`
+_SHORT_BOUND = 3
+
+# above _SHORT_BOUND the coloring search raises SizeLimitError when a cycle
+# leaves the head or reaches the tail of a class's new edge and the class
+# has an edge at more than this many vertices (and more than bound + 1,
+# below which no path can exceed the bound): this bounds the search through
+# that edge by the (end, vertex set) states of 22 vertices and its
+# recursion by 22 frames
 _CLASS_SUPPORT_LIMIT = 22
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
@@ -107,25 +114,33 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     out- and in-masks, the new edge included.
 
     Such a path must use (u, v): it is a path into u, the edge, and a path
-    out of v, the two disjoint, with `bound` edges between them.  When no
-    cycle is reachable from v, v does not reach u (the edge would close
-    one), so the two paths never meet.  If no cycle reaches u either, the
-    answer is the longest path into u, plus 1, plus the longest path out
-    of v, each read off its layers of walks, at any size.  Otherwise the
-    class is cyclic, and its support (the vertices with an edge) decides
-    first: a support of at most bound + 1 vertices holds no path of more
-    than `bound` edges, so the answer is no with no search, and a support
-    above _CLASS_SUPPORT_LIMIT raises SizeLimitError.  Else the
-    paths into u are tried one by one, each against the longest path out
-    of v that avoids it, found by the engine's own search, `paths._ahead`.
-    Every path of the old class has at most `bound` edges, so both
-    searches stop at that depth, and a search that reaches it has found
-    the path.  The longest path out of v alone, `most`, is asked for with
-    no floor; each path into u then asks only whether `left` edges out of
-    v remain, with floor `left` - 1, so a state whose reach falls short
-    ends at once.  `_ahead` keeps a bound on each (end, vertex set) state
-    in one memo, and the backward search keeps the states it refutes.
+    out of v, the two disjoint, with `bound` edges between them.  At a
+    bound up to _SHORT_BOUND, `_short_through` grows the two paths one
+    edge at a time and stops at the first pair long enough: no walks,
+    support pass or memo, and no size limit, so only a check above that
+    bound raises SizeLimitError.  Above it run the routes that stay
+    polynomial on acyclic classes of any size and on dense cyclic classes
+    at high bounds.  When no cycle is reachable from v, v does not reach
+    u (the edge would close one), so the two paths never meet.  If no
+    cycle reaches u either, the answer is the longest path into u, plus
+    1, plus the longest path out of v, each read off its layers of walks,
+    at any size.  Otherwise the class is cyclic, and its support (the
+    vertices with an edge) decides first: a support of at most bound + 1
+    vertices holds no path of more than `bound` edges, so the answer is
+    no with no search, and a support above _CLASS_SUPPORT_LIMIT raises
+    SizeLimitError.  Else the paths into u are tried one by one, each
+    against the longest path out of v that avoids it, found by the
+    engine's own search, `paths._ahead`.  Every path of the old class has
+    at most `bound` edges, so both searches stop at that depth, and a
+    search that reaches it has found the path.  The longest path out of v
+    alone, `most`, is asked for with no floor; each path into u then asks
+    only whether `left` edges out of v remain, with floor `left` - 1, so a
+    state whose reach falls short ends at once.  `_ahead` keeps a bound on
+    each (end, vertex set) state in one memo, and the backward search
+    keeps the states it refutes.
     """
+    if bound <= _SHORT_BOUND:
+        return _short_through(out, into, u, v, 1 << u | 1 << v, bound)
     ahead = _dag_depth(out, v)
     if ahead is not None:
         behind = _dag_depth(into, u)
@@ -144,6 +159,40 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     # no path out of v is longer than `most`
     most = _ahead(out, memo, v, ends, bound, -1)
     return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+
+
+def _short_through(out: list[int], into: list[int], w: int, v: int,
+                   seen: int, left: int) -> bool:
+    """Whether a path into u that starts at w and covers `seen` is met by
+    a path out of v of `left` edges that avoids it, or can be extended
+    backward first: `_path_through`'s plain search, one edge at a time,
+    with no memo.  With one edge left, the answer is whether v has an
+    out-neighbor or w an in-neighbor outside `seen`."""
+    if left <= 1:
+        return not left or (out[v] | into[w]) & ~seen != 0
+    if _out_of(out, v, seen, left):
+        return True
+    m = into[w] & ~seen
+    while m:
+        low = m & -m
+        m ^= low
+        if _short_through(out, into, low.bit_length() - 1, v, seen | low, left - 1):
+            return True
+    return False
+
+
+def _out_of(out: list[int], w: int, seen: int, left: int) -> bool:
+    """Whether a path of `left` >= 1 edges leaves w along `out` avoiding
+    `seen`."""
+    m = out[w] & ~seen
+    if left == 1 or not m:
+        return m != 0
+    while m:
+        low = m & -m
+        m ^= low
+        if _out_of(out, low.bit_length() - 1, seen | low, left - 1):
+            return True
+    return False
 
 
 def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
@@ -192,34 +241,41 @@ def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
     into = [[0] * g.n for _ in range(q + 1)]
     count = [0] * (q + 1)
     nodes = spent
-
-    def dfs(pos: int, used: int) -> bool:
-        nonlocal nodes
-        if pos == m:
-            return True
+    # color[pos] is the color on edge pos, 0 while it has none, and
+    # top[pos] the highest color it may take: one past the highest on
+    # edges 0..pos-1, at most q.  A loop, not a recursion, so a host of
+    # any edge count fits in one frame.
+    color = [0] * m
+    top = [1] * (m + 1)
+    pos = 0
+    while pos < m:
         u, v = edges[pos]
         ubit, vbit = 1 << u, 1 << v
-        for c in range(1, min(q, used + 1) + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded {budget} nodes")
-            out, inn = adj[c], into[c]
-            out[u] |= vbit
-            inn[v] |= ubit
-            count[c] += 1
-            # fewer than bound+1 edges can never form a longer path
-            ok = count[c] <= bound or not _path_through(out, inn, u, v, bound)
-            if ok and dfs(pos + 1, max(used, c)):
-                return True
-            out[u] ^= vbit
-            inn[v] ^= ubit
+        c = color[pos]
+        if c:  # take the color tried last off before the next
+            adj[c][u] ^= vbit
+            into[c][v] ^= ubit
             count[c] -= 1
-        return False
-
-    if dfs(0, 0):
-        return EdgeColoring.from_masks(adj[1:]), nodes
-    return None, nodes
+            if c == top[pos]:  # every color tried: back up
+                color[pos] = 0
+                if not pos:
+                    return None, nodes
+                pos -= 1
+                continue
+        c += 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"coloring search exceeded {budget} nodes")
+        color[pos] = c
+        out, inn = adj[c], into[c]
+        out[u] |= vbit
+        inn[v] |= ubit
+        count[c] += 1
+        # fewer than bound+1 edges can never form a longer path
+        if count[c] <= bound or not _path_through(out, inn, u, v, bound):
+            pos += 1
+            top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
+    return EdgeColoring.from_masks(adj[1:]), nodes
 
 
 def min_max_mono_path(g: OrientedGraph, q: int,
@@ -229,19 +285,20 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     Exhaustive (with symmetry and pruning); the witness is a coloring
     attaining the minimum.  Each node checks only the paths through its
     new edge.  Reach, on a 2-vCPU VM: the 9-vertex rotational tournament
-    (36 edges) arrows P_4 with q=2 in about 40,000 nodes and 0.1 s, the
+    (36 edges) arrows P_4 with q=2 in about 40,000 nodes and 0.05 s, the
     transitive TT9 is found not to arrow P_3 with q=2 in about 45,000
-    nodes and 0.07 s, TT10 arrows P_3 with q=2 in 3.4M nodes and about
-    7 s, a 7-vertex tournament's minmax at q=2 takes a few ms, and TT28's
-    at q=1 about 0.05 s.  The node count is the only cost limit:
-    BudgetExceededError is raised when the search needs more than
-    `budget` nodes, with no up-front estimate from q^|E|.  `budget`
-    counts colorings tried, one per (edge, color), not the steps of the
-    check through each new edge; one check is bounded instead by the
-    one size limit: SizeLimitError is raised when a class's new edge
-    meets a cycle while the class has an edge at more than
-    _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at any
-    size.
+    nodes and 0.06 s, TT10 arrows P_3 with q=2 in 3.4M nodes and about
+    4 s, a 7-vertex tournament's minmax at q=2 takes a few ms, TT28's at
+    q=1 about 0.03 s and TT46's (1,035 edges) about 0.5 s.  The node
+    count is the only cost limit: BudgetExceededError is raised when the
+    search needs more than `budget` nodes, with no up-front estimate from
+    q^|E|.  `budget` counts colorings tried, one per (edge, color), not
+    the steps of the check through each new edge.  A check at a bound up
+    to _SHORT_BOUND (3) works at any size; above it one check is bounded
+    by the one size limit instead: SizeLimitError is raised when a
+    class's new edge meets a cycle while the class has an edge at more
+    than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at
+    any size.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

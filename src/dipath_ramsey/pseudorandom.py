@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import ceil, comb, isqrt, log
 
 from .errors import BudgetExceededError, GraphShapeError, ThreadingError
 from .graphs import (
@@ -208,6 +208,13 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
     and its out-neighborhoods, and then the lowest k of them are B.  The
     search is one-sided: a returned pair is a certain refutation, while
     None only suggests the property holds.
+
+    A is drawn as `random.Random(seed).sample(range(n), k)` draws it, the
+    same `getrandbits` calls in the same order, so a seed gives the same
+    pairs as a call of `sample` per trial: from a pool of the vertices not
+    yet drawn when n is at most `sample`'s set-size threshold, else
+    redrawing any vertex already drawn.  Each vertex's closure is taken in
+    as the vertex is drawn.
     """
     g = as_graph(g)
     n = g.n
@@ -215,16 +222,36 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
         raise ValueError(f"k must be in [1, {n // 2}] for n={n}")
     closure = [g.out_mask(v) | 1 << v for v in range(n)]
     full = g.full_mask()
-    vertices = range(n)
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    setsize = 21  # `sample`'s threshold between its two ways of drawing
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    vertices = list(range(n)) if n <= setsize else None
+    # the pool's size at each draw and the bits `randbelow` draws for it
+    sizes = [(i, i.bit_length()) for i in range(n, n - k, -1)]
+    width = n.bit_length()
     for _ in range(trials):
-        a = rng.sample(vertices, k)
-        closed = 0
-        for v in a:
-            closed |= closure[v]
+        a = closed = 0
+        if vertices is not None:
+            pool = vertices[:]
+            for i, w in sizes:
+                j = bits(w)
+                while j >= i:
+                    j = bits(w)
+                v = pool[j]
+                pool[j] = pool[i - 1]
+                a |= 1 << v
+                closed |= closure[v]
+        else:
+            for _ in range(k):
+                j = bits(width)
+                while j >= n or a >> j & 1:
+                    j = bits(width)
+                a |= 1 << j
+                closed |= closure[j]
         free = full & ~closed
         if free.bit_count() >= k:
-            return tuple(sorted(a)), tuple(itertools.islice(iter_bits(free), k))
+            return tuple(iter_bits(a)), tuple(itertools.islice(iter_bits(free), k))
     return None
 
 

@@ -3,12 +3,16 @@ reference for the mask-filling generators in `pseudorandom` and the random
 coloring of `experiment`.  They draw through `randrange`, `random` and
 `randint`, keep a set of tuple keys and pass an edge list (or an edge dict)
 to the checking constructors, sharing no drawing or mask code with the
-versions under test.
+versions under test.  The sampled refuter is kept too, as it drew each set
+A through `random.Random.sample`: the reference for the refuter that
+replays those draws with `getrandbits`.
 """
+import itertools
 import random
 
 from dipath_ramsey.errors import GraphShapeError
-from dipath_ramsey.graphs import EdgeColoring, OrientedGraph, Tournament
+from dipath_ramsey.graphs import (EdgeColoring, OrientedGraph, Tournament, as_graph,
+                                  iter_bits)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -96,3 +100,31 @@ def _random_coloring(g: OrientedGraph, colors: int, seed: int) -> EdgeColoring:
     rng = random.Random(seed)
     return EdgeColoring(colors,
                         {e: rng.randint(1, colors) for e in g.edges()})
+
+
+def refute_pseudorandomness(g, k: int, trials: int, seed: int):
+    """Monte Carlo search for a violating pair; None means none was found.
+
+    Each trial samples only A and applies the closure test of
+    `_violating_pair`: some B exists exactly when k vertices lie outside A
+    and its out-neighborhoods, and then the lowest k of them are B.  The
+    search is one-sided: a returned pair is a certain refutation, while
+    None only suggests the property holds.
+    """
+    g = as_graph(g)
+    n = g.n
+    if k < 1 or k > n // 2:
+        raise ValueError(f"k must be in [1, {n // 2}] for n={n}")
+    closure = [g.out_mask(v) | 1 << v for v in range(n)]
+    full = g.full_mask()
+    vertices = range(n)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        a = rng.sample(vertices, k)
+        closed = 0
+        for v in a:
+            closed |= closure[v]
+        free = full & ~closed
+        if free.bit_count() >= k:
+            return tuple(sorted(a)), tuple(itertools.islice(iter_bits(free), k))
+    return None

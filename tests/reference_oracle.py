@@ -1,12 +1,68 @@
-"""The coloring search that `oracle._decision_search` once ran, coloring
-`g.edges()` in lexicographic order, kept as the reference for the
-vertex-by-vertex order that replaced it: the two must agree on every
-value and arrow answer, while their witnesses and node counts differ.
-It runs the package's per-edge check, `oracle._path_through`, looked up
-at each call, which the oracle tests hold to the subset DP."""
+"""Routes that the oracle's coloring search once ran, kept verbatim.
+
+`lexicographic_search` colors `g.edges()` in lexicographic order, the
+reference for the vertex-by-vertex order that replaced it: the two must
+agree on every value and arrow answer, while their witnesses and node
+counts differ.  It runs the package's per-edge check,
+`oracle._path_through`, looked up at each call, which the oracle tests
+hold to the subset DP.
+
+`path_through` is that check as it ran at every bound before a bound up
+to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
+the support cutoff, the 22-vertex guard and the memo search.  Patched in
+for the package's check, it must give the same value, witness and
+explored on every input where it raises nothing."""
 from dipath_ramsey import oracle
-from dipath_ramsey.errors import BudgetExceededError
+from dipath_ramsey.errors import BudgetExceededError, SizeLimitError
 from dipath_ramsey.graphs import EdgeColoring, OrientedGraph
+from dipath_ramsey.oracle import _CLASS_SUPPORT_LIMIT, _behind, _dag_depth
+from dipath_ramsey.paths import _ahead
+
+
+def path_through(out: list[int], into: list[int], u: int, v: int,
+                 bound: int) -> bool:
+    """Whether a class with no path of more than `bound` edges gains one
+    when its new edge (u, v) comes in.  `out` and `into` are the class's
+    out- and in-masks, the new edge included.
+
+    Such a path must use (u, v): it is a path into u, the edge, and a path
+    out of v, the two disjoint, with `bound` edges between them.  When no
+    cycle is reachable from v, v does not reach u (the edge would close
+    one), so the two paths never meet.  If no cycle reaches u either, the
+    answer is the longest path into u, plus 1, plus the longest path out
+    of v, each read off its layers of walks, at any size.  Otherwise the
+    class is cyclic, and its support (the vertices with an edge) decides
+    first: a support of at most bound + 1 vertices holds no path of more
+    than `bound` edges, so the answer is no with no search, and a support
+    above _CLASS_SUPPORT_LIMIT raises SizeLimitError.  Else the
+    paths into u are tried one by one, each against the longest path out
+    of v that avoids it, found by the engine's own search, `paths._ahead`.
+    Every path of the old class has at most `bound` edges, so both
+    searches stop at that depth, and a search that reaches it has found
+    the path.  The longest path out of v alone, `most`, is asked for with
+    no floor; each path into u then asks only whether `left` edges out of
+    v remain, with floor `left` - 1, so a state whose reach falls short
+    ends at once.  `_ahead` keeps a bound on each (end, vertex set) state
+    in one memo, and the backward search keeps the states it refutes.
+    """
+    ahead = _dag_depth(out, v)
+    if ahead is not None:
+        behind = _dag_depth(into, u)
+        if behind is not None:
+            return behind + ahead >= bound
+    support = 0  # the masks of `into` name the tails, those of `out` the heads
+    for a, b in zip(out, into):
+        support |= a | b
+    size = support.bit_count()
+    if size <= bound + 1:  # no simple path there has more than `bound` edges
+        return False
+    if size > _CLASS_SUPPORT_LIMIT:
+        raise SizeLimitError(f"cyclic support {size} > limit {_CLASS_SUPPORT_LIMIT}")
+    memo: dict = {}  # _ahead's bounds on (end, vertex set) states
+    ends = 1 << u | 1 << v
+    # no path out of v is longer than `most`
+    most = _ahead(out, memo, v, ends, bound, -1)
+    return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
 
 
 def lexicographic_search(g: OrientedGraph, q: int, bound: int,

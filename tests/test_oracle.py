@@ -24,6 +24,7 @@ from dipath_ramsey import (
 )
 from dipath_ramsey import oracle
 from dipath_ramsey.paths import find_cycle, longest_path_masks
+import reference_oracle
 from reference_oracle import lexicographic_min_max
 import reference_paths
 from reference_paths import reference_longest_path
@@ -210,18 +211,18 @@ def test_minmax_cycle_off_the_new_edges_above_guard_size():
 
 # -- the search's per-edge check against measuring the whole class ------
 
-def _reference_through(out, into, u, v, bound):
+def _reference_through(out, into, u, v, bound, limit=oracle._CLASS_SUPPORT_LIMIT):
     """Reference check: measure the whole class with the subset DP, which
     shares no search code with `_path_through`."""
-    return len(reference_longest_path(out, bound, oracle._CLASS_SUPPORT_LIMIT)[0]) > bound + 1
+    return len(reference_longest_path(out, bound, limit)[0]) > bound + 1
 
 
-def _count_searches(monkeypatch):
-    """Count the calls of the check's two searches, the engine's shared
-    `_ahead` and `_behind`, by name, through wrappers patched into the
-    oracle module."""
+def _count_searches(monkeypatch, names=("_ahead", "_behind")):
+    """Count the calls of the check's searches, by name, through wrappers
+    patched into the oracle module: by default the two above the short
+    bound, the engine's shared `_ahead` and `_behind`."""
     calls = collections.Counter()
-    for name in ("_ahead", "_behind"):
+    for name in names:
         def counted(*args, _search=getattr(oracle, name), _name=name):
             calls[_name] += 1
             return _search(*args)
@@ -229,47 +230,144 @@ def _count_searches(monkeypatch):
     return calls
 
 
+def _random_class(rng, n, bound):
+    """Masks of a random class on n vertices with no path of more than
+    `bound` edges, plus a new edge (u, v): (out, into, u, v), or None when
+    no edge is left to add."""
+    out, into = [0] * n, [0] * n
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    rng.shuffle(pairs)
+    for a, b in pairs[:rng.randint(0, len(pairs))]:
+        out[a] |= 1 << b
+        if len(reference_longest_path(out, bound)[0]) > bound + 1:
+            out[a] ^= 1 << b
+        else:
+            into[b] |= 1 << a
+    free = [(a, b) for a, b in pairs if not out[a] >> b & 1]
+    if not free:
+        return None
+    u, v = free[0]
+    out[u] |= 1 << v
+    into[v] |= 1 << u
+    return out, into, u, v
+
+
+def _cycles_class(rng, n):
+    """Masks of a class of disjoint 2- and 3-cycles covering n vertices,
+    which has no path of more than 2 edges, plus a new edge (u, v) from
+    one cycle to another."""
+    order = rng.sample(range(n), n)
+    out, into, cycles = [0] * n, [0] * n, []
+    while order:
+        left = len(order)
+        size = left if left <= 3 else 2 if left == 4 or rng.random() < 0.5 else 3
+        cycle, order = order[:size], order[size:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a] |= 1 << b
+            into[b] |= 1 << a
+        cycles.append(cycle)
+    tail, head = rng.sample(cycles, 2)
+    u, v = rng.choice(tail), rng.choice(head)
+    out[u] |= 1 << v
+    into[v] |= 1 << u
+    return out, into, u, v
+
+
 def test_path_through_matches_full_engine(monkeypatch):
     """Random classes with no path longer than `bound`, plus one new edge:
-    the check through the new edge agrees with measuring the class."""
-    calls = _count_searches(monkeypatch)
+    the check through the new edge agrees with measuring the class, on
+    each of its routes.  Bounds up to 7 keep the routes above the short
+    bound running.  Classes of 2- and 3-cycles on 23-26 vertices reach
+    the size guard above it, which the reference shares, and are answered
+    at a short bound, as the subset DP with no limit answers them."""
+    calls = _count_searches(monkeypatch, ("_short_through", "_ahead"))
     rng = random.Random(2024)
-    seen = set()
+    cases = []
     for _ in range(3000):
-        n = rng.randint(2, 9)
-        bound = rng.randint(0, 5)
-        out, into = [0] * n, [0] * n
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        rng.shuffle(pairs)
-        for a, b in pairs[:rng.randint(0, len(pairs))]:
-            out[a] |= 1 << b
-            if len(reference_longest_path(out, bound)[0]) > bound + 1:
-                out[a] ^= 1 << b
-            else:
-                into[b] |= 1 << a
-        free = [(a, b) for a, b in pairs if not out[a] >> b & 1]
-        if not free:
-            continue
-        u, v = free[0]
-        out[u] |= 1 << v
-        into[v] |= 1 << u
-        before = sum(calls.values())
-        got = oracle._path_through(out, into, u, v, bound)
-        searched = sum(calls.values()) > before
-        assert got == _reference_through(out, into, u, v, bound)
-        dag_sides = (oracle._dag_depth(out, v) is not None
-                     and oracle._dag_depth(into, u) is not None)
-        seen.add((got, find_cycle(OrientedGraph.from_masks(n, out, into, True)) is None,
-                  dag_sides, searched))
-    # both answers, on acyclic and cyclic classes, by the DAG DP on both
-    # sides and by the search; a cyclic class may still take the DAG DP
-    assert {(got, acyc) for got, acyc, _, _ in seen} == set(itertools.product((True, False), repeat=2))
-    assert {(got, dag) for got, _, dag, _ in seen} == set(itertools.product((True, False), repeat=2))
-    assert (True, False, True, False) in seen
-    # cyclic classes off the DAG DP: both answers from the search, and a
-    # no from the support cutoff alone
-    assert {(got, searched) for got, acyc, dag, searched in seen
-            if not acyc and not dag} == {(True, True), (False, True), (False, False)}
+        bound = rng.randint(0, 7)
+        case = _random_class(rng, rng.randint(2, 9), bound)
+        if case:
+            cases.append((case, bound))
+    for _ in range(60):
+        cases.append((_cycles_class(rng, rng.randint(23, 26)), rng.randint(2, 5)))
+    seen = set()
+    for (out, into, u, v), bound in cases:
+        n = len(out)
+        short = bound <= oracle._SHORT_BOUND
+        try:
+            want = _reference_through(out, into, u, v, bound,
+                                      n if short else oracle._CLASS_SUPPORT_LIMIT)
+        except SizeLimitError:
+            want = SizeLimitError
+        before = calls.copy()
+        try:
+            got = oracle._path_through(out, into, u, v, bound)
+        except SizeLimitError:
+            got = SizeLimitError
+        assert got == want
+        assert (calls["_short_through"] > before["_short_through"]) == short
+        if short:
+            route = "short"
+        elif got is SizeLimitError:
+            route = "guard"
+        elif calls["_ahead"] > before["_ahead"]:
+            route = "search"
+        elif (oracle._dag_depth(out, v) is not None
+              and oracle._dag_depth(into, u) is not None):
+            route = "dag"
+        else:
+            route = "cutoff"
+        acyclic = find_cycle(OrientedGraph.from_masks(n, out, into, True)) is None
+        seen.add((route, got, acyclic, n > oracle._CLASS_SUPPORT_LIMIT))
+    # every route, with both answers where it has two: the support
+    # cutoff only says no, and the guard raises on the large classes
+    assert {(route, got) for route, got, _, _ in seen} == {
+        ("short", True), ("short", False), ("dag", True), ("dag", False),
+        ("search", True), ("search", False), ("cutoff", False),
+        ("guard", SizeLimitError)}
+    # the short search on acyclic and cyclic classes, and on cyclic
+    # classes above the guard size; a cyclic class may take the DAG walks
+    assert {(got, acyclic) for route, got, acyclic, _ in seen
+            if route == "short"} == set(itertools.product((True, False), repeat=2))
+    assert {got for route, got, _, big in seen
+            if route == "short" and big} == {True, False}
+    assert any(route == "dag" and not acyclic for route, _, acyclic, _ in seen)
+
+
+def _job_hosts():
+    """The oracle's minmax and arrow job shapes: 7-vertex tournaments and
+    18-edge 6-vertex digraphs."""
+    return ([random_tournament(7, s).underlying for s in range(20)]
+            + [random_digraph(6, 18, s) for s in range(40)])
+
+
+def _decisions(g):
+    """Minmax at q = 1 and 2 and arrow of P_3 at q = 2 and of P_6 at
+    q = 1, as comparable values."""
+    out = [min_max_mono_path(g, q).to_dict() for q in (1, 2)]
+    for target, q in ((3, 2), (6, 1)):
+        ok, witness = arrowing_check(g, target, q)
+        out.append((ok, None if witness is None else list(witness.items())))
+    return out
+
+
+def test_search_matches_check_before_short_bound(monkeypatch):
+    """The coloring search visits the same nodes whether its check runs
+    the short search at bounds up to 3 or, as before, the DAG walks,
+    support cutoff and memo search at every bound
+    (`reference_oracle.path_through`): equal value, witness coloring and
+    explored for minmax, and equal answer and refuting coloring for
+    arrow, on the job shapes.  The short search runs on every host."""
+    shorts = 0
+    for g in _job_hosts():
+        with monkeypatch.context() as m:
+            calls = _count_searches(m, ("_short_through",))
+            fast = _decisions(g)
+        shorts += calls["_short_through"] > 0
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_path_through", reference_oracle.path_through)
+            assert _decisions(g) == fast
+    assert shorts == 60
 
 
 def _memo_search(adj, memo, w, seen, cap, floor):
@@ -282,29 +380,20 @@ def test_check_matches_memo_search_reference(monkeypatch):
     """The coloring search visits the same nodes whether its check runs
     the bounded search or the exact-value memo search it replaced: equal
     value, witness coloring and explored for minmax, and equal answer and
-    refuting coloring for arrow, on 7-vertex tournaments and 18-edge
-    6-vertex digraphs, the oracle's minmax and arrow job shapes."""
-    hosts = [random_tournament(7, s).underlying for s in range(20)]
-    hosts += [random_digraph(6, 18, s) for s in range(40)]
+    refuting coloring for arrow, on the job shapes.  The memo search runs
+    above the short bound only, which minmax and arrow at q = 1 reach."""
     searched = refuted = 0
-    for g in hosts:
+    for g in _job_hosts():
         with monkeypatch.context() as m:
             calls = _count_searches(m)
-            fast = min_max_mono_path(g, 2)
-            ok, witness = arrowing_check(g, 3, 2)
+            fast = _decisions(g)
         searched += calls["_ahead"] > 0
         with monkeypatch.context() as m:
             m.setattr(oracle, "_ahead", _memo_search)
-            ref = min_max_mono_path(g, 2)
-            ref_ok, ref_witness = arrowing_check(g, 3, 2)
-        assert fast.to_dict() == ref.to_dict()
-        assert ok == ref_ok
-        assert (witness is None) == (ref_witness is None)
-        if witness is not None:
-            assert list(witness.items()) == list(ref_witness.items())
-        refuted += not ok
-    # the cyclic search runs on 59 hosts; arrow answers both ways
-    assert searched >= 55 and 0 < refuted < len(hosts)
+            assert _decisions(g) == fast
+        refuted += not fast[2][0]
+    # the cyclic search runs on 59 hosts; arrow of P_3 answers both ways
+    assert searched >= 55 and 0 < refuted < 60
 
 
 def _complete_class(n):
@@ -426,9 +515,9 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
     the reference's nodes: where the reference, the whole class measured
     with the subset DP, gives an answer or runs out of budget, so does the
     search, identically.  The reference raises SizeLimitError on every
-    cyclic class above 22 vertices; the search raises it only when a cycle
-    meets the new edge, so past that node it may go on, and an answer it
-    gives is checked on its witness."""
+    cyclic class above 22 vertices; the search raises it only above bound
+    3 and when a cycle meets the new edge, so past that node it may go
+    on, and an answer it gives is checked on its witness."""
     budget = 20_000
     seen = set()
     for g in _guard_size_hosts():
@@ -450,6 +539,54 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
                 assert fast.to_dict() == ref.to_dict()
     assert seen == {"answer", BudgetExceededError, SizeLimitError,
                     "answer past the reference's limit"}
+
+
+def _decision(g, q, bound, budget):
+    """One decision of the coloring search as (coloring items or None,
+    nodes), or the type of the error it raised."""
+    try:
+        witness, nodes = oracle._decision_search(g, q, bound, budget, 0)
+    except (BudgetExceededError, SizeLimitError) as exc:
+        return type(exc)
+    return (None if witness is None else list(witness.items())), nodes
+
+
+def test_short_bound_decisions_above_guard_size(monkeypatch):
+    """At bounds 1-3 the check has no size guard: on hosts of 23-30
+    vertices each decision at q = 1 and 2 visits the nodes that the
+    search visits with the subset DP, its limit raised to the host, as
+    its check, and a coloring found keeps every class at the bound on the
+    subset DP.  Some of these decisions met the guard before the short
+    search (`reference_oracle.path_through`); every other one is
+    unchanged."""
+    budget = 20_000
+    answered = refused_before = 0
+    for g in _guard_size_hosts():
+        n = g.n
+        for q, bound in itertools.product((1, 2), (1, 2, 3)):
+            fast = _decision(g, q, bound, budget)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_path_through", lambda out, into, u, v, b:
+                          _reference_through(out, into, u, v, b, n))
+                assert _decision(g, q, bound, budget) == fast
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_path_through", reference_oracle.path_through)
+                before = _decision(g, q, bound, budget)
+            if before is SizeLimitError:
+                refused_before += 1
+            else:
+                assert before == fast
+            if fast is BudgetExceededError:
+                continue
+            answered += 1
+            witness = fast[0]
+            if witness is not None:
+                coloring = EdgeColoring(q, dict(witness))
+                coloring.validate_total(g)
+                for c in range(1, q + 1):
+                    path, _ = reference_longest_path(coloring.out_masks(c, n), bound, n)
+                    assert len(path) <= bound + 1
+    assert answered >= 140 and refused_before >= 5
 
 
 # -- the vertex-by-vertex edge order against the lexicographic one --------
@@ -512,6 +649,16 @@ def test_nine_vertex_arrow_decisions_within_small_budget():
     ok, witness = arrowing_check(tt9, 3, 2, budget=200_000)
     assert not ok
     assert _reaches(tt9, witness) == 2
+
+
+def test_search_depth_is_not_bounded_by_frames():
+    """The search keeps its place on each edge in lists, not in frames:
+    TT46 (1,035 edges) at q=1 gives its longest path, 45, and a
+    1,100-vertex directed path does not arrow P_3 at q=2."""
+    assert min_max_mono_path(transitive_tournament(46), 1).value == 45
+    g = OrientedGraph(1100, [(i, i + 1) for i in range(1099)])
+    ok, witness = arrowing_check(g, 3, 2)
+    assert not ok and _reaches(g, witness) == 2
 
 
 # -- arrowing --------------------------------------------------------------

@@ -22,6 +22,7 @@ from dipath_ramsey import (
 )
 from dipath_ramsey.graphs import is_tournament, iter_bits
 from dipath_ramsey.pseudorandom import _violating_pair
+import reference_generators
 
 
 def test_paley_three():
@@ -148,6 +149,34 @@ def test_refute_one_sided():
     from dipath_ramsey import complete_symmetric
     g = complete_symmetric(8)
     assert refute_pseudorandomness(g, 1, 200, 3) is None
+
+
+def test_refute_replays_sample_draws():
+    """The refuter draws each A with `getrandbits` calls in `sample`'s
+    order, so it returns what the reference that calls `sample` returns,
+    pair for pair, on both sides of `sample`'s pool threshold, on
+    tournaments and on sparse graphs that refute often, with both
+    outcomes on each side."""
+    rng = random.Random(41)
+    outcomes = set()
+    for k in (1, 2, 5, 6, 10, 12):
+        # the largest n at which `sample(range(n), k)` draws from a pool of
+        # the values left, not redrawing repeats: 21 for k <= 5, else 85
+        top = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+        for n in (2 * k, top - 1, top, top + 1, top + 40):
+            for i in range(6):
+                seed = rng.getrandbits(32)
+                if i % 2:
+                    g = random_tournament(n, seed)
+                else:
+                    m = rng.randint(1, min(3 * n, n * (n - 1) // 2))
+                    g = random_oriented_graph(n, m, seed)
+                trials = rng.choice((1, 5, 40))
+                got = refute_pseudorandomness(g, k, trials, seed)
+                assert got == reference_generators.refute_pseudorandomness(
+                    g, k, trials, seed)
+                outcomes.add((n <= top, got is None))
+    assert outcomes == set(itertools.product((True, False), repeat=2))
 
 
 def test_dfs_long_path_hamilton_on_transitive():
