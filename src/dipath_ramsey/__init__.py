@@ -56,9 +56,10 @@ from .experiment import (
     run_experiment,
 )
 from .formats import (
+    parse_colored,
     parse_coloring,
     parse_graph,
-    read_coloring,
+    read_colored,
     read_graph,
     serialize_coloring,
     serialize_graph,

@@ -20,26 +20,79 @@ from .graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from .paths import _heights, _reach, _walk
+from .paths import _heights, _walk
 
 RED, BLUE = 1, 2
 
 
 def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     """Greedy maximal acyclic spanning subgraph, edges tried in canonical
-    (lexicographic) order.  Maximal: every rejected edge closes a cycle."""
+    (lexicographic) order.  Maximal: every rejected edge closes a cycle.
+
+    When u's edges are tried, no vertex above u has a kept out-edge yet, so
+    only vertices below u reach u, and every forward edge (u < v) is kept.
+    So u's forward ancestors never change: anc[u], u together with them,
+    is the OR of anc[x] over u's forward in-neighbours x, taken highest
+    first, each one already covered dropped.  What reaches u is anc[u]
+    closed under the kept backward edges, and a backward edge u -> v is
+    kept exactly when v lies outside that set.  A set that holds anc of
+    each of its vertices grows only along kept backward edges; each round
+    of the closure finds the new tails either from the heads it gained
+    last round or from the tails still outside it, whichever are fewer.
+    """
     n = g.n
+    anc = [0] * n
+    # the kept backward edges, by head and by tail
+    back_in = [0] * n
+    back_out = [0] * n
+    heads = tails = 0
     kept_out = [0] * n
-    kept_in = [0] * n
     for u in range(n):
-        # a head v > u has no kept out-edge yet, so the set of vertices
-        # reaching u cannot change while u's edges are tried
-        keep = kept_out[u] = g.out_mask(u) & ~_reach(kept_in, 1 << u, -1)
         bit = 1 << u
-        while keep:
-            low = keep & -keep
-            kept_in[low.bit_length() - 1] |= bit
-            keep ^= low
+        below = bit - 1
+        seen = bit
+        fwd = g.in_mask(u) & below
+        while fwd:
+            seen |= anc[fwd.bit_length() - 1]
+            fwd &= ~seen
+        anc[u] = seen
+        new = seen
+        while True:
+            by_head = new & heads
+            by_tail = tails & ~seen
+            if not by_head or not by_tail:
+                break
+            found = 0
+            if by_head.bit_count() <= by_tail.bit_count():
+                while by_head:
+                    low = by_head & -by_head
+                    found |= back_in[low.bit_length() - 1]
+                    by_head ^= low
+                found &= ~seen
+            else:
+                while by_tail:
+                    t = by_tail.bit_length() - 1
+                    by_tail ^= 1 << t
+                    if back_out[t] & new:
+                        found |= 1 << t
+            if not found:
+                break
+            grown = seen
+            while found:
+                grown |= anc[found.bit_length() - 1]
+                found &= ~grown
+            new = grown ^ seen
+            seen = grown
+        keep = kept_out[u] = g.out_mask(u) & ~seen
+        back = back_out[u] = keep & below
+        if back:
+            tails |= bit
+            heads |= back
+            while back:
+                low = back & -back
+                back_in[low.bit_length() - 1] |= bit
+                back ^= low
+    kept_in = [g.in_mask(v) & ((1 << v) - 1) | back_in[v] for v in range(n)]
     return OrientedGraph.from_masks(n, kept_out, kept_in, g.allow_antiparallel)
 
 

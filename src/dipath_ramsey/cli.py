@@ -18,7 +18,7 @@ from .builder import multicolor_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import DipathError
 from .experiment import ExperimentManifest, run_experiment
-from .formats import _read_text, read_coloring, read_graph, write_coloring, write_graph
+from .formats import _read_text, read_colored, read_graph, write_coloring, write_graph
 from .oracle import arrowing_check, longest_mono_path, min_max_mono_path
 from .pseudorandom import (
     paley_tournament,
@@ -144,8 +144,7 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
                coloring_path: str, out_path) -> None:
     """Extract a long monochromatic path and emit its certificate."""
     cfg = _load_config(config_path)
-    g = read_graph(in_path)
-    coloring = read_coloring(coloring_path, g, num_colors=colors)
+    g, coloring = read_colored(in_path, coloring_path, num_colors=colors)
     cert = multicolor_path_finder(g, coloring, k, n_target, cfg)
     cert.validate(g, coloring)
     payload = cert.to_dict()
@@ -167,11 +166,13 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
               default=None)
 def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
     """Exhaustive ground truth on small instances."""
-    g = read_graph(in_path)
+    if mode == "path" and coloring_path is not None:
+        g, coloring = read_colored(in_path, coloring_path)
+    else:
+        g = read_graph(in_path)
     if mode == "path":
         if coloring_path is None:
             raise click.UsageError("--mode path requires --coloring")
-        coloring = read_coloring(coloring_path, g)
         per_color = longest_mono_path(g, coloring)
         _echo_json({str(c): r.to_dict() for c, r in per_color.items()})
         return

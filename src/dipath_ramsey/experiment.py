@@ -18,7 +18,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 
@@ -317,6 +316,8 @@ def run_experiment(manifest: ExperimentManifest,
              for r in range(manifest.repetitions)]
     workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     if workers > 1 and len(tasks) > 1:
+        # imported here: the pool's modules cost every start of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, repeat(manifest), *zip(*tasks)))
     else:

@@ -21,6 +21,16 @@ check is scanned line by line, which reports the first offending line (and
 parses a body whose only quirks are other whitespace, leading zeros or
 color ids at or above n).
 
+A host and its coloring are read together in one parse (`parse_colored`,
+`read_colored`).  When the coloring passes its bulk check and its ``u v``
+columns equal the graph body byte for byte, as they do for every pair the
+writers produce, only the coloring is parsed: the graph is the union of its
+classes and takes the graph's mask checks.  The color field is cut through
+a marker, one pass per color in use, so that a line already cut to ``u c2``
+never matches a later color c2.  Any other pair, and any pair that fails a
+check, goes through parse_graph and then parse_coloring, which decide the
+result or the error.
+
 The serializers pick by the host's density.  A dense host (colors * n^2
 at most 48 m) writes each vertex's lines with one join, its row's bit
 strings selecting the id (or ``v c``) strings through ``compress``: O(n) C
@@ -34,7 +44,7 @@ from itertools import compress
 from operator import and_, eq, or_
 
 from .errors import FormatError
-from .graphs import EdgeColoring, OrientedGraph
+from .graphs import _DENSE, EdgeColoring, OrientedGraph, _transpose
 
 _KINDS = {"oriented": False, "symmetric": True}
 
@@ -45,15 +55,15 @@ _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 # A body takes the token table from 8n tokens on: building the table costs
 # about 0.5 us an entry, and a lookup saves about 70 ns a token over int().
-# The bit table and the transpose cost O(n^2); from n^2 < 32 m on they beat
-# ORing 1 << v into the out-masks (and 1 << u into the in-masks) per edge,
-# with which they tie at n^2 = 32 m for n = 256 and 1000.  There the
-# transpose's 2n^2 transient bytes stay below the 2m token strings of at
-# least 50 bytes each that split() held just before.  Writing, compress and
+# The bit table and the transpose cost O(n^2); from n^2 < 32 m on (graphs'
+# _DENSE) they beat ORing 1 << v into the out-masks (and 1 << u into the
+# in-masks) per edge, with which they tie at n^2 = 32 m for n = 256 and
+# 1000.  There the transpose's 2n^2 transient bytes stay below the 2m token
+# strings of at least 50 bytes each that split() held just before.  Writing, compress and
 # the bit walk tie near colors * n^2 = 48 m for n = 256 to 3000 and one or
 # two colors.  All measured in-process on random oriented hosts, best of 5
 # to 7, CPython 3.11 on a shared 2-vCPU VM.
-_TABLE, _DENSE, _WALK = 8, 32, 48
+_TABLE, _WALK = 8, 48
 
 
 # kept per size, shared by every parse of that size and never written to;
@@ -129,15 +139,9 @@ def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
         return None
 
 
-def _transpose(out: list[int], n: int) -> list[int]:
-    """In-masks of the n x n bit matrix whose rows are `out`: row u's
-    digits run from bit n - 1 down, so column v is every n-th digit."""
-    spec = f"0{n}b"
-    digits = "".join([format(row, spec) for row in reversed(out)])
-    return [int(digits[n - 1 - v::n], 2) for v in range(n)]
-
-
-def parse_graph(text: str) -> OrientedGraph:
+def _head(text: str) -> tuple[int, int, bool, str]:
+    """(n, m, symmetric, body) of a graph text whose header is sound and
+    whose body has the m lines it promises."""
     if not text:
         raise FormatError("empty input", 1)
     head_line, _, body = text.partition("\n")
@@ -154,30 +158,57 @@ def parse_graph(text: str) -> OrientedGraph:
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found}",
                           min(found + 2, m + 2))
-    symmetric = _KINDS[head[2]]
+    return n, m, _KINDS[head[2]], body
+
+
+def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
+                nums: list[int], width: int,
+                inn: list[int] | None = None) -> OrientedGraph | None:
+    """The graph with out-masks `out`, ORed from the m edge lines whose
+    ids `nums` hold u and v at the start of every `width` numbers, when
+    its masks pass the checks: no loop, m distinct edges, and no
+    antiparallel pair unless symmetric.  None sends the body to the line
+    scan.  A sparse body's in-masks `inn` may come along, ORed in the
+    caller's loop over the edges; a dense one's come from the transpose."""
+    # m distinct edges from m lines leave no room for a duplicate
+    if sum(map(int.bit_count, out)) != m:
+        return None
+    if n * n < _DENSE * m:
+        if any(map(and_, out, [1 << i for i in range(n)])):
+            return None
+        inn = _transpose(out, n)
+    else:
+        us, vs = nums[0::width], nums[1::width]
+        if any(map(eq, us, vs)):
+            return None
+        if inn is None:
+            inn = [0] * n
+            for u, v in zip(us, vs):
+                inn[v] |= 1 << u
+    if symmetric or not any(map(and_, out, inn)):
+        return OrientedGraph.from_masks(n, out, inn, symmetric)
+    return None
+
+
+def parse_graph(text: str) -> OrientedGraph:
+    n, m, symmetric, body = _head(text)
     nums = _bulk_ints(body, b" \n", m, n)
     if nums is not None:
         out = [0] * n
+        inn = None
+        pairs = iter(nums)
         if n * n < _DENSE * m:
             bits = [1 << i for i in range(n)]
-            pairs = iter(nums)
             for u, v in zip(pairs, pairs):
                 out[u] |= bits[v]
-            loops = any(map(and_, out, bits))
-            inn = None
         else:
-            us, vs = nums[0::2], nums[1::2]
             inn = [0] * n
-            for u, v in zip(us, vs):
+            for u, v in zip(pairs, pairs):
                 out[u] |= 1 << v
                 inn[v] |= 1 << u
-            loops = any(map(eq, us, vs))
-        # m distinct edges from m lines leave no room for a duplicate
-        if sum(map(int.bit_count, out)) == m and not loops:
-            if inn is None:
-                inn = _transpose(out, n)
-            if symmetric or not any(map(and_, out, inn)):
-                return OrientedGraph.from_masks(n, out, inn, symmetric)
+        g = _mask_graph(n, m, symmetric, out, nums, 2, inn)
+        if g is not None:
+            return g
     return _scan_graph(n, symmetric, body.split("\n")[:m])
 
 
@@ -211,6 +242,28 @@ def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
     return _lines(g, [layers[c] for c in used], [f" {c}" for c in used])
 
 
+def _class_masks(nums: list[int], n: int, m: int, q: int) -> list[list[int]]:
+    """Out-masks of colors 0..q from the m coloring lines whose numbers
+    `nums` run u, v, c, ..., every id below n and color at most q."""
+    masks = [[0] * n for _ in range(q + 1)]
+    triples = iter(nums)
+    if n * n < _DENSE * m:
+        bits = [1 << i for i in range(n)]
+        for u, v, c in zip(triples, triples, triples):
+            masks[c][u] |= bits[v]
+    else:
+        for u, v, c in zip(triples, triples, triples):
+            masks[c][u] |= 1 << v
+    return masks
+
+
+def _union(masks: list[list[int]]) -> list[int]:
+    union = masks[0]
+    for rows in masks[1:]:
+        union = list(map(or_, union, rows))
+    return union
+
+
 def parse_coloring(text: str, g: OrientedGraph,
                    num_colors: int | None = None) -> EdgeColoring:
     """Parse a coloring against its host graph.
@@ -225,23 +278,47 @@ def parse_coloring(text: str, g: OrientedGraph,
         top = max(nums[2::3])
         q = top if num_colors is None else num_colors
         if 0 < top <= q:
-            masks = [[0] * n for _ in range(q + 1)]
-            triples = iter(nums)
-            if n * n < _DENSE * m:
-                bits = [1 << i for i in range(n)]
-                for u, v, c in zip(triples, triples, triples):
-                    masks[c][u] |= bits[v]
-            else:
-                for u, v, c in zip(triples, triples, triples):
-                    masks[c][u] |= 1 << v
-            union = masks[1]
-            for rows in masks[2:]:
-                union = list(map(or_, union, rows))
+            masks = _class_masks(nums, n, m, q)[1:]
             # as many lines as host edges: covering them all in colors 1..q
             # leaves no room for a duplicate or a color 0
-            if union == g.out_masks():
-                return EdgeColoring.from_masks(masks[1:])
+            if _union(masks) == g.out_masks():
+                return EdgeColoring.from_masks(masks)
     return _scan_coloring(text, g, num_colors)
+
+
+def _uncolored(text: str, colors) -> str:
+    """The lines ``u v c`` of `text` cut to ``u v``, for the colors c in
+    `colors`.  Each color's `` c`` becomes a marker first, so that a line
+    already cut to ``u c2`` never matches a later color ``c2``."""
+    for c in colors:
+        text = text.replace(f" {c}\n", "\0\n")
+    return text.replace("\0", "")
+
+
+def parse_colored(graph_text: str, coloring_text: str,
+                  num_colors: int | None = None) -> tuple[OrientedGraph, EdgeColoring]:
+    """(graph, coloring) of a graph text and a coloring of it: the result,
+    or the error, of parse_graph then parse_coloring.
+
+    When the coloring's ``u v`` columns are the graph body byte for byte,
+    as the writers make them, only the coloring is parsed: the graph is
+    the union of its classes, under parse_graph's mask checks.  Any other
+    pair takes the two parsers.
+    """
+    n, m, symmetric, body = _head(graph_text)
+    nums = _bulk_ints(coloring_text, b"  \n", m, n)
+    if nums is not None:
+        colors = nums[2::3]
+        top = max(colors)
+        q = top if num_colors is None else num_colors
+        if 0 < top <= q and _uncolored(coloring_text, set(colors)) == body:
+            # a color 0 leaves its edge out of the union, below m edges
+            masks = _class_masks(nums, n, m, q)[1:]
+            g = _mask_graph(n, m, symmetric, _union(masks), nums, 3)
+            if g is not None:
+                return g, EdgeColoring.from_masks(masks)
+    g = parse_graph(graph_text)
+    return g, parse_coloring(coloring_text, g, num_colors)
 
 
 def _scan_coloring(text: str, g: OrientedGraph,
@@ -302,11 +379,20 @@ def read_graph(path) -> OrientedGraph:
     return parse_graph(_read_text(path))
 
 
+def read_colored(graph_path, coloring_path,
+                 num_colors: int | None = None) -> tuple[OrientedGraph, EdgeColoring]:
+    """parse_colored on two files.  A graph file that fails to parse is
+    reported before anything about the coloring file, as read_graph then a
+    read of the coloring would report it."""
+    graph_text = _read_text(graph_path)
+    try:
+        coloring_text = _read_text(coloring_path)
+    except (FormatError, OSError):
+        parse_graph(graph_text)
+        raise
+    return parse_colored(graph_text, coloring_text, num_colors)
+
+
 def write_coloring(path, g: OrientedGraph, coloring: EdgeColoring) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(serialize_coloring(g, coloring))
-
-
-def read_coloring(path, g: OrientedGraph,
-                  num_colors: int | None = None) -> EdgeColoring:
-    return parse_coloring(_read_text(path), g, num_colors)

@@ -3,8 +3,10 @@
 Vertices are always 0..n-1.  Adjacency is kept as one Python int bitmask per
 vertex in each direction, so direction queries, neighborhood unions and
 set-restricted scans are single big-int operations; a graph built from
-out-masks alone derives its in-masks on first use.  Edge colorings keep one
-such out-mask list per color.  Graphs are immutable after construction.
+out-masks alone derives its in-masks on first use, by one bit-matrix
+transpose when it is dense (n^2 < 32 m) and per edge otherwise.  Edge
+colorings keep one such out-mask list per color.  Graphs are immutable
+after construction.
 """
 from __future__ import annotations
 
@@ -29,6 +31,19 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+# n^2 below _DENSE * m makes a graph dense: from there on the O(n^2) bit
+# table and transpose beat ORing one bit per edge (see formats)
+_DENSE = 32
+
+
+def _transpose(out: list[int], n: int) -> list[int]:
+    """In-masks of the n x n bit matrix whose rows are `out`: row u's
+    digits run from bit n - 1 down, so column v is every n-th digit."""
+    spec = f"0{n}b"
+    digits = "".join([format(row, spec) for row in reversed(out)])
+    return [int(digits[n - 1 - v::n], 2) for v in range(n)]
 
 
 class OrientedGraph:
@@ -83,13 +98,17 @@ class OrientedGraph:
 
     def _in_masks(self) -> list[int]:
         if self._in is None:
-            inn = [0] * self.n
-            for u, m in enumerate(self._out):
-                bit = 1 << u
-                while m:
-                    low = m & -m
-                    inn[low.bit_length() - 1] |= bit
-                    m ^= low
+            n = self.n
+            if n * n < _DENSE * self._m:
+                inn = _transpose(self._out, n)
+            else:
+                inn = [0] * n
+                for u, m in enumerate(self._out):
+                    bit = 1 << u
+                    while m:
+                        low = m & -m
+                        inn[low.bit_length() - 1] |= bit
+                        m ^= low
             self._in = inn
         return self._in
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SizeLimitError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
-from .paths import EXACT_VERTEX_LIMIT, _ahead, longest_path_masks
+from .paths import EXACT_VERTEX_LIMIT, _ahead, _heights, longest_path_masks
 
 # a check at a bound up to this is the plain depth-first search
 # `_short_through`, whose recursion is at most `bound` + 1 frames deep and
@@ -288,22 +288,34 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     (36 edges) arrows P_4 with q=2 in about 40,000 nodes and 0.05 s, the
     transitive TT9 is found not to arrow P_3 with q=2 in about 45,000
     nodes and 0.06 s, TT10 arrows P_3 with q=2 in 3.4M nodes and about
-    4 s, a 7-vertex tournament's minmax at q=2 takes a few ms, TT28's at
-    q=1 about 0.03 s and TT46's (1,035 edges) about 0.5 s.  The node
-    count is the only cost limit: BudgetExceededError is raised when the
-    search needs more than `budget` nodes, with no up-front estimate from
-    q^|E|.  `budget` counts colorings tried, one per (edge, color), not
-    the steps of the check through each new edge.  A check at a bound up
-    to _SHORT_BOUND (3) works at any size; above it one check is bounded
-    by the one size limit instead: SizeLimitError is raised when a
-    class's new edge meets a cycle while the class has an edge at more
-    than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle work at
-    any size.
+    4 s, and a 7-vertex tournament's minmax at q=2 takes a few ms.
+
+    The node count is the only cost limit: BudgetExceededError is raised
+    when the search needs more than `budget` nodes, with no up-front
+    estimate from q^|E|.  `budget` counts colorings tried, one per (edge,
+    color), not the steps of the check through each new edge.  A check at
+    a bound up to _SHORT_BOUND (3) works at any size; above it one check
+    is bounded by the one size limit instead: SizeLimitError is raised
+    when a class's new edge meets a cycle while the class has an edge at
+    more than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle
+    work at any size.
+
+    With one color on an acyclic host the value is the host's longest
+    path, read off its heights in one pass, with every edge in color 1 as
+    the witness; no decision runs, and `explored` is m, the nodes of the
+    one decision that would succeed (at that bound each edge takes color
+    1 once).  TT46 (1,035 edges) took 45 decisions and about 0.5 s before
+    this shortcut.  A cyclic host at q=1 searches as at every other q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if g.edge_count == 0:
         return OracleResult(0, EdgeColoring(q, {}), 0)
+    if q == 1:
+        out = g.out_masks()
+        height, cyclic = _heights(out)
+        if not cyclic:
+            return OracleResult(max(height), EdgeColoring.from_masks([out]), g.edge_count)
     spent = 0
     for bound in range(1, g.n):
         witness, spent = _decision_search(g, q, bound, budget, spent)

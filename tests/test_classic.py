@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_classic
 from dipath_ramsey import (
     BLUE,
     RED,
@@ -18,12 +19,18 @@ from dipath_ramsey import (
     DirectedPath,
     EdgeColoring,
     OrientedGraph,
+    classic,
     complete_symmetric,
     gallai_roy,
     longest_path_exact,
     maximal_acyclic_subgraph,
+    multicolor_path_finder,
+    random_digraph,
+    random_oriented_graph,
+    random_tournament,
     raynaud,
 )
+from dipath_ramsey.builder import _cut_rows
 
 
 def _all_colorings(t):
@@ -238,6 +245,82 @@ def test_maximal_acyclic_matches_greedy_reference(case):
     assert h.edges() == _greedy_acyclic_reference(n, g.edges())
     assert [h.in_mask(v) for v in range(n)] == [
         sum(1 << u for u, w in h.edges() if w == v) for v in range(n)]
+
+
+def _mas_outcome(h):
+    return (h.n, h.allow_antiparallel, h.out_masks(), [h.in_mask(v) for v in range(h.n)])
+
+
+def _assert_mas_matches_reference(g):
+    """The forward-closure MAS equals the ancestor-walk reference on g and
+    on g rebuilt from its out-masks alone, which derives its in-masks."""
+    bare = OrientedGraph.from_masks(g.n, g.out_masks(), None, g.allow_antiparallel)
+    want = _mas_outcome(reference_classic.maximal_acyclic_subgraph(g))
+    assert _mas_outcome(maximal_acyclic_subgraph(g)) == want
+    assert _mas_outcome(maximal_acyclic_subgraph(bare)) == want
+
+
+def test_maximal_acyclic_matches_ancestor_walk_reference():
+    """Tournaments, oriented graphs and digraphs with antiparallel pairs
+    on 0 to 100 vertices, sparse to complete."""
+    rng = random.Random(23)
+    cases = 0
+    for i in range(240):
+        n = rng.randint(0, 100) if i >= 8 else i
+        kind = i % 3
+        if kind == 0:
+            g = random_tournament(n, i).underlying if n else OrientedGraph(0)
+        elif kind == 1:
+            g = random_oriented_graph(n, rng.randint(0, n * (n - 1) // 2), i)
+        else:
+            g = random_digraph(n, rng.randint(0, n * (n - 1)), i)
+        _assert_mas_matches_reference(g)
+        cases += 1
+    for n in (1, 2, 17, 64):
+        _assert_mas_matches_reference(complete_symmetric(n))
+        _assert_mas_matches_reference(OrientedGraph(n, [(v, u) for u in range(n)
+                                                        for v in range(u + 1, n)]))
+    assert cases == 240
+
+
+def test_maximal_acyclic_matches_reference_on_builder_classes(monkeypatch):
+    """The classes the builder hands gallai_roy, rows cut to the vertices
+    still in play and built without in-masks, on random, planted and
+    three-color colorings of tournaments; plus such rows cut to random
+    vertex sets directly."""
+    seen = []
+
+    def checked(g):
+        h = maximal_acyclic_subgraph(g)
+        assert _mas_outcome(h) == _mas_outcome(reference_classic.maximal_acyclic_subgraph(g))
+        seen.append(g.edge_count)
+        return h
+
+    monkeypatch.setattr(classic, "maximal_acyclic_subgraph", checked)
+    rng = random.Random(24)
+    calls = 0
+    for i, n in enumerate((24, 48, 96, 128)):
+        g = random_tournament(n, 100 + i).underlying
+        edges = g.edges()
+        parts = [rng.randrange(4) for _ in range(n)]
+        colorings = (
+            EdgeColoring(2, {e: rng.randint(1, 2) for e in edges}),
+            EdgeColoring(2, {(u, v): 1 if parts[u] < parts[v] else 2 for u, v in edges}),
+            EdgeColoring(3, {(u, v): 3 if parts[u] < parts[v] else rng.randint(1, 2)
+                             for u, v in edges}),
+        )
+        for col in colorings:
+            multicolor_path_finder(g, col, 4, 4)
+            # one gallai_roy per color above the first
+            calls += col.num_colors - 1
+            assert len(seen) == calls
+            for _ in range(3):
+                calls += col.num_colors
+                within = rng.getrandbits(n)
+                for c in range(1, col.num_colors + 1):
+                    rows = _cut_rows(col, c, n, within)
+                    checked(OrientedGraph.from_masks(n, rows, allow_antiparallel=True))
+    assert len(seen) == calls == 100 and max(seen) > 2000
 
 
 def test_gallai_roy_three_cycle():

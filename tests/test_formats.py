@@ -7,17 +7,21 @@ import random
 import tracemalloc
 from operator import add
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_formats as ref
 from dipath_ramsey import (
     EdgeColoring,
+    FormatError,
     OrientedGraph,
     formats,
+    parse_colored,
     parse_coloring,
     parse_graph,
     random_digraph,
     random_oriented_graph,
+    read_colored,
     serialize_coloring,
     serialize_graph,
 )
@@ -38,11 +42,23 @@ def _outcome(parse, *args):
     except Exception as exc:
         return ("raise", type(exc).__name__, str(exc),
                 getattr(exc, "line", None), getattr(exc, "column", None))
+    return _describe(got)
+
+
+def _describe(got):
+    if isinstance(got, tuple):
+        return tuple(map(_describe, got))
     if isinstance(got, OrientedGraph):
         return ("graph", got.n, got.allow_antiparallel, got.edge_count,
                 got.out_masks(), [got.in_mask(v) for v in range(got.n)])
     return ("coloring", got.num_colors, len(got), got.n, got.items(),
             [got.out_masks(c, got.n) for c in range(1, got.num_colors + 1)])
+
+
+def _two_parses(graph_text, coloring_text, num_colors):
+    """What parse_colored stands for: parse_graph, then parse_coloring."""
+    g = parse_graph(graph_text)
+    return g, parse_coloring(coloring_text, g, num_colors)
 
 
 def _host(n: int, m: int, symmetric: bool, seed: int) -> OrientedGraph:
@@ -239,6 +255,192 @@ def test_sparse_bodies_take_the_bulk_path_without_tables(monkeypatch):
         assert tracemalloc.get_traced_memory()[1] < 2_000_000
     finally:
         tracemalloc.stop()
+
+
+# -- one parse for a colored host ---------------------------------------------
+
+def _colored_corpus():
+    """(name, graph text, coloring text, num_colors): a host and a coloring
+    as the writers make them, with the mutations of `_line_mutants`
+    applied to the graph file, to the coloring file, or to both at the
+    same line, which keeps the coloring's u v columns equal to the graph
+    body.  The 8128-edge hosts are left out: their line scans are slow,
+    and the 1500-edge ones on 128 vertices take the same bulk regimes."""
+    rng = random.Random(18)
+    for g in _hosts():
+        if g.edge_count > 4000:
+            continue
+        kind = "symmetric" if g.allow_antiparallel else "oriented"
+        glines = ref.serialize_graph(g).split("\n")[1:-1]
+        for q in (1, 2, 3) if g.n < 100 else (2,):
+            col = EdgeColoring(q, {e: rng.randint(1, q) for e in g.edges()})
+            clines = ref.serialize_coloring(g, col).split("\n")[:-1]
+            gtext = _text(f"{g.n} {g.edge_count} {kind}", glines)
+            ctext = _text("", clines) if clines else ""
+            seed = rng.random()
+            graph_mutants = {name: (body, dm) for name, body, dm in
+                             _line_mutants(glines, g.n, random.Random(seed), color=False)}
+            color_mutants = {name: body for name, body, _ in
+                             _line_mutants(clines, g.n, random.Random(seed), color=True)}
+            tag = f"n={g.n} {kind} m={g.edge_count} q={q}"
+            for name, (body, dm) in graph_mutants.items():
+                for m in {g.edge_count + dm, g.edge_count}:
+                    head = f"{g.n} {m} {kind}"
+                    yield f"{tag} graph {name} head={m}", _text(head, body), ctext, q
+                    if name in color_mutants:
+                        yield (f"{tag} both {name} head={m}", _text(head, body),
+                               _text("", color_mutants[name]), None)
+            for name, body in color_mutants.items():
+                texts = [_text("", body)] if body else ["", "\n"]
+                if name == "valid" and body:
+                    texts += list(_endings(texts[0]))
+                palettes = (None,)
+                if name == "valid" or name.startswith("color"):
+                    palettes = (None, q, q - 1, q + 2)
+                for text in texts:
+                    for num_colors in palettes:
+                        yield f"{tag} coloring {name} nc={num_colors}", gtext, text, num_colors
+            for other in _endings(gtext) if glines else ():
+                yield f"{tag} graph ending {other[-2:]!r}", other, ctext, None
+
+
+def test_parse_colored_matches_two_parses():
+    """On every pair of the corpus parse_colored returns the graph and
+    coloring, or raises the error with the message, line and column, that
+    parse_graph and then parse_coloring give."""
+    cases = both = 0
+    for name, gtext, ctext, num_colors in _colored_corpus():
+        assert (_outcome(parse_colored, gtext, ctext, num_colors)
+                == _outcome(_two_parses, gtext, ctext, num_colors)), name
+        cases += 1
+        both += " both " in name
+    assert cases > 2000 and both > 300
+
+
+def _fallbacks(monkeypatch):
+    """Count parse_colored's fallbacks to the two parsers."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_graph(text)
+
+    monkeypatch.setattr(formats, "parse_graph", counted)
+    return calls
+
+
+def _check_pair(gtext, ctext, num_colors=None):
+    got = _outcome(parse_colored, gtext, ctext, num_colors)
+    assert got == _outcome(_two_parses, gtext, ctext, num_colors)
+    return got
+
+
+def test_writer_pairs_take_one_parse(monkeypatch):
+    """A host and coloring as the writers make them parse in one pass over
+    the coloring, at every density and with colors 10 and above; colors
+    at or above n and a coloring out of canonical order fall back."""
+    calls = _fallbacks(monkeypatch)
+    rng = random.Random(19)
+    fast = 0
+    for g in _hosts():
+        gtext = serialize_graph(g)
+        edges = g.edges()
+        # colors past n only on the small hosts, whose line scans are quick
+        for q in (1, 2, 3, 12) + ((g.n + 1,) if g.n < 100 else ()):
+            colors = [rng.randint(1, q) for _ in edges]
+            ctext = serialize_coloring(g, EdgeColoring(q, dict(zip(edges, colors))))
+            before = len(calls)
+            for num_colors in (None, q, q + 3):
+                got = _check_pair(gtext, ctext, num_colors)
+                assert got[0] == _describe(g)
+            took_fast = len(calls) == before
+            # the bulk parse takes ids, colors too, below n
+            assert took_fast == (0 < len(edges) and max(colors) < g.n)
+            fast += took_fast
+            lines = ctext.splitlines(keepends=True)
+            if len(lines) > 1:
+                before = len(calls)
+                _check_pair(gtext, "".join(lines[::-1]), None)
+                assert len(calls) == before + 1
+    assert fast > 30
+
+
+def test_colored_pair_special_cases(monkeypatch):
+    """Edge cases of the one-parse rule, each equal to the two parses."""
+    calls = _fallbacks(monkeypatch)
+    # a line already cut to "5 12" must not match color 12's " 12\n":
+    # cutting without a marker would turn "5 12 3" into "5" and match
+    # this malformed graph body
+    assert _check_pair("13 2 oriented\n5\n12 0\n", "5 12 3\n12 0 12\n")[0] == "raise"
+    # colors 10 and above beside small ones, on a host with ids past them
+    g = random_oriented_graph(40, 300, 5)
+    col = EdgeColoring(14, {e: 1 + i % 14 for i, e in enumerate(g.edges())})
+    before = len(calls)
+    got = _check_pair(serialize_graph(g), serialize_coloring(g, col))
+    assert got[1][1] == 14 and len(calls) == before
+    # num_colors above the top color: empty classes at the top
+    got = _check_pair(serialize_graph(g), serialize_coloring(g, col), 20)
+    assert got[1][1] == 20 and len(calls) == before
+    # n past the highest id + 1: isolated vertices at the top
+    h = OrientedGraph(30, [(0, 4), (4, 2), (2, 1), (3, 0)])
+    col = EdgeColoring(2, {(0, 4): 1, (4, 2): 2, (2, 1): 2, (3, 0): 1})
+    got = _check_pair(serialize_graph(h), serialize_coloring(h, col))
+    assert got[0][1] == 30 and got[1][3] == 5 and len(calls) == before
+    # a symmetric host with antiparallel pairs
+    s = random_digraph(20, 200, 6)
+    col = EdgeColoring(3, {e: 1 + (e[0] + e[1]) % 3 for e in s.edges()})
+    got = _check_pair(serialize_graph(s), serialize_coloring(s, col))
+    assert got[0][2] and len(calls) == before
+    # an oriented file with an antiparallel pair that its coloring repeats
+    bad = _check_pair("3 3 oriented\n0 1\n1 0\n1 2\n", "0 1 1\n1 0 2\n1 2 1\n")
+    assert bad[0] == "raise" and "antiparallel" in bad[2] and bad[3] == 3
+    # the same pair in a symmetric file parses
+    assert _check_pair("3 3 symmetric\n0 1\n1 0\n1 2\n", "0 1 1\n1 0 2\n1 2 1\n")[0] != "raise"
+    # color 0, alone and beside others
+    for ctext in ("0 1 0\n1 2 0\n", "0 1 1\n1 2 0\n"):
+        bad = _check_pair("3 2 oriented\n0 1\n1 2\n", ctext)
+        assert bad[0] == "raise" and "color ids start at 1" in bad[2]
+    # a self loop, a duplicate and an id at n in both files
+    for u, v in (("1", "1"), ("0", "1"), ("3", "0")):
+        body = f"0 1\n{u} {v}\n"
+        bad = _check_pair(f"3 2 oriented\n{body}", f"0 1 1\n{u} {v} 2\n")
+        assert bad[0] == "raise" and bad[3] == 3
+    # m = 0, with and without vertices, and a coloring line too many
+    for gtext in ("0 0 oriented\n", "5 0 symmetric\n", "5 0 oriented"):
+        for ctext in ("", "\n", "0 1 1\n"):
+            for num_colors in (None, 1, 3):
+                _check_pair(gtext, ctext, num_colors)
+    # a bad header is reported as parse_graph reports it
+    for gtext in ("", "3 x oriented\n", "3 1 acyclic\n0 1\n", "3 2 oriented\n0 1\n"):
+        assert _check_pair(gtext, "0 1 1\n")[0] == "raise"
+
+
+def test_read_colored_reports_the_graph_first(tmp_path):
+    """read_colored reads the graph file first: a bad graph is reported
+    before a missing or non-ASCII coloring file, as reading the graph and
+    then the coloring reports it; a sound graph lets the coloring file's
+    own error through."""
+    good, bad = tmp_path / "good.graph", tmp_path / "bad.graph"
+    good.write_bytes(b"3 2 oriented\r\n0 1\r\n1 2\r\n")
+    bad.write_bytes(b"3 2 oriented\n0 1\n1 1\n")
+    col, odd = tmp_path / "c.txt", tmp_path / "odd.txt"
+    col.write_bytes(b"0 1 2\n1 2 1\n")
+    odd.write_bytes("0 1 1\n1 2 \u00e9\n".encode("utf-8"))
+    missing = tmp_path / "none.txt"
+    g, coloring = read_colored(good, col)
+    assert (g, coloring) == _two_parses(good.read_text(), col.read_text(), None)
+    assert read_colored(good, col, 3)[1].num_colors == 3
+    for other in (col, odd, missing):
+        with pytest.raises(FormatError) as exc:
+            read_colored(bad, other)
+        assert "self loop" in str(exc.value) and exc.value.line == 3
+    with pytest.raises(FormatError) as exc:
+        read_colored(good, odd)
+    assert (exc.value.line, exc.value.column) == (2, 5)
+    with pytest.raises(FileNotFoundError):
+        read_colored(good, missing)
+    with pytest.raises(FileNotFoundError):
+        read_colored(missing, col)
 
 
 # -- round trips ------------------------------------------------------------

@@ -14,9 +14,11 @@ from dipath_ramsey import (
     VertexColoring,
     complete_symmetric,
     is_tournament,
+    random_digraph,
     transitive_tournament,
 )
-from dipath_ramsey.graphs import mask_of
+from dipath_ramsey import graphs
+from dipath_ramsey.graphs import _transpose, mask_of
 
 
 def test_rejects_self_loop():
@@ -189,3 +191,38 @@ def test_is_tournament_matches_pairwise(n, seed, tweak):
     g = OrientedGraph(n, edges, allow_antiparallel=True)
     assert is_tournament(g) == _is_tournament_pairwise(g)
     assert is_tournament(g) == (tweak == "full" or n < 2)
+
+
+def test_derived_in_masks_match_per_edge_loop(monkeypatch):
+    """A graph built from out-masks alone derives the in-masks a per-edge
+    loop gives, on both sides of the density rule n^2 < 32 m: the
+    transpose below it, the per-edge walk from it on."""
+    transposed = []
+
+    def counted(out, n):
+        transposed.append(n)
+        return _transpose(out, n)
+
+    monkeypatch.setattr(graphs, "_transpose", counted)
+    rng = random.Random(12)
+    dense = sparse = 0
+    for i in range(300):
+        n = rng.randint(0, 70)
+        top = n * (n - 1)
+        # edge counts clustered around the rule's threshold n^2 / 32
+        m = rng.randint(0, top)
+        if i % 2:
+            m = min(top, round(n * n / 32 * rng.uniform(0.5, 2)))
+        g = random_digraph(n, m, i)
+        want = [0] * n
+        for u, v in g.edges():
+            want[v] |= 1 << u
+        before = len(transposed)
+        bare = OrientedGraph.from_masks(n, g.out_masks(), None, True)
+        assert [bare.in_mask(v) for v in range(n)] == want
+        assert [bare.in_degree(v) for v in range(n)] == [w.bit_count() for w in want]
+        took = len(transposed) > before
+        assert took == (n * n < 32 * g.edge_count)
+        dense += took
+        sparse += not took
+    assert dense > 50 and sparse > 50

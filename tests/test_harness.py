@@ -1,7 +1,11 @@
 """Text formats, manifests, and the experiment runner."""
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -23,7 +27,7 @@ from dipath_ramsey import (
     parse_coloring,
     parse_graph,
     random_digraph,
-    read_coloring,
+    read_colored,
     read_graph,
     run_experiment,
     serialize_coloring,
@@ -142,11 +146,10 @@ def test_read_rejects_non_ascii_byte(tmp_path):
     assert (exc.value.line, exc.value.column) == (2, 5)
     good = tmp_path / "h.graph"
     good.write_bytes(b"2 1 oriented\r\n0 1\r\n")
-    g = read_graph(good)
     col = tmp_path / "c.txt"
     col.write_bytes("0 1 1 # caf\u00e9\n".encode("utf-8"))
     with pytest.raises(FormatError) as exc:
-        read_coloring(col, g)
+        read_colored(good, col)
     assert exc.value.line == 1
 
 
@@ -402,6 +405,19 @@ def test_run_experiment_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("DIPATH_RAMSEY_WORKERS", "2")
     parallel = run_experiment(m, write_outputs=False)
     assert parallel.csv_text() == serial.csv_text()
+
+
+def test_cli_import_leaves_out_the_worker_pool():
+    """The process pool is imported only when a run asks for workers, so
+    starting the CLI loads neither concurrent.futures nor multiprocessing."""
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    code = ("import sys; import dipath_ramsey.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_aggregates_present(tmp_path):

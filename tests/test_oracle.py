@@ -653,12 +653,54 @@ def test_nine_vertex_arrow_decisions_within_small_budget():
 
 def test_search_depth_is_not_bounded_by_frames():
     """The search keeps its place on each edge in lists, not in frames:
-    TT46 (1,035 edges) at q=1 gives its longest path, 45, and a
-    1,100-vertex directed path does not arrow P_3 at q=2."""
-    assert min_max_mono_path(transitive_tournament(46), 1).value == 45
+    TT46 (1,035 edges) at q=1 gives its longest path, 45, both read off
+    its heights and from the decisions bound by bound, and a 1,100-vertex
+    directed path does not arrow P_3 at q=2."""
+    tt46 = transitive_tournament(46)
+    assert min_max_mono_path(tt46, 1).value == 45
+    assert _searched_min_max(tt46, 1)[0] == 45
     g = OrientedGraph(1100, [(i, i + 1) for i in range(1099)])
     ok, witness = arrowing_check(g, 3, 2)
     assert not ok and _reaches(g, witness) == 2
+
+
+def _searched_min_max(g, q):
+    """min_max_mono_path's decisions from bound 1 up, as (value, witness)."""
+    spent = 0
+    for bound in range(1, g.n):
+        witness, spent = oracle._decision_search(g, q, bound, oracle.COLORING_BUDGET, spent)
+        if witness is not None:
+            return bound, witness
+
+
+def test_minmax_one_color_reads_an_acyclic_host_in_one_pass(monkeypatch):
+    """At q=1 an acyclic host's value is its longest path: the value and
+    witness the decisions from bound 1 up give, explored m and no decision
+    run.  A cyclic host at q=1 still runs its decisions."""
+    decisions = collections.Counter()
+
+    def counted(g, q, *args):
+        decisions[find_cycle(g) is None] += 1
+        return search(g, q, *args)
+
+    search = oracle._decision_search
+    rng = random.Random(31)
+    hosts = [transitive_tournament(n) for n in range(2, 12)]
+    hosts += [OrientedGraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (2, 9)]
+    hosts += [random_oriented_graph(n, rng.randint(1, n * (n - 1) // 2), i)
+              for i, n in enumerate(rng.randint(2, 9) for _ in range(120))]
+    acyclic = 0
+    for g in hosts:
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_decision_search", counted)
+            res = min_max_mono_path(g, 1)
+        value, witness = _searched_min_max(g, 1)
+        assert (res.value, res.witness) == (value, witness)
+        if find_cycle(g) is None:
+            acyclic += 1
+            assert res.explored == g.edge_count
+            assert res.value == len(longest_path_masks(g.out_masks())[0]) - 1
+    assert decisions[True] == 0 and decisions[False] > 20 and acyclic > 40
 
 
 # -- arrowing --------------------------------------------------------------
