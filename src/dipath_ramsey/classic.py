@@ -36,16 +36,15 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     first, each one already covered dropped.  What reaches u is anc[u]
     closed under the kept backward edges, and a backward edge u -> v is
     kept exactly when v lies outside that set.  A set that holds anc of
-    each of its vertices grows only along kept backward edges; each round
-    of the closure finds the new tails either from the heads it gained
-    last round or from the tails still outside it, whichever are fewer.
+    each of its vertices grows only along kept backward edges, so each
+    round of the closure ORs in anc of every tail of a kept backward edge
+    into a head it gained the round before.
     """
     n = g.n
     anc = [0] * n
-    # the kept backward edges, by head and by tail
+    # the kept backward edges, by head
     back_in = [0] * n
-    back_out = [0] * n
-    heads = tails = 0
+    heads = 0
     kept_out = [0] * n
     for u in range(n):
         bit = 1 << u
@@ -56,37 +55,23 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
             seen |= anc[fwd.bit_length() - 1]
             fwd &= ~seen
         anc[u] = seen
-        new = seen
-        while True:
-            by_head = new & heads
-            by_tail = tails & ~seen
-            if not by_head or not by_tail:
-                break
+        new = seen & heads
+        while new:
             found = 0
-            if by_head.bit_count() <= by_tail.bit_count():
-                while by_head:
-                    low = by_head & -by_head
-                    found |= back_in[low.bit_length() - 1]
-                    by_head ^= low
-                found &= ~seen
-            else:
-                while by_tail:
-                    t = by_tail.bit_length() - 1
-                    by_tail ^= 1 << t
-                    if back_out[t] & new:
-                        found |= 1 << t
-            if not found:
-                break
+            while new:
+                low = new & -new
+                found |= back_in[low.bit_length() - 1]
+                new ^= low
+            found &= ~seen
             grown = seen
             while found:
                 grown |= anc[found.bit_length() - 1]
                 found &= ~grown
-            new = grown ^ seen
+            new = (grown ^ seen) & heads
             seen = grown
         keep = kept_out[u] = g.out_mask(u) & ~seen
-        back = back_out[u] = keep & below
+        back = keep & below
         if back:
-            tails |= bit
             heads |= back
             while back:
                 low = back & -back

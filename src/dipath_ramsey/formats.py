@@ -22,14 +22,12 @@ parses a body whose only quirks are other whitespace, leading zeros or
 color ids at or above n).
 
 A host and its coloring are read together in one parse (`parse_colored`,
-`read_colored`).  When the coloring passes its bulk check and its ``u v``
-columns equal the graph body byte for byte, as they do for every pair the
-writers produce, only the coloring is parsed: the graph is the union of its
-classes and takes the graph's mask checks.  The color field is cut through
-a marker, one pass per color in use, so that a line already cut to ``u c2``
-never matches a later color c2.  Any other pair, and any pair that fails a
-check, goes through parse_graph and then parse_coloring, which decide the
-result or the error.
+`read_colored`).  When the coloring passes its bulk check, the union of its
+classes passes the graph's mask checks, and the graph text is that union's
+serialization byte for byte, as it is for every pair the writers produce,
+only the coloring is parsed and the union is the graph.  Any other pair,
+and any pair that fails a check, goes through parse_graph and then
+parse_coloring, which decide the result or the error.
 
 The serializers pick by the host's density.  A dense host (colors * n^2
 at most 48 m) writes each vertex's lines with one join, its row's bit
@@ -286,36 +284,26 @@ def parse_coloring(text: str, g: OrientedGraph,
     return _scan_coloring(text, g, num_colors)
 
 
-def _uncolored(text: str, colors) -> str:
-    """The lines ``u v c`` of `text` cut to ``u v``, for the colors c in
-    `colors`.  Each color's `` c`` becomes a marker first, so that a line
-    already cut to ``u c2`` never matches a later color ``c2``."""
-    for c in colors:
-        text = text.replace(f" {c}\n", "\0\n")
-    return text.replace("\0", "")
-
-
 def parse_colored(graph_text: str, coloring_text: str,
                   num_colors: int | None = None) -> tuple[OrientedGraph, EdgeColoring]:
     """(graph, coloring) of a graph text and a coloring of it: the result,
     or the error, of parse_graph then parse_coloring.
 
-    When the coloring's ``u v`` columns are the graph body byte for byte,
-    as the writers make them, only the coloring is parsed: the graph is
-    the union of its classes, under parse_graph's mask checks.  Any other
-    pair takes the two parsers.
+    When the graph text is the serialization of the union of the
+    coloring's classes, as for every pair the writers make, only the
+    coloring is parsed: the graph is that union, under parse_graph's mask
+    checks.  Any other pair takes the two parsers.
     """
-    n, m, symmetric, body = _head(graph_text)
+    n, m, symmetric, _ = _head(graph_text)
     nums = _bulk_ints(coloring_text, b"  \n", m, n)
     if nums is not None:
-        colors = nums[2::3]
-        top = max(colors)
+        top = max(nums[2::3])
         q = top if num_colors is None else num_colors
-        if 0 < top <= q and _uncolored(coloring_text, set(colors)) == body:
+        if 0 < top <= q:
             # a color 0 leaves its edge out of the union, below m edges
             masks = _class_masks(nums, n, m, q)[1:]
             g = _mask_graph(n, m, symmetric, _union(masks), nums, 3)
-            if g is not None:
+            if g is not None and serialize_graph(g) == graph_text:
                 return g, EdgeColoring.from_masks(masks)
     g = parse_graph(graph_text)
     return g, parse_coloring(coloring_text, g, num_colors)

@@ -337,8 +337,9 @@ def _check_pair(gtext, ctext, num_colors=None):
 
 def test_writer_pairs_take_one_parse(monkeypatch):
     """A host and coloring as the writers make them parse in one pass over
-    the coloring, at every density and with colors 10 and above; colors
-    at or above n and a coloring out of canonical order fall back."""
+    the coloring, at every density and with colors 10 and above, and so
+    does a coloring out of canonical order; colors at or above n fall
+    back."""
     calls = _fallbacks(monkeypatch)
     rng = random.Random(19)
     fast = 0
@@ -360,17 +361,17 @@ def test_writer_pairs_take_one_parse(monkeypatch):
             lines = ctext.splitlines(keepends=True)
             if len(lines) > 1:
                 before = len(calls)
-                _check_pair(gtext, "".join(lines[::-1]), None)
-                assert len(calls) == before + 1
+                got = _check_pair(gtext, "".join(lines[::-1]), None)
+                assert got[0] == _describe(g)
+                assert (len(calls) == before) == took_fast
     assert fast > 30
 
 
 def test_colored_pair_special_cases(monkeypatch):
     """Edge cases of the one-parse rule, each equal to the two parses."""
     calls = _fallbacks(monkeypatch)
-    # a line already cut to "5 12" must not match color 12's " 12\n":
-    # cutting without a marker would turn "5 12 3" into "5" and match
-    # this malformed graph body
+    # a malformed graph body beside a sound coloring of ids and colors
+    # 5, 12 and 3 is reported as parse_graph reports it
     assert _check_pair("13 2 oriented\n5\n12 0\n", "5 12 3\n12 0 12\n")[0] == "raise"
     # colors 10 and above beside small ones, on a host with ids past them
     g = random_oriented_graph(40, 300, 5)

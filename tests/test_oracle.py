@@ -175,16 +175,20 @@ def test_minmax_class_support_guard():
 
 
 def test_minmax_acyclic_classes_above_guard_size():
-    # the guard only concerns cyclic classes: a 30-vertex path is measured
+    # the guard only concerns cyclic classes: a 30-vertex path is measured,
+    # read off its heights and by the decisions bound by bound
     g = OrientedGraph(30, [(i, i + 1) for i in range(29)])
     res = min_max_mono_path(g, 1)
     assert res.value == 29
     assert max_mono_path(g, res.witness) == 29
+    value, witness = _searched_min_max(g, 1)
+    assert value == 29 and max_mono_path(g, witness) == 29
 
 
 def test_minmax_dense_acyclic_hosts_q1():
     """At q=1 the value is the host's longest path.  Dense acyclic hosts
-    of 22 and 24 vertices stay fast: the check through each new edge is
+    of 22 and 24 vertices stay fast, read off their heights and by the
+    decisions bound by bound: there the check through each new edge is
     one DAG DP per side, not a search over the paths into its tail."""
     rng = random.Random(5)
     perm = list(range(22))
@@ -195,6 +199,7 @@ def test_minmax_dense_acyclic_hosts_q1():
     for g in (transitive_tournament(22), dense, transitive_tournament(24)):
         longest, _ = longest_path_masks([g.out_mask(v) for v in range(g.n)])
         assert min_max_mono_path(g, 1).value == len(longest) - 1
+        assert _searched_min_max(g, 1)[0] == len(longest) - 1
     assert len(longest) - 1 == 23
     assert time.perf_counter() - t0 < 10
 
