@@ -71,7 +71,6 @@ from .graphs import (
     EdgeColoring,
     OrientedGraph,
     Tournament,
-    VertexColoring,
     complete_symmetric,
     is_tournament,
     transitive_tournament,

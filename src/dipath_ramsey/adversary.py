@@ -16,7 +16,7 @@ from operator import and_, or_
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
-from .graphs import EdgeColoring, OrientedGraph, Tournament, VertexColoring, iter_bits, mask_of
+from .graphs import EdgeColoring, OrientedGraph, Tournament, iter_bits, mask_of
 from .paths import _levels, _reach, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
@@ -243,20 +243,15 @@ def _sparse_acyclic(out: list[int], inn: list[int], within: int,
 # ---------------------------------------------------------------------------
 
 
-def constructive_chromatic(g: OrientedGraph) -> VertexColoring:
-    """Proper coloring by greedy class merging.
+def constructive_chromatic(g: OrientedGraph) -> list[list[int]]:
+    """Proper coloring by greedy class merging, as its ascending class lists.
 
     Classes start as singletons; two classes merge whenever no edge joins
     them in either direction.  On exit every pair of classes is adjacent,
     so m >= C(count, 2) and the class count is at most 2*sqrt(m) + 1.
     """
-    classes = _chromatic_classes(g.out_masks(), [g.in_mask(v) for v in range(g.n)],
-                                 g.full_mask())
-    colors = [0] * g.n
-    for idx, cls in enumerate(classes, 1):
-        for v in cls:
-            colors[v] = idx
-    return VertexColoring(colors, num_classes=len(classes))
+    return _chromatic_classes(g.out_masks(), [g.in_mask(v) for v in range(g.n)],
+                              g.full_mask())
 
 
 def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list[int]]:
@@ -356,15 +351,18 @@ def block_product_bound(num_blocks: int, q: int, r: int) -> int:
     return q * (r + 1) * minimal_base(num_blocks, q) if num_blocks else 0
 
 
-def color_classes_coloring(g: OrientedGraph, vc: VertexColoring, q: int) -> EdgeColoring:
-    """Digit coloring of all edges from a proper vertex coloring.
+def color_classes_coloring(g: OrientedGraph, classes: list[list[int]], q: int) -> EdgeColoring:
+    """Digit coloring of all edges from a proper vertex coloring, given as
+    class lists that partition the vertices.
 
     Blocks are the color classes (independent, so no inner edges, r = 0);
-    monochromatic paths have length <= q*s with s^q >= #classes.
+    monochromatic paths have length <= q*s with s^q >= #classes.  An edge
+    inside a class is one the empty inner coloring misses, which
+    `block_product_coloring` refuses.
     """
-    if not vc.is_proper(g):
-        raise ColoringError("vertex coloring is not proper for this graph")
-    blocks = [cls for cls in vc.classes() if cls]
+    if sorted(v for cls in classes for v in cls) != list(range(g.n)):
+        raise ColoringError("vertex classes do not partition the graph's vertices")
+    blocks = [cls for cls in classes if cls]
     return block_product_coloring(g, blocks, EdgeColoring(q + 1, {}), 0)
 
 
@@ -610,5 +608,4 @@ def symmetric_adversary(g: OrientedGraph, q: int) -> EdgeColoring:
     With m edges the class count is at most 2*sqrt(m) + 1, so monochromatic
     paths have length <= q * ceil((2*sqrt(m)+1)^(1/q)).
     """
-    vc = constructive_chromatic(g)
-    return color_classes_coloring(g, vc, q)
+    return color_classes_coloring(g, constructive_chromatic(g), q)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .classic import BLUE, RED, _raynaud, gallai_roy, raynaud
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError, ThreadingError
-from .graphs import DirectedPath, EdgeColoring, OrientedGraph, VertexColoring, iter_bits, mask_of
+from .graphs import DirectedPath, EdgeColoring, OrientedGraph, iter_bits, mask_of
 from .pseudorandom import _dfs_path, thread_path_through_sets
 
 
@@ -253,9 +253,9 @@ def _two_color(g: OrientedGraph, coloring: EdgeColoring, within: int, k: int,
     return BuilderCertificate(path, BLUE, "blue-case", guarantee, trace)
 
 
-def _classes_in(outcome: VertexColoring, within: int) -> list[list[int]]:
+def _classes_in(classes: list[list[int]], within: int) -> list[list[int]]:
     """The nonempty classes of a vertex coloring cut to the mask `within`."""
-    return [cut for cls in outcome.classes() if (cut := [v for v in cls if within >> v & 1])]
+    return [cut for cls in classes if (cut := [v for v in cls if within >> v & 1])]
 
 
 def _color_recursion(coloring: EdgeColoring, n: int, colors: int, within: int,
@@ -278,7 +278,7 @@ def _color_recursion(coloring: EdgeColoring, n: int, colors: int, within: int,
         return BuilderCertificate(outcome, colors, "monochromatic-shortcut",
                                   outcome.length >= n_target, trace)
     # the vertices outside `within` are isolated in `top`, so they sit in
-    # class 1 and are cut away before the largest class is chosen
+    # the first class and are cut away before the largest class is chosen
     back = max(_classes_in(outcome, within), key=len)
     inner = _color_recursion(coloring, n, colors - 1, mask_of(back), n_target, base)
     note = (f"recursed on a class of {len(back)} vertices",)

@@ -14,13 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ColoringError, DecompositionError, GraphShapeError
-from .graphs import (
-    DirectedPath,
-    EdgeColoring,
-    OrientedGraph,
-    VertexColoring,
-)
-from .paths import _heights, _walk
+from .graphs import DirectedPath, EdgeColoring, OrientedGraph
+from .paths import _heights, _walk, level_decomposition
 
 RED, BLUE = 1, 2
 
@@ -81,14 +76,16 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     return OrientedGraph.from_masks(n, kept_out, kept_in, g.allow_antiparallel)
 
 
-def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPath:
-    """Dichotomy: a proper coloring of g with at most `threshold` colors, or
-    a directed path of g with at least `threshold` edges.
+def gallai_roy(g: OrientedGraph, threshold: int) -> list[list[int]] | DirectedPath:
+    """Dichotomy: a proper coloring of g with at most `threshold` colors, as
+    its ascending class lists, or a directed path of g with at least
+    `threshold` edges.
 
-    A maximal acyclic spanning subgraph H is built greedily; vertices are
-    colored by their level in H.  Properness for all of g follows from
-    maximality: an edge of g missing from H is backward with respect to H's
-    levels, so its endpoints still sit on distinct levels.
+    A maximal acyclic spanning subgraph H is built greedily; the classes
+    are H's levels (`level_decomposition`), which partition the vertices.
+    Properness for all of g follows from maximality: an edge of g missing
+    from H is backward with respect to H's levels, so its endpoints still
+    sit on distinct levels.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -97,11 +94,9 @@ def gallai_roy(g: OrientedGraph, threshold: int) -> VertexColoring | DirectedPat
     h = maximal_acyclic_subgraph(g)
     out = h.out_masks()
     height = _heights(out)[0]
-    count = max(height, default=0) + 1
-    if count > threshold:
+    if max(height, default=0) >= threshold:
         return DirectedPath(_walk(out, height))
-    depth = _heights([h.in_mask(v) for v in range(g.n)])[0]
-    return VertexColoring([d + 1 for d in depth], num_classes=count)
+    return level_decomposition(h)
 
 
 # ---------------------------------------------------------------------------

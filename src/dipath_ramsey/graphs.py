@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ColoringError, GraphShapeError
 
@@ -371,26 +371,3 @@ class EdgeColoring:
         colored, and nothing else (validate_total on that host)."""
         full = (1 << t) - 1
         self._check_covers([full ^ 1 << u for u in range(t)])
-
-
-class VertexColoring:
-    """A map from every vertex to a class id 1..num_classes."""
-
-    __slots__ = ("colors", "num_classes")
-
-    def __init__(self, colors: Sequence[int], num_classes: int | None = None):
-        self.colors = tuple(colors)
-        top = max(self.colors, default=0)
-        self.num_classes = num_classes if num_classes is not None else top
-        if any(not (1 <= c <= self.num_classes) for c in self.colors):
-            raise ColoringError("vertex class id outside 1..num_classes")
-
-    def classes(self) -> list[list[int]]:
-        """Vertex lists per class id, 0-indexed list of classes 1..k."""
-        out = [[] for _ in range(self.num_classes)]
-        for v, c in enumerate(self.colors):
-            out[c - 1].append(v)
-        return out
-
-    def is_proper(self, g: OrientedGraph) -> bool:
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges())

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from math import ceil, comb, isqrt, log
 
+from .config import DEFAULT_CONFIG
 from .errors import BudgetExceededError, GraphShapeError, ThreadingError
 from .graphs import (
     DirectedPath,
@@ -164,7 +165,7 @@ def _violating_pair(g: OrientedGraph, k: int):
     return tuple(a), tuple(itertools.islice(iter_bits(free), k))
 
 
-def pseudorandomness_exact(g, budget: int = 2_000_000) -> PseudorandomnessReport:
+def pseudorandomness_exact(g, budget: int = DEFAULT_CONFIG.subset_budget) -> PseudorandomnessReport:
     """Minimal k_star such that g is k_star-pseudorandom, by upward scan.
 
     Monotone: once the property holds at k it holds for larger sizes, so the

@@ -74,7 +74,7 @@ def _color_recursion(coloring: EdgeColoring, n: int, n_target: int,
                              notes=(f"path found directly in color {qp1}",))
         return BuilderCertificate(outcome, qp1, "monochromatic-shortcut",
                                   outcome.length >= n_target, trace), list(range(n))
-    back = max((cls for cls in outcome.classes() if cls), key=len)
+    back = max((cls for cls in outcome if cls), key=len)
     inner, ids = recurse(back, induced(coloring, back, qp1 - 1))
     lifted = DirectedPath(back[v] for v in inner.path.vertices)
     note = (f"recursed on a class of {len(back)} vertices "

@@ -2,7 +2,10 @@
 scratch along the kept in-masks, kept verbatim as the reference for
 `classic.maximal_acyclic_subgraph`, which closes forward ancestors
 instead.  It reads only out-masks, so it also checks graphs built without
-in-masks."""
+in-masks.
+
+`is_proper_partition` is the check the tests of `gallai_roy` and
+`constructive_chromatic` share on the class lists they return."""
 from dipath_ramsey.graphs import OrientedGraph
 from dipath_ramsey.paths import _reach
 
@@ -23,3 +26,11 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
             kept_in[low.bit_length() - 1] |= bit
             keep ^= low
     return OrientedGraph.from_masks(n, kept_out, kept_in, g.allow_antiparallel)
+
+
+def is_proper_partition(g: OrientedGraph, classes: list[list[int]]) -> bool:
+    """The lists partition g's vertices and no edge of g joins two
+    vertices of one list."""
+    owner = {v: i for i, cls in enumerate(classes) for v in cls}
+    return (sorted(v for cls in classes for v in cls) == list(range(g.n))
+            and all(owner[u] != owner[v] for u, v in g.edges()))

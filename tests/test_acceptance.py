@@ -40,9 +40,9 @@ from dipath_ramsey import (
     symmetric_adversary,
     theorem1_adversary,
     two_color_path_finder,
-    VertexColoring,
     DirectedPath,
 )
+from reference_classic import is_proper_partition
 
 pytestmark = pytest.mark.acceptance
 
@@ -95,7 +95,7 @@ def test_criterion_2_gallai_roy_dichotomy():
         else:
             colorings += 1
             exact = longest_path_exact(g).length
-            if not outcome.is_proper(g) or outcome.num_classes > exact + 1:
+            if not is_proper_partition(g, outcome) or len(outcome) > exact + 1:
                 ok = False
     _verdict(2, ok, f"500 digraphs: {colorings} colorings, {paths} paths",
              time.time() - t0, 30)

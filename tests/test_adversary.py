@@ -1,7 +1,7 @@
 """Avoidance colorings: digit products, acyclic sets, the full pipeline."""
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +13,6 @@ from dipath_ramsey import (
     GraphShapeError,
     OrientedGraph,
     Tournament,
-    VertexColoring,
     acyclic_edge_coloring,
     block_product_bound,
     block_product_coloring,
@@ -45,6 +44,7 @@ from dipath_ramsey.adversary import (
 from dipath_ramsey.graphs import mask_of
 import reference_adversary
 from reference_builder import subgraph
+from reference_classic import is_proper_partition
 
 RELAXED = ConstantsConfig.relaxed()
 
@@ -67,28 +67,26 @@ def test_digits_msb_first():
 # -- chromatic merging -----------------------------------------------------
 
 def test_chromatic_edgeless_single_class():
-    vc = constructive_chromatic(OrientedGraph(5))
-    assert vc.num_classes == 1
+    assert constructive_chromatic(OrientedGraph(5)) == [[0, 1, 2, 3, 4]]
 
 
 def test_chromatic_complete_symmetric_no_merge():
-    vc = constructive_chromatic(complete_symmetric(4))
-    assert vc.num_classes == 4
+    assert constructive_chromatic(complete_symmetric(4)) == [[0], [1], [2], [3]]
 
 
 def test_chromatic_single_edge():
-    vc = constructive_chromatic(OrientedGraph(2, [(0, 1)]))
-    assert vc.num_classes == 2
-    assert vc.num_classes <= 2 * math.sqrt(1) + 1
+    classes = constructive_chromatic(OrientedGraph(2, [(0, 1)]))
+    assert classes == [[0], [1]]
+    assert len(classes) <= 2 * math.sqrt(1) + 1
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 60), st.integers(0, 2**31))
 def test_chromatic_proper_and_bounded(n, m, seed):
     g = random_digraph(n, min(m, n * (n - 1)), seed)
-    vc = constructive_chromatic(g)
-    assert vc.is_proper(g)
-    assert vc.num_classes <= 2 * math.sqrt(max(1, g.edge_count)) + 1
+    classes = constructive_chromatic(g)
+    assert is_proper_partition(g, classes)
+    assert len(classes) <= 2 * math.sqrt(max(1, g.edge_count)) + 1
 
 
 # -- acyclic sets ----------------------------------------------------------
@@ -324,10 +322,23 @@ def test_block_product_rejects_inner_non_edge():
         block_product_coloring(g, [(0, 1)], inner, 1)
 
 
+@pytest.mark.parametrize("blocks, inner, error, message", [
+    ([(0,), (1,)], EdgeColoring(1, {}), ColoringError, "at least 2 colors"),
+    ([(0, 3)], EdgeColoring(2, {}), GraphShapeError, "block vertex 3 outside"),
+    ([(0,), (1,)], EdgeColoring(2, {(0, 1): 1}), ColoringError,
+     r"inner edge \(0,1\) does not stay within one block"),
+    ([(0, 1), (2,)], EdgeColoring(2, {}), ColoringError,
+     r"edge \(0,1\) inside block 0 missing from inner coloring"),
+])
+def test_block_product_rejects_bad_input(blocks, inner, error, message):
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(error, match=message):
+        block_product_coloring(g, blocks, inner, 1)
+
+
 def test_color_classes_three_cycle_singletons():
     g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    vc = VertexColoring((1, 2, 3))
-    col = color_classes_coloring(g, vc, 2)
+    col = color_classes_coloring(g, [[0], [1], [2]], 2)
     assert [col.color(u, v) for (u, v) in [(0, 1), (1, 2), (2, 0)]] == [2, 1, 3]
     assert max_mono_path(g, col) <= block_product_bound(3, 2, 0) == 4
     assert max_mono_path(g, col) <= 1
@@ -335,15 +346,27 @@ def test_color_classes_three_cycle_singletons():
 
 def test_color_classes_bipartite_q1():
     g = OrientedGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    vc = constructive_chromatic(g)
-    col = color_classes_coloring(g, vc, 1)
-    assert max_mono_path(g, col) <= block_product_bound(vc.num_classes, 1, 0)
+    classes = constructive_chromatic(g)
+    col = color_classes_coloring(g, classes, 1)
+    assert max_mono_path(g, col) <= block_product_bound(len(classes), 1, 0)
 
 
 def test_color_classes_requires_proper():
     g = OrientedGraph(2, [(0, 1)])
-    with pytest.raises(ColoringError):
-        color_classes_coloring(g, VertexColoring((1, 1)), 1)
+    with pytest.raises(ColoringError, match=r"edge \(0,1\) inside block 0 missing"):
+        color_classes_coloring(g, [[0, 1]], 1)
+
+
+@pytest.mark.parametrize("classes", [
+    [[0], [1]],             # vertex 2 in no class
+    [[0, 2], [1], [2]],     # vertex 2 in two classes
+    [[0, 2], [1, 3]],       # a vertex outside the host
+    [[0, 2], [1], [-1]],    # a negative id
+])
+def test_color_classes_requires_a_partition(classes):
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ColoringError, match="do not partition"):
+        color_classes_coloring(g, classes, 1)
 
 
 def test_acyclic_coloring_path_example():
@@ -437,6 +460,35 @@ def test_theorem1_dense_families_appear():
         assert measured <= result.partition.total_bound
 
 
+def _corruptions(g, result):
+    """(message, corrupted result) pairs, one per invariant of
+    `check_partition`, each from the valid `result` on g by one change."""
+    p = result.partition
+    fam = p.families[0]
+    cycle = tuple(find_cycle(g))
+    every = tuple(range(g.n))
+    u, v = next((u, v) for u, v in g.edges() if (u in p.x) != (v in p.x))
+    flipped = dict(result.coloring.items())
+    flipped[(u, v)] = 3 - flipped[(u, v)]
+    yield "do not partition V", replace(p, x=p.x[1:])
+    yield "block sizes", replace(p, families=(replace(fam, size=fam.size + 1),))
+    yield "not acyclic", replace(p, families=(replace(fam, size=len(cycle), blocks=(cycle,)),))
+    yield "termination threshold", replace(p, x=(), residue=every, covered=())
+    yield "escape scheme", EdgeColoring(2, flipped)
+
+
+def test_check_partition_catches_each_corruption():
+    """A valid run with a family passes; each single corruption of its
+    partition or coloring fails with the invariant it breaks."""
+    g = random_oriented_graph(40, 350, 2)
+    result = theorem1_adversary(g, 1)
+    check_partition(g, result, ConstantsConfig(), 1)
+    for message, bad in _corruptions(g, result):
+        field = "coloring" if isinstance(bad, EdgeColoring) else "partition"
+        with pytest.raises(AssertionError, match=message):
+            check_partition(g, replace(result, **{field: bad}), ConstantsConfig(), 1)
+
+
 @pytest.mark.parametrize("q", [1, 2])
 def test_theorem1_valid_at_q(q):
     g = random_oriented_graph(60, 300, q)
@@ -524,9 +576,10 @@ def test_theorem1_colors_follow_from_partition(n, density, q, seed, digraph, rel
     cls = {}
     for verts in (p.x, p.residue):
         sub, back = subgraph(g, verts)
-        vc = constructive_chromatic(sub)
-        for v, c in enumerate(vc.colors):
-            cls[back[v]] = (c - 1, vc.num_classes)
+        classes = constructive_chromatic(sub)
+        for c, members in enumerate(classes):
+            for v in members:
+                cls[back[v]] = (c, len(classes))
     place = {}
     for f, rec in enumerate(p.families):
         for b, block in enumerate(rec.blocks):

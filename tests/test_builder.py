@@ -16,6 +16,7 @@ from dipath_ramsey import (
     ConstantsConfig,
     DEFAULT_CONFIG,
     EdgeColoring,
+    GraphShapeError,
     OrientedGraph,
     complete_symmetric,
     multicolor_path_finder,
@@ -44,6 +45,16 @@ def test_all_red_hamilton():
     assert cert.color == RED
     assert cert.path.length == 8
     assert cert.guarantee_active
+
+
+def test_certificate_validate_rejects_foreign_path_and_wrong_color():
+    g = complete_symmetric(9)
+    col = _all_color(g, RED)
+    cert = two_color_path_finder(g, col, 2)
+    with pytest.raises(GraphShapeError, match="not a path of the host graph"):
+        cert.validate(OrientedGraph(9), col)
+    with pytest.raises(ColoringError, match=r"claims color 2 but \(0,1\) has color 1"):
+        replace(cert, color=BLUE).validate(g, col)
 
 
 def test_all_blue_blue_case_frozen():

@@ -327,9 +327,8 @@ def test_gallai_roy_three_cycle():
     g = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
     out = gallai_roy(g, 3)
     # 3-cycle: longest path 2, so 3 classes suffice
-    from dipath_ramsey import VertexColoring
-    assert isinstance(out, VertexColoring)
-    assert out.is_proper(g)
+    assert isinstance(out, list)
+    assert reference_classic.is_proper_partition(g, out)
 
 
 def test_gallai_roy_path_branch():
@@ -348,7 +347,7 @@ def test_gallai_roy_threshold_validation():
 def test_gallai_roy_dichotomy_500_random():
     """Coloring branch proper with class count <= exact longest path + 1;
     path branch valid with >= threshold edges."""
-    from dipath_ramsey import VertexColoring, random_digraph
+    from dipath_ramsey import random_digraph
     rng = random.Random(99)
     for i in range(500):
         n = rng.randint(1, 12)
@@ -361,9 +360,9 @@ def test_gallai_roy_dichotomy_500_random():
             assert out.is_valid_in(g)
             assert out.length >= threshold
         else:
-            assert isinstance(out, VertexColoring)
-            assert out.is_proper(g)
-            assert out.num_classes <= exact + 1
+            assert isinstance(out, list)
+            assert reference_classic.is_proper_partition(g, out)
+            assert len(out) <= exact + 1
 
 
 def _switches(cols):

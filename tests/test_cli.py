@@ -1,6 +1,9 @@
 """End-to-end runs of the command line interface."""
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -324,3 +327,23 @@ def test_unwritable_output_is_cli_error(tmp_path):
         assert "Error: " in res.output and message in res.output
         assert "Traceback" not in res.output
     assert not missing.exists()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every `dipath-ramsey` line of the README's CLI block, in order, in
+    an empty directory that holds only the manifest the README shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    (manifest,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    lines = [line for line in block.splitlines() if line.startswith("dipath-ramsey ")]
+    assert len(lines) == 15 and lines[-1].endswith("--manifest manifest.json")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(manifest, encoding="ascii")
+    runner = CliRunner()
+    for line in lines:
+        res = runner.invoke(main, shlex.split(line, comments=True)[1:])
+        assert res.exit_code == 0, (line, res.output)
+    record = json.loads(res.output)
+    assert (record["rows"], record["failures"]) == (5, 0)
+    assert (tmp_path / "results.csv").read_text().count("\n") == 6

@@ -176,6 +176,13 @@ def _coloring_corpus():
                             g, text, num_colors
 
 
+@pytest.mark.parametrize("header", ["-1 0 oriented", "3 -2 symmetric"])
+def test_graph_parse_negative_header_count(header):
+    with pytest.raises(FormatError, match="negative count in header") as exc:
+        parse_graph(header + "\n")
+    assert exc.value.line == 1
+
+
 def test_parse_graph_matches_reference():
     cases = 0
     for name, text in _graph_corpus():

@@ -11,7 +11,6 @@ from dipath_ramsey import (
     GraphShapeError,
     OrientedGraph,
     Tournament,
-    VertexColoring,
     complete_symmetric,
     is_tournament,
     random_digraph,
@@ -93,15 +92,6 @@ def test_coloring_rejects_bad_color():
         EdgeColoring(2, {(0, 1): 3})
     with pytest.raises(ColoringError):
         EdgeColoring(2, {(0, 1): 0})
-
-
-def test_vertex_coloring_properness():
-    g = OrientedGraph(3, [(0, 1), (1, 2)])
-    ok = VertexColoring((1, 2, 1))
-    assert ok.is_proper(g)
-    bad = VertexColoring((1, 1, 2))
-    assert not bad.is_proper(g)
-    assert ok.classes() == [[0, 2], [1]]
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -16,7 +16,6 @@ from dipath_ramsey import (
     DirectedPath,
     EdgeColoring,
     OrientedGraph,
-    VertexColoring,
     block_product_coloring,
     complete_symmetric,
     constructive_chromatic,
@@ -33,7 +32,7 @@ from dipath_ramsey import (
     transitive_tournament,
     two_color_path_finder,
 )
-from dipath_ramsey import classic
+from dipath_ramsey import classic, paths
 from dipath_ramsey.adversary import _chromatic_classes, _greedy_acyclic
 from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _levels
@@ -81,7 +80,7 @@ def _pairs():
 def test_chromatic_classes_match_relabelling():
     for g, out, inn, within in _pairs():
         sub, back = subgraph(g, iter_bits(within))
-        want = [[back[v] for v in cls] for cls in constructive_chromatic(sub).classes()]
+        want = [[back[v] for v in cls] for cls in constructive_chromatic(sub)]
         assert _chromatic_classes(out, inn, within) == want
 
 
@@ -136,18 +135,14 @@ def _parent_gallai_roy(g, threshold):
     h = maximal_acyclic_subgraph(g)
     levels = level_decomposition(h)
     if len(levels) <= threshold:
-        colors = [0] * g.n
-        for depth, members in enumerate(levels):
-            for v in members:
-                colors[v] = depth + 1
-        return VertexColoring(colors, num_classes=len(levels))
+        return levels
     return longest_path_dag(h)
 
 
 def _as_tuple(outcome):
     if isinstance(outcome, DirectedPath):
         return ("path", outcome.vertices)
-    return ("coloring", outcome.colors, outcome.num_classes)
+    return ("coloring", outcome)
 
 
 def test_gallai_roy_matches_composition(monkeypatch):
@@ -159,9 +154,10 @@ def test_gallai_roy_matches_composition(monkeypatch):
         for threshold in (1, 2, 3, 5, 8, 40):
             want = _as_tuple(_parent_gallai_roy(g, threshold))
             calls = []
-            heights = classic._heights
-            monkeypatch.setattr(classic, "_heights",
-                                lambda *a: calls.append(1) or heights(*a))
+            heights = paths._heights
+            for module in (classic, paths):
+                monkeypatch.setattr(module, "_heights",
+                                    lambda *a: calls.append(1) or heights(*a))
             got = gallai_roy(g, threshold)
             monkeypatch.undo()
             assert _as_tuple(got) == want
@@ -169,9 +165,7 @@ def test_gallai_roy_matches_composition(monkeypatch):
 
 
 def test_gallai_roy_empty_graph():
-    outcome = gallai_roy(OrientedGraph(0), 1)
-    assert isinstance(outcome, VertexColoring)
-    assert outcome.colors == () and outcome.num_classes == 1
+    assert gallai_roy(OrientedGraph(0), 1) == [[]]
 
 
 def test_no_relabelling_outside_the_color_recursion():

@@ -339,9 +339,7 @@ def test_levels_and_colorings_match_kahn():
             assert _levels(inn, within) == \
                 _bucketed(_kahn_depths(out, within), iter_bits(within))
         if host is not None:
-            coloring = gallai_roy(host, max(n, 1))
-            assert coloring.colors == tuple(d + 1 for d in depth)
-            assert coloring.num_classes == max(depth, default=0) + 1
+            assert gallai_roy(host, max(n, 1)) == _bucketed(depth, range(n))
 
 
 def _cpu_ms(f, adj):

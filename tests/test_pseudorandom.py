@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipath_ramsey import (
+    DEFAULT_CONFIG,
+    BudgetExceededError,
     GraphShapeError,
     OrientedGraph,
     ThreadingError,
@@ -77,6 +79,14 @@ def test_exact_on_transitive_three():
     assert report.k_star == 2
     assert report.vacuous
     assert report.counterexample == ((1,), (0,))
+
+
+def test_exact_budget_defaults_to_subset_budget():
+    """Without a budget the scan charges against the configured subset
+    budget: T64 is refused at k=5, where C(64, 5) passes it."""
+    limit = DEFAULT_CONFIG.subset_budget
+    with pytest.raises(BudgetExceededError, match=rf"at k=5 \(\d+ > {limit}\)"):
+        pseudorandomness_exact(random_tournament(64, 1))
 
 
 def test_exact_finds_real_threshold():
