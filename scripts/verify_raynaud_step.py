@@ -4,7 +4,7 @@
 Checks every 2-coloring of the complete symmetric digraph for t <= 5
 (over 10^6 instances at t=5), then random colorings for t up to 48.
 Each decomposition is validated structurally and its best segment checked
-against the floor(t/2) promise.  Also reports how often each of the two
+against the ceil(t/2) promise (t >= 2).  Also reports how often each of the two
 construction layers (single insertion, one-vertex repair) placed a new
 vertex, by instrumenting the internal helpers.
 
@@ -62,9 +62,10 @@ def check_one(t: int, coloring: EdgeColoring) -> None:
     dec = raynaud(t, coloring)
     dec.validate(coloring)
     seg, _ = dec.best_segment()
-    if seg.length < t // 2:
+    promise = min(t - 1, (t + 1) // 2)  # ceil(t/2) for t >= 2
+    if seg.length < promise:
         raise AssertionError(
-            f"t={t}: best segment {seg.length} < {t // 2}"
+            f"t={t}: best segment {seg.length} < {promise}"
             f" for coloring {dict(coloring.items())}")
 
 

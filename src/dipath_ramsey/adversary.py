@@ -399,9 +399,7 @@ class FamilyRecord:
     bound: int              # combined family bound q*(r_i+1)*s_i
 
     def to_dict(self) -> dict:
-        return {"size": self.size, "eps": self.eps,
-                "blocks": [list(b) for b in self.blocks],
-                "inner_bound": self.inner_bound, "bound": self.bound}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -37,20 +37,8 @@ class BuilderTrace:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "num_classes": self.num_classes,
-            "blocks": [list(b) for b in self.blocks],
-            "block_paths": [list(p) for p in self.block_paths],
-            "cycles": [list(c) for c in self.cycles],
-            "aux_coloring": [[list(e), c] for e, c in self.aux_coloring],
-            "aux_branch": self.aux_branch,
-            "aux_path": list(self.aux_path),
-            "c_red": self.c_red,
-            "c_blue": self.c_blue,
-            "floors_met": self.floors_met,
-            "notes": list(self.notes),
-        }
+        """The fields by name; json writes their tuples as arrays."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -309,7 +297,8 @@ def multicolor_path_finder(g: OrientedGraph, coloring: EdgeColoring, k: int,
 def _symmetric_base(coloring: EdgeColoring, within: int,
                     n_target: int) -> BuilderCertificate:
     """One color: the identity Hamilton path.  Two colors: the longer run of
-    a two-run Hamilton cycle through the t vertices of `within`, >= t // 2."""
+    a two-run Hamilton cycle through the t vertices of `within`, at least
+    ceil(t/2) edges for t >= 2."""
     if coloring.num_colors == 1:
         path = DirectedPath(iter_bits(within))
         return BuilderCertificate(
@@ -328,7 +317,8 @@ def symmetric_multicolor_finder(t: int, coloring: EdgeColoring,
     the upper bound for digraphs with antiparallel edges.
 
     Same recursion as the sparse finder, but the two-color base extracts
-    the longer run of a two-run Hamilton cycle, guaranteeing floor(t/2).
+    the longer run of a two-run Hamilton cycle, guaranteeing ceil(t/2)
+    edges for t >= 2.
     """
     if t < 1:
         raise GraphShapeError("need at least one vertex")

@@ -165,8 +165,8 @@ class HamiltonDecomposition:
         missing = (t if t > 1 else 0) - red_len - blue_len
         if missing not in (0, 1):
             raise DecompositionError("segments must cover the cycle up to its closing arc")
-        # these cover checks imply the floor t // 2: the segments hold all t
-        # arcs, or one is empty and the other holds t - 1
+        # these cover checks imply the bound ceil(t/2) for t >= 2: the
+        # segments hold all t arcs, or one is empty and the other holds t - 1
         if missing == 1 and red_len and blue_len:
             raise DecompositionError("an arc is uncovered but both segments are nonempty")
 
@@ -229,8 +229,10 @@ def raynaud(t: int, coloring: EdgeColoring) -> HamiltonDecomposition:
     """Hamilton cycle of the 2-colored complete symmetric digraph on t
     vertices, split into one red and one blue directed path.
 
-    In particular best_segment() has length >= floor(t/2).  Color 1 is
-    treated as red, color 2 as blue.
+    In particular best_segment() has length >= ceil(t/2) for t >= 2 (the
+    runs cover all t arcs, or one run is empty and the other holds t - 1).
+    The exact oracle finds colorings with no longer monochromatic path for
+    t = 2..7.  Color 1 is treated as red, color 2 as blue.
 
     The cycle starts as [0, 1] and takes the vertices 2, ..., t-1 in turn,
     keeping at most two color runs (0 or 2 switches) throughout.  A new

@@ -96,13 +96,13 @@ def gen(model: str, n, p, density: float, seed: int, out_path: str) -> None:
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 def prcheck(mode: str, k, trials: int, seed: int, in_path: str) -> None:
     """Pseudorandomness check: exact threshold or sampled refutation."""
+    if mode == "sampled" and k is None:
+        raise click.UsageError("--mode sampled requires --k")
     g = read_graph(in_path)
     if mode == "exact":
         report = pseudorandomness_exact(g)
         _echo_json(report.to_dict())
         return
-    if k is None:
-        raise click.UsageError("--mode sampled requires --k")
     found = refute_pseudorandomness(g, k, trials, seed)
     payload = {"mode": "sampled", "k": k, "trials": trials,
                "counterexample": [list(found[0]), list(found[1])]
@@ -166,16 +166,13 @@ def build_path(colors: int, k: int, n_target: int, config_path, in_path: str,
               default=None)
 def oracle(mode: str, q: int, n_target, in_path: str, coloring_path) -> None:
     """Exhaustive ground truth on small instances."""
-    if mode == "path" and coloring_path is not None:
-        g, coloring = read_colored(in_path, coloring_path)
-    else:
-        g = read_graph(in_path)
     if mode == "path":
         if coloring_path is None:
             raise click.UsageError("--mode path requires --coloring")
-        per_color = longest_mono_path(g, coloring)
+        per_color = longest_mono_path(*read_colored(in_path, coloring_path))
         _echo_json({str(c): r.to_dict() for c, r in per_color.items()})
         return
+    g = read_graph(in_path)
     if mode == "minmax":
         result = min_max_mono_path(g, q)
         _echo_json(result.to_dict())

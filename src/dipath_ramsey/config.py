@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ConstantsConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConstantsConfig":

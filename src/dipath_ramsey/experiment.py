@@ -45,6 +45,16 @@ _PRCHECK_MODES = ("exact", "sampled")
 WORKERS_ENV = "DIPATH_RAMSEY_WORKERS"
 
 
+def _known(data, keys, what: str):
+    """`data` when it is an object whose keys all lie in `keys`."""
+    if not isinstance(data, dict):
+        raise ManifestError(f"{what} must be a JSON object")
+    extra = sorted(set(data) - set(keys))
+    if extra:
+        raise ManifestError(f"unknown {what} keys: {extra}")
+    return data
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     model: str
@@ -76,10 +86,6 @@ class GeneratorSpec:
         """Edges of an oriented or digraph host of n vertices."""
         return round(self.density * n * n)
 
-    def to_dict(self) -> dict:
-        return {"model": self.model, "sizes": list(self.sizes),
-                "density": self.density}
-
 
 @dataclass(frozen=True)
 class ExperimentManifest:
@@ -100,6 +106,7 @@ class ExperimentManifest:
                 f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.repetitions < 0:
             raise ManifestError("repetitions must be nonnegative")
+        _known(self.params, _INT_PARAMS + ("mode",), "params")
         for key in _INT_PARAMS:
             value = self.params.get(key, 0)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -109,23 +116,17 @@ class ExperimentManifest:
                                 f"got {self.params['mode']!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "kind": self.kind,
-            "generator": self.generator.to_dict(),
-            "config": self.config.to_dict(),
-            "repetitions": self.repetitions,
-            "params": dict(self.params),
-            "csv_path": self.csv_path,
-            "json_path": self.json_path,
-        }
+        """The fields by name, with the generator's and the config's as
+        nested dicts and a copy of params."""
+        return dict(vars(self), generator=dict(vars(self.generator)),
+                    config=self.config.to_dict(), params=dict(self.params))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentManifest":
-        if not isinstance(data, dict):
-            raise ManifestError("manifest must be a JSON object")
+        _known(data, cls.__dataclass_fields__, "manifest")
         try:
-            gen = data["generator"]
+            gen = _known(data["generator"], GeneratorSpec.__dataclass_fields__,
+                         "generator")
             spec = GeneratorSpec(model=gen["model"],
                                  sizes=tuple(int(n) for n in gen["sizes"]),
                                  density=float(gen.get("density", 0.1)))
@@ -302,8 +303,7 @@ def _run_cell(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         return (n, run_index, seed, *blanks, 0), type(exc).__name__
 
 
-def run_experiment(manifest: ExperimentManifest,
-                   write_outputs: bool = True) -> ResultRecord:
+def run_experiment(manifest: ExperimentManifest) -> ResultRecord:
     """Execute every (size, repetition) cell and persist CSV + JSON.
 
     Row order is sorted by (n, run index) regardless of how workers finish,
@@ -334,13 +334,12 @@ def run_experiment(manifest: ExperimentManifest,
         aggregates=aggregates,
         wall_clock_seconds=round(time.monotonic() - start, 6),
     )
-    if write_outputs:
-        with open(manifest.csv_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(record.csv_text())
-        payload = {"manifest": manifest.to_dict(), "record": record.to_dict(),
-                   "config": manifest.config.to_dict()}
-        with open(manifest.json_path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(manifest.csv_path, "w", encoding="ascii", newline="") as fh:
+        fh.write(record.csv_text())
+    payload = {"manifest": manifest.to_dict(), "record": record.to_dict(),
+               "config": manifest.config.to_dict()}
+    with open(manifest.json_path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return record
 
 

@@ -240,9 +240,17 @@ def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
     return _lines(g, [layers[c] for c in used], [f" {c}" for c in used])
 
 
-def _class_masks(nums: list[int], n: int, m: int, q: int) -> list[list[int]]:
-    """Out-masks of colors 0..q from the m coloring lines whose numbers
-    `nums` run u, v, c, ..., every id below n and color at most q."""
+def _bulk_classes(text: str, n: int, m: int, num_colors: int | None):
+    """(numbers, out-masks of colors 1..q) of a coloring text of m lines
+    that passes the bulk check with every color in 1..q, q being
+    num_colors or else the top color; None sends it to the line scan."""
+    nums = _bulk_ints(text, b"  \n", m, n)
+    if nums is None:
+        return None
+    top = max(nums[2::3])
+    q = top if num_colors is None else num_colors
+    if not 0 < top <= q:
+        return None
     masks = [[0] * n for _ in range(q + 1)]
     triples = iter(nums)
     if n * n < _DENSE * m:
@@ -252,7 +260,7 @@ def _class_masks(nums: list[int], n: int, m: int, q: int) -> list[list[int]]:
     else:
         for u, v, c in zip(triples, triples, triples):
             masks[c][u] |= 1 << v
-    return masks
+    return nums, masks[1:]
 
 
 def _union(masks: list[list[int]]) -> list[int]:
@@ -270,17 +278,11 @@ def parse_coloring(text: str, g: OrientedGraph,
     Color ids below 1 or above an explicit num_colors are format errors, as
     are edges absent from g, duplicates, or missing edges.
     """
-    n, m = g.n, g.edge_count
-    nums = _bulk_ints(text, b"  \n", m, n)
-    if nums is not None:
-        top = max(nums[2::3])
-        q = top if num_colors is None else num_colors
-        if 0 < top <= q:
-            masks = _class_masks(nums, n, m, q)[1:]
-            # as many lines as host edges: covering them all in colors 1..q
-            # leaves no room for a duplicate or a color 0
-            if _union(masks) == g.out_masks():
-                return EdgeColoring.from_masks(masks)
+    bulk = _bulk_classes(text, g.n, g.edge_count, num_colors)
+    # as many lines as host edges: covering them all in colors 1..q leaves
+    # no room for a duplicate or a color 0
+    if bulk is not None and _union(bulk[1]) == g.out_masks():
+        return EdgeColoring.from_masks(bulk[1])
     return _scan_coloring(text, g, num_colors)
 
 
@@ -295,16 +297,13 @@ def parse_colored(graph_text: str, coloring_text: str,
     checks.  Any other pair takes the two parsers.
     """
     n, m, symmetric, _ = _head(graph_text)
-    nums = _bulk_ints(coloring_text, b"  \n", m, n)
-    if nums is not None:
-        top = max(nums[2::3])
-        q = top if num_colors is None else num_colors
-        if 0 < top <= q:
-            # a color 0 leaves its edge out of the union, below m edges
-            masks = _class_masks(nums, n, m, q)[1:]
-            g = _mask_graph(n, m, symmetric, _union(masks), nums, 3)
-            if g is not None and serialize_graph(g) == graph_text:
-                return g, EdgeColoring.from_masks(masks)
+    bulk = _bulk_classes(coloring_text, n, m, num_colors)
+    if bulk is not None:
+        # a color 0 leaves its edge out of the union, below m edges
+        nums, masks = bulk
+        g = _mask_graph(n, m, symmetric, _union(masks), nums, 3)
+        if g is not None and serialize_graph(g) == graph_text:
+            return g, EdgeColoring.from_masks(masks)
     g = parse_graph(graph_text)
     return g, parse_coloring(coloring_text, g, num_colors)
 

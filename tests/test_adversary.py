@@ -638,3 +638,10 @@ def test_proposition4_desk(n):
         g = random_digraph(verts, m, i * 31 + n)
         col = symmetric_adversary(g, 1)
         assert max_mono_path(g, col) < n
+
+
+def test_digit_colorings_need_a_positive_q():
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        minimal_base(4, 0)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        acyclic_edge_coloring(transitive_tournament(3), 0)

@@ -391,6 +391,14 @@ def test_symmetric_monochromatic_hamilton():
     assert cert.path.length == 5
 
 
+def test_symmetric_finder_input_checks():
+    col = EdgeColoring(2, {e: 1 for e in complete_symmetric(3).edges()})
+    with pytest.raises(GraphShapeError, match="need at least one vertex"):
+        symmetric_multicolor_finder(0, EdgeColoring(2, {}), 2)
+    with pytest.raises(ValueError, match="n_target must be >= 1"):
+        symmetric_multicolor_finder(3, col, 0)
+
+
 def test_symmetric_raynaud_branches():
     g = complete_symmetric(6)
     half = {(u, v): (1 if (u < 3) == (v < 3) else 2) for (u, v) in g.edges()}
@@ -398,7 +406,7 @@ def test_symmetric_raynaud_branches():
     cert = symmetric_multicolor_finder(6, col, 2)
     cert.validate(g, col)
     assert cert.branch in ("red-case", "blue-case")
-    assert cert.path.length >= 3  # floor(6/2) is the decomposition promise
+    assert cert.path.length >= 3  # ceil(6/2) is the decomposition promise
 
 
 def test_certificate_serialization_roundtrip_fields():

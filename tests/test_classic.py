@@ -58,11 +58,16 @@ def test_all_colorings_match_edge_dicts(t):
     assert list(_all_colorings(t)) == list(expected)
 
 
+def _promise(t):
+    """ceil(t/2) for t >= 2, and 0 for the single vertex."""
+    return min(t - 1, (t + 1) // 2)
+
+
 def _check(t, coloring):
     dec = raynaud(t, coloring)
     dec.validate(coloring)
     seg, _ = dec.best_segment()
-    assert seg.length >= t // 2
+    assert seg.length >= _promise(t)
     return dec
 
 
@@ -115,8 +120,8 @@ def _validate_reference(dec, coloring):
     if missing == 1 and dec.red_segment.length and dec.blue_segment.length:
         raise DecompositionError("an arc is uncovered but both segments are nonempty")
     best = max(dec.red_segment.length, dec.blue_segment.length)
-    if best < t // 2:
-        raise DecompositionError(f"longest segment {best} below floor {t // 2}")
+    if best < _promise(t):
+        raise DecompositionError(f"longest segment {best} below {_promise(t)}")
 
 
 def _outcome(check, dec, coloring):
@@ -195,6 +200,16 @@ def test_raynaud_rejects_partial_coloring():
     from dipath_ramsey import ColoringError
     with pytest.raises(ColoringError):
         raynaud(3, EdgeColoring(2, {(0, 1): 1}))
+
+
+def test_raynaud_input_checks():
+    from dipath_ramsey import ColoringError, GraphShapeError
+    with pytest.raises(GraphShapeError, match="need at least one vertex"):
+        raynaud(0, EdgeColoring(2, {}))
+    host = complete_symmetric(3)
+    for colors in (1, 3):
+        with pytest.raises(ColoringError, match=f"need exactly 2 colors, got {colors}"):
+            raynaud(3, EdgeColoring(colors, {e: 1 for e in host.edges()}))
 
 
 def test_maximal_acyclic_is_maximal():

@@ -347,3 +347,24 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     record = json.loads(res.output)
     assert (record["rows"], record["failures"]) == (5, 0)
     assert (tmp_path / "results.csv").read_text().count("\n") == 6
+
+
+def test_usage_errors_name_the_missing_option(tmp_path):
+    """Each option a mode needs is a usage error (exit status 2).  The
+    sampled check and the path oracle ask for it before they read the
+    graph, so a bad graph file is not what they report."""
+    bad = tmp_path / "bad.graph"
+    bad.write_text("not a graph\n")
+    cases = [
+        (["gen", "--model", "paley", "--out", str(tmp_path / "p.graph")],
+         "--model paley requires --p"),
+        (["gen", "--model", "random", "--out", str(tmp_path / "r.graph")],
+         "--model random requires --n"),
+        (["prcheck", "--mode", "sampled", "--in", str(bad)], "--mode sampled requires --k"),
+        (["oracle", "--mode", "path", "--in", str(bad)], "--mode path requires --coloring"),
+    ]
+    for args, message in cases:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, args
+        assert f"Error: {message}" in res.output, args
+    assert not list(tmp_path.glob("[pr].graph"))

@@ -216,3 +216,8 @@ def test_derived_in_masks_match_per_edge_loop(monkeypatch):
         dense += took
         sparse += not took
     assert dense > 50 and sparse > 50
+
+
+def test_rejects_negative_vertex_count():
+    with pytest.raises(GraphShapeError, match="vertex count must be nonnegative, got -1"):
+        OrientedGraph(-1)

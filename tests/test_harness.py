@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from dipath_ramsey import (
     BuilderCertificate,
     ColoringError,
+    ConstantsConfig,
     EdgeColoring,
     ExperimentManifest,
     FormatError,
@@ -276,6 +278,59 @@ def test_manifest_rejects_garbage_json():
         ExperimentManifest.from_json("{not json")
 
 
+def test_config_rejects_nonpositive_fields():
+    with pytest.raises(ValueError, match="^c must be positive$"):
+        ConstantsConfig(c=0)
+    with pytest.raises(ValueError, match="^block_factor must be a positive integer$"):
+        ConstantsConfig(block_factor=0)
+
+
+def test_manifest_field_checks(tmp_path):
+    data = _tiny_manifest(tmp_path).to_dict()
+    with pytest.raises(ManifestError, match="sizes must be nonnegative"):
+        ExperimentManifest.from_dict({**data, "generator": {"model": "tournament",
+                                                            "sizes": [4, -1]}})
+    with pytest.raises(ManifestError, match="experiment_id must be nonempty"):
+        ExperimentManifest.from_dict({**data, "experiment_id": ""})
+    with pytest.raises(ManifestError, match="repetitions must be nonnegative"):
+        ExperimentManifest.from_dict({**data, "repetitions": -1})
+    with pytest.raises(ManifestError, match="manifest must be a JSON object"):
+        ExperimentManifest.from_json("[1, 2]")
+    del data["kind"]
+    with pytest.raises(ManifestError, match="bad manifest field: 'kind'"):
+        ExperimentManifest.from_dict(data)
+
+
+# the manifest that loaded as density 0.1 with one repetition and no colors
+# param while its three misspelled keys were dropped
+_MISSPELT = {"experiment_id": "x", "kind": "adversary",
+             "generator": {"model": "oriented", "sizes": [10], "densty": 0.5},
+             "params": {"q": 1, "colours": 3},
+             "repetition": 5}
+
+
+@pytest.mark.parametrize("fix, message", [
+    ((), "unknown manifest keys: ['repetition']"),
+    (("repetition",), "unknown generator keys: ['densty']"),
+    (("repetition", "densty"), "unknown params keys: ['colours']"),
+])
+def test_manifest_refuses_unknown_keys(tmp_path, fix, message):
+    """An unknown top-level, generator or params key is a ManifestError
+    that names it, through from_dict and as one CLI Error line; `fix`
+    drops the misspelt keys before the one named."""
+    data = {key: value for key, value in _MISSPELT.items() if key not in fix}
+    data["generator"] = {k: v for k, v in data["generator"].items() if k not in fix}
+    data["csv_path"] = str(tmp_path / "out.csv")
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        ExperimentManifest.from_dict(data)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["experiment", "--manifest", str(mpath)])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_derive_seed_stable():
     assert derive_seed("tiny", 8, 0) == derive_seed("tiny", 8, 0)
     assert derive_seed("tiny", 8, 0) != derive_seed("tiny", 8, 1)
@@ -302,15 +357,15 @@ def test_run_experiment_prcheck(tmp_path):
 
 def test_run_experiment_deterministic(tmp_path):
     m = _tiny_manifest(tmp_path, mode="exact")
-    first = run_experiment(m, write_outputs=False)
-    second = run_experiment(m, write_outputs=False)
+    first = run_experiment(m)
+    second = run_experiment(m)
     assert first.csv_text() == second.csv_text()
     assert "wall" not in first.csv_text()
 
 
 def test_run_experiment_rows_sorted(tmp_path):
     m = _tiny_manifest(tmp_path, mode="exact")
-    record = run_experiment(m, write_outputs=False)
+    record = run_experiment(m)
     keys = [(int(r[0]), int(r[1])) for r in record.rows]
     assert keys == sorted(keys)
 
@@ -320,7 +375,7 @@ def test_run_experiment_empty_sizes(tmp_path):
         experiment_id="empty", kind="prcheck",
         generator=GeneratorSpec("tournament", ()),
         csv_path=str(tmp_path / "e.csv"), json_path=str(tmp_path / "e.json"))
-    record = run_experiment(m, write_outputs=False)
+    record = run_experiment(m)
     assert record.ok and not record.rows
 
 
@@ -374,7 +429,7 @@ def test_run_experiment_builder_two_colors_refuses_bad_n_target(tmp_path):
         generator=GeneratorSpec("tournament", (12,)),
         repetitions=2, params={"colors": 2, "k": 2, "n_target": 0},
         csv_path=str(tmp_path / "b.csv"), json_path=str(tmp_path / "b.json"))
-    record = run_experiment(m, write_outputs=False)
+    record = run_experiment(m)
     assert record.failures == 2
     assert record.aggregates["12"]["errors"] == {"ValueError": 2}
 
@@ -401,9 +456,9 @@ def test_fixed_manifest_csv_bytes(tmp_path, kind, spec, params, digest):
 
 def test_run_experiment_parallel_matches_serial(tmp_path, monkeypatch):
     m = _tiny_manifest(tmp_path, mode="exact")
-    serial = run_experiment(m, write_outputs=False)
+    serial = run_experiment(m)
     monkeypatch.setenv("DIPATH_RAMSEY_WORKERS", "2")
-    parallel = run_experiment(m, write_outputs=False)
+    parallel = run_experiment(m)
     assert parallel.csv_text() == serial.csv_text()
 
 
@@ -422,7 +477,7 @@ def test_cli_import_leaves_out_the_worker_pool():
 
 def test_aggregates_present(tmp_path):
     m = _tiny_manifest(tmp_path, mode="exact")
-    record = run_experiment(m, write_outputs=False)
+    record = run_experiment(m)
     assert record.aggregates
     for key, agg in record.aggregates.items():
         assert agg["runs"] == 2
@@ -449,7 +504,7 @@ def test_run_experiment_error_cell_is_failed_row(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "b.json").read_text())
     assert payload["record"]["aggregates"]["64"]["errors"] == {"BudgetExceededError": 1}
     monkeypatch.setenv("DIPATH_RAMSEY_WORKERS", "2")
-    pooled = run_experiment(m, write_outputs=False)
+    pooled = run_experiment(m)
     assert pooled.rows == serial.rows
     assert pooled.aggregates == serial.aggregates
 

@@ -748,3 +748,17 @@ def test_oracle_result_to_dict():
     assert d["value"] == 1
     assert d["explored"] >= 1
     assert isinstance(d["witness"], list)
+
+
+def test_arrowing_check_needs_a_positive_q():
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        arrowing_check(transitive_tournament(3), 1, 0)
+
+
+@pytest.mark.parametrize("t, value", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4)])
+def test_raynaud_floor_is_tight(t, value):
+    """Some 2-coloring of the complete symmetric digraph on t vertices has
+    no monochromatic path longer than ceil(t/2), the length raynaud's
+    longer run always reaches."""
+    assert value == (t + 1) // 2
+    assert min_max_mono_path(complete_symmetric(t), 2).value == value
