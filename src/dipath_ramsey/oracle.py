@@ -217,28 +217,74 @@ def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
     return False
 
 
-def _decision_search(g: OrientedGraph, q: int, bound: int, budget: int,
-                     spent: int) -> tuple[EdgeColoring | None, int]:
-    """A q-coloring of g with every monochromatic path <= bound, or None.
+def _search_order(g: OrientedGraph) -> list[tuple[int, int]]:
+    """g's edges in the coloring search's order.
 
-    Edges are colored vertex by vertex: every edge among vertices
-    0..k-1 comes before any edge of vertex k, so a class's paths close,
-    and a coloring that cannot be completed is refuted, a few edges after
-    they start.  Colors are interchangeable, so edge i may only use colors
-    up to one past the highest color already used (canonical-form
-    symmetry reduction; the edge order is fixed, so this stays sound).
-    `spent` nodes are already charged against the budget.  The search
-    only goes deeper while no class has a path longer than `bound`, so
-    each node checks only the paths through its new edge.
+    The vertices are ranked by in-degree times out-degree, the most 2-paths
+    x -> v -> y through them first, ties by id, and the edges sorted by
+    (later rank of their ends, earlier rank): every edge among the first k
+    ranked vertices comes before any edge of the next.  The busiest
+    vertices thus come first, where a class's paths close soonest.  Built
+    once per question and shared by its decisions.
     """
+    n = g.n
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n),
+                                 key=lambda v: -g.in_degree(v) * g.out_degree(v))):
+        rank[v] = r
+
+    def key(e: tuple[int, int]) -> tuple[int, int]:
+        a, b = rank[e[0]], rank[e[1]]
+        return (a, b) if a > b else (b, a)
+
     # g.edges() is lexicographic and the sort stable, so (a, b) with a < b
     # stays ahead of (b, a)
-    edges = sorted(g.edges(), key=lambda e: (max(e), min(e)))
+    return sorted(g.edges(), key=key)
+
+
+def _product_floor(g: OrientedGraph, q: int) -> int:
+    """A lower bound on g's minmax at q colors: the least b >= 0 with
+    (b+1)^q >= w, w the size of a greedy clique of g's underlying graph.
+
+    A class with no path of more than b edges is (b+1)-colorable
+    (Gallai-Roy), and the q classes' colorings multiply to a proper
+    (b+1)^q-coloring of the underlying graph, which needs w colors.  The
+    clique takes the vertices by underlying degree, highest first, each
+    one adjacent to all taken before it.
+    """
+    nbr = [g.out_mask(v) | g.in_mask(v) for v in range(g.n)]
+    common = (1 << g.n) - 1
+    size = 0
+    for v in sorted(range(g.n), key=lambda v: -nbr[v].bit_count()):
+        if common >> v & 1:
+            size += 1
+            common &= nbr[v]
+    b = 0
+    while (b + 1) ** q < size:
+        b += 1
+    return b
+
+
+def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
+                     budget: int, spent: int) -> tuple[EdgeColoring | None, int]:
+    """A q-coloring of the n-vertex host with edges `edges` and every
+    monochromatic path <= bound, or None.
+
+    Edges are colored in the order given, `_search_order`'s: vertex by
+    vertex, the busiest first, so a class's paths close, and a coloring
+    that cannot be completed is refuted, a few edges after they start.
+    Colors are interchangeable, so edge i may only use colors up to one
+    past the highest color already used (canonical-form symmetry
+    reduction; the edge order is fixed, so this stays sound).  `spent`
+    nodes are already charged against the budget.  The search only goes
+    deeper while no class has a path longer than `bound`, so each node
+    checks only the paths through its new edge.
+    """
     m = len(edges)
     # per-color out- and in-masks and edge counts, updated as edges are
     # (un)assigned
-    adj = [[0] * g.n for _ in range(q + 1)]
-    into = [[0] * g.n for _ in range(q + 1)]
+    adj = [[0] * n for _ in range(q + 1)]
+    into = [[0] * n for _ in range(q + 1)]
     count = [0] * (q + 1)
     nodes = spent
     # color[pos] is the color on edge pos, 0 while it has none, and
@@ -283,12 +329,16 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     """Smallest achievable longest-monochromatic-path over all q-colorings.
 
     Exhaustive (with symmetry and pruning); the witness is a coloring
-    attaining the minimum.  Each node checks only the paths through its
-    new edge.  Reach, on a 2-vCPU VM: the 9-vertex rotational tournament
-    (36 edges) arrows P_4 with q=2 in about 40,000 nodes and 0.05 s, the
-    transitive TT9 is found not to arrow P_3 with q=2 in about 45,000
-    nodes and 0.06 s, TT10 arrows P_3 with q=2 in 3.4M nodes and about
-    4 s, and a 7-vertex tournament's minmax at q=2 takes a few ms.
+    attaining the minimum.  One decision runs per bound, from the product
+    floor (`_product_floor`, a greedy clique's Gallai-Roy bound) up, all
+    in one edge order (`_search_order`, the vertices with the most
+    2-paths first); `explored` sums their nodes.  Each node checks only
+    the paths through its new edge.  Reach of one decision, on a 2-vCPU
+    VM: the 9-vertex rotational tournament (36 edges) arrows P_4 with q=2
+    in 39,577 nodes and about 0.1 s, the transitive TT9 is found not to arrow
+    P_3 with q=2 in 2,605 nodes, TT10 arrows P_3 with q=2 in 1.07M nodes
+    and 1.4 s (the floor settles it with no search), and a 7-vertex
+    tournament's minmax at q=2 takes a few ms.
 
     The node count is the only cost limit: BudgetExceededError is raised
     when the search needs more than `budget` nodes, with no up-front
@@ -319,9 +369,10 @@ def min_max_mono_path(g: OrientedGraph, q: int,
         height, cyclic = _heights(out)
         if not cyclic:
             return OracleResult(max(height), EdgeColoring.from_masks([out]), g.edge_count)
+    edges = _search_order(g)
     spent = 0
-    for bound in range(1, g.n):
-        witness, spent = _decision_search(g, q, bound, budget, spent)
+    for bound in range(_product_floor(g, q), g.n):
+        witness, spent = _decision_search(g.n, edges, q, bound, budget, spent)
         if witness is not None:
             return OracleResult(bound, witness, spent)
     raise AssertionError("a path of length n-1 can never be exceeded")
@@ -332,14 +383,16 @@ def arrowing_check(g: OrientedGraph, n_target: int, q: int,
     """Does every q-coloring of g contain a monochromatic path of length
     (in edges) at least n_target?  Equivalent to min_max_mono_path(g, q)
     >= n_target.  Returns (answer, witness) with a refuting coloring when
-    the answer is False."""
+    the answer is False.  When the product floor reaches n_target the
+    answer is True with no search (TT10 -> P_3 at q=2, TT9 -> P_2 at
+    q=3); else one decision runs at bound n_target - 1."""
     if n_target < 0:
         raise ValueError("n_target must be >= 0")
     if q < 1:
         raise ValueError("q must be >= 1")
-    if n_target == 0:
+    if _product_floor(g, q) >= n_target:
         return True, None
-    witness, _ = _decision_search(g, q, n_target - 1, budget, 0)
+    witness, _ = _decision_search(g.n, _search_order(g), q, n_target - 1, budget, 0)
     if witness is not None:
         return False, witness
     return True, None

@@ -1,11 +1,13 @@
 """Routes that the oracle's coloring search once ran, kept verbatim.
 
-`lexicographic_search` colors `g.edges()` in lexicographic order, the
-reference for the vertex-by-vertex order that replaced it: the two must
-agree on every value and arrow answer, while their witnesses and node
-counts differ.  It runs the package's per-edge check,
-`oracle._path_through`, looked up at each call, which the oracle tests
-hold to the subset DP.
+`id_order_search` colors the edges vertex by vertex in id order, the
+reference for the rank order (the vertices with the most 2-paths first)
+that replaced it, and `lexicographic_search` colors `g.edges()` in
+lexicographic order, the reference for the id order: each must agree
+with its successor on every value and arrow answer, while their
+witnesses and node counts differ.  Both run the package's per-edge
+check, `oracle._path_through`, looked up at each call, which the oracle
+tests hold to the subset DP.
 
 `path_through` is that check as it ran at every bound before a bound up
 to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
@@ -63,6 +65,80 @@ def path_through(out: list[int], into: list[int], u: int, v: int,
     # no path out of v is longer than `most`
     most = _ahead(out, memo, v, ends, bound, -1)
     return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+
+
+def id_order_search(g: OrientedGraph, q: int, bound: int,
+                    budget: int = oracle.COLORING_BUDGET,
+                    spent: int = 0) -> tuple[EdgeColoring | None, int]:
+    """A q-coloring of g with every monochromatic path <= bound, or None.
+
+    Edges are colored vertex by vertex: every edge among vertices
+    0..k-1 comes before any edge of vertex k, so a class's paths close,
+    and a coloring that cannot be completed is refuted, a few edges after
+    they start.  Colors are interchangeable, so edge i may only use colors
+    up to one past the highest color already used (canonical-form
+    symmetry reduction; the edge order is fixed, so this stays sound).
+    `spent` nodes are already charged against the budget.  The search
+    only goes deeper while no class has a path longer than `bound`, so
+    each node checks only the paths through its new edge.
+    """
+    # g.edges() is lexicographic and the sort stable, so (a, b) with a < b
+    # stays ahead of (b, a)
+    edges = sorted(g.edges(), key=lambda e: (max(e), min(e)))
+    m = len(edges)
+    # per-color out- and in-masks and edge counts, updated as edges are
+    # (un)assigned
+    adj = [[0] * g.n for _ in range(q + 1)]
+    into = [[0] * g.n for _ in range(q + 1)]
+    count = [0] * (q + 1)
+    nodes = spent
+    # color[pos] is the color on edge pos, 0 while it has none, and
+    # top[pos] the highest color it may take: one past the highest on
+    # edges 0..pos-1, at most q.  A loop, not a recursion, so a host of
+    # any edge count fits in one frame.
+    color = [0] * m
+    top = [1] * (m + 1)
+    pos = 0
+    while pos < m:
+        u, v = edges[pos]
+        ubit, vbit = 1 << u, 1 << v
+        c = color[pos]
+        if c:  # take the color tried last off before the next
+            adj[c][u] ^= vbit
+            into[c][v] ^= ubit
+            count[c] -= 1
+            if c == top[pos]:  # every color tried: back up
+                color[pos] = 0
+                if not pos:
+                    return None, nodes
+                pos -= 1
+                continue
+        c += 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"coloring search exceeded {budget} nodes")
+        color[pos] = c
+        out, inn = adj[c], into[c]
+        out[u] |= vbit
+        inn[v] |= ubit
+        count[c] += 1
+        # fewer than bound+1 edges can never form a longer path
+        if count[c] <= bound or not oracle._path_through(out, inn, u, v, bound):
+            pos += 1
+            top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
+    return EdgeColoring.from_masks(adj[1:]), nodes
+
+
+def id_order_min_max(g: OrientedGraph, q: int) -> tuple[int, int]:
+    """(value, explored) of `min_max_mono_path` under the id order, its
+    decisions run from bound 1 up, for a host with at least one edge."""
+    spent = 0
+    for bound in range(1, g.n):
+        witness, spent = id_order_search(g, q, bound, spent=spent)
+        if witness is not None:
+            return bound, spent
+    raise AssertionError("a path of length n-1 can never be exceeded")
 
 
 def lexicographic_search(g: OrientedGraph, q: int, bound: int,

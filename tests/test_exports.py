@@ -38,8 +38,6 @@ PAPER_ARTIFACTS = {
         "longest path of an acyclic digraph in linear time",
     "longest_path_exact":
         "exact longest simple path, the per-class value the oracle reports",
-    "transitive_tournament":
-        "the transitive tournament TT_n, the acyclic extreme of Erdős–Moser",
 }
 
 

@@ -2,8 +2,12 @@
 import collections
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,10 +172,17 @@ def test_arrowing_rot7_three_colors():
 
 
 def test_minmax_class_support_guard():
-    # a color class that stays cyclic on >22 vertices cannot be measured
-    g = complete_symmetric(24)
-    with pytest.raises((SizeLimitError, BudgetExceededError)):
+    """A color class that turns cyclic on more than 22 vertices above
+    bound 3 cannot be measured: five disjoint 5-cycles at q=1 meet the
+    guard at bound 4, when the last cycle closes.  The complete symmetric
+    digraph on 24 vertices, which met it before the product floor, now
+    starts at bound 23, where a support of 24 = bound + 1 vertices holds
+    no longer path, so no check searches."""
+    g = OrientedGraph(25, [(5 * k + i, 5 * k + (i + 1) % 5)
+                           for k in range(5) for i in range(5)])
+    with pytest.raises(SizeLimitError):
         min_max_mono_path(g, 1, budget=1 << 40)
+    assert min_max_mono_path(complete_symmetric(24), 1).value == 23
 
 
 def test_minmax_acyclic_classes_above_guard_size():
@@ -181,7 +192,7 @@ def test_minmax_acyclic_classes_above_guard_size():
     res = min_max_mono_path(g, 1)
     assert res.value == 29
     assert max_mono_path(g, res.witness) == 29
-    value, witness = _searched_min_max(g, 1)
+    value, witness, _ = _searched_min_max(g, 1)
     assert value == 29 and max_mono_path(g, witness) == 29
 
 
@@ -347,12 +358,16 @@ def _job_hosts():
 
 
 def _decisions(g):
-    """Minmax at q = 1 and 2 and arrow of P_3 at q = 2 and of P_6 at
-    q = 1, as comparable values."""
+    """Minmax at q = 1 and 2, arrow of P_3 at q = 2 and of P_6 at q = 1,
+    and the q = 1 decisions run from bound 1 up (on a tournament the
+    product floor skips the refuted bounds above 3), as comparable
+    values."""
     out = [min_max_mono_path(g, q).to_dict() for q in (1, 2)]
     for target, q in ((3, 2), (6, 1)):
         ok, witness = arrowing_check(g, target, q)
         out.append((ok, None if witness is None else list(witness.items())))
+    value, witness, explored = _searched_min_max(g, 1)
+    out.append((value, list(witness.items()), explored))
     return out
 
 
@@ -482,10 +497,11 @@ def test_search_matches_full_engine_check(monkeypatch):
 
 
 def _guard_size_hosts():
-    """Hosts of 23-30 vertices: sparse oriented graphs and digraphs, DAGs
-    with shuffled labels, and short cycles with a long path and chords."""
+    """48 hosts of 23-30 vertices: sparse oriented graphs and digraphs,
+    DAGs with shuffled labels, and short cycles with a long path and
+    chords."""
     rng = random.Random(23)
-    for i in range(24):
+    for i in range(48):
         n = rng.randint(23, 30)
         kind = i % 4
         if kind == 0:
@@ -550,7 +566,8 @@ def _decision(g, q, bound, budget):
     """One decision of the coloring search as (coloring items or None,
     nodes), or the type of the error it raised."""
     try:
-        witness, nodes = oracle._decision_search(g, q, bound, budget, 0)
+        witness, nodes = oracle._decision_search(g.n, oracle._search_order(g), q,
+                                                 bound, budget, 0)
     except (BudgetExceededError, SizeLimitError) as exc:
         return type(exc)
     return (None if witness is None else list(witness.items())), nodes
@@ -591,10 +608,10 @@ def test_short_bound_decisions_above_guard_size(monkeypatch):
                 for c in range(1, q + 1):
                     path, _ = reference_longest_path(coloring.out_masks(c, n), bound, n)
                     assert len(path) <= bound + 1
-    assert answered >= 140 and refused_before >= 5
+    assert answered >= 270 and refused_before >= 5
 
 
-# -- the vertex-by-vertex edge order against the lexicographic one --------
+# -- the edge order against the lexicographic and id-order references ----
 
 def _order_corpus():
     """(host, q): the search hosts at q = 1, 2, 3, and seeded 18-edge
@@ -644,16 +661,115 @@ def test_vertex_order_matches_lexicographic_reference():
     assert fast_nodes < ref_nodes
 
 
+def _rank_corpus():
+    """(host, q): the search hosts (d6, t7 and rotational) and TT2-TT8 at
+    q = 1, 2, 3, hosts with an edge only."""
+    hosts = list(_search_hosts()) + [transitive_tournament(n) for n in range(2, 9)]
+    for q in (1, 2, 3):
+        for g in hosts:
+            if g.edge_count:
+                yield g, q
+
+
+def test_rank_order_matches_id_order_reference():
+    """Taking the vertices with the most 2-paths first, and starting at
+    the product floor, changes which coloring is found first and how many
+    nodes it takes, never the value or an arrow answer.  On every host the
+    value is the id-order reference's, run from bound 1 up; the witness is
+    the one the rank order's decisions from bound 1 up find, and keeps
+    each class at the value; each arrow answer from target 0 to value + 1
+    is the reference's, and a refuting coloring stays below the target."""
+    cases = 0
+    for g, q in _rank_corpus():
+        cases += 1
+        res = min_max_mono_path(g, q)
+        value, _ = reference_oracle.id_order_min_max(g, q)
+        searched, witness, explored = _searched_min_max(g, q)
+        assert res.value == searched == value
+        assert res.witness == witness and res.explored <= explored
+        assert _reaches(g, res.witness) == value
+        for target in range(value + 2):
+            ok, witness = arrowing_check(g, target, q)
+            assert ok == (value >= target)
+            if not ok:
+                assert _reaches(g, witness) < target
+    assert cases >= 900
+
+
+def test_rank_order_spends_fewer_nodes_on_seven_vertex_tournaments():
+    """On 300 seeded 7-vertex tournaments at q=2, the rank order's
+    decisions from bound 1 up spend at most 60 % of the id order's nodes
+    (53 % measured)."""
+    fast = ref = 0
+    for seed in range(300):
+        g = random_tournament(7, seed).underlying
+        fast += _searched_min_max(g, 2)[2]
+        ref += reference_oracle.id_order_min_max(g, 2)[1]
+    assert fast <= 0.6 * ref
+
+
+def test_product_floor_skips_refuted_bounds(monkeypatch):
+    """A greedy clique of w vertices puts the value at the least b >= 0
+    with (b+1)^q >= w: TT10 arrows P_3 at q=2 (10 > 3^2) and TT9 arrows
+    P_2 at q=3 (9 > 2^3) with no decision run, and a 7-vertex
+    tournament's minmax at q=2 starts at bound 2 (7 > 1^2).  An edgeless
+    host's floor is 0, so it still does not arrow P_1."""
+    bounds = []
+
+    def recorded(n, edges, q, bound, *args):
+        bounds.append(bound)
+        return search(n, edges, q, bound, *args)
+
+    search = oracle._decision_search
+    assert oracle._product_floor(transitive_tournament(10), 2) == 3
+    assert oracle._product_floor(transitive_tournament(9), 3) == 2
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_decision_search", recorded)
+        assert arrowing_check(transitive_tournament(10), 3, 2) == (True, None)
+        assert arrowing_check(transitive_tournament(9), 2, 3) == (True, None)
+        assert bounds == []
+        for seed in range(5):
+            g = random_tournament(7, seed).underlying
+            res = min_max_mono_path(g, 2)
+            assert bounds[0] == 2 and res.value == _searched_min_max(g, 2)[0]
+            bounds.clear()
+    for n in (0, 1, 3):
+        g = OrientedGraph(n)
+        assert oracle._product_floor(g, 2) == 0
+        assert arrowing_check(g, 0, 2) == (True, None)
+        ok, witness = arrowing_check(g, 1, 2)
+        assert not ok and len(witness) == 0
+
+
 def test_nine_vertex_arrow_decisions_within_small_budget():
-    """At q=2 the 9-vertex rotational tournament arrows P_4 and TT9 does
-    not arrow P_3, each within 200,000 nodes; the lexicographic order
-    needs about 1.17M and 2.83M."""
+    """At q=2 the 9-vertex rotational tournament arrows P_4 within 200,000
+    nodes (39,577; the lexicographic order needs about 1.17M), and TT9's
+    one decision finds that it does not arrow P_3 within 5,000 (2,605;
+    45,422 in id order, 2.83M in the lexicographic one)."""
     rot9 = OrientedGraph(9, [(i, (i + d) % 9) for i in range(9) for d in range(1, 5)])
     assert arrowing_check(rot9, 4, 2, budget=200_000) == (True, None)
     tt9 = transitive_tournament(9)
-    ok, witness = arrowing_check(tt9, 3, 2, budget=200_000)
+    witness, nodes = oracle._decision_search(9, oracle._search_order(tt9), 2, 2, 5_000, 0)
+    assert nodes <= 5_000 and _reaches(tt9, witness) == 2
+    ok, witness = arrowing_check(tt9, 3, 2, budget=5_000)
     assert not ok
     assert _reaches(tt9, witness) == 2
+
+
+def test_oracle_reach_script_reports_each_question():
+    """`scripts/oracle_reach.py` prints each question's answer and nodes
+    and exits nonzero when one runs out of nodes: within 50,000 nodes
+    rot9 -> P_4 and TT9 -> P_3 are decided, TT10 -> P_3 is not."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / "oracle_reach.py"), "--budget", "50000"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 1, res.stderr
+    assert "rot9 -> P_4, q=2: arrows, 39,577 nodes" in res.stdout
+    assert "TT9 -> P_3, q=2: does not arrow, 2,605 nodes" in res.stdout
+    assert "TT10 -> P_3, q=2: out of nodes after 50,000" in res.stdout
 
 
 def test_search_depth_is_not_bounded_by_frames():
@@ -670,12 +786,15 @@ def test_search_depth_is_not_bounded_by_frames():
 
 
 def _searched_min_max(g, q):
-    """min_max_mono_path's decisions from bound 1 up, as (value, witness)."""
+    """min_max_mono_path's decisions from bound 1 up, with no product
+    floor, as (value, witness, explored)."""
+    edges = oracle._search_order(g)
     spent = 0
     for bound in range(1, g.n):
-        witness, spent = oracle._decision_search(g, q, bound, oracle.COLORING_BUDGET, spent)
+        witness, spent = oracle._decision_search(g.n, edges, q, bound,
+                                                 oracle.COLORING_BUDGET, spent)
         if witness is not None:
-            return bound, witness
+            return bound, witness, spent
 
 
 def test_minmax_one_color_reads_an_acyclic_host_in_one_pass(monkeypatch):
@@ -684,9 +803,9 @@ def test_minmax_one_color_reads_an_acyclic_host_in_one_pass(monkeypatch):
     run.  A cyclic host at q=1 still runs its decisions."""
     decisions = collections.Counter()
 
-    def counted(g, q, *args):
-        decisions[find_cycle(g) is None] += 1
-        return search(g, q, *args)
+    def counted(n, edges, *args):
+        decisions[find_cycle(OrientedGraph(n, edges)) is None] += 1
+        return search(n, edges, *args)
 
     search = oracle._decision_search
     rng = random.Random(31)
@@ -699,7 +818,7 @@ def test_minmax_one_color_reads_an_acyclic_host_in_one_pass(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(oracle, "_decision_search", counted)
             res = min_max_mono_path(g, 1)
-        value, witness = _searched_min_max(g, 1)
+        value, witness, _ = _searched_min_max(g, 1)
         assert (res.value, res.witness) == (value, witness)
         if find_cycle(g) is None:
             acyclic += 1
