@@ -9,9 +9,10 @@ transitive one).  Prints the answer, the nodes and the CPU seconds of
 each, and exits nonzero when an answer differs from the known one or a
 search runs out of nodes.
 
-    PYTHONPATH=src python scripts/oracle_reach.py [--budget NODES]
+    PYTHONPATH=src python scripts/oracle_reach.py
+
+Each search may take the oracle's default budget, 2^22 nodes.
 """
-import argparse
 import sys
 import time
 
@@ -36,18 +37,14 @@ QUESTIONS = [
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--budget", type=int, default=oracle.COLORING_BUDGET,
-                    help="search nodes per question (default 2^22)")
-    args = ap.parse_args()
     wrong = 0
     for name, g, target, q, known in QUESTIONS:
         t0 = time.process_time()
         try:
             witness, nodes = oracle._decision_search(
-                g.n, oracle._search_order(g), q, target - 1, args.budget, 0)
+                g.n, oracle._search_order(g), q, target - 1, oracle.COLORING_BUDGET, 0)
         except BudgetExceededError:
-            print(f"{name}: out of nodes after {args.budget:,}, "
+            print(f"{name}: out of nodes after {oracle.COLORING_BUDGET:,}, "
                   f"{time.process_time() - t0:.2f} s")
             wrong += 1
             continue

@@ -608,7 +608,7 @@ def test_short_bound_decisions_above_guard_size(monkeypatch):
                 for c in range(1, q + 1):
                     path, _ = reference_longest_path(coloring.out_masks(c, n), bound, n)
                     assert len(path) <= bound + 1
-    assert answered >= 270 and refused_before >= 5
+    assert answered >= 276 and refused_before >= 5
 
 
 # -- the edge order against the lexicographic and id-order references ----
@@ -756,20 +756,23 @@ def test_nine_vertex_arrow_decisions_within_small_budget():
     assert _reaches(tt9, witness) == 2
 
 
+@pytest.mark.slow
 def test_oracle_reach_script_reports_each_question():
-    """`scripts/oracle_reach.py` prints each question's answer and nodes
-    and exits nonzero when one runs out of nodes: within 50,000 nodes
-    rot9 -> P_4 and TT9 -> P_3 are decided, TT10 -> P_3 is not."""
+    """`scripts/oracle_reach.py` decides each question within the default
+    budget of 2^22 nodes and prints its answer and nodes: TT10 -> P_3 in
+    at most 1.2M nodes, TT9 -> P_2 at q=3 within the budget."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, str(root / "scripts" / "oracle_reach.py"), "--budget", "50000"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 1, res.stderr
-    assert "rot9 -> P_4, q=2: arrows, 39,577 nodes" in res.stdout
-    assert "TT9 -> P_3, q=2: does not arrow, 2,605 nodes" in res.stdout
-    assert "TT10 -> P_3, q=2: out of nodes after 50,000" in res.stdout
+    res = subprocess.run([sys.executable, str(root / "scripts" / "oracle_reach.py")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    for line in ("rot9 -> P_4, q=2: arrows, 39,577 nodes",
+                 "TT9 -> P_3, q=2: does not arrow, 2,605 nodes",
+                 "TT10 -> P_3, q=2: arrows, 1,065,567 nodes",
+                 "TT9 -> P_2, q=3: arrows, 1,009,029 nodes",
+                 "rot7 -> P_2, q=3: arrows, 416 nodes"):
+        assert line in res.stdout
 
 
 def test_search_depth_is_not_bounded_by_frames():
