@@ -45,7 +45,6 @@ from .errors import (
     FormatError,
     GraphShapeError,
     ManifestError,
-    SizeLimitError,
     ThreadingError,
 )
 from .experiment import (
@@ -83,7 +82,6 @@ from .oracle import (
     min_max_mono_path,
 )
 from .paths import (
-    EXACT_VERTEX_LIMIT,
     find_cycle,
     level_decomposition,
     longest_path_dag,

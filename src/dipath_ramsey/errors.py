@@ -21,12 +21,10 @@ class CyclicGraphError(DipathError):
         self.cycle = list(cycle) if cycle is not None else None
 
 
-class SizeLimitError(DipathError):
-    """Exact-search input exceeds the configured vertex limit."""
-
-
 class BudgetExceededError(DipathError):
-    """An enumeration budget (subset count, coloring count) was exceeded."""
+    """An enumeration budget (subset count, coloring count, path search
+    states) was exceeded, or a path search went deeper than the
+    interpreter's recursion limit."""
 
 
 class ColoringError(DipathError):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, SizeLimitError
+from . import paths
+from .errors import BudgetExceededError
 from .graphs import DirectedPath, EdgeColoring, OrientedGraph
-from .paths import EXACT_VERTEX_LIMIT, _ahead, _heights, longest_path_masks
+from .paths import _TOO_DEEP, _ahead, _heights, longest_path_masks
 
 # a check at a bound up to this is the plain depth-first search
 # `_short_through`, whose recursion is at most `bound` + 1 frames deep and
@@ -20,14 +21,6 @@ from .paths import EXACT_VERTEX_LIMIT, _ahead, _heights, longest_path_masks
 # about P_2 to P_4 ask no more, and above it the paths the plain search
 # tries grow as the degree to the power `bound`
 _SHORT_BOUND = 3
-
-# above _SHORT_BOUND the coloring search raises SizeLimitError when a cycle
-# leaves the head or reaches the tail of a class's new edge and the class
-# has an edge at more than this many vertices (and more than bound + 1,
-# below which no path can exceed the bound): this bounds the search through
-# that edge by the (end, vertex set) states of 22 vertices and its
-# recursion by 22 frames
-_CLASS_SUPPORT_LIMIT = 22
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
 COLORING_BUDGET = 1 << 22
@@ -47,8 +40,7 @@ class OracleResult:
         return {"value": self.value, "witness": witness, "explored": self.explored}
 
 
-def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
-                      limit: int = EXACT_VERTEX_LIMIT) -> dict[int, OracleResult]:
+def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring) -> dict[int, OracleResult]:
     """Exact longest path per color class, as {color: result}.
 
     Acyclic classes are solved at any size by the engine's sink peel, or,
@@ -56,31 +48,27 @@ def longest_mono_path(g: OrientedGraph, coloring: EdgeColoring,
     class has edges, by Kahn's counting pass on what is left.  Cyclic
     classes are searched over their support (vertices with an incident
     edge of that color) by the engine's path search, bounded by what a
-    path can still reach; support beyond `limit` raises SizeLimitError
-    rather than returning an estimate.  Each witness is the class's
-    lexicographically first longest path (see `longest_path_masks`), and
-    `explored` of a cyclic class is 2^support, the bound on the vertex
-    sets, not the states the search visited.
+    path can still reach, at any support size; BudgetExceededError is
+    raised, rather than an estimate returned, when one search charges
+    more than `paths._STATE_BUDGET` (end, vertex set) states or recurses
+    past the interpreter's limit.  Each witness is the class's
+    lexicographically first longest path, and `explored` of a cyclic
+    class is the states its search charged (see `longest_path_masks`).
     """
     coloring.validate_total(g)
     out: dict[int, OracleResult] = {}
     for color in range(1, coloring.num_colors + 1):
-        try:
-            vertices, explored = longest_path_masks(coloring.out_masks(color, g.n),
-                                                    limit=limit)
-        except SizeLimitError as exc:
-            raise SizeLimitError(f"color {color}: {exc}") from None
+        vertices, explored = longest_path_masks(coloring.out_masks(color, g.n))
         p = DirectedPath(vertices)
         out[color] = OracleResult(p.length, p, explored)
     return out
 
 
-def max_mono_path(g: OrientedGraph, coloring: EdgeColoring,
-                  limit: int = EXACT_VERTEX_LIMIT) -> int:
+def max_mono_path(g: OrientedGraph, coloring: EdgeColoring) -> int:
     """Longest monochromatic path over all colors of one coloring: the
     oracle's one-number answer, which every witness bound is checked
     against."""
-    per_color = longest_mono_path(g, coloring, limit)
+    per_color = longest_mono_path(g, coloring)
     return max((r.value for r in per_color.values()), default=0)
 
 
@@ -117,27 +105,31 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     out of v, the two disjoint, with `bound` edges between them.  At a
     bound up to _SHORT_BOUND, `_short_through` grows the two paths one
     edge at a time and stops at the first pair long enough: no walks,
-    support pass or memo, and no size limit, so only a check above that
-    bound raises SizeLimitError.  Above it run the routes that stay
-    polynomial on acyclic classes of any size and on dense cyclic classes
-    at high bounds.  When no cycle is reachable from v, v does not reach
-    u (the edge would close one), so the two paths never meet.  If no
-    cycle reaches u either, the answer is the longest path into u, plus
-    1, plus the longest path out of v, each read off its layers of walks,
-    at any size.  Otherwise the class is cyclic, and its support (the
-    vertices with an edge) decides first: a support of at most bound + 1
-    vertices holds no path of more than `bound` edges, so the answer is
-    no with no search, and a support above _CLASS_SUPPORT_LIMIT raises
-    SizeLimitError.  Else the paths into u are tried one by one, each
-    against the longest path out of v that avoids it, found by the
-    engine's own search, `paths._ahead`.  Every path of the old class has
-    at most `bound` edges, so both searches stop at that depth, and a
-    search that reaches it has found the path.  The longest path out of v
-    alone, `most`, is asked for with no floor; each path into u then asks
-    only whether `left` edges out of v remain, with floor `left` - 1, so a
-    state whose reach falls short ends at once.  `_ahead` keeps a bound on
-    each (end, vertex set) state in one memo, and the backward search
-    keeps the states it refutes.
+    support pass or memo, and at most bound + 1 frames deep.  Above it
+    run the routes that stay polynomial on acyclic classes of any size
+    and on dense cyclic classes at high bounds.  When no cycle is
+    reachable from v, v does not reach u (the edge would close one), so
+    the two paths never meet.  If no cycle reaches u either, the answer
+    is the longest path into u, plus 1, plus the longest path out of v,
+    each read off its layers of walks, at any size.  Otherwise the class
+    is cyclic, and a support (the vertices with an edge) of at most
+    bound + 1 vertices holds no path of more than `bound` edges, so the
+    answer is no with no search.  Else the paths into u are tried one by
+    one, each against the longest path out of v that avoids it, found by
+    the engine's own search, `paths._ahead`.  Every path of the old class
+    has at most `bound` edges, so both searches stop at that depth, and a
+    search that reaches it has found the path.  The longest path out of
+    v alone, `most`, is asked for with no floor; each path into u then
+    asks only whether `left` edges out of v remain, with floor `left` -
+    1, so a state whose reach falls short ends at once.  `_ahead` keeps a
+    bound on each (end, vertex set) state in one memo, and the backward
+    search keeps the states it refutes.
+
+    Size alone refuses nothing.  The budget is per check: the memo and
+    the refuted states are each charged against `paths._STATE_BUDGET`,
+    and past it, or past the interpreter's recursion limit, the check
+    raises BudgetExceededError.  The coloring search's own node budget
+    counts colorings tried, not these states.
     """
     if bound <= _SHORT_BOUND:
         return _short_through(out, into, u, v, 1 << u | 1 << v, bound)
@@ -152,13 +144,14 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     size = support.bit_count()
     if size <= bound + 1:  # no simple path there has more than `bound` edges
         return False
-    if size > _CLASS_SUPPORT_LIMIT:
-        raise SizeLimitError(f"cyclic support {size} > limit {_CLASS_SUPPORT_LIMIT}")
     memo: dict = {}  # _ahead's bounds on (end, vertex set) states
     ends = 1 << u | 1 << v
-    # no path out of v is longer than `most`
-    most = _ahead(out, memo, v, ends, bound, -1)
-    return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+    try:
+        # no path out of v is longer than `most`
+        most = _ahead(out, memo, v, ends, bound, -1)
+        return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
 
 
 def _short_through(out: list[int], into: list[int], w: int, v: int,
@@ -200,8 +193,9 @@ def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
     """Whether a path into u that starts at w and covers `seen` is met by
     a path out of v of `left` edges that avoids it, or can be extended
     backward first.  `most` caps the paths out of v; `dead` holds the
-    (w, seen) states refuted so far.  Like `_ahead`, a plain function that
-    gets its tables as arguments, so they die with the caller's frame."""
+    (w, seen) states refuted so far, charged like `_ahead`'s memo against
+    `paths._STATE_BUDGET`.  Like `_ahead`, a plain function that gets its
+    tables as arguments, so they die with the caller's frame."""
     if left <= most and (not left or _ahead(out, memo, v, seen, left, left - 1) >= left):
         return True
     m = into[w] & ~seen
@@ -213,6 +207,8 @@ def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
         if _behind(out, into, memo, dead, v, most, low.bit_length() - 1,
                    seen | low, left - 1):
             return True
+    if len(dead) >= paths._STATE_BUDGET:
+        raise BudgetExceededError(f"backward path search exceeded {paths._STATE_BUDGET} states")
     dead.add((w, seen))
     return False
 
@@ -333,22 +329,14 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     floor (`_product_floor`, a greedy clique's Gallai-Roy bound) up, all
     in one edge order (`_search_order`, the vertices with the most
     2-paths first); `explored` sums their nodes.  Each node checks only
-    the paths through its new edge.  Reach of one decision, on a 2-vCPU
-    VM: the 9-vertex rotational tournament (36 edges) arrows P_4 with q=2
-    in 39,577 nodes and about 0.1 s, the transitive TT9 is found not to arrow
-    P_3 with q=2 in 2,605 nodes, TT10 arrows P_3 with q=2 in 1.07M nodes
-    and 1.4 s (the floor settles it with no search), and a 7-vertex
-    tournament's minmax at q=2 takes a few ms.
+    the paths through its new edge (`_path_through`).
 
-    The node count is the only cost limit: BudgetExceededError is raised
-    when the search needs more than `budget` nodes, with no up-front
-    estimate from q^|E|.  `budget` counts colorings tried, one per (edge,
-    color), not the steps of the check through each new edge.  A check at
-    a bound up to _SHORT_BOUND (3) works at any size; above it one check
-    is bounded by the one size limit instead: SizeLimitError is raised
-    when a class's new edge meets a cycle while the class has an edge at
-    more than _CLASS_SUPPORT_LIMIT vertices; checks that meet no cycle
-    work at any size.
+    BudgetExceededError is raised when the search needs more than
+    `budget` nodes, with no up-front estimate from q^|E|.  `budget`
+    counts colorings tried, one per (edge, color), not the steps of the
+    check through each new edge; a check above _SHORT_BOUND has its own
+    budget of states, and raises BudgetExceededError past it.  No host
+    or class is refused for its size.
 
     With one color on an acyclic host the value is the host's longest
     path, read off its heights in one pass, with every edge in color 1 as
@@ -356,9 +344,7 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     `explored` is m, the nodes of the one decision that would succeed (at
     that bound each edge takes color 1 once): not the count summed over
     every decision that the search reports elsewhere, and not comparable
-    with it.  TT46 (1,035 edges) took 45 decisions, 17,249 nodes and about
-    0.5 s before this shortcut.  A cyclic host at q=1 searches as at every
-    other q.
+    with it.  A cyclic host at q=1 searches as at every other q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

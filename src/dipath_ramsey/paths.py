@@ -1,7 +1,7 @@
 """Longest-path primitives: one exact engine (vertex heights on DAGs, a
-path search on small cyclic supports bounded by what the path can still
-reach, shared with the oracle's coloring search), cycle detection, and
-the level decomposition that underpins the coloring constructions.  One
+path search on cyclic supports bounded by what the path can still reach,
+shared with the oracle's coloring search), cycle detection, and the
+level decomposition that underpins the coloring constructions.  One
 routine, `_heights`, computes every height, level, longest DAG path and
 acyclicity answer; one, `_ahead`, searches every cyclic class."""
 from __future__ import annotations
@@ -9,14 +9,14 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .errors import CyclicGraphError, SizeLimitError
+from .errors import BudgetExceededError, CyclicGraphError
 from .graphs import DirectedPath, OrientedGraph, iter_bits, mask_of
 
-# bounds a cyclic search by 16 * 2^15 (end, vertex set) states and 15 frames
-# of recursion; K16's longest path is found on the first descent, and a state
-# ends at once when the vertices it can still reach cannot beat the longest
-# path found, but a class whose reach overstates its paths still visits many
-EXACT_VERTEX_LIMIT = 16
+# the (end, vertex set) states one cyclic search may charge, at any class
+# size, before it raises BudgetExceededError; the tests hold the 16-vertex
+# classes below a fiftieth of it
+_STATE_BUDGET = 1 << 20
+_TOO_DEEP = "path search deeper than the interpreter's recursion limit"
 
 
 def _reach(adj: list[int], start: int, within: int) -> int:
@@ -51,7 +51,9 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
     have 3+ edges to its exact value d, or to ~u for an upper bound u, so
     one dict serves calls with any cap and floor.  The memo is a plain
     argument, not a closure's cell: it is freed when the caller drops it,
-    not at the next full collection.
+    not at the next full collection.  Each state is charged as it is
+    swept, before its entry is written, so `len(memo)` counts the states
+    charged; past _STATE_BUDGET the search raises BudgetExceededError.
     """
     free = ~seen
     m = adj[w] & free
@@ -62,6 +64,8 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
         key = seen | w << len(adj)
         top = memo.get(key)
         if top is None:
+            if len(memo) >= _STATE_BUDGET:
+                raise BudgetExceededError(f"path search exceeded {_STATE_BUDGET} states")
             reach = dead = 0
             frontier = m
             while frontier:
@@ -197,7 +201,7 @@ def _walk(adj: list[int], height: list[int]) -> list[int]:
     return path
 
 
-def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
+def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
     """Longest simple path of the digraph with out-masks `adj`, exactly.
 
     Returns (vertices, explored).  The witness is the lexicographically
@@ -216,8 +220,10 @@ def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple
     set) states: each start is asked only whether it beats the longest
     path so far, and each step of the witness whether it keeps the
     length still needed, so states whose reach cannot do so end at once.
-    A support above `limit` raises SizeLimitError.  explored = 2^support
-    is charged as the bound on the vertex sets, not the states visited.
+    Size alone refuses nothing: explored is the states charged, and the
+    search raises BudgetExceededError past _STATE_BUDGET of them, or when
+    a path is too long for the interpreter's recursion limit (about a
+    thousand edges).
     """
     n = len(adj)
     if not n:
@@ -227,31 +233,31 @@ def longest_path_masks(adj: list[int], limit: int = EXACT_VERTEX_LIMIT) -> tuple
         return _walk(adj, height), n
     into = reduce(or_, adj)
     support = [v for v in range(n) if adj[v] or into >> v & 1]
-    k = len(support)
-    if k > limit:
-        raise SizeLimitError(f"cyclic support {k} > limit {limit}")
-    cap = k - 1
+    cap = len(support) - 1
     memo: dict = {}
     need = -1
-    for w in support:
-        d = _ahead(adj, memo, w, 1 << w, cap, need)
-        if d > need:
-            need, v = d, w
-            if d == cap:
-                break
-    path = [v]
-    seen = 1 << v
-    for rest in range(need - 1, -1, -1):
-        # the lowest next vertex with `rest` edges still ahead of it
-        m = adj[v] & ~seen
-        low = m & -m
-        while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
-            m ^= low
+    try:
+        for w in support:
+            d = _ahead(adj, memo, w, 1 << w, cap, need)
+            if d > need:
+                need, v = d, w
+                if d == cap:
+                    break
+        path = [v]
+        seen = 1 << v
+        for rest in range(need - 1, -1, -1):
+            # the lowest next vertex with `rest` edges still ahead of it
+            m = adj[v] & ~seen
             low = m & -m
-        v = low.bit_length() - 1
-        path.append(v)
-        seen |= low
-    return path, 1 << k
+            while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
+                m ^= low
+                low = m & -m
+            v = low.bit_length() - 1
+            path.append(v)
+            seen |= low
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
+    return path, len(memo)
 
 
 def _cycle(adj: list[int], left: int) -> list[int]:
@@ -319,11 +325,12 @@ def longest_path_dag(g: OrientedGraph) -> DirectedPath:
     return DirectedPath(_walk(out, height))
 
 
-def longest_path_exact(g: OrientedGraph, limit: int = EXACT_VERTEX_LIMIT) -> DirectedPath:
+def longest_path_exact(g: OrientedGraph) -> DirectedPath:
     """Longest simple path of g; see `longest_path_masks`.
 
-    Acyclic graphs of any size take the DAG route; only a cyclic support
-    (vertices with an edge) above `limit` raises SizeLimitError.
+    Acyclic graphs of any size take the DAG route; a cyclic one raises
+    BudgetExceededError only when its search runs out of states or of
+    recursion depth.
     """
-    vertices, _ = longest_path_masks(g.out_masks(), limit=limit)
+    vertices, _ = longest_path_masks(g.out_masks())
     return DirectedPath(vertices)

@@ -13,12 +13,18 @@ tests hold to the subset DP.
 to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
 the support cutoff, the 22-vertex guard and the memo search.  Patched in
 for the package's check, it must give the same value, witness and
-explored on every input where it raises nothing."""
+explored on every input where it raises nothing.  The package has since
+dropped the guard; it stays here, as CLASS_SUPPORT_LIMIT and the
+reference SizeLimitError, so that tests can count the questions it
+refused."""
 from dipath_ramsey import oracle
-from dipath_ramsey.errors import BudgetExceededError, SizeLimitError
+from dipath_ramsey.errors import BudgetExceededError
 from dipath_ramsey.graphs import EdgeColoring, OrientedGraph
-from dipath_ramsey.oracle import _CLASS_SUPPORT_LIMIT, _behind, _dag_depth
+from dipath_ramsey.oracle import _behind, _dag_depth
 from dipath_ramsey.paths import _ahead
+from reference_paths import SizeLimitError
+
+CLASS_SUPPORT_LIMIT = 22
 
 
 def path_through(out: list[int], into: list[int], u: int, v: int,
@@ -36,7 +42,7 @@ def path_through(out: list[int], into: list[int], u: int, v: int,
     class is cyclic, and its support (the vertices with an edge) decides
     first: a support of at most bound + 1 vertices holds no path of more
     than `bound` edges, so the answer is no with no search, and a support
-    above _CLASS_SUPPORT_LIMIT raises SizeLimitError.  Else the
+    above CLASS_SUPPORT_LIMIT raises SizeLimitError.  Else the
     paths into u are tried one by one, each against the longest path out
     of v that avoids it, found by the engine's own search, `paths._ahead`.
     Every path of the old class has at most `bound` edges, so both
@@ -58,8 +64,8 @@ def path_through(out: list[int], into: list[int], u: int, v: int,
     size = support.bit_count()
     if size <= bound + 1:  # no simple path there has more than `bound` edges
         return False
-    if size > _CLASS_SUPPORT_LIMIT:
-        raise SizeLimitError(f"cyclic support {size} > limit {_CLASS_SUPPORT_LIMIT}")
+    if size > CLASS_SUPPORT_LIMIT:
+        raise SizeLimitError(f"cyclic support {size} > limit {CLASS_SUPPORT_LIMIT}")
     memo: dict = {}  # _ahead's bounds on (end, vertex set) states
     ends = 1 << u | 1 << v
     # no path out of v is longer than `most`

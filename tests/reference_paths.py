@@ -9,12 +9,22 @@ handover to on deep graphs.  `memo_search_longest_path` is the engine's
 route before its cyclic search took a floor and a reach bound: the same
 start loop and witness walk over `_ahead`, which memoizes the exact
 value of each (end, vertex set) state, so it must give the same witness
-and explored on every input."""
+on every input.
+
+Both cyclic routes keep the vertex limit the package once had, here
+only: a cyclic support above `limit` (by default VERTEX_LIMIT) raises
+this module's SizeLimitError, so that a test can raise the limit to the
+host or count the questions the limit refused."""
 from functools import reduce
 from operator import or_
 
-from dipath_ramsey.errors import SizeLimitError
-from dipath_ramsey.paths import EXACT_VERTEX_LIMIT, _heights, _walk
+from dipath_ramsey.paths import _heights, _walk
+
+VERTEX_LIMIT = 16
+
+
+class SizeLimitError(Exception):
+    """A reference route's cyclic support exceeds its vertex limit."""
 
 
 def _kahn(adj: list[int], indeg: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -120,7 +130,7 @@ def _subset_path(adj: list[int], support: list[int], bound: int | None) -> list[
 
 
 def reference_longest_path(adj: list[int], bound: int | None = None,
-                           limit: int = EXACT_VERTEX_LIMIT) -> tuple[list[int], int]:
+                           limit: int = VERTEX_LIMIT) -> tuple[list[int], int]:
     """`longest_path_masks` with Kahn's DP on acyclic input and the subset
     DP on cyclic input: same lengths, bound semantics, limit and explored,
     its own witnesses."""
@@ -173,7 +183,7 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int) -> int:
     return best
 
 
-def memo_search_longest_path(adj: list[int], limit: int = EXACT_VERTEX_LIMIT
+def memo_search_longest_path(adj: list[int], limit: int = VERTEX_LIMIT
                              ) -> tuple[list[int], int]:
     """`longest_path_masks` with the exact-value memo search on cyclic
     input: the package's heights and walk on acyclic input."""

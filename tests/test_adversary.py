@@ -518,8 +518,7 @@ def test_theorem1_escape_no_reentry():
 
 def test_theorem1_color_classes_acyclic():
     """Every color class of the pipeline coloring is acyclic, so the exact
-    measurement needs no subset DP at any size: limit=0 raises
-    SizeLimitError on any cyclic class."""
+    measurement takes the DAG route at any size."""
     hosts = [random_oriented_graph(150, round(0.02 * 150 * 150), 1),
              random_oriented_graph(40, 350, 2),
              random_digraph(60, 500, 3),
@@ -530,7 +529,11 @@ def test_theorem1_color_classes_acyclic():
             for cfg in (ConstantsConfig(), RELAXED):
                 res = theorem1_adversary(g, q, cfg)
                 families += len(res.partition.families)
-                per_color = longest_mono_path(g, res.coloring, limit=0)
+                for c in range(1, q + 1):
+                    out = res.coloring.out_masks(c, g.n)
+                    assert find_cycle(OrientedGraph.from_masks(g.n, out)) is None
+                per_color = longest_mono_path(g, res.coloring)
+                assert all(r.explored == g.n for r in per_color.values())
                 assert max(r.value for r in per_color.values()) <= res.partition.total_bound
     assert families
 

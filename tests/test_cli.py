@@ -11,6 +11,8 @@ from dipath_ramsey import (
     EdgeColoring,
     ExperimentManifest,
     GeneratorSpec,
+    OrientedGraph,
+    min_max_mono_path,
     random_tournament,
     serialize_coloring,
     serialize_graph,
@@ -193,6 +195,37 @@ def test_oracle_modes(tmp_path):
     assert res.exit_code == 0, res.output
     per_color = json.loads(res.output)
     assert per_color["1"]["value"] == 1
+
+
+def _oracle_path(tmp_path, g, coloring):
+    """`oracle --mode path` on g and a coloring of it, through files."""
+    gpath, cpath = tmp_path / "g.graph", tmp_path / "g.col"
+    write_graph(str(gpath), g)
+    cpath.write_text(serialize_coloring(g, coloring))
+    return CliRunner().invoke(main, ["oracle", "--mode", "path", "--in", str(gpath),
+                                     "--coloring", str(cpath)])
+
+
+def test_oracle_path_measures_the_minmax_witness_past_the_old_limit(tmp_path):
+    """A 3-cycle beside a 21-edge path, on 25 vertices: minmax at q=1 is
+    21, and the path mode measures its witness, a cyclic class on 25
+    vertices, as 21 at the default."""
+    g = OrientedGraph(25, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 24)])
+    res = _oracle_path(tmp_path, g, min_max_mono_path(g, 1).witness)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["1"]["value"] == 21
+
+
+def test_oracle_path_too_deep_is_one_error_line(tmp_path):
+    """A 1,200-edge path that ends in a 3-cycle is too deep for the path
+    search's recursion: one `Error:` line and exit status 1, not a
+    traceback."""
+    n = 1203
+    g = OrientedGraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 3)])
+    res = _oracle_path(tmp_path, g, EdgeColoring(1, {e: 1 for e in g.edges()}))
+    assert res.exit_code == 1
+    assert res.output.count("Error:") == 1 and "recursion limit" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_oracle_arrow_needs_n(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipath_ramsey import (
+    BudgetExceededError,
     CyclicGraphError,
     DirectedPath,
     OrientedGraph,
-    SizeLimitError,
     complete_symmetric,
     find_cycle,
     gallai_roy,
@@ -96,9 +96,11 @@ def test_longest_path_exact_on_cycle():
     assert p.is_valid_in(g)
 
 
-def test_longest_path_exact_size_guard():
-    with pytest.raises(SizeLimitError):
-        longest_path_exact(complete_symmetric(17))
+def test_longest_path_exact_past_sixteen_vertices():
+    """No support size is refused: K17 with both directions gives 16, on
+    its first descent."""
+    p = longest_path_exact(complete_symmetric(17))
+    assert list(p.vertices) == list(range(17))
 
 
 def test_longest_path_auto_dispatch():
@@ -120,14 +122,70 @@ def test_exact_path_is_valid_and_maximal_greedily(n, m, seed):
         assert all(v in used for v in iter_bits(g.out_mask(tail))) or p.length >= 1
 
 
-def test_longest_path_exact_limit_counts_cyclic_support():
-    # acyclic inputs take the DAG route at any size
+def test_longest_path_exact_cyclic_support_of_any_size():
+    """Acyclic inputs take the DAG route at any size, and a cyclic one is
+    searched at any size: the 30-vertex graph with one 3-cycle gives 2,
+    and so does the 3-cycle beside a 21-edge path on 25 vertices its
+    path, 21, searched in a few dozen states."""
     assert longest_path_exact(transitive_tournament(40)).length == 39
-    # only the vertices with an edge count against the limit
     g = OrientedGraph(30, [(0, 1), (1, 2), (2, 0)])
-    assert longest_path_exact(g, limit=3).length == 2
-    with pytest.raises(SizeLimitError):
-        longest_path_exact(g, limit=2)
+    assert longest_path_exact(g).length == 2
+    g = OrientedGraph(25, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 24)])
+    vertices, explored = longest_path_masks(g.out_masks())
+    assert vertices == list(range(3, 25)) and explored < 100
+
+
+def _path_into_cycle(edges):
+    """A directed path of `edges` edges whose last vertex lies on a
+    3-cycle, as a graph."""
+    n = edges + 3
+    return OrientedGraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 3)])
+
+
+def test_search_too_deep_is_a_budget_error():
+    """The cyclic search recurses once per path edge: a path too long for
+    the interpreter's recursion limit raises BudgetExceededError, not
+    RecursionError, and a shorter one is answered."""
+    assert longest_path_exact(_path_into_cycle(300)).length == 302
+    with pytest.raises(BudgetExceededError, match="recursion limit"):
+        longest_path_exact(_path_into_cycle(1200))
+
+
+def _sparse_64_class():
+    """A class of ROADMAP item 14's n=64, m=200 corpus: the second of the
+    two coin-flip classes of the seed-1 oriented graph, cyclic, whose
+    longest path (27 edges) takes a few thousand states."""
+    return _split(random_oriented_graph(64, 200, 1), 2, random.Random(1))[1]
+
+
+def test_state_budget_refuses_by_states_charged(monkeypatch):
+    """`explored` of a cyclic class is the states its search charged: with
+    the budget set to that many the answer is unchanged, and at half of
+    it the search raises BudgetExceededError."""
+    adj = _sparse_64_class()
+    vertices, explored = longest_path_masks(adj)
+    assert len(vertices) == 28 and 1_000 < explored < paths._STATE_BUDGET
+    monkeypatch.setattr(paths, "_STATE_BUDGET", explored)
+    assert longest_path_masks(adj) == (vertices, explored)
+    monkeypatch.setattr(paths, "_STATE_BUDGET", explored // 2)
+    with pytest.raises(BudgetExceededError, match=f"exceeded {explored // 2} states"):
+        longest_path_masks(adj)
+
+
+def test_sixteen_vertex_classes_keep_the_budget_headroom():
+    """1,000 seeded classes of 16-vertex oriented graphs, m = 40-120, each
+    split at random into 1-3 classes, the shape of the oracle's path
+    jobs: the worst charges under a fiftieth of the state budget, so a
+    change that makes the search visit many more states shows here
+    before any such class is refused."""
+    rng = random.Random(16)
+    worst = count = 0
+    while count < 1000:
+        g = random_oriented_graph(16, rng.randint(40, 120), rng.getrandbits(32))
+        for adj in _split(g, rng.randint(1, 3), rng):
+            count += 1
+            worst = max(worst, longest_path_masks(adj)[1])
+    assert 1_000 < worst < paths._STATE_BUDGET / 50
 
 
 def test_longest_path_dag_rejects_cycle():
@@ -193,8 +251,11 @@ def test_engine_matches_brute_force(graph):
     p = DirectedPath(vertices)
     assert p.is_valid_in(g)
     assert p.length == best
+    # a cyclic search charges each (end, vertex set) state, end in the set,
+    # at most once
     support = sum(1 for v in range(n) if g.degree(v))
-    assert explored == (n if find_cycle(g) is None else 1 << support)
+    assert (explored == n if find_cycle(g) is None
+            else explored <= support << max(0, support - 1))
     # one witness rule on both routes: lowest start, then lowest next vertex
     assert vertices == _brute_first_longest(n, adj)
 
@@ -392,8 +453,10 @@ def _reference_classes():
 
 
 def test_engine_matches_subset_dp_reference():
-    """Same length and explored as the subset DP it replaced, on cyclic
-    classes; witnesses may differ but are paths."""
+    """Same length as the subset DP it replaced, on cyclic classes, and
+    at most one state charged per (end, vertex set), end in the set,
+    where the DP charged the 2^support vertex sets; witnesses may differ
+    but are paths."""
     cyclic = 0
     for adj in _reference_classes():
         n = len(adj)
@@ -402,7 +465,8 @@ def test_engine_matches_subset_dp_reference():
         got, explored = longest_path_masks(adj)
         ref, ref_explored = reference_longest_path(adj)
         assert len(got) == len(ref)
-        assert explored == ref_explored
+        support = ref_explored.bit_length() - 1
+        assert explored <= support * ref_explored // 2
         assert DirectedPath(got).is_valid_in(g)
     assert cyclic == 40 + 24 + 2
 
@@ -433,27 +497,20 @@ def _memo_search_classes():
         yield from _split(random_digraph(14, 150, s), 2, rng)
 
 
-def _outcome(search, adj, limit):
-    try:
-        return search(adj, limit)
-    except SizeLimitError as exc:
-        return SizeLimitError, str(exc)
-
-
 def test_engine_matches_memo_search_reference():
-    """The bounded search gives the exact-value memo search's witness and
-    explored, and the same SizeLimitError, on every class: at the default
-    limit and at 12, which refuses the cyclic classes of larger support."""
-    kinds = set()
+    """The bounded search gives the exact-value memo search's witness on
+    every class, cyclic or not; `explored` differs by definition on a
+    cyclic class (states charged against 2^support)."""
+    cyclic = 0
     for adj in _memo_search_classes():
-        for limit in (paths.EXACT_VERTEX_LIMIT, 12):
-            got = _outcome(longest_path_masks, adj, limit)
-            assert got == _outcome(memo_search_longest_path, adj, limit)
-            kinds.add((limit, "refused" if got[0] is SizeLimitError
-                       else "searched" if got[1] > len(adj) else "acyclic"))
-    # no class has more than 16 vertices, so only the limit of 12 refuses
-    assert kinds == {(16, "searched"), (16, "acyclic"),
-                     (12, "searched"), (12, "acyclic"), (12, "refused")}
+        got, explored = longest_path_masks(adj)
+        ref, ref_explored = memo_search_longest_path(adj)
+        assert got == ref
+        if _heights(adj)[1]:
+            cyclic += 1
+        else:
+            assert explored == ref_explored == len(adj)
+    assert 300 < cyclic < 600
 
 
 def _brute_from(adj, w):
@@ -519,8 +576,7 @@ def test_reach_bound_settles_a_clique_with_sinks(monkeypatch):
     monkeypatch.setattr(paths, "_ahead", counted)
     vertices, explored = longest_path_masks(_clique_with_sinks(14, 2))
     assert vertices == list(range(15))
-    assert explored == 1 << 16
-    assert calls < 1000
+    assert explored <= calls < 1000
 
 
 def test_engine_leaves_no_reference_cycles():

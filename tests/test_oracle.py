@@ -15,7 +15,6 @@ from dipath_ramsey import (
     BudgetExceededError,
     EdgeColoring,
     OrientedGraph,
-    SizeLimitError,
     arrowing_check,
     complete_symmetric,
     longest_mono_path,
@@ -26,12 +25,12 @@ from dipath_ramsey import (
     random_tournament,
     transitive_tournament,
 )
-from dipath_ramsey import oracle
+from dipath_ramsey import oracle, paths
 from dipath_ramsey.paths import find_cycle, longest_path_masks
 import reference_oracle
 from reference_oracle import lexicographic_min_max
 import reference_paths
-from reference_paths import reference_longest_path
+from reference_paths import SizeLimitError, memo_search_longest_path, reference_longest_path
 
 
 # -- per-color measurement -------------------------------------------------
@@ -67,19 +66,14 @@ def test_mono_witness_is_monochromatic():
                 assert col.color(a, b) == c
 
 
-def test_mono_paths_size_guard():
+def test_mono_paths_complete_symmetric_17():
+    """One cyclic class on 17 vertices, past the 16 that were once the
+    limit, is measured at the default: its Hamilton path, 16 edges."""
     g = complete_symmetric(17)
     col = EdgeColoring(1, {e: 1 for e in g.edges()})
-    with pytest.raises(SizeLimitError):
-        longest_mono_path(g, col)
-
-
-def test_mono_paths_limit_override():
-    # one cyclic class on 17 vertices is fine when the limit is raised
-    g = complete_symmetric(17)
-    col = EdgeColoring(1, {e: 1 for e in g.edges()})
-    res = longest_mono_path(g, col, limit=17)
+    res = longest_mono_path(g, col)
     assert res[1].value == 16
+    assert list(res[1].witness.vertices) == list(range(17))
 
 
 def test_mono_paths_dag_class_any_size():
@@ -173,15 +167,15 @@ def test_arrowing_rot7_three_colors():
 
 def test_minmax_class_support_guard():
     """A color class that turns cyclic on more than 22 vertices above
-    bound 3 cannot be measured: five disjoint 5-cycles at q=1 meet the
-    guard at bound 4, when the last cycle closes.  The complete symmetric
-    digraph on 24 vertices, which met it before the product floor, now
-    starts at bound 23, where a support of 24 = bound + 1 vertices holds
-    no longer path, so no check searches."""
+    bound 3, which the class support guard once refused, is searched:
+    five disjoint 5-cycles at q=1 give 4, the longest path of each cycle.
+    The complete symmetric digraph on 24 vertices starts at bound 23,
+    where a support of 24 = bound + 1 vertices holds no longer path, so
+    no check searches."""
     g = OrientedGraph(25, [(5 * k + i, 5 * k + (i + 1) % 5)
                            for k in range(5) for i in range(5)])
-    with pytest.raises(SizeLimitError):
-        min_max_mono_path(g, 1, budget=1 << 40)
+    res = min_max_mono_path(g, 1)
+    assert res.value == 4 and _reaches(g, res.witness) == 4
     assert min_max_mono_path(complete_symmetric(24), 1).value == 23
 
 
@@ -217,19 +211,21 @@ def test_minmax_dense_acyclic_hosts_q1():
 
 def test_minmax_cycle_off_the_new_edges_above_guard_size():
     """A 3-cycle beside a 21-edge path on 25 vertices: the class is cyclic
-    on more than 22 vertices, but no new edge after the cycle's own meets
-    a cycle, so every check is exact and the value is the path."""
+    on more than 22 vertices, and the value is the path, which measuring
+    the witness confirms at the default."""
     g = OrientedGraph(25, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 24)])
     res = min_max_mono_path(g, 1)
     assert res.value == 21
-    assert max_mono_path(g, res.witness, limit=25) == 21
+    assert max_mono_path(g, res.witness) == 21
 
 
 # -- the search's per-edge check against measuring the whole class ------
 
-def _reference_through(out, into, u, v, bound, limit=oracle._CLASS_SUPPORT_LIMIT):
+def _reference_through(out, into, u, v, bound,
+                       limit=reference_oracle.CLASS_SUPPORT_LIMIT):
     """Reference check: measure the whole class with the subset DP, which
-    shares no search code with `_path_through`."""
+    shares no search code with `_path_through`; by default it refuses a
+    cyclic class of more than 22 vertices, as the package once did."""
     return len(reference_longest_path(out, bound, limit)[0]) > bound + 1
 
 
@@ -291,11 +287,11 @@ def _cycles_class(rng, n):
 
 def test_path_through_matches_full_engine(monkeypatch):
     """Random classes with no path longer than `bound`, plus one new edge:
-    the check through the new edge agrees with measuring the class, on
-    each of its routes.  Bounds up to 7 keep the routes above the short
-    bound running.  Classes of 2- and 3-cycles on 23-26 vertices reach
-    the size guard above it, which the reference shares, and are answered
-    at a short bound, as the subset DP with no limit answers them."""
+    the check through the new edge agrees with measuring the class, its
+    limit raised to the class, on each of its routes.  Bounds up to 7
+    keep the routes above the short bound running.  Classes of 2- and
+    3-cycles on 23-26 vertices are answered at every bound, above the
+    short bound too, where a size guard once refused them."""
     calls = _count_searches(monkeypatch, ("_short_through", "_ahead"))
     rng = random.Random(2024)
     cases = []
@@ -310,22 +306,13 @@ def test_path_through_matches_full_engine(monkeypatch):
     for (out, into, u, v), bound in cases:
         n = len(out)
         short = bound <= oracle._SHORT_BOUND
-        try:
-            want = _reference_through(out, into, u, v, bound,
-                                      n if short else oracle._CLASS_SUPPORT_LIMIT)
-        except SizeLimitError:
-            want = SizeLimitError
+        want = _reference_through(out, into, u, v, bound, n)
         before = calls.copy()
-        try:
-            got = oracle._path_through(out, into, u, v, bound)
-        except SizeLimitError:
-            got = SizeLimitError
+        got = oracle._path_through(out, into, u, v, bound)
         assert got == want
         assert (calls["_short_through"] > before["_short_through"]) == short
         if short:
             route = "short"
-        elif got is SizeLimitError:
-            route = "guard"
         elif calls["_ahead"] > before["_ahead"]:
             route = "search"
         elif (oracle._dag_depth(out, v) is not None
@@ -334,19 +321,19 @@ def test_path_through_matches_full_engine(monkeypatch):
         else:
             route = "cutoff"
         acyclic = find_cycle(OrientedGraph.from_masks(n, out, into, True)) is None
-        seen.add((route, got, acyclic, n > oracle._CLASS_SUPPORT_LIMIT))
+        seen.add((route, got, acyclic, n > reference_oracle.CLASS_SUPPORT_LIMIT))
     # every route, with both answers where it has two: the support
-    # cutoff only says no, and the guard raises on the large classes
+    # cutoff only says no
     assert {(route, got) for route, got, _, _ in seen} == {
         ("short", True), ("short", False), ("dag", True), ("dag", False),
-        ("search", True), ("search", False), ("cutoff", False),
-        ("guard", SizeLimitError)}
-    # the short search on acyclic and cyclic classes, and on cyclic
-    # classes above the guard size; a cyclic class may take the DAG walks
+        ("search", True), ("search", False), ("cutoff", False)}
+    # the short search on acyclic and cyclic classes, and both it and the
+    # memo search on cyclic classes of more than 22 vertices; a cyclic
+    # class may take the DAG walks
     assert {(got, acyclic) for route, got, acyclic, _ in seen
             if route == "short"} == set(itertools.product((True, False), repeat=2))
-    assert {got for route, got, _, big in seen
-            if route == "short" and big} == {True, False}
+    for route in ("short", "search"):
+        assert {got for r, got, _, big in seen if r == route and big} == {True, False}
     assert any(route == "dag" and not acyclic for route, _, acyclic, _ in seen)
 
 
@@ -455,13 +442,42 @@ def test_path_through_small_support_needs_no_search(monkeypatch):
 
 
 def test_path_through_support_cutoff_comes_before_size_guard():
-    """A cyclic class on 24 vertices is refused at bound 22, but at bound
-    23 or more its support alone answers the check."""
+    """A cyclic class on 24 vertices, which the size guard once refused at
+    bound 22, is searched there and holds a longer path; at bound 23 or
+    more its support alone answers the check."""
     out, into = _complete_class(24)
     for bound in (23, 30):
         assert not oracle._path_through(out, into, 0, 1, bound)
-    with pytest.raises(SizeLimitError):
-        oracle._path_through(out, into, 0, 1, 22)
+    assert oracle._path_through(out, into, 0, 1, 22)
+
+
+def _path_into_edge(edges):
+    """A path of `edges` edges into u, the new edge (u, v), and a 3-cycle
+    through v, as (out, into, u, v): no path of the class without the new
+    edge has more than `edges` edges, and with it the longest has
+    `edges` + 3."""
+    n = edges + 4
+    g = OrientedGraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 3)])
+    return g.out_masks(), [g.in_mask(w) for w in range(n)], n - 4, n - 3
+
+
+def test_path_through_budget_is_per_check(monkeypatch):
+    """The check's memo and refuted states are charged against the state
+    budget: the 8-vertex complete class, whose check refutes states one
+    by one, raises BudgetExceededError when the budget is 10 states.  A
+    path into the tail too long for the recursion limit raises it too,
+    and a shorter one is answered."""
+    out, into = _complete_class(8)
+    out += [1 << 9, 0]
+    into += [0, 1 << 8]
+    with monkeypatch.context() as m:
+        m.setattr(paths, "_STATE_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="exceeded 10 states"):
+            oracle._path_through(out, into, 0, 1, 7)
+    assert not oracle._path_through(out, into, 0, 1, 7)
+    assert oracle._path_through(*_path_into_edge(300), 302)
+    with pytest.raises(BudgetExceededError, match="recursion limit"):
+        oracle._path_through(*_path_into_edge(1200), 1202)
 
 
 def _search_hosts():
@@ -531,35 +547,57 @@ def _outcome(g, q, budget):
         return type(exc)
 
 
+def _longest(adj):
+    """Edges of the longest path of out-masks `adj` by the exact-value
+    memo search, its vertex limit raised to the host."""
+    return len(memo_search_longest_path(adj, len(adj))[0]) - 1
+
+
 def test_search_matches_full_engine_above_guard_size(monkeypatch):
     """On hosts above 22 vertices the check through the new edge visits
     the reference's nodes: where the reference, the whole class measured
     with the subset DP, gives an answer or runs out of budget, so does the
     search, identically.  The reference raises SizeLimitError on every
-    cyclic class above 22 vertices; the search raises it only above bound
-    3 and when a cycle meets the new edge, so past that node it may go
-    on, and an answer it gives is checked on its witness."""
+    cyclic class above 22 vertices, and so did the check that had a size
+    guard above bound 3 (`reference_oracle.path_through`); the search
+    answers each question that check refused, and its witness's classes,
+    measured by the memo search with its limit raised to the host, reach
+    exactly the value (at q = 1 the host's longest path)."""
     budget = 20_000
     seen = set()
+    refused_before = 0
     for g in _guard_size_hosts():
         for q in (1, 2):
             fast = _outcome(g, q, budget)
+            assert fast is not SizeLimitError
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_path_through", _reference_through)
                 ref = _outcome(g, q, budget)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_path_through", reference_oracle.path_through)
+                before = _outcome(g, q, budget)
             seen.add(ref if isinstance(ref, type) else "answer")
+            if before is SizeLimitError:
+                refused_before += 1
+                assert not isinstance(fast, type)
+                assert fast.value == max(_longest(fast.witness.out_masks(c, g.n))
+                                         for c in range(1, q + 1))
+                if q == 1:
+                    assert fast.value == _longest(g.out_masks())
+            elif isinstance(before, type):
+                assert fast is before
+            else:
+                assert fast.to_dict() == before.to_dict()
             if ref is SizeLimitError and not isinstance(fast, type):
                 seen.add("answer past the reference's limit")
                 fast.witness.validate_total(g)
-                for c in range(1, q + 1):
-                    path, _ = longest_path_masks(fast.witness.out_masks(c, g.n), g.n)
-                    assert len(path) <= fast.value + 1
             elif isinstance(ref, type):
                 assert fast is ref
             else:
                 assert fast.to_dict() == ref.to_dict()
     assert seen == {"answer", BudgetExceededError, SizeLimitError,
                     "answer past the reference's limit"}
+    assert refused_before >= 27
 
 
 def _decision(g, q, bound, budget):
@@ -579,8 +617,9 @@ def test_short_bound_decisions_above_guard_size(monkeypatch):
     search visits with the subset DP, its limit raised to the host, as
     its check, and a coloring found keeps every class at the bound on the
     subset DP.  Some of these decisions met the guard before the short
-    search (`reference_oracle.path_through`); every other one is
-    unchanged."""
+    search (`reference_oracle.path_through`), and a coloring found for
+    one of them keeps every class at the bound on the memo search too,
+    its limit raised to the host; every other decision is unchanged."""
     budget = 20_000
     answered = refused_before = 0
     for g in _guard_size_hosts():
@@ -608,6 +647,8 @@ def test_short_bound_decisions_above_guard_size(monkeypatch):
                 for c in range(1, q + 1):
                     path, _ = reference_longest_path(coloring.out_masks(c, n), bound, n)
                     assert len(path) <= bound + 1
+                    if before is SizeLimitError:
+                        assert _longest(coloring.out_masks(c, n)) <= bound
     assert answered >= 276 and refused_before >= 5
 
 
@@ -631,7 +672,7 @@ def _order_corpus():
 def _reaches(g, coloring):
     """Longest monochromatic path of a total coloring of g."""
     coloring.validate_total(g)
-    return max_mono_path(g, coloring, limit=g.n)
+    return max_mono_path(g, coloring)
 
 
 def test_vertex_order_matches_lexicographic_reference():
