@@ -66,9 +66,27 @@ def test_mono_witness_is_monochromatic():
                 assert col.color(a, b) == c
 
 
-def test_mono_paths_complete_symmetric_17():
-    """One cyclic class on 17 vertices, past the 16 that were once the
-    limit, is measured at the default: its Hamilton path, 16 edges."""
+def test_mono_paths_size_guard(monkeypatch):
+    """The guard on a cyclic class is the states its search charges, not
+    its size: on a 2-colored 16-vertex 100-edge oriented graph, a budget
+    of the most states one class charged gives the same answers, and
+    half of it raises BudgetExceededError."""
+    g = random_oriented_graph(16, 100, 1)
+    rng = random.Random(1)
+    col = EdgeColoring(2, {e: 1 + rng.getrandbits(1) for e in g.edges()})
+    res = longest_mono_path(g, col)
+    most = max(r.explored for r in res.values())
+    assert most > 1_000
+    monkeypatch.setattr(paths, "_STATE_BUDGET", most)
+    assert longest_mono_path(g, col) == res
+    monkeypatch.setattr(paths, "_STATE_BUDGET", most // 2)
+    with pytest.raises(BudgetExceededError, match=f"exceeded {most // 2} states"):
+        longest_mono_path(g, col)
+
+
+def test_mono_paths_limit_override():
+    """One cyclic class on 17 vertices, which once needed its vertex limit
+    raised, is measured at the default: its Hamilton path, 16 edges."""
     g = complete_symmetric(17)
     col = EdgeColoring(1, {e: 1 for e in g.edges()})
     res = longest_mono_path(g, col)
