@@ -13,10 +13,14 @@ tests hold to the subset DP.
 to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
 the support cutoff, the 22-vertex guard and the memo search.  Patched in
 for the package's check, it must give the same value, witness and
-explored on every input where it raises nothing.  The package has since
-dropped the guard; it stays here, as CLASS_SUPPORT_LIMIT and the
-reference SizeLimitError, so that tests can count the questions it
-refused."""
+explored on every input where it raises nothing.  `guarded_path_through`
+is the check as it ran after that and before the guard went: the short
+search up to `oracle._SHORT_BOUND`, `path_through` above it.  The
+package has since dropped the guard; it stays here, as
+CLASS_SUPPORT_LIMIT and the reference SizeLimitError, so that tests can
+count the questions each check refused.  Both run the package's
+`_ahead` and `_behind`, which charge `paths._STATE_BUDGET`; a test that
+wants either check exactly as it was raises that budget out of reach."""
 from dipath_ramsey import oracle
 from dipath_ramsey.errors import BudgetExceededError
 from dipath_ramsey.graphs import EdgeColoring, OrientedGraph
@@ -71,6 +75,16 @@ def path_through(out: list[int], into: list[int], u: int, v: int,
     # no path out of v is longer than `most`
     most = _ahead(out, memo, v, ends, bound, -1)
     return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+
+
+def guarded_path_through(out: list[int], into: list[int], u: int, v: int,
+                         bound: int) -> bool:
+    """The check with the 22-vertex guard above `oracle._SHORT_BOUND`
+    only: the package's short search at a bound up to it, `path_through`
+    above it."""
+    if bound <= oracle._SHORT_BOUND:
+        return oracle._short_through(out, into, u, v, 1 << u | 1 << v, bound)
+    return path_through(out, into, u, v, bound)
 
 
 def id_order_search(g: OrientedGraph, q: int, bound: int,

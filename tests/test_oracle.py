@@ -576,11 +576,13 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
     the reference's nodes: where the reference, the whole class measured
     with the subset DP, gives an answer or runs out of budget, so does the
     search, identically.  The reference raises SizeLimitError on every
-    cyclic class above 22 vertices, and so did the check that had a size
-    guard above bound 3 (`reference_oracle.path_through`); the search
-    answers each question that check refused, and its witness's classes,
-    measured by the memo search with its limit raised to the host, reach
-    exactly the value (at q = 1 the host's longest path)."""
+    cyclic class above 22 vertices, and so did the check with the size
+    guard above bound 3 (`reference_oracle.guarded_path_through`, run
+    with no state budget, as it was); the search answers each question
+    that check refused, and its witness's classes, measured by the memo
+    search with its limit raised to the host, reach exactly the value (at
+    q = 1 the host's longest path).  Where only the reference refused, each
+    witness class is measured by that memo search too."""
     budget = 20_000
     seen = set()
     refused_before = 0
@@ -592,7 +594,8 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
                 m.setattr(oracle, "_path_through", _reference_through)
                 ref = _outcome(g, q, budget)
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_path_through", reference_oracle.path_through)
+                m.setattr(oracle, "_path_through", reference_oracle.guarded_path_through)
+                m.setattr(paths, "_STATE_BUDGET", float("inf"))
                 before = _outcome(g, q, budget)
             seen.add(ref if isinstance(ref, type) else "answer")
             if before is SizeLimitError:
@@ -609,6 +612,8 @@ def test_search_matches_full_engine_above_guard_size(monkeypatch):
             if ref is SizeLimitError and not isinstance(fast, type):
                 seen.add("answer past the reference's limit")
                 fast.witness.validate_total(g)
+                for c in range(1, q + 1):
+                    assert _longest(fast.witness.out_masks(c, g.n)) <= fast.value
             elif isinstance(ref, type):
                 assert fast is ref
             else:
@@ -650,6 +655,7 @@ def test_short_bound_decisions_above_guard_size(monkeypatch):
                 assert _decision(g, q, bound, budget) == fast
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_path_through", reference_oracle.path_through)
+                m.setattr(paths, "_STATE_BUDGET", float("inf"))
                 before = _decision(g, q, bound, budget)
             if before is SizeLimitError:
                 refused_before += 1
