@@ -3,9 +3,9 @@
 
 Runs one decision of the coloring search per question, directly and
 without the product floor that lets `arrowing_check` skip some of them:
-rot9 -> P_4, TT9 -> P_3 and TT10 -> P_3 at q=2, and TT9 -> P_2 and
-rot7 -> P_2 at q=3 (rotn is the rotational tournament on Z_n, TTn the
-transitive one).  Prints the answer, the nodes and the CPU seconds of
+rot9 -> P_4, TT9 -> P_3, TT10 -> P_3, rot11 -> P_4 and TT16 -> P_4 at
+q=2, and TT9 -> P_2 and rot7 -> P_2 at q=3 (rotn is the rotational
+tournament on Z_n, TTn the transitive one).  Prints the answer, the nodes and the CPU seconds of
 each, and exits nonzero when an answer differs from the known one or a
 search runs out of nodes.
 
@@ -33,6 +33,8 @@ QUESTIONS = [
     ("TT10 -> P_3, q=2", transitive_tournament(10), 3, 2, True),
     ("TT9 -> P_2, q=3", transitive_tournament(9), 2, 3, True),
     ("rot7 -> P_2, q=3", rotational(7), 2, 3, True),
+    ("rot11 -> P_4, q=2", rotational(11), 4, 2, True),
+    ("TT16 -> P_4, q=2", transitive_tournament(16), 4, 2, False),
 ]
 
 

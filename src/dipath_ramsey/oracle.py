@@ -105,18 +105,20 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     out of v, the two disjoint, with `bound` edges between them.  At a
     bound up to _SHORT_BOUND, `_short_through` grows the two paths one
     edge at a time and stops at the first pair long enough: no walks,
-    support pass or memo, and at most bound + 1 frames deep.  Above it
+    support pass or memo, and at most bound + 1 frames deep; the coloring
+    search calls it itself, to learn which edges the path uses.  Above it
     run the routes that stay polynomial on acyclic classes of any size
-    and on dense cyclic classes at high bounds.  When no cycle is
-    reachable from v, v does not reach u (the edge would close one), so
-    the two paths never meet.  If no cycle reaches u either, the answer
-    is the longest path into u, plus 1, plus the longest path out of v,
-    each read off its layers of walks, at any size.  Otherwise the class
-    is cyclic, and a support (the vertices with an edge) of at most
-    bound + 1 vertices holds no path of more than `bound` edges, so the
-    answer is no with no search.  Else the paths into u are tried one by
-    one, each against the longest path out of v that avoids it, found by
-    the engine's own search, `paths._ahead`.  Every path of the old class
+    and on dense cyclic classes at high bounds, and answer yes or no.
+    When no cycle is reachable from v, v does not reach u (the edge would
+    close one), so the two paths never meet.  If no cycle reaches u
+    either, the answer is the longest path into u, plus 1, plus the
+    longest path out of v, each read off its layers of walks, at any
+    size.  Otherwise the class is cyclic, and a support (the vertices
+    with an edge) of at most bound + 1 vertices holds no path of more
+    than `bound` edges, so the answer is no with no search.  Else the
+    paths into u are tried one by one, each against the longest path out
+    of v that avoids it, found by the engine's own search, `paths._ahead`,
+    with the class's in-masks for its bound.  Every path of the old class
     has at most `bound` edges, so both searches stop at that depth, and a
     search that reaches it has found the path.  The longest path out of
     v alone, `most`, is asked for with no floor; each path into u then
@@ -132,7 +134,9 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     counts colorings tried, not these states.
     """
     if bound <= _SHORT_BOUND:
-        return _short_through(out, into, u, v, 1 << u | 1 << v, bound)
+        # the positions of the path do not matter here: every edge's are 0
+        n = len(out)
+        return _short_through(out, into, u, v, 1 << u | 1 << v, bound, [[0] * n] * n) >= 0
     ahead = _dag_depth(out, v)
     if ahead is not None:
         behind = _dag_depth(into, u)
@@ -148,44 +152,49 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     ends = 1 << u | 1 << v
     try:
         # no path out of v is longer than `most`
-        most = _ahead(out, memo, v, ends, bound, -1)
+        most = _ahead(out, into, memo, v, ends, bound, -1)
         return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
 
 
 def _short_through(out: list[int], into: list[int], w: int, v: int,
-                   seen: int, left: int) -> bool:
-    """Whether a path into u that starts at w and covers `seen` is met by
-    a path out of v of `left` edges that avoids it, or can be extended
-    backward first: `_path_through`'s plain search, one edge at a time,
-    with no memo.  With one edge left, the answer is whether v has an
-    out-neighbor or w an in-neighbor outside `seen`."""
-    if left <= 1:
-        return not left or (out[v] | into[w]) & ~seen != 0
-    if _out_of(out, v, seen, left):
-        return True
+                   seen: int, left: int, bits: list) -> int:
+    """The positions of a path into u that starts at w and covers `seen`,
+    met by a path out of v of `left` edges that avoids it, or extended
+    backward first, as the OR of their edges' `bits` (bits[a][b] names
+    edge (a, b)'s position), or -1 when there is none: `_path_through`'s
+    plain search, one edge at a time, with no memo.  The mask is ORed
+    together as the search unwinds, so at the top it holds every edge of
+    the path but (u, v)."""
+    if not left:
+        return 0
+    hit = _out_of(out, v, seen, left, bits)
+    if hit >= 0:
+        return hit
     m = into[w] & ~seen
     while m:
         low = m & -m
         m ^= low
-        if _short_through(out, into, low.bit_length() - 1, v, seen | low, left - 1):
-            return True
-    return False
+        x = low.bit_length() - 1
+        hit = 0 if left == 1 else _short_through(out, into, x, v, seen | low, left - 1, bits)
+        if hit >= 0:
+            return hit | bits[x][w]
+    return -1
 
 
-def _out_of(out: list[int], w: int, seen: int, left: int) -> bool:
-    """Whether a path of `left` >= 1 edges leaves w along `out` avoiding
-    `seen`."""
+def _out_of(out: list[int], w: int, seen: int, left: int, bits: list) -> int:
+    """The positions of a path of `left` >= 1 edges that leaves w along
+    `out` avoiding `seen`, as in `_short_through`, or -1."""
     m = out[w] & ~seen
-    if left == 1 or not m:
-        return m != 0
     while m:
         low = m & -m
         m ^= low
-        if _out_of(out, low.bit_length() - 1, seen | low, left - 1):
-            return True
-    return False
+        x = low.bit_length() - 1
+        hit = 0 if left == 1 else _out_of(out, x, seen | low, left - 1, bits)
+        if hit >= 0:
+            return hit | bits[w][x]
+    return -1
 
 
 def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
@@ -196,7 +205,8 @@ def _behind(out: list[int], into: list[int], memo: dict, dead: set, v: int,
     (w, seen) states refuted so far, charged like `_ahead`'s memo against
     `paths._STATE_BUDGET`.  Like `_ahead`, a plain function that gets its
     tables as arguments, so they die with the caller's frame."""
-    if left <= most and (not left or _ahead(out, memo, v, seen, left, left - 1) >= left):
+    if left <= most and (not left
+                         or _ahead(out, into, memo, v, seen, left, left - 1) >= left):
         return True
     m = into[w] & ~seen
     if not m or (w, seen) in dead:
@@ -275,6 +285,20 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
     nodes are already charged against the budget.  The search only goes
     deeper while no class has a path longer than `bound`, so each node
     checks only the paths through its new edge.
+
+    A dead end backjumps (conflict-directed backjumping, Prosser 1993):
+    conf[pos] masks the earlier positions whose colors refuted those
+    tried at pos, at a bound up to _SHORT_BOUND the other edges of the
+    paths `_short_through` found, above it every earlier position.  When
+    every color was tried, the search jumps to the highest position in
+    the conflict, uncolors those in between and hands it the rest; an
+    empty conflict means no coloring exists.  Where the canonical rule
+    skipped colors the conflict is every earlier position: the skipped
+    and the tried fresh color are all unused before pos, so swapping
+    them maps any coloring onto one already refuted, but which colors
+    are unused depends on every earlier edge.  A jump passes over no
+    coloring, so the coloring found is plain backtracking's, in a subset
+    of its nodes.
     """
     m = len(edges)
     # per-color out- and in-masks and edge counts, updated as edges are
@@ -283,12 +307,19 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
     into = [[0] * n for _ in range(q + 1)]
     count = [0] * (q + 1)
     nodes = spent
-    # color[pos] is the color on edge pos, 0 while it has none, and
-    # top[pos] the highest color it may take: one past the highest on
-    # edges 0..pos-1, at most q.  A loop, not a recursion, so a host of
-    # any edge count fits in one frame.
+    # bits[a][b] is 1 << the position of edge (a, b); a dict per tail, not
+    # an n x n table, keeps a sparse host of many vertices small
+    bits = [{} for _ in range(n)]
+    for pos, (u, v) in enumerate(edges):
+        bits[u][v] = 1 << pos
+    short = bound <= _SHORT_BOUND
+    # color[pos] is the color on edge pos, 0 while it has none, top[pos]
+    # the highest color it may take: one past the highest on edges
+    # 0..pos-1, at most q, and conf[pos] its conflict.  A loop, not a
+    # recursion, so a host of any edge count fits in one frame.
     color = [0] * m
     top = [1] * (m + 1)
+    conf = [0] * m
     pos = 0
     while pos < m:
         u, v = edges[pos]
@@ -298,11 +329,21 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
             adj[c][u] ^= vbit
             into[c][v] ^= ubit
             count[c] -= 1
-            if c == top[pos]:  # every color tried: back up
-                color[pos] = 0
-                if not pos:
+            if c == top[pos]:  # every color tried: jump back
+                why = conf[pos] if c == q else (1 << pos) - 1
+                color[pos] = conf[pos] = 0
+                if not why:
                     return None, nodes
-                pos -= 1
+                back = why.bit_length() - 1
+                for p in range(pos - 1, back, -1):
+                    c = color[p]
+                    a, b = edges[p]
+                    adj[c][a] ^= 1 << b
+                    into[c][b] ^= 1 << a
+                    count[c] -= 1
+                    color[p] = conf[p] = 0
+                conf[back] |= why ^ 1 << back
+                pos = back
                 continue
         c += 1
         nodes += 1
@@ -313,10 +354,17 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
         out[u] |= vbit
         inn[v] |= ubit
         count[c] += 1
-        # fewer than bound+1 edges can never form a longer path
-        if count[c] <= bound or not _path_through(out, inn, u, v, bound):
+        hit = -1  # fewer than bound+1 edges can never form a longer path
+        if count[c] > bound:
+            if short:
+                hit = _short_through(out, inn, u, v, ubit | vbit, bound, bits)
+            elif _path_through(out, inn, u, v, bound):
+                hit = bits[u][v] - 1
+        if hit < 0:
             pos += 1
             top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
+        else:
+            conf[pos] |= hit
     return EdgeColoring.from_masks(adj[1:]), nodes
 
 

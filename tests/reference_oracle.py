@@ -1,26 +1,32 @@
 """Routes that the oracle's coloring search once ran, kept verbatim.
 
+`chronological_search` is the search as it ran before it backjumped: on
+a dead end it backs up one edge at a time, and its check at a bound up
+to `oracle._SHORT_BOUND` is the plain depth-first search answering yes
+or no (`short_through`).  The backjumping search must find the same
+coloring, or none, on every decision, within at most as many nodes.
+
 `id_order_search` colors the edges vertex by vertex in id order, the
 reference for the rank order (the vertices with the most 2-paths first)
 that replaced it, and `lexicographic_search` colors `g.edges()` in
 lexicographic order, the reference for the id order: each must agree
 with its successor on every value and arrow answer, while their
-witnesses and node counts differ.  Both run the package's per-edge
-check, `oracle._path_through`, looked up at each call, which the oracle
-tests hold to the subset DP.
+witnesses and node counts differ.  Both back up one edge at a time, and
+run the package's per-edge check, `oracle._path_through`, looked up at
+each call, which the oracle tests hold to the subset DP.
 
 `path_through` is that check as it ran at every bound before a bound up
 to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
 the support cutoff, the 22-vertex guard and the memo search.  Patched in
-for the package's check, it must give the same value, witness and
-explored on every input where it raises nothing.  `guarded_path_through`
-is the check as it ran after that and before the guard went: the short
-search up to `oracle._SHORT_BOUND`, `path_through` above it.  The
-package has since dropped the guard; it stays here, as
-CLASS_SUPPORT_LIMIT and the reference SizeLimitError, so that tests can
-count the questions each check refused.  Both run the package's
-`_ahead` and `_behind`, which charge `paths._STATE_BUDGET`; a test that
-wants either check exactly as it was raises that budget out of reach."""
+for the package's check, it must give the same value and witness on
+every input where it raises nothing.  `guarded_path_through` is the
+check as it ran after that and before the guard went: the short search
+up to `oracle._SHORT_BOUND`, `path_through` above it.  The package has
+since dropped the guard; it stays here, as CLASS_SUPPORT_LIMIT and the
+reference SizeLimitError, so that tests can count the questions each
+check refused.  Both run the package's `_ahead` and `_behind`, which
+charge `paths._STATE_BUDGET`; a test that wants either check exactly as
+it was raises that budget out of reach."""
 from dipath_ramsey import oracle
 from dipath_ramsey.errors import BudgetExceededError
 from dipath_ramsey.graphs import EdgeColoring, OrientedGraph
@@ -73,7 +79,7 @@ def path_through(out: list[int], into: list[int], u: int, v: int,
     memo: dict = {}  # _ahead's bounds on (end, vertex set) states
     ends = 1 << u | 1 << v
     # no path out of v is longer than `most`
-    most = _ahead(out, memo, v, ends, bound, -1)
+    most = _ahead(out, into, memo, v, ends, bound, -1)
     return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
 
 
@@ -83,8 +89,112 @@ def guarded_path_through(out: list[int], into: list[int], u: int, v: int,
     only: the package's short search at a bound up to it, `path_through`
     above it."""
     if bound <= oracle._SHORT_BOUND:
-        return oracle._short_through(out, into, u, v, 1 << u | 1 << v, bound)
+        return short_through(out, into, u, v, 1 << u | 1 << v, bound)
     return path_through(out, into, u, v, bound)
+
+
+def short_through(out: list[int], into: list[int], w: int, v: int,
+                  seen: int, left: int) -> bool:
+    """Whether a path into u that starts at w and covers `seen` is met by
+    a path out of v of `left` edges that avoids it, or can be extended
+    backward first: `_path_through`'s plain search, one edge at a time,
+    with no memo.  With one edge left, the answer is whether v has an
+    out-neighbor or w an in-neighbor outside `seen`."""
+    if left <= 1:
+        return not left or (out[v] | into[w]) & ~seen != 0
+    if out_of(out, v, seen, left):
+        return True
+    m = into[w] & ~seen
+    while m:
+        low = m & -m
+        m ^= low
+        if short_through(out, into, low.bit_length() - 1, v, seen | low, left - 1):
+            return True
+    return False
+
+
+def out_of(out: list[int], w: int, seen: int, left: int) -> bool:
+    """Whether a path of `left` >= 1 edges leaves w along `out` avoiding
+    `seen`."""
+    m = out[w] & ~seen
+    if left == 1 or not m:
+        return m != 0
+    while m:
+        low = m & -m
+        m ^= low
+        if out_of(out, low.bit_length() - 1, seen | low, left - 1):
+            return True
+    return False
+
+
+def chronological_through(out: list[int], into: list[int], u: int, v: int,
+                          bound: int) -> bool:
+    """The check `chronological_search` runs: `short_through` at a bound
+    up to `oracle._SHORT_BOUND`, the package's `_path_through` above it,
+    looked up at each call."""
+    if bound <= oracle._SHORT_BOUND:
+        return short_through(out, into, u, v, 1 << u | 1 << v, bound)
+    return oracle._path_through(out, into, u, v, bound)
+
+
+def chronological_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
+                         budget: int = oracle.COLORING_BUDGET,
+                         spent: int = 0) -> tuple[EdgeColoring | None, int]:
+    """A q-coloring of the n-vertex host with edges `edges` and every
+    monochromatic path <= bound, or None.
+
+    Edges are colored in the order given, `_search_order`'s: vertex by
+    vertex, the busiest first, so a class's paths close, and a coloring
+    that cannot be completed is refuted, a few edges after they start.
+    Colors are interchangeable, so edge i may only use colors up to one
+    past the highest color already used (canonical-form symmetry
+    reduction; the edge order is fixed, so this stays sound).  `spent`
+    nodes are already charged against the budget.  The search only goes
+    deeper while no class has a path longer than `bound`, so each node
+    checks only the paths through its new edge.
+    """
+    m = len(edges)
+    # per-color out- and in-masks and edge counts, updated as edges are
+    # (un)assigned
+    adj = [[0] * n for _ in range(q + 1)]
+    into = [[0] * n for _ in range(q + 1)]
+    count = [0] * (q + 1)
+    nodes = spent
+    # color[pos] is the color on edge pos, 0 while it has none, and
+    # top[pos] the highest color it may take: one past the highest on
+    # edges 0..pos-1, at most q.  A loop, not a recursion, so a host of
+    # any edge count fits in one frame.
+    color = [0] * m
+    top = [1] * (m + 1)
+    pos = 0
+    while pos < m:
+        u, v = edges[pos]
+        ubit, vbit = 1 << u, 1 << v
+        c = color[pos]
+        if c:  # take the color tried last off before the next
+            adj[c][u] ^= vbit
+            into[c][v] ^= ubit
+            count[c] -= 1
+            if c == top[pos]:  # every color tried: back up
+                color[pos] = 0
+                if not pos:
+                    return None, nodes
+                pos -= 1
+                continue
+        c += 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"coloring search exceeded {budget} nodes")
+        color[pos] = c
+        out, inn = adj[c], into[c]
+        out[u] |= vbit
+        inn[v] |= ubit
+        count[c] += 1
+        # fewer than bound+1 edges can never form a longer path
+        if count[c] <= bound or not chronological_through(out, inn, u, v, bound):
+            pos += 1
+            top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
+    return EdgeColoring.from_masks(adj[1:]), nodes
 
 
 def id_order_search(g: OrientedGraph, q: int, bound: int,

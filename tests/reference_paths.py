@@ -9,12 +9,14 @@ handover to on deep graphs.  `memo_search_longest_path` is the engine's
 route before its cyclic search took a floor and a reach bound: the same
 start loop and witness walk over `_ahead`, which memoizes the exact
 value of each (end, vertex set) state, so it must give the same witness
-on every input.
+on every input.  `reach_bound_longest_path` is the engine's route before
+its bound took the in side and the shared sole out-neighbors: the same
+witness again, in at least as many states.
 
-Both cyclic routes keep the vertex limit the package once had, here
-only: a cyclic support above `limit` (by default VERTEX_LIMIT) raises
-this module's SizeLimitError, so that a test can raise the limit to the
-host or count the questions the limit refused."""
+The subset DP and the memo search keep the vertex limit the package
+once had, here only: a cyclic support above `limit` (by default
+VERTEX_LIMIT) raises this module's SizeLimitError, so that a test can
+raise the limit to the host or count the questions the limit refused."""
 from functools import reduce
 from operator import or_
 
@@ -220,3 +222,94 @@ def memo_search_longest_path(adj: list[int], limit: int = VERTEX_LIMIT
         path.append(v)
         seen |= low
     return path, 1 << k
+
+
+def _reach_ahead(adj: list[int], memo: dict, w: int, seen: int, cap: int,
+                 floor: int) -> int:
+    """`paths._ahead` as it was before its bound took the in side and the
+    shared sole out-neighbors: a state is bounded by its reach less all
+    its dead ends but one, and charged when it returns."""
+    free = ~seen
+    m = adj[w] & free
+    if not m or cap <= 1:
+        return cap if m else 0
+    key = None
+    if cap > 2:
+        key = seen | w << len(adj)
+        top = memo.get(key)
+        if top is None:
+            reach = dead = 0
+            frontier = m
+            while frontier:
+                reach |= frontier
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    out = adj[low.bit_length() - 1] & free
+                    if out:
+                        nxt |= out
+                    else:
+                        dead += 1
+                frontier = nxt & ~reach
+            top = reach.bit_count() - max(0, dead - 1)
+        elif top >= 0:
+            return top
+        else:
+            top = ~top
+        if top <= floor:
+            memo[key] = ~top
+            return top
+        if top < cap:
+            cap = top
+    best = 0
+    while m:
+        low = m & -m
+        m ^= low
+        d = 1 + _reach_ahead(adj, memo, low.bit_length() - 1, seen | low, cap - 1,
+                             (best if best > floor else floor) - 1)
+        if d >= cap:
+            if key is not None:
+                memo[key] = cap if cap == top else ~top
+            return cap
+        if d > best:
+            best = d
+    if key is not None:
+        memo[key] = best if best > floor else ~best
+    return best
+
+
+def reach_bound_longest_path(adj: list[int]) -> tuple[list[int], int]:
+    """`longest_path_masks` with the one-sided reach bound on cyclic input
+    (`_reach_ahead`), as (vertices, states charged): the same start loop,
+    floors and witness walk, so it must give the same witness, in at
+    least as many states, with no limit or budget."""
+    n = len(adj)
+    if not n:
+        return [], 0
+    height, cyclic = _heights(adj)
+    if not cyclic:
+        return _walk(adj, height), n
+    into = reduce(or_, adj)
+    support = [v for v in range(n) if adj[v] or into >> v & 1]
+    cap = len(support) - 1
+    memo: dict = {}
+    need = -1
+    for w in support:
+        d = _reach_ahead(adj, memo, w, 1 << w, cap, need)
+        if d > need:
+            need, v = d, w
+            if d == cap:
+                break
+    path = [v]
+    seen = 1 << v
+    for rest in range(need - 1, -1, -1):
+        m = adj[v] & ~seen
+        low = m & -m
+        while _reach_ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
+            m ^= low
+            low = m & -m
+        v = low.bit_length() - 1
+        path.append(v)
+        seen |= low
+    return path, len(memo)
