@@ -30,16 +30,22 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
     is the OR of anc[x] over u's forward in-neighbours x, taken highest
     first, each one already covered dropped.  What reaches u is anc[u]
     closed under the kept backward edges, and a backward edge u -> v is
-    kept exactly when v lies outside that set.  A set that holds anc of
-    each of its vertices grows only along kept backward edges, so each
-    round of the closure ORs in anc of every tail of a kept backward edge
-    into a head it gained the round before.
+    kept exactly when v lies outside that set.
+
+    The closure stays a union of anc sets, so it grows only along kept
+    backward edges, and it runs from whichever end of them is fewer.  From
+    the heads it holds, each round ORs in anc of every tail of a kept
+    backward edge into a head it gained the round before.  From the tails
+    outside it, anc of each tail with a kept out-edge into it is ORed in
+    until none has one; such a tail has no forward out-neighbour inside
+    (it would lie in the same anc set), so the test sees its backward
+    edges alone.  Both reach the same fixpoint.
     """
     n = g.n
     anc = [0] * n
     # the kept backward edges, by head
     back_in = [0] * n
-    heads = 0
+    heads = tails = 0
     kept_out = [0] * n
     for u in range(n):
         bit = 1 << u
@@ -51,6 +57,21 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
             fwd &= ~seen
         anc[u] = seen
         new = seen & heads
+        rest = tails & ~seen
+        if rest.bit_count() < new.bit_count():
+            new = 0
+        else:
+            rest = 0
+        while rest:
+            last = seen
+            while rest:
+                t = rest.bit_length() - 1
+                if kept_out[t] & seen:
+                    seen |= anc[t]
+                    rest &= ~seen
+                else:
+                    rest ^= 1 << t
+            rest = tails & ~seen if seen != last else 0
         while new:
             found = 0
             while new:
@@ -68,6 +89,7 @@ def maximal_acyclic_subgraph(g: OrientedGraph) -> OrientedGraph:
         back = keep & below
         if back:
             heads |= back
+            tails |= bit
             while back:
                 low = back & -back
                 back_in[low.bit_length() - 1] |= bit
@@ -85,15 +107,21 @@ def gallai_roy(g: OrientedGraph, threshold: int) -> list[list[int]] | DirectedPa
     are H's levels (`level_decomposition`), which partition the vertices.
     Properness for all of g follows from maximality: an edge of g missing
     from H is backward with respect to H's levels, so its endpoints still
-    sit on distinct levels.
+    sit on distinct levels.  g's own heights come first: when no vertex
+    reaches a cycle, g is acyclic, none of its edges closes one, and H is
+    g itself, so the greedy pass is skipped and those heights are H's.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     # the heights on the acyclic H give the count and the path; only a
     # coloring needs the levels, the heights on H's in-masks
-    h = maximal_acyclic_subgraph(g)
-    out = h.out_masks()
-    height = _heights(out)[0]
+    h = g
+    out = g.out_masks()
+    height, cyclic = _heights(out)
+    if cyclic:
+        h = maximal_acyclic_subgraph(g)
+        out = h.out_masks()
+        height = _heights(out)[0]
     if max(height, default=0) >= threshold:
         return DirectedPath(_walk(out, height))
     return level_decomposition(h)

@@ -1,8 +1,9 @@
 """The maximal acyclic subgraph as it walked each vertex's ancestors from
 scratch along the kept in-masks, kept verbatim as the reference for
-`classic.maximal_acyclic_subgraph`, which closes forward ancestors
-instead.  It reads only out-masks, so it also checks graphs built without
-in-masks.
+`classic.maximal_acyclic_subgraph`, which instead closes each vertex's
+forward ancestors under the kept backward edges, from their heads or from
+their tails, whichever are fewer.  It reads only out-masks, so it also
+checks graphs built without in-masks.
 
 `is_proper_partition` is the check the tests of `gallai_roy` and
 `constructive_chromatic` share on the class lists they return."""

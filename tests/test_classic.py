@@ -19,9 +19,12 @@ from dipath_ramsey import (
     DirectedPath,
     EdgeColoring,
     OrientedGraph,
+    builder,
     classic,
     complete_symmetric,
     gallai_roy,
+    level_decomposition,
+    longest_path_dag,
     longest_path_exact,
     maximal_acyclic_subgraph,
     multicolor_path_finder,
@@ -277,7 +280,12 @@ def _assert_mas_matches_reference(g):
 
 def test_maximal_acyclic_matches_ancestor_walk_reference():
     """Tournaments, oriented graphs and digraphs with antiparallel pairs
-    on 0 to 100 vertices, sparse to complete."""
+    on 0 to 100 vertices, sparse to complete; then classes on 64 to 256
+    vertices whose closures run from both sides: red classes of random
+    2-colorings of tournaments and dense digraphs mostly from the tails of
+    kept backward edges outside a vertex's forward ancestors, sparse
+    oriented graphs mostly from the heads inside them, and planted classes
+    (edges up random parts) from each about as often."""
     rng = random.Random(23)
     cases = 0
     for i in range(240):
@@ -296,22 +304,37 @@ def test_maximal_acyclic_matches_ancestor_walk_reference():
         _assert_mas_matches_reference(OrientedGraph(n, [(v, u) for u in range(n)
                                                         for v in range(u + 1, n)]))
     assert cases == 240
+    for n in (64, 100, 160, 256):
+        t = random_tournament(n, n).underlying
+        parts = [rng.randrange(rng.choice((4, 8, 16))) for _ in range(n)]
+        red, planted = [0] * n, [0] * n
+        for u, v in t.edges():
+            if rng.random() < 0.5:
+                red[u] |= 1 << v
+            if parts[u] < parts[v]:
+                planted[u] |= 1 << v
+        for g in (OrientedGraph.from_masks(n, red), OrientedGraph.from_masks(n, planted),
+                  random_oriented_graph(n, 6 * n, n), random_digraph(n, n * n // 5, n)):
+            _assert_mas_matches_reference(g)
 
 
 def test_maximal_acyclic_matches_reference_on_builder_classes(monkeypatch):
-    """The classes the builder hands gallai_roy, rows cut to the vertices
-    still in play and built without in-masks, on random, planted and
-    three-color colorings of tournaments; plus such rows cut to random
-    vertex sets directly."""
+    """The classes the builder hands gallai_roy, acyclic ones included, rows
+    cut to the vertices still in play and built without in-masks, on
+    random, planted and three-color colorings of tournaments; plus such
+    rows cut to random vertex sets directly."""
     seen = []
 
     def checked(g):
         h = maximal_acyclic_subgraph(g)
         assert _mas_outcome(h) == _mas_outcome(reference_classic.maximal_acyclic_subgraph(g))
         seen.append(g.edge_count)
-        return h
 
-    monkeypatch.setattr(classic, "maximal_acyclic_subgraph", checked)
+    def checked_gallai_roy(g, threshold):
+        checked(g)
+        return gallai_roy(g, threshold)
+
+    monkeypatch.setattr(builder, "gallai_roy", checked_gallai_roy)
     rng = random.Random(24)
     calls = 0
     for i, n in enumerate((24, 48, 96, 128)):
@@ -336,6 +359,30 @@ def test_maximal_acyclic_matches_reference_on_builder_classes(monkeypatch):
                     rows = _cut_rows(col, c, n, within)
                     checked(OrientedGraph.from_masks(n, rows, allow_antiparallel=True))
     assert len(seen) == calls == 100 and max(seen) > 2000
+
+
+def test_gallai_roy_skips_the_subgraph_on_acyclic_classes(monkeypatch):
+    """An acyclic class is its own maximal acyclic subgraph: gallai_roy
+    never builds one for it and returns what the composition returns."""
+    rng = random.Random(30)
+    monkeypatch.setattr(classic, "maximal_acyclic_subgraph",
+                        lambda g: pytest.fail("subgraph built for an acyclic class"))
+    branches = set()
+    for n in (1, 8, 40, 128):
+        parts = [rng.randrange(6) for _ in range(n)]
+        t = random_tournament(n, n).underlying
+        g = OrientedGraph(n, [e for e in t.edges() if parts[e[0]] < parts[e[1]]])
+        tt = OrientedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        for dag in (g, tt, OrientedGraph.from_masks(n, g.out_masks())):
+            levels = level_decomposition(dag)
+            for threshold in (1, 3, 6, n):
+                got = gallai_roy(dag, threshold)
+                if len(levels) <= threshold:
+                    assert got == levels
+                else:
+                    assert got == longest_path_dag(dag)
+                branches.add(isinstance(got, list))
+    assert branches == {False, True}
 
 
 def test_gallai_roy_three_cycle():

@@ -20,6 +20,7 @@ from dipath_ramsey import (
     complete_symmetric,
     constructive_chromatic,
     dfs_long_path,
+    find_cycle,
     gallai_roy,
     level_decomposition,
     longest_path_dag,
@@ -146,22 +147,29 @@ def _as_tuple(outcome):
 
 
 def test_gallai_roy_matches_composition(monkeypatch):
-    """Same outcome as the composition, from one pass of `_heights` on the
-    path branch and at most two on the coloring branch."""
+    """Same outcome as the composition.  The first pass of `_heights` is
+    on g's own out-masks; an acyclic host then needs no other on the path
+    branch and one more on the coloring branch, the levels, while a cyclic
+    host takes one more on each branch, on its maximal acyclic subgraph."""
     rng = random.Random(77)
+    kinds = set()
     for i in range(300):
         g = _host(rng, i)
+        acyclic = find_cycle(g) is None
         for threshold in (1, 2, 3, 5, 8, 40):
             want = _as_tuple(_parent_gallai_roy(g, threshold))
             calls = []
             heights = paths._heights
             for module in (classic, paths):
                 monkeypatch.setattr(module, "_heights",
-                                    lambda *a: calls.append(1) or heights(*a))
+                                    lambda adj, *a: calls.append(adj) or heights(adj, *a))
             got = gallai_roy(g, threshold)
             monkeypatch.undo()
             assert _as_tuple(got) == want
-            assert len(calls) == 1 if want[0] == "path" else len(calls) <= 2
+            assert calls[0] == g.out_masks()
+            assert len(calls) == (want[0] == "coloring") + (1 if acyclic else 2)
+            kinds.add((acyclic, want[0]))
+    assert len(kinds) == 4
 
 
 def test_gallai_roy_empty_graph():

@@ -23,7 +23,7 @@ from dipath_ramsey import (
     transitive_tournament,
 )
 from dipath_ramsey.graphs import is_tournament, iter_bits
-from dipath_ramsey.pseudorandom import _violating_pair
+from dipath_ramsey.pseudorandom import _violating_pair, is_prime
 import reference_generators
 
 
@@ -97,6 +97,33 @@ def test_exact_finds_real_threshold():
         a, b = report.counterexample
         g = transitive_tournament(n)
         assert all(not g.has_edge(u, v) for u in a for v in b)
+
+
+def _paley_bound(p):
+    """ceil(sqrt(p)) for a prime p: QR_p is k-pseudorandom for every k >
+    sqrt(p), since for disjoint A and B of size k the character-sum bound
+    gives e(A -> B) = (k^2 + sum of chi(a - b)) / 2 >= (k^2 - k sqrt(p)) / 2."""
+    return math.isqrt(p) + 1
+
+
+@pytest.mark.parametrize("p, k_star", [(7, 2), (11, 3), (19, 4), (23, 4), (31, 4),
+                                       (43, 5), (47, 5)])
+def test_paley_exact_threshold_within_square_root(p, k_star):
+    """The exact scan's k* on QR_p is at most ceil(sqrt(p)), a theorem, so
+    a larger k* is a bug in the scan."""
+    report = pseudorandomness_exact(paley_tournament(p))
+    assert report.k_star == k_star <= _paley_bound(p)
+
+
+def test_paley_never_refuted_at_square_root():
+    """QR_p is ceil(sqrt(p))-pseudorandom for every prime p = 3 mod 4, so
+    the sampled refuter, whose refutations are certain, finds nothing."""
+    primes = [p for p in range(7, 140) if p % 4 == 3 and is_prime(p)]
+    assert len(primes) == 17
+    for p in primes:
+        g = paley_tournament(p)
+        for seed in range(5):
+            assert refute_pseudorandomness(g, _paley_bound(p), 2000, seed) is None
 
 
 def test_no_graph_is_very_pseudorandom():
