@@ -120,12 +120,13 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     of v that avoids it, found by the engine's own search, `paths._ahead`,
     with the class's in-masks for its bound.  Every path of the old class
     has at most `bound` edges, so both searches stop at that depth, and a
-    search that reaches it has found the path.  The longest path out of
-    v alone, `most`, is asked for with no floor; each path into u then
-    asks only whether `left` edges out of v remain, with floor `left` -
-    1, so a state whose reach falls short ends at once.  `_ahead` keeps a
-    bound on each (end, vertex set) state in one memo, and the backward
-    search keeps the states it refutes.
+    search that reaches it has found the path.  v alone is asked whether
+    `bound` edges leave it, with floor `bound` - 1, and if not, the upper
+    bound it returns, `most`, caps the paths out of v; each path into u
+    then asks only whether `left` edges out of v remain, with floor
+    `left` - 1, so a state whose reach falls short ends at once.  `_ahead`
+    keeps a bound on each (end, vertex set) state in one memo, and the
+    backward search keeps the states it refutes.
 
     Size alone refuses nothing.  The budget is per check: the memo and
     the refuted states are each charged against `paths._STATE_BUDGET`,
@@ -151,8 +152,8 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     memo: dict = {}  # _ahead's bounds on (end, vertex set) states
     ends = 1 << u | 1 << v
     try:
-        # no path out of v is longer than `most`
-        most = _ahead(out, into, memo, v, ends, bound, -1)
+        # below `bound`, no path out of v is longer than `most`
+        most = _ahead(out, into, memo, v, ends, bound, bound - 1)
         return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
@@ -166,9 +167,38 @@ def _short_through(out: list[int], into: list[int], w: int, v: int,
     edge (a, b)'s position), or -1 when there is none: `_path_through`'s
     plain search, one edge at a time, with no memo.  The mask is ORed
     together as the search unwinds, so at the top it holds every edge of
-    the path but (u, v)."""
+    the path but (u, v).  With one or two edges left it loops over the
+    masks in the order the recursion would take, so the mask is the same."""
     if not left:
         return 0
+    if left <= 2:
+        free = ~seen
+        ahead = out[v] & free
+        if left == 1:
+            if ahead:
+                return bits[v][(ahead & -ahead).bit_length() - 1]
+            m = into[w] & free
+            return bits[(m & -m).bit_length() - 1][w] if m else -1
+        m = ahead
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            nxt = out[x] & free
+            if nxt:
+                return bits[v][x] | bits[x][(nxt & -nxt).bit_length() - 1]
+        m = into[w] & free
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            nxt = ahead & ~low
+            if nxt:
+                return bits[x][w] | bits[v][(nxt & -nxt).bit_length() - 1]
+            nxt = into[x] & free
+            if nxt:
+                return bits[x][w] | bits[(nxt & -nxt).bit_length() - 1][x]
+        return -1
     hit = _out_of(out, v, seen, left, bits)
     if hit >= 0:
         return hit
@@ -177,7 +207,7 @@ def _short_through(out: list[int], into: list[int], w: int, v: int,
         low = m & -m
         m ^= low
         x = low.bit_length() - 1
-        hit = 0 if left == 1 else _short_through(out, into, x, v, seen | low, left - 1, bits)
+        hit = _short_through(out, into, x, v, seen | low, left - 1, bits)
         if hit >= 0:
             return hit | bits[x][w]
     return -1

@@ -50,11 +50,9 @@ def _ahead(adj: list[int], into: list[int], memo: dict, w: int, seen: int,
     vertex is last.  In side: of the vertices of R whose one in-neighbor
     in R + w is the same y, only one is on the path.  The in side costs a
     second pass over R, so it runs only when the out side leaves the
-    state one edge above `floor`: on 800 classes of 16-vertex 100-edge
-    oriented graphs 97 % of the states it ended were there, and passes at
-    other gaps cost more than they saved.  A state whose bound is at most
-    `floor` returns at once, and one whose bound is below `cap` stops at
-    the first path that long.
+    state one edge above `floor`, where it ends the most states.  A state
+    whose bound is at most `floor` returns at once, and one whose bound
+    is below `cap` stops at the first path that long.
 
     `memo` maps `seen | w << len(adj)` of a state that may have 3+ edges
     to its exact value d, or to ~u for an upper bound u, so one dict
@@ -246,10 +244,13 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
 
     A cyclic input is searched from each vertex of its support (vertices
     with an edge) by `_ahead`, with the in-masks, built once, and one memo
-    of bounds on (end, vertex set) states: each start is asked only
-    whether it beats the longest path so far, and each step of the
-    witness whether it keeps the length still needed, so states whose
-    bound cannot do so end at once.
+    of bounds on (end, vertex set) states.  Every question asks for a
+    length, not a value, so states whose bound falls short end at once.
+    The target L starts one below the support size, and each round asks
+    every start, in id order, for a path of L edges: the first that has
+    one starts the witness, and if none does, each has returned an upper
+    bound below L, the largest of which is the next L.  Each step of the
+    witness asks whether the next vertex keeps the length still needed.
     Size alone refuses nothing: explored is the states charged, and the
     search raises BudgetExceededError past _STATE_BUDGET of them, or when
     a path is too long for the interpreter's recursion limit (about a
@@ -269,16 +270,22 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
             into[low.bit_length() - 1] |= bit
             m ^= low
     support = [v for v in range(n) if adj[v] or into[v]]
-    cap = len(support) - 1
+    need = len(support) - 1
     memo: dict = {}
-    need = -1
     try:
-        for w in support:
-            d = _ahead(adj, into, memo, w, 1 << w, cap, need)
-            if d > need:
-                need, v = d, w
-                if d == cap:
+        v = -1
+        while v < 0:
+            top = 0
+            for w in support:
+                d = _ahead(adj, into, memo, w, 1 << w, need, need - 1)
+                if d >= need:
+                    v = w
                     break
+                if d > top:
+                    top = d
+            else:
+                # each start returned an upper bound below `need`
+                need = top
         path = [v]
         seen = 1 << v
         for rest in range(need - 1, -1, -1):

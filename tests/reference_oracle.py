@@ -26,7 +26,12 @@ since dropped the guard; it stays here, as CLASS_SUPPORT_LIMIT and the
 reference SizeLimitError, so that tests can count the questions each
 check refused.  Both run the package's `_ahead` and `_behind`, which
 charge `paths._STATE_BUDGET`; a test that wants either check exactly as
-it was raises that budget out of reach."""
+it was raises that budget out of reach.
+
+`recursive_short_through` is `oracle._short_through` before its checks
+with one or two edges left became loops: the recursion at every length,
+with its own `recursive_out_of`.  It must return the same position mask
+on every check."""
 from dipath_ramsey import oracle
 from dipath_ramsey.errors import BudgetExceededError
 from dipath_ramsey.graphs import EdgeColoring, OrientedGraph
@@ -125,6 +130,44 @@ def out_of(out: list[int], w: int, seen: int, left: int) -> bool:
         if out_of(out, low.bit_length() - 1, seen | low, left - 1):
             return True
     return False
+
+
+def recursive_short_through(out: list[int], into: list[int], w: int, v: int,
+                            seen: int, left: int, bits: list) -> int:
+    """The positions of a path into u that starts at w and covers `seen`,
+    met by a path out of v of `left` edges that avoids it, or extended
+    backward first, as the OR of their edges' `bits` (bits[a][b] names
+    edge (a, b)'s position), or -1 when there is none, one edge at a
+    time."""
+    if not left:
+        return 0
+    hit = recursive_out_of(out, v, seen, left, bits)
+    if hit >= 0:
+        return hit
+    m = into[w] & ~seen
+    while m:
+        low = m & -m
+        m ^= low
+        x = low.bit_length() - 1
+        hit = 0 if left == 1 else recursive_short_through(out, into, x, v, seen | low,
+                                                          left - 1, bits)
+        if hit >= 0:
+            return hit | bits[x][w]
+    return -1
+
+
+def recursive_out_of(out: list[int], w: int, seen: int, left: int, bits: list) -> int:
+    """The positions of a path of `left` >= 1 edges that leaves w along
+    `out` avoiding `seen`, as in `recursive_short_through`, or -1."""
+    m = out[w] & ~seen
+    while m:
+        low = m & -m
+        m ^= low
+        x = low.bit_length() - 1
+        hit = 0 if left == 1 else recursive_out_of(out, x, seen | low, left - 1, bits)
+        if hit >= 0:
+            return hit | bits[w][x]
+    return -1
 
 
 def chronological_through(out: list[int], into: list[int], u: int, v: int,

@@ -11,7 +11,11 @@ start loop and witness walk over `_ahead`, which memoizes the exact
 value of each (end, vertex set) state, so it must give the same witness
 on every input.  `reach_bound_longest_path` is the engine's route before
 its bound took the in side and the shared sole out-neighbors: the same
-witness again, in at least as many states.
+witness again, in at least as many states.  `ascending_longest_path` is
+the engine's start loop before its target descended from the support
+size: the first start asked for its exact value, each later one only
+whether it beats the longest path so far, over the package's `_ahead`;
+the same witness again, in the states that loop charges.
 
 The subset DP and the memo search keep the vertex limit the package
 once had, here only: a cyclic support above `limit` (by default
@@ -20,6 +24,7 @@ raise the limit to the host or count the questions the limit refused."""
 from functools import reduce
 from operator import or_
 
+from dipath_ramsey import paths
 from dipath_ramsey.paths import _heights, _walk
 
 VERTEX_LIMIT = 16
@@ -307,6 +312,49 @@ def reach_bound_longest_path(adj: list[int]) -> tuple[list[int], int]:
         m = adj[v] & ~seen
         low = m & -m
         while _reach_ahead(adj, memo, low.bit_length() - 1, seen | low, rest, rest - 1) < rest:
+            m ^= low
+            low = m & -m
+        v = low.bit_length() - 1
+        path.append(v)
+        seen |= low
+    return path, len(memo)
+
+
+def ascending_longest_path(adj: list[int]) -> tuple[list[int], int]:
+    """`longest_path_masks` with the start loop it ran before its target
+    descended, as (vertices, states charged): the first start's exact
+    value, then each start asked whether it beats the longest path so
+    far, over the package's `_ahead` with the in-masks; the same witness
+    walk, so it must give the same witness."""
+    n = len(adj)
+    if not n:
+        return [], 0
+    height, cyclic = _heights(adj)
+    if not cyclic:
+        return _walk(adj, height), n
+    into = [0] * n
+    for u, m in enumerate(adj):
+        while m:
+            low = m & -m
+            into[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    support = [v for v in range(n) if adj[v] or into[v]]
+    cap = len(support) - 1
+    memo: dict = {}
+    need = -1
+    for w in support:
+        d = paths._ahead(adj, into, memo, w, 1 << w, cap, need)
+        if d > need:
+            need, v = d, w
+            if d == cap:
+                break
+    path = [v]
+    seen = 1 << v
+    for rest in range(need - 1, -1, -1):
+        m = adj[v] & ~seen
+        low = m & -m
+        while paths._ahead(adj, into, memo, low.bit_length() - 1, seen | low, rest,
+                           rest - 1) < rest:
             m ^= low
             low = m & -m
         v = low.bit_length() - 1

@@ -30,6 +30,7 @@ from dipath_ramsey.paths import _heights, _levels, longest_path_masks
 from reference_adversary import find_cycle as reference_find_cycle
 from reference_paths import (
     _kahn,
+    ascending_longest_path,
     memo_search_longest_path,
     reach_bound_longest_path,
     reference_longest_path,
@@ -181,7 +182,7 @@ def test_state_budget_refuses_by_states_charged(monkeypatch):
 def test_sixteen_vertex_classes_keep_the_budget_headroom():
     """1,000 seeded classes of 16-vertex oriented graphs, m = 40-120, each
     split at random into 1-3 classes, the shape of the oracle's path
-    jobs: the worst charges under a fiftieth of the state budget (755
+    jobs: the worst charges under a fiftieth of the state budget (644
     states measured), so a change that makes the search visit many more
     states shows here before any such class is refused."""
     rng = random.Random(16)
@@ -527,7 +528,7 @@ def test_two_sided_bound_matches_reach_bound_reference():
     of the one-sided reach bound it replaced on every class, in at most
     as many states: on the reference classes, and on both classes of 100
     seeded 2-colored 16-vertex 100-edge oriented graphs, the shape of the
-    oracle's path jobs, where it charges under half the states (24,695
+    oracle's path jobs, where it charges under half the states (14,019
     against 62,714)."""
     def charged(adj):
         got, explored = longest_path_masks(adj)
@@ -542,6 +543,39 @@ def test_two_sided_bound_matches_reach_bound_reference():
             for adj in _split(random_oriented_graph(16, 100, s), 2, rng)]
     ours, ref = map(sum, zip(*jobs))
     assert ours < ref / 2
+
+
+def test_descending_target_matches_ascending_reference():
+    """Asking each start for a target that descends from the support size
+    gives the witness of the loop it replaced, which asked the first
+    start for its exact value and each later one whether it beats the
+    best so far: on both classes of 200 seeded 2-colored 16-vertex
+    100-edge oriented graphs, the shape of the oracle's path jobs, where
+    it charges fewer states; on whole 16-vertex oriented graphs of 20, 30
+    and 40 edges; on the classes of 2-colored 18-edge 6-vertex digraphs;
+    and on the sparse 64-vertex class, a 3-cycle beside a 21-edge path,
+    K17 and K14 with two sinks."""
+    def same(adj):
+        got, explored = longest_path_masks(adj)
+        ref, ref_explored = ascending_longest_path(adj)
+        assert got == ref
+        return explored, ref_explored
+
+    rng = random.Random(4040)
+    jobs = [same(adj) for s in range(200)
+            for adj in _split(random_oriented_graph(16, 100, s), 2, rng)]
+    ours, ref = map(sum, zip(*jobs))
+    assert ours < ref
+    for m in (20, 30, 40):
+        for s in range(100):
+            same(random_oriented_graph(16, m, 1000 * m + s).out_masks())
+    for s in range(100):
+        for adj in _split(random_digraph(6, 18, s), 2, rng):
+            same(adj)
+    path = OrientedGraph(25, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 24)])
+    for adj in (_sparse_64_class(), path.out_masks(), complete_symmetric(17).out_masks(),
+                _clique_with_sinks(14, 2)):
+        same(adj)
 
 
 def test_state_budget_counts_the_current_descent(monkeypatch):

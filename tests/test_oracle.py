@@ -421,6 +421,66 @@ def test_search_matches_check_before_short_bound(monkeypatch):
     assert shorts == 60
 
 
+def test_flat_short_checks_match_recursive_reference(monkeypatch):
+    """The checks with one or two edges left, loops over the masks, name
+    the same positions as the recursion they replaced
+    (`reference_oracle.recursive_short_through`) on every check of the
+    minmax decisions of 18-edge 6-vertex digraphs and 7-vertex
+    tournaments and the arrow decisions of the tournaments at q = 2, 100
+    seeded hosts each, the recursion's own calls at three edges left
+    included; each length from 1 to 3 both finds a path and finds none."""
+    short = oracle._short_through
+    outcomes = collections.Counter()
+
+    def compared(out, into, w, v, seen, left, bits):
+        got = short(out, into, w, v, seen, left, bits)
+        assert got == reference_oracle.recursive_short_through(out, into, w, v, seen, left, bits)
+        outcomes[left, got >= 0] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "_short_through", compared)
+    for s in range(100):
+        min_max_mono_path(random_digraph(6, 18, s), 2)
+        t7 = random_tournament(7, s).underlying
+        min_max_mono_path(t7, 2)
+        arrowing_check(t7, 3, 2)
+    assert set(outcomes) == set(itertools.product((1, 2, 3), (True, False)))
+
+
+def test_swapped_check_reaches_every_short_check(monkeypatch):
+    """`_swap_check` works through the name `_short_through`, so the
+    coloring search must call that name at every check: at bounds 1-3 a
+    decision run with the swapped subset-DP check makes as many checks,
+    finds the same coloring, or none, and spends as many nodes as
+    `reference_oracle.chronological_search` with that check."""
+    calls = collections.Counter()
+
+    def counted(name):
+        def check(*args):
+            calls[name] += 1
+            return _reference_through(*args)
+        return check
+
+    checks = 0
+    for g in _job_hosts():
+        order = oracle._search_order(g)
+        for q, bound in itertools.product((1, 2), (1, 2, 3)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                _swap_check(m, counted("swapped"))
+                witness, nodes = oracle._decision_search(g.n, order, q, bound,
+                                                         oracle.COLORING_BUDGET, 0)
+            with monkeypatch.context() as m:
+                m.setattr(reference_oracle, "chronological_through", counted("reference"))
+                ref, ref_nodes = reference_oracle.chronological_search(g.n, order, q, bound)
+            assert (witness is None) == (ref is None) and nodes == ref_nodes
+            if witness is not None:
+                assert list(witness.items()) == list(ref.items())
+            assert calls["swapped"] == calls["reference"]
+            checks += calls["swapped"]
+    assert checks > 1000
+
+
 def _memo_search(adj, into, memo, w, seen, cap, floor):
     """The exact-value memo search in the shared search's place: it takes
     no in-masks or floor and answers the value capped at `cap`."""
@@ -932,7 +992,8 @@ def test_oracle_reach_script_reports_each_question():
     budget of 2^22 nodes and prints its answer and nodes: TT10 -> P_3 in
     16,246 nodes (1,065,567 backing up one edge at a time), TT9 -> P_2 at
     q=3 within the budget, and TT16 -> P_4, which ran out of nodes backing
-    up one edge at a time, in 159,967."""
+    up one edge at a time, in 159,967.  It then measures three cyclic
+    classes with the exact path engine and prints each longest path."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -945,7 +1006,10 @@ def test_oracle_reach_script_reports_each_question():
                  "TT9 -> P_2, q=3: arrows, 33,713 nodes",
                  "rot7 -> P_2, q=3: arrows, 143 nodes",
                  "rot11 -> P_4, q=2: arrows, 43,032 nodes",
-                 "TT16 -> P_4, q=2: does not arrow, 159,967 nodes"):
+                 "TT16 -> P_4, q=2: does not arrow, 159,967 nodes",
+                 "3-cycle beside a 21-edge path: longest path 21,",
+                 "K14 with 2 sinks: longest path 14,",
+                 "K17: longest path 16,"):
         assert line in res.stdout
 
 
