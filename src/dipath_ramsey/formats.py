@@ -21,13 +21,15 @@ check is scanned line by line, which reports the first offending line (and
 parses a body whose only quirks are other whitespace, leading zeros or
 color ids at or above n).
 
-A host and its coloring are read together in one parse (`parse_colored`,
-`read_colored`).  When the coloring passes its bulk check, the union of its
-classes passes the graph's mask checks, and the graph text is that union's
-serialization byte for byte, as it is for every pair the writers produce,
-only the coloring is parsed and the union is the graph.  Any other pair,
-and any pair that fails a check, goes through parse_graph and then
-parse_coloring, which decide the result or the error.
+A host and its coloring are read together (`parse_colored`,
+`read_colored`).  A coloring the writers made with colors 1 to 9 is the
+edge body with " c" before each LF.  One same-length replace per color
+marks each " c\n" with non-ASCII bytes, which give the colors; deleted,
+they must leave the edge body byte for byte, which alone is tokenized.
+Another coloring is parsed alone when it passes its bulk check and the
+graph text serializes the union of its classes.  Any other pair, and any
+pair that fails a check, goes through parse_graph then parse_coloring,
+which decide the result or the error.
 
 The serializers pick by the host's density.  A dense host (colors * n^2
 at most 48 m) writes each vertex's lines with one join, its row's bit
@@ -38,7 +40,7 @@ one step per edge.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, eq, or_
 
 from .errors import FormatError
@@ -47,6 +49,10 @@ from .graphs import _DENSE, EdgeColoring, OrientedGraph, _transpose
 _KINDS = {"oriented": False, "symmetric": True}
 
 _DIGITS = b"0123456789"
+# the color column " c" of a line, c in 1..9, marked as two bytes 0x80 | c
+_MARKS = [(b" %d\n" % c, bytes((0x80 | c, 0x80 | c)) + b"\n") for c in range(10)]
+_ASCII, _MARKED = bytes(range(0x80)), bytes(range(0x80, 0x100))
+_COLOR = bytes(i & 0x7F for i in range(0x100))
 # a row's bit string, "0"/"1" per vertex, as compress selectors
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -159,30 +165,41 @@ def _head(text: str) -> tuple[int, int, bool, str]:
     return n, m, _KINDS[head[2]], body
 
 
+def _or_edges(n: int, m: int, lines, k: int) -> tuple[list[list[int]], list[int] | None]:
+    """(rows, in-masks): the out-mask rows of classes 0..k-1, ORed from the
+    m edge lines (u, v, c) of `lines` as bit v of rows[c][u].  A sparse
+    body ORs the in-masks of all classes together in the same loop; a
+    dense one leaves them (None) to one transpose of the union."""
+    rows = [[0] * n for _ in range(k)]
+    if n * n < _DENSE * m:
+        bits = [1 << i for i in range(n)]
+        for u, v, c in lines:
+            rows[c][u] |= bits[v]
+        return rows, None
+    inn = [0] * n
+    for u, v, c in lines:
+        rows[c][u] |= 1 << v
+        inn[v] |= 1 << u
+    return rows, inn
+
+
 def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
                 nums: list[int], width: int,
-                inn: list[int] | None = None) -> OrientedGraph | None:
-    """The graph with out-masks `out`, ORed from the m edge lines whose
-    ids `nums` hold u and v at the start of every `width` numbers, when
-    its masks pass the checks: no loop, m distinct edges, and no
-    antiparallel pair unless symmetric.  None sends the body to the line
-    scan.  A sparse body's in-masks `inn` may come along, ORed in the
-    caller's loop over the edges; a dense one's come from the transpose."""
+                inn: list[int] | None) -> OrientedGraph | None:
+    """The graph with out-masks `out`, ORed by `_or_edges` from the m edge
+    lines whose ids `nums` hold u and v at the start of every `width`
+    numbers, with the in-masks `inn` it returned, when its masks pass the
+    checks: no loop, m distinct edges, and no antiparallel pair unless
+    symmetric.  None sends the body to the line scan."""
     # m distinct edges from m lines leave no room for a duplicate
     if sum(map(int.bit_count, out)) != m:
         return None
-    if n * n < _DENSE * m:
+    if inn is None:
         if any(map(and_, out, [1 << i for i in range(n)])):
             return None
         inn = _transpose(out, n)
-    else:
-        us, vs = nums[0::width], nums[1::width]
-        if any(map(eq, us, vs)):
-            return None
-        if inn is None:
-            inn = [0] * n
-            for u, v in zip(us, vs):
-                inn[v] |= 1 << u
+    elif any(map(eq, nums[0::width], nums[1::width])):
+        return None
     if symmetric or not any(map(and_, out, inn)):
         return OrientedGraph.from_masks(n, out, inn, symmetric)
     return None
@@ -192,18 +209,9 @@ def parse_graph(text: str) -> OrientedGraph:
     n, m, symmetric, body = _head(text)
     nums = _bulk_ints(body, b" \n", m, n)
     if nums is not None:
-        out = [0] * n
-        inn = None
         pairs = iter(nums)
-        if n * n < _DENSE * m:
-            bits = [1 << i for i in range(n)]
-            for u, v in zip(pairs, pairs):
-                out[u] |= bits[v]
-        else:
-            inn = [0] * n
-            for u, v in zip(pairs, pairs):
-                out[u] |= 1 << v
-                inn[v] |= 1 << u
+        # every edge in the one class 0
+        (out,), inn = _or_edges(n, m, zip(pairs, pairs, repeat(0)), 1)
         g = _mask_graph(n, m, symmetric, out, nums, 2, inn)
         if g is not None:
             return g
@@ -241,8 +249,8 @@ def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
 
 
 def _bulk_classes(text: str, n: int, m: int, num_colors: int | None):
-    """(numbers, out-masks of colors 1..q) of a coloring text of m lines
-    that passes the bulk check with every color in 1..q, q being
+    """(numbers, in-masks, out-masks of colors 1..q) of a coloring text of
+    m lines that passes the bulk check with every color in 1..q, q being
     num_colors or else the top color; None sends it to the line scan."""
     nums = _bulk_ints(text, b"  \n", m, n)
     if nums is None:
@@ -251,16 +259,35 @@ def _bulk_classes(text: str, n: int, m: int, num_colors: int | None):
     q = top if num_colors is None else num_colors
     if not 0 < top <= q:
         return None
-    masks = [[0] * n for _ in range(q + 1)]
     triples = iter(nums)
-    if n * n < _DENSE * m:
-        bits = [1 << i for i in range(n)]
-        for u, v, c in zip(triples, triples, triples):
-            masks[c][u] |= bits[v]
+    rows, inn = _or_edges(n, m, zip(triples, triples, triples), q + 1)
+    return nums, inn, rows[1:]
+
+
+def _strip_colors(body: str, text: str, m: int,
+                  num_colors: int | None) -> tuple[bytes, int] | None:
+    """(colors line by line, q) of a coloring text that is the edge body
+    `body` with " c" before each of its m LFs, c a digit from 1 to q: q is
+    num_colors, if at most 9, or else the top color.  None otherwise."""
+    top = 9 if num_colors is None else num_colors
+    # the strip leaves the body, two bytes a line shorter and first line first
+    if (top > 9 or len(text) != len(body) + 2 * m or not text.isascii()
+            or not text.startswith(body[:body.find("\n")] + " ")):
+        return None
+    data = text.encode()
+    for q in range(1, top + 1):
+        data = data.replace(*_MARKS[q])  # same length: copies once
+        # with no palette given, the first color to mark the last unmarked
+        # line is the top one
+        if num_colors is None or q == top:
+            marks = data.translate(None, _ASCII)
+            if len(marks) == 2 * m:
+                break
     else:
-        for u, v, c in zip(triples, triples, triples):
-            masks[c][u] |= 1 << v
-    return nums, masks[1:]
+        return None
+    if data.translate(None, _MARKED) == body.encode():
+        return marks[::2].translate(_COLOR), q
+    return None
 
 
 def _union(masks: list[list[int]]) -> list[int]:
@@ -281,8 +308,8 @@ def parse_coloring(text: str, g: OrientedGraph,
     bulk = _bulk_classes(text, g.n, g.edge_count, num_colors)
     # as many lines as host edges: covering them all in colors 1..q leaves
     # no room for a duplicate or a color 0
-    if bulk is not None and _union(bulk[1]) == g.out_masks():
-        return EdgeColoring.from_masks(bulk[1])
+    if bulk is not None and _union(bulk[2]) == g.out_masks():
+        return EdgeColoring.from_masks(bulk[2])
     return _scan_coloring(text, g, num_colors)
 
 
@@ -291,19 +318,32 @@ def parse_colored(graph_text: str, coloring_text: str,
     """(graph, coloring) of a graph text and a coloring of it: the result,
     or the error, of parse_graph then parse_coloring.
 
-    When the graph text is the serialization of the union of the
-    coloring's classes, as for every pair the writers make, only the
-    coloring is parsed: the graph is that union, under parse_graph's mask
-    checks.  Any other pair takes the two parsers.
+    A coloring text that is the graph's edge body with " c" before each
+    LF, c a single digit from 1 to num_colors (to 9 when num_colors is not
+    given; never with num_colors above 9), as the writers make it, has that
+    color column stripped off its bytes: only the edge body is tokenized,
+    under parse_graph's bulk and mask checks.  Any other coloring is parsed
+    alone when the graph text is the serialization of the union of its
+    classes.  Any other pair takes the two parsers.
     """
-    n, m, symmetric, _ = _head(graph_text)
-    bulk = _bulk_classes(coloring_text, n, m, num_colors)
-    if bulk is not None:
-        # a color 0 leaves its edge out of the union, below m edges
-        nums, masks = bulk
-        g = _mask_graph(n, m, symmetric, _union(masks), nums, 3)
-        if g is not None and serialize_graph(g) == graph_text:
-            return g, EdgeColoring.from_masks(masks)
+    n, m, symmetric, body = _head(graph_text)
+    strip = _strip_colors(body, coloring_text, m, num_colors)
+    if strip is not None:
+        nums = _bulk_ints(body, b" \n", m, n)
+        if nums is not None:
+            pairs = iter(nums)
+            rows, inn = _or_edges(n, m, zip(pairs, pairs, strip[0]), strip[1] + 1)
+            g = _mask_graph(n, m, symmetric, _union(rows[1:]), nums, 2, inn)
+            if g is not None:
+                return g, EdgeColoring.from_masks(rows[1:])
+    else:
+        bulk = _bulk_classes(coloring_text, n, m, num_colors)
+        if bulk is not None:
+            # a color 0 leaves its edge out of the union, below m edges
+            nums, inn, masks = bulk
+            g = _mask_graph(n, m, symmetric, _union(masks), nums, 3, inn)
+            if g is not None and serialize_graph(g) == graph_text:
+                return g, EdgeColoring.from_masks(masks)
     g = parse_graph(graph_text)
     return g, parse_coloring(coloring_text, g, num_colors)
 

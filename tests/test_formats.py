@@ -363,7 +363,7 @@ def test_writer_pairs_take_one_parse(monkeypatch):
                 assert got[0] == _describe(g)
             took_fast = len(calls) == before
             # the bulk parse takes ids, colors too, below n
-            assert took_fast == (0 < len(edges) and max(colors) < g.n)
+            assert took_fast == (0 < len(edges) and (max(colors) < g.n or q + 3 <= 9))
             fast += took_fast
             lines = ctext.splitlines(keepends=True)
             if len(lines) > 1:
@@ -421,6 +421,87 @@ def test_colored_pair_special_cases(monkeypatch):
     # a bad header is reported as parse_graph reports it
     for gtext in ("", "3 x oriented\n", "3 1 acyclic\n0 1\n", "3 2 oriented\n0 1\n"):
         assert _check_pair(gtext, "0 1 1\n")[0] == "raise"
+    # the color column the strip reads, and texts one step from it
+    gtext = "3 2 oriented\n0 1\n1 2\n"
+    for ctext, num_colors in (("0 1 01\n1 2 1\n", None), ("0 1 3\n1 2 1\n", 2),
+                              ("0 1 9\n1 2 1\n", 8), ("0 1\t1\n1 2 1\n", None),
+                              ("0 1 1\n1 2 2", None), ("0 1 1\n1 2 2", 2),
+                              ("0 1 1\n1 2 \u0661\n", None), ("0 1 1\n1 2\u0080\n", None),
+                              ("0 1 1\n1 2 \ud800\n", None),
+                              ("0 1\x81\x81\n1 2\x82\x82\n", None), ("0 1 1\n1 2 1\n", 0)):
+        _check_pair(gtext, ctext, num_colors)
+    # colors 9 and 10 in one file, on a host with ids past them
+    g = random_oriented_graph(40, 300, 7)
+    col = EdgeColoring(10, {e: 9 + i % 2 for i, e in enumerate(g.edges())})
+    ctext = serialize_coloring(g, col)
+    before = len(calls)
+    for num_colors in (None, 9, 10, 12):
+        _check_pair(serialize_graph(g), ctext, num_colors)
+    assert len(calls) == before + 1     # only num_colors 9, which raises, falls back
+
+
+def _routes(monkeypatch):
+    """A pair checker that also returns how many times parse_colored
+    itself called the token route's `_bulk_classes` and `serialize_graph`
+    compare, and fell back to the two parsers."""
+    calls = {"_bulk_classes": 0, "serialize_graph": 0, "parse_graph": 0}
+
+    def counted(name):
+        real = getattr(formats, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(formats, name, counted(name))
+
+    def check(gtext, ctext, num_colors=None):
+        before = dict(calls)
+        got = _outcome(parse_colored, gtext, ctext, num_colors)
+        used = {name: calls[name] - before[name] for name in calls}
+        assert got == _outcome(_two_parses, gtext, ctext, num_colors)
+        return got, used
+    return check
+
+
+def test_writer_pairs_take_the_color_strip(monkeypatch):
+    """Writer pairs with colors 1 to 9, dense and sparse, with num_colors
+    not given, q and q + 3 up to 9, are read by the color strip: neither
+    the token route nor the two parsers run.  Colors 10 and above, and a
+    coloring in reverse line order, take the token route and not the two
+    parsers."""
+    check = _routes(monkeypatch)
+    rng = random.Random(20)
+    dense = sparse = 0
+    for g in _hosts():
+        if not g.edge_count or g.edge_count > 4000:
+            continue
+        gtext, edges = serialize_graph(g), g.edges()
+        for q in range(1, 10):
+            colors = [rng.randint(1, q) for _ in edges]
+            ctext = serialize_coloring(g, EdgeColoring(q, dict(zip(edges, colors))))
+            for num_colors in (None, q, q + 3) if q + 3 <= 9 else (None, q):
+                got, used = check(gtext, ctext, num_colors)
+                assert got[1][1] == (max(colors) if num_colors is None else num_colors)
+                assert not any(used.values())
+        if g.n * g.n < 32 * g.edge_count:
+            dense += 1
+        else:
+            sparse += 1
+    assert dense >= 4 and sparse >= 4
+    for g in _hosts():
+        if g.n < 100 or g.edge_count > 4000:
+            continue
+        gtext, edges = serialize_graph(g), g.edges()
+        big = EdgeColoring(12, {e: 10 + i % 3 for i, e in enumerate(edges)})
+        small = EdgeColoring(3, {e: 1 + i % 3 for i, e in enumerate(edges)})
+        lines = serialize_coloring(g, small).splitlines(keepends=True)
+        for ctext in (serialize_coloring(g, big), "".join(lines[::-1])):
+            got, used = check(gtext, ctext)
+            assert got[0] == _describe(g)
+            assert used == {"_bulk_classes": 1, "serialize_graph": 1, "parse_graph": 0}
 
 
 def test_read_colored_reports_the_graph_first(tmp_path):
@@ -472,6 +553,35 @@ def test_graph_round_trip(g):
     h = parse_graph(serialize_graph(g))
     assert h == g and h.edge_count == g.edge_count
     assert [h.in_mask(v) for v in range(h.n)] == [g.in_mask(v) for v in range(g.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs(max_n=12), st.data())
+def test_parse_colored_matches_two_parses_on_edits(g, data):
+    """On a drawn host and coloring, with two lines of either file swapped
+    or one byte of either file changed, parse_colored gives the result or
+    the error of parse_graph then parse_coloring."""
+    q = data.draw(st.integers(1, 12))
+    colors = data.draw(st.lists(st.integers(1, q), min_size=g.edge_count,
+                                max_size=g.edge_count))
+    texts = [serialize_graph(g),
+             serialize_coloring(g, EdgeColoring(q, dict(zip(g.edges(), colors))))]
+    side = data.draw(st.integers(0, 1))
+    text = texts[side]
+    edit = data.draw(st.sampled_from(["none", "swap", "byte"]))
+    if edit == "swap" and text:
+        lines = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+        texts[side] = "".join(lines)
+    elif edit == "byte":
+        i = data.draw(st.integers(0, len(text)))
+        new = data.draw(st.sampled_from(["", " ", "\n", "\t", "0", "1", "9", "x", "\u0080"]))
+        texts[side] = text[:i] + new + text[i + 1:]
+    num_colors = data.draw(st.sampled_from([None, q, data.draw(st.integers(0, 12))]))
+    assert (_outcome(parse_colored, *texts, num_colors)
+            == _outcome(_two_parses, *texts, num_colors))
 
 
 @settings(max_examples=300, deadline=None)
