@@ -5,8 +5,12 @@ of the exact path engine on known cyclic classes.
 Runs one decision of the coloring search per question, directly and
 without the product floor that lets `arrowing_check` skip some of them:
 rot9 -> P_4, TT9 -> P_3, TT10 -> P_3, rot11 -> P_4 and TT16 -> P_4 at
-q=2, and TT9 -> P_2 and rot7 -> P_2 at q=3 (rotn is the rotational
-tournament on Z_n, TTn the transitive one).  Then measures the longest
+q=2, TT9 -> P_2 and rot7 -> P_2 at q=3, and rot7 -> P_6 and rot7 -> P_7
+at q=1 (rotn is the rotational tournament on Z_n, TTn the transitive
+one).  The q=1 questions sit above bound 3, where the search checks each
+new edge with `oracle._path_through`'s longer route, and
+`paths.longest_path_masks` confirms their answers: one color arrows P_k
+exactly when the host has a path of k edges.  Then measures the longest
 path of three cyclic classes with `paths.longest_path_masks`: a 3-cycle
 beside a 21-edge path, K14 with an edge to each of 2 sinks, and K17
 (Kn with both directions of every edge).  Prints the answer, the nodes
@@ -41,6 +45,8 @@ QUESTIONS = [
     ("rot7 -> P_2, q=3", rotational(7), 2, 3, True),
     ("rot11 -> P_4, q=2", rotational(11), 4, 2, True),
     ("TT16 -> P_4, q=2", transitive_tournament(16), 4, 2, False),
+    ("rot7 -> P_6, q=1", rotational(7), 6, 1, True),
+    ("rot7 -> P_7, q=1", rotational(7), 7, 1, False),
 ]
 
 # (name, out-masks of a cyclic class, edges of its longest path)
@@ -66,11 +72,18 @@ def main() -> int:
                   f"{time.process_time() - t0:.2f} s")
             wrong += 1
             continue
+        seconds = time.process_time() - t0
         arrows = witness is None
-        status = "" if arrows == known else "  WRONG"
-        wrong += arrows != known
+        bad = arrows != known
+        confirm = ""
+        if q == 1:
+            # one color arrows P_target exactly when the host has such a path
+            longest = len(longest_path_masks(g.out_masks())[0]) - 1
+            bad |= (longest >= target) != known
+            confirm = f", longest path {longest}"
+        wrong += bad
         print(f"{name}: {'arrows' if arrows else 'does not arrow'}, "
-              f"{nodes:,} nodes, {time.process_time() - t0:.2f} s{status}")
+              f"{nodes:,} nodes{confirm}, {seconds:.2f} s{'  WRONG' if bad else ''}")
     for name, adj, known in CLASSES:
         t0 = time.process_time()
         try:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
-from .graphs import EdgeColoring, OrientedGraph, Tournament, iter_bits, mask_of
+from .graphs import EdgeColoring, OrientedGraph, Tournament, _union, iter_bits, mask_of
 from .paths import _levels, _reach, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def block_product_coloring(g: OrientedGraph, blocks: list, inner: EdgeColoring,
     bmasks = [mask_of(blk) for blk in blocks]
     own = [bmasks[b] if b >= 0 else 0 for b in owner]
     rows = [inner.out_masks(c, size) for c in range(1, q + 2)]
-    colored = [reduce(or_, col) for col in zip(*rows)]
+    colored = _union(rows)
     stray = _first_edge(m & ~mine for m, mine in zip(colored, own))
     if stray:
         raise ColoringError("inner edge (%d,%d) does not stay within one block" % stray)

@@ -12,14 +12,14 @@ must be exactly the separators of m lines as the serializers write them
 at least 8n tokens looks them up in the token table
 ``{"0": 0, ..., str(n - 1): n - 1}``, built once per size and kept, so that a
 leading zero or an id at or above n leaves the bulk path; a shorter body,
-which would not repay the table, converts them with ``int``.  The masks of a
-dense body (n^2 below 32 m) are ORed together from a bit table of
-``1 << i``, and an oriented graph's in-masks come from one bit-matrix
-transpose; a sparser body ORs ``1 << v`` per edge, in-masks too, so its
-cost stays in its edges.  Mask checks follow.  Only a body that fails a bulk
-check is scanned line by line, which reports the first offending line (and
-parses a body whose only quirks are other whitespace, leading zeros or
-color ids at or above n).
+which would not repay the table, converts them with ``int``.  A body that
+graphs' one density rule calls dense (m >= 8n and n^2 < 32 m) ORs its
+masks from a bit table of ``1 << i`` and takes its in-masks from one
+bit-matrix transpose; any other ORs ``1 << v`` per edge, in-masks too, so
+its cost stays in its edges.  Mask checks follow.  Only a body that fails
+a bulk check is scanned line by line, which reports the first offending
+line (and parses one whose only quirks are other whitespace, leading zeros
+or color ids at or above n).
 
 A host and its coloring are read together (`parse_colored`,
 `read_colored`).  A coloring the writers made with colors 1 to 9 is the
@@ -41,10 +41,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import and_, eq, or_
+from operator import and_, eq
 
 from .errors import FormatError
-from .graphs import _DENSE, EdgeColoring, OrientedGraph, _transpose
+from .graphs import EdgeColoring, OrientedGraph, _dense, _in_masks_of, _union
 
 _KINDS = {"oriented": False, "symmetric": True}
 
@@ -59,14 +59,14 @@ _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 # A body takes the token table from 8n tokens on: building the table costs
 # about 0.5 us an entry, and a lookup saves about 70 ns a token over int().
-# The bit table and the transpose cost O(n^2); from n^2 < 32 m on (graphs'
-# _DENSE) they beat ORing 1 << v into the out-masks (and 1 << u into the
-# in-masks) per edge, with which they tie at n^2 = 32 m for n = 256 and
-# 1000.  There the transpose's 2n^2 transient bytes stay below the 2m token
-# strings of at least 50 bytes each that split() held just before.  Writing, compress and
-# the bit walk tie near colors * n^2 = 48 m for n = 256 to 3000 and one or
-# two colors.  All measured in-process on random oriented hosts, best of 5
-# to 7, CPython 3.11 on a shared 2-vCPU VM.
+# The bit table and the transpose cost O(n^2); on bodies that graphs' `_dense`
+# calls dense they beat ORing 1 << v into the out-masks (and 1 << u into the
+# in-masks) per edge, with which they tie at n^2 = 32 m for n = 256 and 1000.
+# There the transpose's 2n^2 transient bytes stay below the 2m token strings
+# of at least 50 bytes each that split() held just before.  Writing, compress
+# and the bit walk tie near colors * n^2 = 48 m for n = 256 to 3000 and one
+# or two colors.  All measured in-process on random oriented hosts, best of
+# 5 to 7, CPython 3.11 on a shared 2-vCPU VM.
 _TABLE, _WALK = 8, 48
 
 
@@ -169,9 +169,9 @@ def _or_edges(n: int, m: int, lines, k: int) -> tuple[list[list[int]], list[int]
     """(rows, in-masks): the out-mask rows of classes 0..k-1, ORed from the
     m edge lines (u, v, c) of `lines` as bit v of rows[c][u].  A sparse
     body ORs the in-masks of all classes together in the same loop; a
-    dense one leaves them (None) to one transpose of the union."""
+    dense one (graphs' `_dense`) leaves them (None) to `_mask_graph`."""
     rows = [[0] * n for _ in range(k)]
-    if n * n < _DENSE * m:
+    if _dense(n, m):
         bits = [1 << i for i in range(n)]
         for u, v, c in lines:
             rows[c][u] |= bits[v]
@@ -197,7 +197,7 @@ def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
     if inn is None:
         if any(map(and_, out, [1 << i for i in range(n)])):
             return None
-        inn = _transpose(out, n)
+        inn = _in_masks_of(out, m)
     elif any(map(eq, nums[0::width], nums[1::width])):
         return None
     if symmetric or not any(map(and_, out, inn)):
@@ -205,17 +205,24 @@ def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
     return None
 
 
+def _bulk_graph(n: int, m: int, symmetric: bool, body: str, classes,
+                k: int) -> tuple[OrientedGraph, list[list[int]]] | None:
+    """(graph, out-mask rows of classes 0..k-1) of an edge body of m lines
+    that passes the bulk and mask checks, its i-th line's edge in class
+    classes[i]; None sends the body to the line scan."""
+    nums = _bulk_ints(body, b" \n", m, n)
+    if nums is None:
+        return None
+    pairs = iter(nums)
+    rows, inn = _or_edges(n, m, zip(pairs, pairs, classes), k)
+    g = _mask_graph(n, m, symmetric, _union(rows), nums, 2, inn)
+    return None if g is None else (g, rows)
+
+
 def parse_graph(text: str) -> OrientedGraph:
     n, m, symmetric, body = _head(text)
-    nums = _bulk_ints(body, b" \n", m, n)
-    if nums is not None:
-        pairs = iter(nums)
-        # every edge in the one class 0
-        (out,), inn = _or_edges(n, m, zip(pairs, pairs, repeat(0)), 1)
-        g = _mask_graph(n, m, symmetric, out, nums, 2, inn)
-        if g is not None:
-            return g
-    return _scan_graph(n, symmetric, body.split("\n")[:m])
+    bulk = _bulk_graph(n, m, symmetric, body, repeat(0), 1)  # every edge in class 0
+    return bulk[0] if bulk else _scan_graph(n, symmetric, body.split("\n")[:m])
 
 
 def _scan_graph(n: int, symmetric: bool, lines: list[str]) -> OrientedGraph:
@@ -290,13 +297,6 @@ def _strip_colors(body: str, text: str, m: int,
     return None
 
 
-def _union(masks: list[list[int]]) -> list[int]:
-    union = masks[0]
-    for rows in masks[1:]:
-        union = list(map(or_, union, rows))
-    return union
-
-
 def parse_coloring(text: str, g: OrientedGraph,
                    num_colors: int | None = None) -> EdgeColoring:
     """Parse a coloring against its host graph.
@@ -329,13 +329,9 @@ def parse_colored(graph_text: str, coloring_text: str,
     n, m, symmetric, body = _head(graph_text)
     strip = _strip_colors(body, coloring_text, m, num_colors)
     if strip is not None:
-        nums = _bulk_ints(body, b" \n", m, n)
-        if nums is not None:
-            pairs = iter(nums)
-            rows, inn = _or_edges(n, m, zip(pairs, pairs, strip[0]), strip[1] + 1)
-            g = _mask_graph(n, m, symmetric, _union(rows[1:]), nums, 2, inn)
-            if g is not None:
-                return g, EdgeColoring.from_masks(rows[1:])
+        bulk = _bulk_graph(n, m, symmetric, body, strip[0], strip[1] + 1)
+        if bulk is not None:
+            return bulk[0], EdgeColoring.from_masks(bulk[1][1:])
     else:
         bulk = _bulk_classes(coloring_text, n, m, num_colors)
         if bulk is not None:

@@ -3,10 +3,10 @@
 Vertices are always 0..n-1.  Adjacency is kept as one Python int bitmask per
 vertex in each direction, so direction queries, neighborhood unions and
 set-restricted scans are single big-int operations; a graph built from
-out-masks alone derives its in-masks on first use, by one bit-matrix
-transpose when it is dense (n^2 < 32 m) and per edge otherwise.  Edge
-colorings keep one such out-mask list per color.  Graphs are immutable
-after construction.
+out-masks alone derives its in-masks on first use, by the one density rule
+(`_dense`) that every module follows: one bit-matrix transpose when
+m >= 8n and n^2 < 32 m, else a walk over its edges.  Edge colorings keep
+one such out-mask list per color.  Graphs are immutable after construction.
 """
 from __future__ import annotations
 
@@ -33,17 +33,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-# n^2 below _DENSE * m makes a graph dense: from there on the O(n^2) bit
-# table and transpose beat ORing one bit per edge (see formats).  For
-# in-masks the rule was checked on the 100 distinct class rows the builder
-# derives in-masks for in 4 s of perfbench's upper-witness lane (n = 128
-# and 256, best of 5, CPython 3.11 on a shared 2-vCPU VM): the 75 with
-# n^2/m at 4.0-6.2 took the transpose at 3.5-8.5x the walk's speed, the 25
-# with n^2/m at 34-59 the walk at 1.0-1.9x the transpose's, and none lay
-# between.  On random oriented graphs of up to 256 vertices the two cross
-# near m = 6-8 n, so below n = 256 the rule sends to the transpose some
-# graphs the walk would serve faster; no lane derives in-masks for those.
+# n^2 below _DENSE * m makes a graph dense enough that the O(n^2) bit
+# table and transpose beat ORing one bit per edge (see formats).  Below
+# n = 256 the walk also wins up to m = 8n, where the two arms meet; the
+# measurements behind both arms are in CHANGES.md.
 _DENSE = 32
+
+
+def _dense(n: int, m: int) -> bool:
+    """Whether n vertices and m edges take the O(n^2) bit table and transpose."""
+    return m >= 8 * n and n * n < _DENSE * m
 
 
 def _transpose(out: list[int], n: int) -> list[int]:
@@ -52,6 +51,30 @@ def _transpose(out: list[int], n: int) -> list[int]:
     spec = f"0{n}b"
     digits = "".join([format(row, spec) for row in reversed(out)])
     return [int(digits[n - 1 - v::n], 2) for v in range(n)]
+
+
+def _in_masks_of(out: list[int], m: int) -> list[int]:
+    """In-masks of the digraph with out-masks `out` and m edges: one
+    transpose when it is dense, else one OR per edge."""
+    n = len(out)
+    if _dense(n, m):
+        return _transpose(out, n)
+    inn = [0] * n
+    for u, row in enumerate(out):
+        bit = 1 << u
+        while row:
+            low = row & -row
+            inn[low.bit_length() - 1] |= bit
+            row ^= low
+    return inn
+
+
+def _union(masks: list[list[int]]) -> list[int]:
+    """The OR of equal-length mask lists, row by row."""
+    union = masks[0]
+    for rows in masks[1:]:
+        union = list(map(or_, union, rows))
+    return union
 
 
 class OrientedGraph:
@@ -106,18 +129,7 @@ class OrientedGraph:
 
     def _in_masks(self) -> list[int]:
         if self._in is None:
-            n = self.n
-            if n * n < _DENSE * self._m:
-                inn = _transpose(self._out, n)
-            else:
-                inn = [0] * n
-                for u, m in enumerate(self._out):
-                    bit = 1 << u
-                    while m:
-                        low = m & -m
-                        inn[low.bit_length() - 1] |= bit
-                        m ^= low
-            self._in = inn
+            self._in = _in_masks_of(self._out, self._m)
         return self._in
 
     # -- queries ---------------------------------------------------------
@@ -345,9 +357,7 @@ class EdgeColoring:
 
     def _check_covers(self, want: list[int]) -> None:
         """The colored edges are exactly those of the out-masks `want`."""
-        have = self._out[0]
-        for rows in self._out[1:]:
-            have = list(map(or_, have, rows))
+        have = _union(self._out)
         if len(have) != len(want):
             size = max(len(have), len(want))
             have = have + [0] * (size - len(have))

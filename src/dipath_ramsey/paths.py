@@ -7,7 +7,7 @@ acyclicity answer; one, `_ahead`, searches every cyclic class."""
 from __future__ import annotations
 
 from .errors import BudgetExceededError, CyclicGraphError
-from .graphs import DirectedPath, OrientedGraph, iter_bits, mask_of
+from .graphs import DirectedPath, OrientedGraph, _in_masks_of, iter_bits, mask_of
 
 # the (end, vertex set) states one cyclic search may charge, at any class
 # size, before it raises BudgetExceededError; the tests hold the 16-vertex
@@ -262,13 +262,7 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
     height, cyclic = _heights(adj)
     if not cyclic:
         return _walk(adj, height), n
-    into = [0] * n  # the in-masks, for the in side of each state's bound
-    for u, m in enumerate(adj):  # on the path jobs' classes this beats `_transpose`
-        bit = 1 << u
-        while m:
-            low = m & -m
-            into[low.bit_length() - 1] |= bit
-            m ^= low
+    into = _in_masks_of(adj, sum(map(int.bit_count, adj)))  # for the bounds' in side
     support = [v for v in range(n) if adj[v] or into[v]]
     need = len(support) - 1
     memo: dict = {}

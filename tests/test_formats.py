@@ -16,6 +16,7 @@ from dipath_ramsey import (
     FormatError,
     OrientedGraph,
     formats,
+    graphs,
     parse_colored,
     parse_coloring,
     parse_graph,
@@ -26,14 +27,16 @@ from dipath_ramsey import (
     serialize_graph,
 )
 
-# (n, edge counts) covering each bulk regime: 7 converts its few tokens
-# with int, dense at 9 and 21 edges and sparse at 1; 128 (8128 is one edge
-# per pair) takes the token table and the bit table; 256 takes the token
-# table with per-edge masks; 300 (the README's adversary size) is sparse,
-# with int at 600 edges and the token table at 1800.  The writers walk the
-# bits of the 300-vertex hosts and compress the rows of the 128-vertex ones.
+# (n, edge counts) covering each bulk regime of graphs' density rule
+# (dense from m >= 8n and n^2 < 32 m on): 7 converts its few tokens with
+# int and ORs masks per edge at every count; 128 (8128 is one edge per
+# pair) takes the token table and the bit table; 256 takes the token table
+# with per-edge masks; 300 (the README's adversary size) is sparse, with
+# int at 600 edges and the token table at 1800; 20 at 170 edges is a small
+# dense host.  The writers walk the bits of the 300-vertex hosts and
+# compress the rows of the 128-vertex ones.
 HOSTS = ((0, (0,)), (1, (0,)), (2, (1,)), (7, (0, 1, 9, 21)),
-         (128, (1500, 8128)), (256, (2000,)), (300, (600, 1800)))
+         (128, (1500, 8128)), (256, (2000,)), (300, (600, 1800)), (20, (170,)))
 
 
 def _outcome(parse, *args):
@@ -247,8 +250,9 @@ def test_sparse_bodies_take_the_bulk_path_without_tables(monkeypatch):
     def no_call(*args):
         raise AssertionError("not for a sparse body")
 
-    for name in ("_scan_graph", "_scan_coloring", "_ids", "_transpose"):
+    for name in ("_scan_graph", "_scan_coloring", "_ids", "_in_masks_of"):
         monkeypatch.setattr(formats, name, no_call)
+    monkeypatch.setattr(graphs, "_transpose", no_call)
     n = 20000
     text = f"{n} 3 oriented\n0 1\n7 {n - 1}\n{n - 1} 5\n"
     body = "0 1 1\n7 19999 2\n19999 5 2\n"
@@ -345,8 +349,9 @@ def _check_pair(gtext, ctext, num_colors=None):
 def test_writer_pairs_take_one_parse(monkeypatch):
     """A host and coloring as the writers make them parse in one pass over
     the coloring, at every density and with colors 10 and above, and so
-    does a coloring out of canonical order; colors at or above n fall
-    back."""
+    does a coloring out of canonical order.  Single-digit colors at or
+    above n take the color strip; only colors of 10 and above at or above
+    n fall back (single digits there too, under a palette above 9)."""
     calls = _fallbacks(monkeypatch)
     rng = random.Random(19)
     fast = 0
@@ -362,7 +367,8 @@ def test_writer_pairs_take_one_parse(monkeypatch):
                 got = _check_pair(gtext, ctext, num_colors)
                 assert got[0] == _describe(g)
             took_fast = len(calls) == before
-            # the bulk parse takes ids, colors too, below n
+            # the color strip takes single digits under a palette up to 9,
+            # at or above n too; the token route takes ids, colors too, below n
             assert took_fast == (0 < len(edges) and (max(colors) < g.n or q + 3 <= 9))
             fast += took_fast
             lines = ctext.splitlines(keepends=True)
@@ -486,7 +492,7 @@ def test_writer_pairs_take_the_color_strip(monkeypatch):
                 got, used = check(gtext, ctext, num_colors)
                 assert got[1][1] == (max(colors) if num_colors is None else num_colors)
                 assert not any(used.values())
-        if g.n * g.n < 32 * g.edge_count:
+        if graphs._dense(g.n, g.edge_count):
             dense += 1
         else:
             sparse += 1

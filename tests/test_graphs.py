@@ -1,5 +1,6 @@
 """Core graph/coloring/path type behavior."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -185,8 +186,10 @@ def test_is_tournament_matches_pairwise(n, seed, tweak):
 
 def test_derived_in_masks_match_per_edge_loop(monkeypatch):
     """A graph built from out-masks alone derives the in-masks a per-edge
-    loop gives, on both sides of the density rule n^2 < 32 m: the
-    transpose below it, the per-edge walk from it on."""
+    loop gives, on both sides of the one density rule, `graphs._dense`:
+    the transpose where it holds, the per-edge walk elsewhere.  Small
+    graphs test its m >= 8n arm, graphs of 256 vertices and more its
+    n^2 < 32 m arm."""
     transposed = []
 
     def counted(out, n):
@@ -195,14 +198,19 @@ def test_derived_in_masks_match_per_edge_loop(monkeypatch):
 
     monkeypatch.setattr(graphs, "_transpose", counted)
     rng = random.Random(12)
-    dense = sparse = 0
+    arms = Counter()
     for i in range(300):
-        n = rng.randint(0, 70)
-        top = n * (n - 1)
-        # edge counts clustered around the rule's threshold n^2 / 32
-        m = rng.randint(0, top)
-        if i % 2:
-            m = min(top, round(n * n / 32 * rng.uniform(0.5, 2)))
+        if i % 20 == 19:
+            n = rng.randint(256, 300)
+            # edge counts clustered around the n^2 / 32 arm
+            m = round(n * n / 32 * rng.uniform(0.5, 1.5))
+        else:
+            n = rng.randint(0, 70)
+            top = n * (n - 1)
+            m = rng.randint(0, top)
+            if i % 2:
+                # edge counts clustered around the 8n arm
+                m = min(top, round(8 * n * rng.uniform(0.5, 2)))
         g = random_digraph(n, m, i)
         want = [0] * n
         for u, v in g.edges():
@@ -212,10 +220,10 @@ def test_derived_in_masks_match_per_edge_loop(monkeypatch):
         assert [bare.in_mask(v) for v in range(n)] == want
         assert [bare.in_degree(v) for v in range(n)] == [w.bit_count() for w in want]
         took = len(transposed) > before
-        assert took == (n * n < 32 * g.edge_count)
-        dense += took
-        sparse += not took
-    assert dense > 50 and sparse > 50
+        assert took == graphs._dense(n, g.edge_count)
+        arms[n >= 256, took] += 1
+    assert arms[False, True] > 50 and arms[False, False] > 50
+    assert arms[True, True] >= 3 and arms[True, False] >= 3
 
 
 def test_rejects_negative_vertex_count():

@@ -24,7 +24,7 @@ from dipath_ramsey import (
     random_tournament,
     transitive_tournament,
 )
-from dipath_ramsey import paths
+from dipath_ramsey import graphs, paths
 from dipath_ramsey.graphs import iter_bits, mask_of
 from dipath_ramsey.paths import _heights, _levels, longest_path_masks
 from reference_adversary import find_cycle as reference_find_cycle
@@ -658,6 +658,26 @@ def test_reach_bound_settles_a_clique_with_sinks(monkeypatch):
     vertices, explored = longest_path_masks(_clique_with_sinks(14, 2))
     assert vertices == list(range(15))
     assert explored <= calls < 1000
+
+
+def test_engine_takes_in_masks_from_graphs(monkeypatch):
+    """A cyclic input gets its in-masks from graphs' one in-mask routine,
+    once a call, with its edge count; an acyclic input needs none."""
+    calls = []
+
+    def counted(out, m):
+        calls.append(m)
+        return graphs._in_masks_of(out, m)
+
+    monkeypatch.setattr(paths, "_in_masks_of", counted)
+    for adj, m in ((complete_symmetric(5).out_masks(), 20),
+                   (_clique_with_sinks(14, 2), 14 * 13 + 14 * 2)):
+        before = len(calls)
+        longest_path_masks(adj)
+        assert calls[before:] == [m]
+    before = len(calls)
+    assert len(longest_path_masks(transitive_tournament(6).out_masks())[0]) == 6
+    assert len(calls) == before
 
 
 def test_engine_leaves_no_reference_cycles():

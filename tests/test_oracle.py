@@ -992,8 +992,10 @@ def test_oracle_reach_script_reports_each_question():
     budget of 2^22 nodes and prints its answer and nodes: TT10 -> P_3 in
     16,246 nodes (1,065,567 backing up one edge at a time), TT9 -> P_2 at
     q=3 within the budget, and TT16 -> P_4, which ran out of nodes backing
-    up one edge at a time, in 159,967.  It then measures three cyclic
-    classes with the exact path engine and prints each longest path."""
+    up one edge at a time, in 159,967.  rot7 -> P_6 and rot7 -> P_7 at
+    q=1 pin the per-edge check above bound 3, each answer confirmed by
+    the exact path engine.  It then measures three cyclic classes with
+    the exact path engine and prints each longest path."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -1007,6 +1009,8 @@ def test_oracle_reach_script_reports_each_question():
                  "rot7 -> P_2, q=3: arrows, 143 nodes",
                  "rot11 -> P_4, q=2: arrows, 43,032 nodes",
                  "TT16 -> P_4, q=2: does not arrow, 159,967 nodes",
+                 "rot7 -> P_6, q=1: arrows, 16 nodes, longest path 6,",
+                 "rot7 -> P_7, q=1: does not arrow, 21 nodes, longest path 6,",
                  "3-cycle beside a 21-edge path: longest path 21,",
                  "K14 with 2 sinks: longest path 14,",
                  "K17: longest path 16,"):
