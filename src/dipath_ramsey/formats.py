@@ -26,10 +26,9 @@ A host and its coloring are read together (`parse_colored`,
 edge body with " c" before each LF.  One same-length replace per color
 marks each " c\n" with non-ASCII bytes, which give the colors; deleted,
 they must leave the edge body byte for byte, which alone is tokenized.
-Another coloring is parsed alone when it passes its bulk check and the
-graph text serializes the union of its classes.  Any other pair, and any
-pair that fails a check, goes through parse_graph then parse_coloring,
-which decide the result or the error.
+Any other pair (colors of 10 and above, lines out of the graph's order, a
+palette above 9), and any pair that fails a check, goes through
+parse_graph then parse_coloring, which decide the result or the error.
 
 The serializers pick by the host's density.  A dense host (colors * n^2
 at most 48 m) writes each vertex's lines with one join, its row's bit
@@ -169,7 +168,7 @@ def _or_edges(n: int, m: int, lines, k: int) -> tuple[list[list[int]], list[int]
     """(rows, in-masks): the out-mask rows of classes 0..k-1, ORed from the
     m edge lines (u, v, c) of `lines` as bit v of rows[c][u].  A sparse
     body ORs the in-masks of all classes together in the same loop; a
-    dense one (graphs' `_dense`) leaves them (None) to `_mask_graph`."""
+    dense one (graphs' `_dense`) leaves them (None) to `_bulk_graph`."""
     rows = [[0] * n for _ in range(k)]
     if _dense(n, m):
         bits = [1 << i for i in range(n)]
@@ -183,14 +182,18 @@ def _or_edges(n: int, m: int, lines, k: int) -> tuple[list[list[int]], list[int]
     return rows, inn
 
 
-def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
-                nums: list[int], width: int,
-                inn: list[int] | None) -> OrientedGraph | None:
-    """The graph with out-masks `out`, ORed by `_or_edges` from the m edge
-    lines whose ids `nums` hold u and v at the start of every `width`
-    numbers, with the in-masks `inn` it returned, when its masks pass the
-    checks: no loop, m distinct edges, and no antiparallel pair unless
-    symmetric.  None sends the body to the line scan."""
+def _bulk_graph(n: int, m: int, symmetric: bool, body: str, classes,
+                k: int) -> tuple[OrientedGraph, list[list[int]]] | None:
+    """(graph, out-mask rows of classes 0..k-1) of an edge body of m lines,
+    its i-th line's edge in class classes[i], that passes the bulk check and
+    the mask checks: no loop, m distinct edges, and no antiparallel pair
+    unless symmetric.  None sends the body to the line scan."""
+    nums = _bulk_ints(body, b" \n", m, n)
+    if nums is None:
+        return None
+    pairs = iter(nums)
+    rows, inn = _or_edges(n, m, zip(pairs, pairs, classes), k)
+    out = _union(rows)
     # m distinct edges from m lines leave no room for a duplicate
     if sum(map(int.bit_count, out)) != m:
         return None
@@ -198,25 +201,11 @@ def _mask_graph(n: int, m: int, symmetric: bool, out: list[int],
         if any(map(and_, out, [1 << i for i in range(n)])):
             return None
         inn = _in_masks_of(out, m)
-    elif any(map(eq, nums[0::width], nums[1::width])):
+    elif any(map(eq, nums[0::2], nums[1::2])):
         return None
     if symmetric or not any(map(and_, out, inn)):
-        return OrientedGraph.from_masks(n, out, inn, symmetric)
+        return OrientedGraph.from_masks(n, out, inn, symmetric), rows
     return None
-
-
-def _bulk_graph(n: int, m: int, symmetric: bool, body: str, classes,
-                k: int) -> tuple[OrientedGraph, list[list[int]]] | None:
-    """(graph, out-mask rows of classes 0..k-1) of an edge body of m lines
-    that passes the bulk and mask checks, its i-th line's edge in class
-    classes[i]; None sends the body to the line scan."""
-    nums = _bulk_ints(body, b" \n", m, n)
-    if nums is None:
-        return None
-    pairs = iter(nums)
-    rows, inn = _or_edges(n, m, zip(pairs, pairs, classes), k)
-    g = _mask_graph(n, m, symmetric, _union(rows), nums, 2, inn)
-    return None if g is None else (g, rows)
 
 
 def parse_graph(text: str) -> OrientedGraph:
@@ -255,10 +244,11 @@ def serialize_coloring(g: OrientedGraph, coloring: EdgeColoring) -> str:
     return _lines(g, [layers[c] for c in used], [f" {c}" for c in used])
 
 
-def _bulk_classes(text: str, n: int, m: int, num_colors: int | None):
-    """(numbers, in-masks, out-masks of colors 1..q) of a coloring text of
-    m lines that passes the bulk check with every color in 1..q, q being
-    num_colors or else the top color; None sends it to the line scan."""
+def _bulk_classes(text: str, n: int, m: int,
+                  num_colors: int | None) -> list[list[int]] | None:
+    """The out-masks of colors 1..q of a coloring text of m lines that
+    passes the bulk check with every color in 1..q, q being num_colors or
+    else the top color; None sends it to the line scan."""
     nums = _bulk_ints(text, b"  \n", m, n)
     if nums is None:
         return None
@@ -267,8 +257,8 @@ def _bulk_classes(text: str, n: int, m: int, num_colors: int | None):
     if not 0 < top <= q:
         return None
     triples = iter(nums)
-    rows, inn = _or_edges(n, m, zip(triples, triples, triples), q + 1)
-    return nums, inn, rows[1:]
+    rows, _ = _or_edges(n, m, zip(triples, triples, triples), q + 1)
+    return rows[1:]
 
 
 def _strip_colors(body: str, text: str, m: int,
@@ -308,8 +298,8 @@ def parse_coloring(text: str, g: OrientedGraph,
     bulk = _bulk_classes(text, g.n, g.edge_count, num_colors)
     # as many lines as host edges: covering them all in colors 1..q leaves
     # no room for a duplicate or a color 0
-    if bulk is not None and _union(bulk[2]) == g.out_masks():
-        return EdgeColoring.from_masks(bulk[2])
+    if bulk is not None and _union(bulk) == g.out_masks():
+        return EdgeColoring.from_masks(bulk)
     return _scan_coloring(text, g, num_colors)
 
 
@@ -322,9 +312,8 @@ def parse_colored(graph_text: str, coloring_text: str,
     LF, c a single digit from 1 to num_colors (to 9 when num_colors is not
     given; never with num_colors above 9), as the writers make it, has that
     color column stripped off its bytes: only the edge body is tokenized,
-    under parse_graph's bulk and mask checks.  Any other coloring is parsed
-    alone when the graph text is the serialization of the union of its
-    classes.  Any other pair takes the two parsers.
+    under parse_graph's bulk and mask checks.  Any other pair, and one
+    that fails those checks, takes the two parsers.
     """
     n, m, symmetric, body = _head(graph_text)
     strip = _strip_colors(body, coloring_text, m, num_colors)
@@ -332,14 +321,6 @@ def parse_colored(graph_text: str, coloring_text: str,
         bulk = _bulk_graph(n, m, symmetric, body, strip[0], strip[1] + 1)
         if bulk is not None:
             return bulk[0], EdgeColoring.from_masks(bulk[1][1:])
-    else:
-        bulk = _bulk_classes(coloring_text, n, m, num_colors)
-        if bulk is not None:
-            # a color 0 leaves its edge out of the union, below m edges
-            nums, inn, masks = bulk
-            g = _mask_graph(n, m, symmetric, _union(masks), nums, 3, inn)
-            if g is not None and serialize_graph(g) == graph_text:
-                return g, EdgeColoring.from_masks(masks)
     g = parse_graph(graph_text)
     return g, parse_coloring(coloring_text, g, num_colors)
 

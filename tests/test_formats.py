@@ -348,10 +348,10 @@ def _check_pair(gtext, ctext, num_colors=None):
 
 def test_writer_pairs_take_one_parse(monkeypatch):
     """A host and coloring as the writers make them parse in one pass over
-    the coloring, at every density and with colors 10 and above, and so
-    does a coloring out of canonical order.  Single-digit colors at or
-    above n take the color strip; only colors of 10 and above at or above
-    n fall back (single digits there too, under a palette above 9)."""
+    the coloring, at every density, in the color strip's domain: single
+    digit colors, at or above n too, under a palette up to 9, in canonical
+    order.  Colors of 10 and above, a palette above 9 and a coloring out
+    of canonical order fall back to the two parsers."""
     calls = _fallbacks(monkeypatch)
     rng = random.Random(19)
     fast = 0
@@ -367,16 +367,15 @@ def test_writer_pairs_take_one_parse(monkeypatch):
                 got = _check_pair(gtext, ctext, num_colors)
                 assert got[0] == _describe(g)
             took_fast = len(calls) == before
-            # the color strip takes single digits under a palette up to 9,
-            # at or above n too; the token route takes ids, colors too, below n
-            assert took_fast == (0 < len(edges) and (max(colors) < g.n or q + 3 <= 9))
+            # the color strip takes single digits under a palette up to 9
+            assert took_fast == (0 < len(edges) and q + 3 <= 9)
             fast += took_fast
             lines = ctext.splitlines(keepends=True)
             if len(lines) > 1:
                 before = len(calls)
                 got = _check_pair(gtext, "".join(lines[::-1]), None)
                 assert got[0] == _describe(g)
-                assert (len(calls) == before) == took_fast
+                assert len(calls) == before + 1
     assert fast > 30
 
 
@@ -391,10 +390,11 @@ def test_colored_pair_special_cases(monkeypatch):
     col = EdgeColoring(14, {e: 1 + i % 14 for i, e in enumerate(g.edges())})
     before = len(calls)
     got = _check_pair(serialize_graph(g), serialize_coloring(g, col))
-    assert got[1][1] == 14 and len(calls) == before
+    assert got[1][1] == 14 and len(calls) == before + 1
     # num_colors above the top color: empty classes at the top
     got = _check_pair(serialize_graph(g), serialize_coloring(g, col), 20)
-    assert got[1][1] == 20 and len(calls) == before
+    assert got[1][1] == 20 and len(calls) == before + 2
+    before = len(calls)
     # n past the highest id + 1: isolated vertices at the top
     h = OrientedGraph(30, [(0, 4), (4, 2), (2, 1), (3, 0)])
     col = EdgeColoring(2, {(0, 4): 1, (4, 2): 2, (2, 1): 2, (3, 0): 1})
@@ -443,13 +443,13 @@ def test_colored_pair_special_cases(monkeypatch):
     before = len(calls)
     for num_colors in (None, 9, 10, 12):
         _check_pair(serialize_graph(g), ctext, num_colors)
-    assert len(calls) == before + 1     # only num_colors 9, which raises, falls back
+    assert len(calls) == before + 4     # two-digit colors: every palette falls back
 
 
 def _routes(monkeypatch):
-    """A pair checker that also returns how many times parse_colored
-    itself called the token route's `_bulk_classes` and `serialize_graph`
-    compare, and fell back to the two parsers."""
+    """A pair checker that also returns how many times a parse called
+    `_bulk_classes` (parse_coloring's bulk check), `serialize_graph` (which
+    no parser calls) and parse_graph (parse_colored's fallback)."""
     calls = {"_bulk_classes": 0, "serialize_graph": 0, "parse_graph": 0}
 
     def counted(name):
@@ -474,10 +474,9 @@ def _routes(monkeypatch):
 
 def test_writer_pairs_take_the_color_strip(monkeypatch):
     """Writer pairs with colors 1 to 9, dense and sparse, with num_colors
-    not given, q and q + 3 up to 9, are read by the color strip: neither
-    the token route nor the two parsers run.  Colors 10 and above, and a
-    coloring in reverse line order, take the token route and not the two
-    parsers."""
+    not given, q and q + 3 up to 9, are read by the color strip: the two
+    parsers do not run.  Colors 10 and above, and a coloring in reverse
+    line order, take the two parsers.  No parse calls serialize_graph."""
     check = _routes(monkeypatch)
     rng = random.Random(20)
     dense = sparse = 0
@@ -507,7 +506,7 @@ def test_writer_pairs_take_the_color_strip(monkeypatch):
         for ctext in (serialize_coloring(g, big), "".join(lines[::-1])):
             got, used = check(gtext, ctext)
             assert got[0] == _describe(g)
-            assert used == {"_bulk_classes": 1, "serialize_graph": 1, "parse_graph": 0}
+            assert used == {"_bulk_classes": 1, "serialize_graph": 0, "parse_graph": 1}
 
 
 def test_read_colored_reports_the_graph_first(tmp_path):
