@@ -9,17 +9,20 @@ Parsing checks a body in bulk first.  With its digits deleted, the body
 must be exactly the separators of m lines as the serializers write them
 (single spaces, LF ends), and every token must be an id below the graph's n
 (for a coloring, the host's n, which bounds its color ids too).  A body of
-at least 8n tokens looks them up in the token table
+at least 8n tokens keeps them as strings, and the loop that ORs the masks
+looks each one up itself in the token table
 ``{"0": 0, ..., str(n - 1): n - 1}``, built once per size and kept, so that a
 leading zero or an id at or above n leaves the bulk path; a shorter body,
-which would not repay the table, converts them with ``int``.  A body that
-graphs' one density rule calls dense (m >= 8n and n^2 < 32 m) ORs its
-masks from a bit table of ``1 << i`` and takes its in-masks from one
-bit-matrix transpose; any other ORs ``1 << v`` per edge, in-masks too, so
-its cost stays in its edges.  Mask checks follow.  Only a body that fails
-a bulk check is scanned line by line, which reports the first offending
-line (and parses one whose only quirks are other whitespace, leading zeros
-or color ids at or above n).
+which would not repay the table, converts its tokens with ``int`` first.
+A body that graphs' one density rule calls dense (m >= 8n and n^2 < 32 m)
+ORs its masks from the bit table ``{"0": 1 << 0, ...}``, kept like the
+token table, and takes its in-masks from one bit-matrix transpose; any
+other ORs ``1 << v`` per edge, and a graph's in-masks ``1 << u`` in the
+same loop, so its cost stays in its edges.  Mask checks follow.  Passing
+the bulk check proves the m lines the header promises, so only a body that
+fails a bulk check has its lines counted, and is then scanned line by
+line, which reports the first offending line (and parses one whose only
+quirks are other whitespace, leading zeros or color ids at or above n).
 
 A host and its coloring are read together (`parse_colored`,
 `read_colored`).  A coloring the writers made with colors 1 to 9 is the
@@ -78,6 +81,15 @@ def _ids(size: int) -> dict[str, int]:
     return {str(i): i for i in range(size)}
 
 
+# kept like `_ids`; only a dense body, whose tokens outnumber n^2 / 16
+# bits, builds one
+@lru_cache(maxsize=64)
+def _bits(size: int) -> dict[str, int]:
+    """The bit table: 1 << i for each id i below `size`, keyed by its
+    decimal string."""
+    return {str(i): 1 << i for i in range(size)}
+
+
 def _lines(g: OrientedGraph, layers: list[list[int]], tags: list[str]) -> str:
     """One line ``u v`` + tags[i] per edge (u, v) of g, in (u, v) order,
     where layers[i][u] holds bit v."""
@@ -117,15 +129,14 @@ def _int_field(token: str, line_no: int, col: int, what: str) -> int:
     return int(token)
 
 
-def _line_count(body: str) -> int:
-    """Lines of `body`, a final line break not starting another line."""
-    return body.count("\n") + (1 if body and not body.endswith("\n") else 0)
-
-
-def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
-    """The tokens of `body` as ids below n, when the body is m lines with
-    the separators `sep` as the serializers write them; None sends it to
-    the line scan."""
+def _bulk_tokens(body: str, sep: bytes, m: int, n: int):
+    """(tokens, ids) of `body`, when it is m lines with the separators `sep`
+    as the serializers write them: ids[token] is the token's id below n and
+    raises LookupError for any other token.  A body of at least 8n tokens
+    keeps its strings, and ids is the token table; a shorter one converts
+    them with int, and ids is the list of the ids below n, O(n) like the
+    rows that the masks are ORed into.  None sends the body to the line
+    scan."""
     if not body.isascii() or not body.endswith("\n"):
         return None
     if body.encode().translate(None, _DIGITS) != sep * m:
@@ -134,17 +145,13 @@ def _bulk_ints(body: str, sep: bytes, m: int, n: int) -> list[int] | None:
     if len(tokens) != len(sep) * m:
         return None
     if len(tokens) < _TABLE * n:
-        nums = list(map(int, tokens))
-        return nums if max(nums) < n else None
-    try:
-        return list(map(_ids(n).__getitem__, tokens))
-    except KeyError:
-        return None
+        return list(map(int, tokens)), list(range(n))
+    return tokens, _ids(n)
 
 
 def _head(text: str) -> tuple[int, int, bool, str]:
-    """(n, m, symmetric, body) of a graph text whose header is sound and
-    whose body has the m lines it promises."""
+    """(n, m, symmetric, body) of a graph text whose header is sound; the
+    body's line count is left to `_count_lines`."""
     if not text:
         raise FormatError("empty input", 1)
     head_line, _, body = text.partition("\n")
@@ -157,26 +164,41 @@ def _head(text: str) -> tuple[int, int, bool, str]:
         raise FormatError(f"kind must be oriented|symmetric, got {head[2]!r}", 1, 3)
     if n < 0 or m < 0:
         raise FormatError("negative count in header", 1)
-    found = _line_count(body)
-    if found != m:
-        raise FormatError(f"header promises {m} edges, found {found}",
-                          min(found + 2, m + 2))
     return n, m, _KINDS[head[2]], body
 
 
-def _or_edges(n: int, m: int, lines, k: int) -> tuple[list[list[int]], list[int] | None]:
+def _count_lines(body: str, m: int) -> None:
+    """Raise unless the edge body has the m lines its header promises.  A
+    body that passes the bulk check has them, so only the line scan asks."""
+    found = body.count("\n") + (1 if body and not body.endswith("\n") else 0)
+    if found != m:
+        raise FormatError(f"header promises {m} edges, found {found}",
+                          min(found + 2, m + 2))
+
+
+def _or_edges(n: int, m: int, lines, ids, k: int,
+              ins: bool) -> tuple[list[list[int]], list[int] | None]:
     """(rows, in-masks): the out-mask rows of classes 0..k-1, ORed from the
-    m edge lines (u, v, c) of `lines` as bit v of rows[c][u].  A sparse
-    body ORs the in-masks of all classes together in the same loop; a
-    dense one (graphs' `_dense`) leaves them (None) to `_bulk_graph`."""
+    m edge lines (u, v, c) of `lines`, u and v tokens and c a class, as bit
+    ids[v] of rows[c][ids[u]]; a token that ids does not hold raises
+    LookupError.  A dense body (graphs' `_dense`) takes the bit from the
+    bit table and leaves the in-masks (None) to `_bulk_graph`.  A sparse
+    one ORs the in-masks of all classes together in the same loop when
+    `ins` asks for them; else they are None too."""
     rows = [[0] * n for _ in range(k)]
     if _dense(n, m):
-        bits = [1 << i for i in range(n)]
+        # m >= 8n gives at least 16n tokens: the token table's strings
+        bits = _bits(n)
         for u, v, c in lines:
-            rows[c][u] |= bits[v]
+            rows[c][ids[u]] |= bits[v]
+        return rows, None
+    if not ins:
+        for u, v, c in lines:
+            rows[c][ids[u]] |= 1 << ids[v]
         return rows, None
     inn = [0] * n
     for u, v, c in lines:
+        u, v = ids[u], ids[v]
         rows[c][u] |= 1 << v
         inn[v] |= 1 << u
     return rows, inn
@@ -188,20 +210,25 @@ def _bulk_graph(n: int, m: int, symmetric: bool, body: str, classes,
     its i-th line's edge in class classes[i], that passes the bulk check and
     the mask checks: no loop, m distinct edges, and no antiparallel pair
     unless symmetric.  None sends the body to the line scan."""
-    nums = _bulk_ints(body, b" \n", m, n)
-    if nums is None:
+    bulk = _bulk_tokens(body, b" \n", m, n)
+    if bulk is None:
         return None
-    pairs = iter(nums)
-    rows, inn = _or_edges(n, m, zip(pairs, pairs, classes), k)
+    tokens, ids = bulk
+    pairs = iter(tokens)
+    try:
+        rows, inn = _or_edges(n, m, zip(pairs, pairs, classes), ids, k, True)
+    except LookupError:
+        return None
     out = _union(rows)
     # m distinct edges from m lines leave no room for a duplicate
     if sum(map(int.bit_count, out)) != m:
         return None
     if inn is None:
-        if any(map(and_, out, [1 << i for i in range(n)])):
+        if any(map(and_, out, _bits(n).values())):
             return None
         inn = _in_masks_of(out, m)
-    elif any(map(eq, nums[0::2], nums[1::2])):
+    # the token table holds no leading zero, so equal tokens are equal ids
+    elif any(map(eq, tokens[0::2], tokens[1::2])):
         return None
     if symmetric or not any(map(and_, out, inn)):
         return OrientedGraph.from_masks(n, out, inn, symmetric), rows
@@ -211,7 +238,10 @@ def _bulk_graph(n: int, m: int, symmetric: bool, body: str, classes,
 def parse_graph(text: str) -> OrientedGraph:
     n, m, symmetric, body = _head(text)
     bulk = _bulk_graph(n, m, symmetric, body, repeat(0), 1)  # every edge in class 0
-    return bulk[0] if bulk else _scan_graph(n, symmetric, body.split("\n")[:m])
+    if bulk:
+        return bulk[0]
+    _count_lines(body, m)
+    return _scan_graph(n, symmetric, body.split("\n")[:m])
 
 
 def _scan_graph(n: int, symmetric: bool, lines: list[str]) -> OrientedGraph:
@@ -249,16 +279,20 @@ def _bulk_classes(text: str, n: int, m: int,
     """The out-masks of colors 1..q of a coloring text of m lines that
     passes the bulk check with every color in 1..q, q being num_colors or
     else the top color; None sends it to the line scan."""
-    nums = _bulk_ints(text, b"  \n", m, n)
-    if nums is None:
+    bulk = _bulk_tokens(text, b"  \n", m, n)
+    if bulk is None:
         return None
-    top = max(nums[2::3])
-    q = top if num_colors is None else num_colors
-    if not 0 < top <= q:
+    tokens, ids = bulk
+    try:
+        colors = list(map(ids.__getitem__, tokens[2::3]))
+        top = max(colors)
+        q = top if num_colors is None else num_colors
+        if not 0 < top <= q:
+            return None
+        lines = zip(tokens[0::3], tokens[1::3], colors)
+        return _or_edges(n, m, lines, ids, q + 1, False)[0][1:]
+    except LookupError:
         return None
-    triples = iter(nums)
-    rows, _ = _or_edges(n, m, zip(triples, triples, triples), q + 1)
-    return rows[1:]
 
 
 def _strip_colors(body: str, text: str, m: int,

@@ -214,13 +214,19 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
     same `getrandbits` calls in the same order, so a seed gives the same
     pairs as a call of `sample` per trial: from a pool of the vertices not
     yet drawn when n is at most `sample`'s set-size threshold, else
-    redrawing any vertex already drawn.  Each vertex's closure is taken in
-    as the vertex is drawn.
+    redrawing any draw that is already in A or at least n.  One table of
+    2^w entries, w the bit length of n, marks the draws: an id holds the
+    last trial that drew it, and an id at or above n holds trials + 1, so a
+    draw is redrawn exactly when its entry is at least the current trial.
+    Each vertex's closure is taken in as the vertex is drawn, and A is read
+    off the table only for the pair returned.
     """
     g = as_graph(g)
     n = g.n
     if k < 1 or k > n // 2:
         raise ValueError(f"k must be in [1, {n // 2}] for n={n}")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     closure = [g.out_mask(v) | 1 << v for v in range(n)]
     full = g.full_mask()
     bits = random.Random(seed).getrandbits
@@ -231,8 +237,9 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
     # the pool's size at each draw and the bits `randbelow` draws for it
     sizes = [(i, i.bit_length()) for i in range(n, n - k, -1)]
     width = n.bit_length()
-    for _ in range(trials):
-        a = closed = 0
+    stamp = [0] * n + [trials + 1] * ((1 << width) - n)
+    for trial in range(1, trials + 1):
+        closed = 0
         if vertices is not None:
             pool = vertices[:]
             for i, w in sizes:
@@ -241,18 +248,19 @@ def refute_pseudorandomness(g, k: int, trials: int, seed: int):
                     j = bits(w)
                 v = pool[j]
                 pool[j] = pool[i - 1]
-                a |= 1 << v
+                stamp[v] = trial
                 closed |= closure[v]
         else:
             for _ in range(k):
                 j = bits(width)
-                while j >= n or a >> j & 1:
+                while stamp[j] >= trial:
                     j = bits(width)
-                a |= 1 << j
+                stamp[j] = trial
                 closed |= closure[j]
         free = full & ~closed
         if free.bit_count() >= k:
-            return tuple(iter_bits(a)), tuple(itertools.islice(iter_bits(free), k))
+            return (tuple(v for v in range(n) if stamp[v] == trial),
+                    tuple(itertools.islice(iter_bits(free), k)))
     return None
 
 

@@ -38,6 +38,19 @@ def test_gen_and_prcheck(tmp_path):
     assert report["mode"] == "exact"
 
 
+def test_prcheck_rejects_negative_trials(tmp_path):
+    """A negative --trials is an `Error:` line and exit status 1, not a
+    report with no counterexample."""
+    gpath = tmp_path / "tt.graph"
+    write_graph(str(gpath), transitive_tournament(8))
+    res = CliRunner().invoke(main, ["prcheck", "--mode", "sampled", "--k", "3",
+                                    "--trials", "-5", "--in", str(gpath)])
+    assert res.exit_code == 1
+    assert not isinstance(res.exception, ValueError)
+    assert "Error: trials must be at least 0, got -5" in res.output
+    assert "counterexample" not in res.output
+
+
 def test_prcheck_sampled_output(tmp_path):
     """The sampled mode's JSON, and any counterexample it returns checked
     on its own: two disjoint k-sets with no edge from the first to the

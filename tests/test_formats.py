@@ -268,6 +268,70 @@ def test_sparse_bodies_take_the_bulk_path_without_tables(monkeypatch):
         tracemalloc.stop()
 
 
+def _ref_two_parses(graph_text, coloring_text, num_colors):
+    g = ref.parse_graph(graph_text)
+    return g, ref.parse_coloring(coloring_text, g, num_colors)
+
+
+def _threshold_hosts():
+    """(host, what its graph body takes): 2m = 8n - 2, 8n and 8n + 2
+    tokens on each side of n^2 = 32 m (the n = 128 where 4n edges meet
+    graphs' second density arm), so the graph body takes int then the token
+    table, always sparse; a coloring of m >= 8n/3 edges takes the table.
+    Then m = 8n - 1, 8n, 8n + 1 at n = 100 and m = n^2/32 - 1, n^2/32,
+    n^2/32 + 1 at n = 320 flip each arm of `graphs._dense` in turn,
+    with the token table on both sides."""
+    seed = 40
+    shapes = [(n, 4 * n + d) for n in (30, 200) for d in (-1, 0, 1)]
+    shapes += [(100, 800 + d) for d in (-1, 0, 1)] + [(320, 3200 + d) for d in (-1, 0, 1)]
+    for n, m in shapes:
+        for symmetric in (False, True):
+            seed += 1
+            yield _host(n, m, symmetric, seed)
+
+
+def test_bulk_parses_match_reference_at_the_token_table(monkeypatch):
+    """parse_graph, parse_coloring and parse_colored give the reference's
+    results and errors on bodies of 8n tokens give or take one line, and on
+    each side of both density arms.  In a body that takes the token table,
+    a token equal to n and a leading zero miss the table, and a non-ASCII
+    digit fails the bulk check; each reaches the line scan."""
+    tables = []
+    real_ids = formats._ids
+    monkeypatch.setattr(formats, "_ids", lambda size: tables.append(size) or real_ids(size))
+    rng = random.Random(21)
+    seen = set()
+    for g in _threshold_hosts():
+        n, m = g.n, g.edge_count
+        kind = "symmetric" if g.allow_antiparallel else "oriented"
+        col = EdgeColoring(3, {e: rng.randint(1, 3) for e in g.edges()})
+        glines = serialize_graph(g).split("\n")[1:-1]
+        clines = serialize_coloring(g, col).split("\n")[:-1]
+        i = rng.randrange(m)
+        u, v, c = clines[i].split(" ")
+        mutants = {"valid": ([u, v], [u, v, c]),
+                   "id n": ([u, str(n)], [str(n), v, c]),
+                   "leading zero": (["0" + u, v], [u, "0" + v, c]),
+                   "non-ASCII digit": ([u, "\u0663"], [u, v, "\u0663"])}
+        for name, (gfields, cfields) in mutants.items():
+            gtext = _text(f"{n} {m} {kind}", glines[:i] + [" ".join(gfields)] + glines[i + 1:])
+            ctext = _text("", clines[:i] + [" ".join(cfields)] + clines[i + 1:])
+            good = _text(f"{n} {m} {kind}", glines)
+            tag = f"n={n} m={m} {kind} {name}"
+            before = len(tables)
+            assert _outcome(parse_graph, gtext) == _outcome(ref.parse_graph, gtext), tag
+            if name == "valid":
+                assert (len(tables) > before) == (2 * m >= 8 * n), tag
+            assert (_outcome(parse_coloring, ctext, g, None)
+                    == _outcome(ref.parse_coloring, ctext, g, None)), tag
+            for pair in ((gtext, _text("", clines)), (good, ctext), (gtext, ctext)):
+                assert (_outcome(parse_colored, *pair, None)
+                        == _outcome(_ref_two_parses, *pair, None)), tag
+            seen.add((2 * m >= 8 * n, graphs._dense(n, m), n * n < 32 * m))
+    assert seen == {(False, False, True), (True, False, True), (False, False, False),
+                    (True, False, False), (True, True, True)}
+
+
 # -- one parse for a colored host ---------------------------------------------
 
 def _colored_corpus():

@@ -509,6 +509,20 @@ def test_run_experiment_error_cell_is_failed_row(tmp_path, monkeypatch):
     assert pooled.aggregates == serial.aggregates
 
 
+def test_run_experiment_negative_trials_is_failed_row(tmp_path):
+    """A negative trial count makes the refuter raise ValueError, so every
+    sampled cell is a failed row rather than a row with no counterexample."""
+    m = ExperimentManifest(
+        experiment_id="negtrials", kind="prcheck",
+        generator=GeneratorSpec("tournament", (12,)),
+        repetitions=2, params={"mode": "sampled", "k": 2, "trials": -5},
+        csv_path=str(tmp_path / "t.csv"), json_path=str(tmp_path / "t.json"))
+    record = run_experiment(m)
+    assert record.failures == 2
+    assert all(row[-1] == 0 for row in record.rows)
+    assert record.aggregates["12"]["errors"] == {"ValueError": 2}
+
+
 def test_run_experiment_bad_cell_parameter_is_failed_row(tmp_path):
     """The default k = 6 exceeds n/2 at n=8, so the refuter raises
     ValueError there; that cell becomes a failed row, n=32 still runs, and

@@ -173,6 +173,15 @@ def test_refute_validates_k():
         refute_pseudorandomness(t, 5, 10, 0)
 
 
+def test_refute_rejects_negative_trials():
+    """A negative trial count is a bad value, not a search that found
+    nothing; zero trials is a search that found nothing."""
+    t = transitive_tournament(8)
+    with pytest.raises(ValueError, match="trials must be at least 0, got -5"):
+        refute_pseudorandomness(t, 3, -5, 0)
+    assert refute_pseudorandomness(t, 3, 0, 0) is None
+
+
 def test_refute_finds_planted_violation():
     # bipartite-free pair: no edges 0..2 -> 3..5
     edges = [(v, u) for u in range(3) for v in range(3, 6)]
@@ -193,26 +202,33 @@ def test_refute_replays_sample_draws():
     order, so it returns what the reference that calls `sample` returns,
     pair for pair, on both sides of `sample`'s pool threshold, on
     tournaments and on sparse graphs that refute often, with both
-    outcomes on each side."""
+    outcomes on each side.  Above the threshold, n = 2^j - 1, 2^j and
+    2^j + 1 give the draw table's ids at or above n 1, n and n - 2
+    entries, and the perfbench lane's shapes run 1,000 trials."""
     rng = random.Random(41)
     outcomes = set()
+    shapes = []
     for k in (1, 2, 5, 6, 10, 12):
         # the largest n at which `sample(range(n), k)` draws from a pool of
         # the values left, not redrawing repeats: 21 for k <= 5, else 85
         top = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-        for n in (2 * k, top - 1, top, top + 1, top + 40):
-            for i in range(6):
-                seed = rng.getrandbits(32)
-                if i % 2:
-                    g = random_tournament(n, seed)
-                else:
-                    m = rng.randint(1, min(3 * n, n * (n - 1) // 2))
-                    g = random_oriented_graph(n, m, seed)
-                trials = rng.choice((1, 5, 40))
-                got = refute_pseudorandomness(g, k, trials, seed)
-                assert got == reference_generators.refute_pseudorandomness(
-                    g, k, trials, seed)
-                outcomes.add((n <= top, got is None))
+        power = 1 << top.bit_length()
+        for n in (2 * k, top - 1, top, top + 1, top + 40, power - 1, power, power + 1):
+            shapes += [(n, k, None, n <= top)] * 6
+    # both lane shapes lie above their pool threshold of 85
+    shapes += [(n, k, 1000, False) for n, k in ((128, 14), (256, 16)) for _ in range(4)]
+    for i, (n, k, trials, pooled) in enumerate(shapes):
+        seed = rng.getrandbits(32)
+        if i % 2:
+            g = random_tournament(n, seed)
+        else:
+            m = rng.randint(1, min(3 * n, n * (n - 1) // 2))
+            g = random_oriented_graph(n, m, seed)
+        trials = trials or rng.choice((1, 5, 40))
+        got = refute_pseudorandomness(g, k, trials, seed)
+        assert got == reference_generators.refute_pseudorandomness(
+            g, k, trials, seed)
+        outcomes.add((pooled, got is None))
     assert outcomes == set(itertools.product((True, False), repeat=2))
 
 
