@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import and_, or_
+from itertools import accumulate, compress, repeat
+from operator import add, and_, or_
+from typing import Iterator
 
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, GraphShapeError
-from .graphs import EdgeColoring, OrientedGraph, Tournament, _union, iter_bits, mask_of
+from .graphs import (EdgeColoring, OrientedGraph, Tournament, _selectors, _union, iter_bits,
+                     mask_of)
 from .paths import _levels, _reach, level_decomposition, longest_path_masks
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,14 @@ class AcyclicSetResult:
     steps: tuple[AcyclicSearchState, ...] = ()
 
 
+def _rows_within(out: list[int], tails: int, heads: int) -> Iterator[int]:
+    """The rows of `out` of the vertices in the mask `tails`, in id order,
+    each cut to the mask `heads`."""
+    return map(and_, compress(out, _selectors(tails, len(out))), repeat(heads))
+
+
 def _edges_within(out: list[int], within: int) -> int:
-    return sum((out[v] & within).bit_count() for v in iter_bits(within))
+    return sum(map(int.bit_count, _rows_within(out, within, within)))
 
 
 def _greedy_acyclic(out: list[int], inn: list[int], within: int) -> int:
@@ -178,7 +186,7 @@ def sparse_acyclic_set(g: OrientedGraph, cfg: ConstantsConfig = DEFAULT_CONFIG) 
     error).  The result always has at least floor(log2 n) + 1 vertices.
     Vertex ids, the steps' included, are g's.
     """
-    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
+    out, inn = g.out_masks(), g.in_masks()
     if any(map(and_, out, inn)):
         raise GraphShapeError("input must be oriented (no antiparallel pairs)")
     return _sparse_acyclic(out, inn, g.full_mask(), cfg)
@@ -249,8 +257,7 @@ def constructive_chromatic(g: OrientedGraph) -> list[list[int]]:
     them in either direction.  On exit every pair of classes is adjacent,
     so m >= C(count, 2) and the class count is at most 2*sqrt(m) + 1.
     """
-    return _chromatic_classes(g.out_masks(), [g.in_mask(v) for v in range(g.n)],
-                              g.full_mask())
+    return _chromatic_classes(g.out_masks(), g.in_masks(), g.full_mask())
 
 
 def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list[int]]:
@@ -472,9 +479,9 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     n = g.n
     deg_thr = cfg.degree_threshold(n, q)
     term = cfg.termination_threshold(n, q)
-    out, inn = g.out_masks(), [g.in_mask(v) for v in range(n)]
-    x_verts = [v for v, o, i in zip(range(n), out, inn)
-               if o.bit_count() + i.bit_count() <= deg_thr]
+    out, inn = g.out_masks(), g.in_masks()
+    degrees = map(add, map(int.bit_count, out), map(int.bit_count, inn))
+    x_verts = list(compress(range(n), map(deg_thr.__ge__, degrees)))
     x_mask = mask_of(x_verts)
     y_mask = g.full_mask() ^ x_mask
     m = y_mask.bit_count()
@@ -527,7 +534,8 @@ def theorem1_adversary(g: OrientedGraph, q: int,
     for part in (x_mask, y_mask):
         classes = _chromatic_classes(out, inn, part)
         _digit_product(out, classes, q, rows)
-        bound = block_product_bound(len(classes), q, 0) if _edges_within(out, part) else 0
+        inside = any(_rows_within(out, part, part))  # stops at the first edge
+        bound = block_product_bound(len(classes), q, 0) if inside else 0
         found.append((bound, len(classes)))
     (x_bound, x_classes), (r_bound, r_classes) = found
 
@@ -563,12 +571,17 @@ def theorem1_adversary(g: OrientedGraph, q: int,
 
 def check_partition(g: OrientedGraph, result: AdversaryResult,
                     cfg: ConstantsConfig, q: int) -> None:
-    """Re-verify every structural invariant of an adversary run."""
+    """Re-verify every structural invariant of an adversary run.
+
+    The escape scheme is tested per part (X, residue, covered) and color:
+    one pass over the part's rows of the color looks for an edge into a
+    part the color may not reach.  Only when one is found does a scan of
+    the vertices in id order name the first offending edge."""
     p = result.partition
     all_parts = list(p.x) + list(p.residue) + list(p.covered)
     if sorted(all_parts) != list(range(g.n)):
         raise AssertionError("X, residue, covered do not partition V")
-    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
+    out, inn = g.out_masks(), g.in_masks()
     for rec in p.families:
         sizes = {len(b) for b in rec.blocks}
         if sizes and sizes != {rec.size}:
@@ -576,23 +589,27 @@ def check_partition(g: OrientedGraph, result: AdversaryResult,
         for b in map(mask_of, rec.blocks):
             if _greedy_acyclic(out, inn, b) != b:
                 raise AssertionError("family block is not acyclic")
-    x, res, cov = mask_of(p.x), mask_of(p.residue), mask_of(p.covered)
+    res, cov = mask_of(p.residue), mask_of(p.covered)
+    x = g.full_mask() ^ res ^ cov  # the three parts partition V
     if _edges_within(out, res) > cfg.termination_threshold(g.n, q):
         raise AssertionError("residue edge count above the termination threshold")
     coloring = result.coloring
     masks = [coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)]
+    # per part, what each color may not reach from it: color 1 may only
+    # run forward, color 2 only backward, no other color between parts
+    rules = [(part, [before, after] + [before | after] * (len(masks) - 2))
+             for part, before, after in ((x, 0, res | cov), (res, x, cov), (cov, x | res, 0))]
+    if not any(w and any(_rows_within(rows, part, w))
+               for part, wrong in rules for rows, w in zip(masks, wrong)):
+        return
     for u in range(g.n):
-        before, after = ((0, res | cov) if x >> u & 1 else
-                         (x, cov) if res >> u & 1 else (x | res, 0))
-        # color 1 may only run forward, color 2 only backward, no other
-        # color between parts
-        wrong = [before, after] + [before | after] * (len(masks) - 2)
+        wrong = next(wrong for part, wrong in rules if part >> u & 1)
         bad = 0
         for rows_c, w in zip(masks, wrong):
             bad |= rows_c[u] & w
         if bad:
             v = (bad & -bad).bit_length() - 1
-            want = 1 if after >> v & 1 else 2
+            want = 1 if wrong[1] >> v & 1 else 2
             raise AssertionError(
                 f"cross-part edge ({u},{v}) colored {coloring.color(u, v)}, "
                 f"escape scheme wants {want}")

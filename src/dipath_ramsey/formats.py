@@ -46,7 +46,7 @@ from itertools import compress, repeat
 from operator import and_, eq
 
 from .errors import FormatError
-from .graphs import EdgeColoring, OrientedGraph, _dense, _in_masks_of, _union
+from .graphs import EdgeColoring, OrientedGraph, _dense, _in_masks_of, _selectors, _union
 
 _KINDS = {"oriented": False, "symmetric": True}
 
@@ -55,8 +55,6 @@ _DIGITS = b"0123456789"
 _MARKS = [(b" %d\n" % c, bytes((0x80 | c, 0x80 | c)) + b"\n") for c in range(10)]
 _ASCII, _MARKED = bytes(range(0x80)), bytes(range(0x80, 0x100))
 _COLOR = bytes(i & 0x7F for i in range(0x100))
-# a row's bit string, "0"/"1" per vertex, as compress selectors
-_SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # A body takes the token table from 8n tokens on: building the table costs
@@ -105,13 +103,12 @@ def _lines(g: OrientedGraph, layers: list[list[int]], tags: list[str]) -> str:
                     i += 1
                 out.append(f"{u} {low.bit_length() - 1}{tags[i]}\n")
         return "".join(out)
-    spec = f"0{n}b"
     select = bytearray(n * k)
     words = [f"{v}{tag}" for v in range(n) for tag in tags]
     for u, rows in enumerate(zip(*layers)):
         if any(rows):
             for i, row in enumerate(rows):
-                select[i::k] = format(row, spec).encode().translate(_SELECT)[::-1]
+                select[i::k] = _selectors(row, n)
             lead = f"{u} "
             out.append(lead + ("\n" + lead).join(compress(words, select)) + "\n")
     return "".join(out)

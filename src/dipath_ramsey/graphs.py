@@ -69,6 +69,17 @@ def _in_masks_of(out: list[int], m: int) -> list[int]:
     return inn
 
 
+# a mask's bit string, "0"/"1" per vertex, as compress selectors
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selectors(mask: int, n: int) -> bytes:
+    """`compress` selectors of the vertex mask `mask` in vertex order:
+    byte v is 1 when bit v is set, for v in 0..n-1.  The top bit 1 << n
+    keeps n = 0 at no bytes."""
+    return format(mask | 1 << n, "b").encode().translate(_SELECT)[:0:-1]
+
+
 def _union(masks: list[list[int]]) -> list[int]:
     """The OR of equal-length mask lists, row by row."""
     union = masks[0]
@@ -150,6 +161,10 @@ class OrientedGraph:
 
     def in_mask(self, v: int) -> int:
         return (self._in or self._in_masks())[v]
+
+    def in_masks(self) -> list[int]:
+        """All in-masks, one per vertex (a fresh list)."""
+        return list(self._in or self._in_masks())
 
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()

@@ -239,8 +239,8 @@ def longest_path_masks(adj: list[int]) -> tuple[list[int], int]:
     An acyclic input is solved at any size, with explored = n: `_heights`
     gives each vertex's height, its peel capped at twice as many scans as
     there are edges, and `_walk` reads the path off them.  The
-    adversary's classes scan up to 1.15 times their edge count, so they
-    finish the peel; a long path hands over to Kahn's pass.
+    adversary's shallow classes finish the peel; a long path hands over
+    to Kahn's pass.
 
     A cyclic input is searched from each vertex of its support (vertices
     with an edge) by `_ahead`, with the in-masks, built once, and one memo
@@ -327,7 +327,7 @@ def level_decomposition(g: OrientedGraph) -> list[list[int]]:
     strictly lower level to a higher one.  Raises CyclicGraphError with a
     witness cycle.
     """
-    inn = [g.in_mask(v) for v in range(g.n)]
+    inn = g.in_masks()
     depth, left = _heights(inn)
     if left:
         raise CyclicGraphError("graph contains a directed cycle", _cycle(inn, left)[::-1])

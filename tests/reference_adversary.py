@@ -14,10 +14,17 @@ argument graph; the tests map both to host ids before comparing.
 tested each later singleton against each class in turn and deleted list
 items as it merged, kept verbatim as the reference for the merge by
 neighborhood masks.
+
+`check_partition` is the invariant check of the adversary, which scanned
+the escape scheme one vertex at a time, kept verbatim (with its per-vertex
+`_edges_within`, and the package's mask-level greedy test under another
+name) as the reference for the check per part and color.
 """
 import math
 
-from dipath_ramsey.adversary import AcyclicSearchState, AcyclicSetResult, _chain_in_tournament
+from dipath_ramsey.adversary import (AcyclicSearchState, AcyclicSetResult, AdversaryResult,
+                                     _chain_in_tournament)
+from dipath_ramsey.adversary import _greedy_acyclic as _greedy_acyclic_masks
 from dipath_ramsey.config import DEFAULT_CONFIG, ConstantsConfig
 from dipath_ramsey.errors import GraphShapeError
 from dipath_ramsey.graphs import OrientedGraph, iter_bits, mask_of
@@ -187,3 +194,44 @@ def _chromatic_classes(out: list[int], inn: list[int], within: int) -> list[list
                 del members[j], near[j], vmask[j]
         i += 1
     return members
+
+
+def _edges_within(out: list[int], within: int) -> int:
+    return sum((out[v] & within).bit_count() for v in iter_bits(within))
+
+
+def check_partition(g: OrientedGraph, result: AdversaryResult,
+                    cfg: ConstantsConfig, q: int) -> None:
+    """Re-verify every structural invariant of an adversary run."""
+    p = result.partition
+    all_parts = list(p.x) + list(p.residue) + list(p.covered)
+    if sorted(all_parts) != list(range(g.n)):
+        raise AssertionError("X, residue, covered do not partition V")
+    out, inn = g.out_masks(), [g.in_mask(v) for v in range(g.n)]
+    for rec in p.families:
+        sizes = {len(b) for b in rec.blocks}
+        if sizes and sizes != {rec.size}:
+            raise AssertionError(f"family block sizes {sizes} != {rec.size}")
+        for b in map(mask_of, rec.blocks):
+            if _greedy_acyclic_masks(out, inn, b) != b:
+                raise AssertionError("family block is not acyclic")
+    x, res, cov = mask_of(p.x), mask_of(p.residue), mask_of(p.covered)
+    if _edges_within(out, res) > cfg.termination_threshold(g.n, q):
+        raise AssertionError("residue edge count above the termination threshold")
+    coloring = result.coloring
+    masks = [coloring.out_masks(c, g.n) for c in range(1, coloring.num_colors + 1)]
+    for u in range(g.n):
+        before, after = ((0, res | cov) if x >> u & 1 else
+                         (x, cov) if res >> u & 1 else (x | res, 0))
+        # color 1 may only run forward, color 2 only backward, no other
+        # color between parts
+        wrong = [before, after] + [before | after] * (len(masks) - 2)
+        bad = 0
+        for rows_c, w in zip(masks, wrong):
+            bad |= rows_c[u] & w
+        if bad:
+            v = (bad & -bad).bit_length() - 1
+            want = 1 if after >> v & 1 else 2
+            raise AssertionError(
+                f"cross-part edge ({u},{v}) colored {coloring.color(u, v)}, "
+                f"escape scheme wants {want}")

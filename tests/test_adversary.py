@@ -40,6 +40,7 @@ from dipath_ramsey.adversary import (
     _acyclic_candidates,
     _completion_chain,
     _digits,
+    _edges_within,
 )
 from dipath_ramsey.graphs import mask_of
 import reference_adversary
@@ -487,6 +488,72 @@ def test_check_partition_catches_each_corruption():
         field = "coloring" if isinstance(bad, EdgeColoring) else "partition"
         with pytest.raises(AssertionError, match=message):
             check_partition(g, replace(result, **{field: bad}), ConstantsConfig(), 1)
+
+
+def _outcome(check, g, result, cfg, q):
+    """The exception type and message `check` raises, or None."""
+    try:
+        check(g, result, cfg, q)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("make, n, m, seed, q, cfg", [
+    (random_digraph, 60, 900, 0, 1, ConstantsConfig()),
+    (random_digraph, 30, 300, 0, 2, RELAXED),
+])
+def test_check_partition_names_each_recolored_cross_edge_like_the_reference(
+        make, n, m, seed, q, cfg):
+    """The first edge from each part (X, residue, covered) into each other
+    part, recolored to each wrong color, color q+1 included, and then every
+    cross edge at once in color q+1: the check per part and color raises
+    what the per-vertex reference raises, naming the first offending edge."""
+    g = make(n, m, seed)
+    result = theorem1_adversary(g, q, cfg)
+    p = result.partition
+    part = {v: i for i, vs in enumerate((p.x, p.residue, p.covered)) for v in vs}
+    assert sorted(set(part.values())) == [0, 1, 2]
+    colors = dict(result.coloring.items())
+    assert _outcome(check_partition, g, result, cfg, q) is None
+    cross = [(u, v) for u, v in g.edges() if part[u] != part[v]]
+    firsts = {}
+    for u, v in cross:
+        firsts.setdefault((part[u], part[v]), (u, v))
+    assert {a for a, _ in firsts} == {0, 1, 2}
+    recolored = [{**colors, edge: c} for edge in firsts.values()
+                 for c in range(1, q + 2) if c != colors[edge]]
+    recolored.append({**colors, **dict.fromkeys(cross, q + 1)})
+    for assignment in recolored:
+        bad = replace(result, coloring=EdgeColoring(q + 1, assignment))
+        got = _outcome(check_partition, g, bad, cfg, q)
+        assert got is not None and got[0] is AssertionError and "escape scheme" in got[1]
+        assert got == _outcome(reference_adversary.check_partition, g, bad, cfg, q)
+
+
+def test_check_partition_passes_the_dense_family_hosts_like_the_reference():
+    """The hosts of `test_theorem1_dense_families_appear`: neither check
+    raises, and on the last, `_corruptions`' cases raise the same in
+    both."""
+    for g in (random_digraph(40, 720, 0), random_oriented_graph(12, 43, 0),
+              random_oriented_graph(40, 350, 2)):
+        result = theorem1_adversary(g, 1)
+        for check in (check_partition, reference_adversary.check_partition):
+            assert _outcome(check, g, result, ConstantsConfig(), 1) is None
+    for _, bad in _corruptions(g, result):
+        field = "coloring" if isinstance(bad, EdgeColoring) else "partition"
+        bad = replace(result, **{field: bad})
+        assert (_outcome(check_partition, g, bad, ConstantsConfig(), 1)
+                == _outcome(reference_adversary.check_partition, g, bad, ConstantsConfig(), 1))
+
+
+def test_edges_within_matches_a_per_vertex_sum():
+    rng = random.Random(9)
+    for n, m in ((0, 0), (1, 0), (9, 40), (64, 500), (65, 900), (300, 1800)):
+        out = random_digraph(n, m, n).out_masks()
+        for within in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(8))):
+            want = sum((out[v] & within).bit_count() for v in range(n) if within >> v & 1)
+            assert _edges_within(out, within) == want
 
 
 @pytest.mark.parametrize("q", [1, 2])

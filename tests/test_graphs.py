@@ -1,6 +1,7 @@
 """Core graph/coloring/path type behavior."""
 import random
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,11 +15,13 @@ from dipath_ramsey import (
     Tournament,
     complete_symmetric,
     is_tournament,
+    parse_graph,
     random_digraph,
+    serialize_graph,
     transitive_tournament,
 )
 from dipath_ramsey import graphs
-from dipath_ramsey.graphs import _transpose, mask_of
+from dipath_ramsey.graphs import _selectors, _transpose, mask_of
 
 
 def test_rejects_self_loop():
@@ -224,6 +227,45 @@ def test_derived_in_masks_match_per_edge_loop(monkeypatch):
         arms[n >= 256, took] += 1
     assert arms[False, True] > 50 and arms[False, False] > 50
     assert arms[True, True] >= 3 and arms[True, False] >= 3
+
+
+def test_in_masks_copies_every_in_mask():
+    """`in_masks()` is the list of `in_mask(v)`, whether the graph was
+    built from edges, from out-masks alone on either arm of
+    `graphs._dense` (asked first, so that it derives them), by a parse, or
+    has no vertex or no edge; the list is the caller's to change."""
+    rng = random.Random(3)
+    hosts = [OrientedGraph(0), OrientedGraph(4), OrientedGraph.from_masks(0, [])]
+    arms = set()
+    for n, m in ((6, 25), (40, 60), (50, 1500), (300, 2000), (256, 4000)):
+        g = random_digraph(n, m, n)
+        hosts.append(OrientedGraph(n, g.edges(), allow_antiparallel=True))
+        hosts.append(OrientedGraph.from_masks(n, g.out_masks(), None, True))
+        hosts.append(parse_graph(serialize_graph(g)))
+        arms.add(graphs._dense(n, m))
+    assert arms == {False, True}
+    for g in hosts:
+        want = [0] * g.n
+        for u, v in g.edges():
+            want[v] |= 1 << u
+        got = g.in_masks()
+        assert got == want == [g.in_mask(v) for v in range(g.n)]
+        got.append(1)
+        if g.n:
+            got[rng.randrange(g.n)] ^= 1
+        assert g.in_masks() == want
+        assert [g.in_mask(v) for v in range(g.n)] == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 300])
+def test_selectors_mark_the_mask_bits_in_vertex_order(n):
+    masks = [0, (1 << n) - 1, random.Random(n).getrandbits(n)]
+    if n:
+        masks.append(1 << n - 1)
+    for mask in masks:
+        sel = _selectors(mask, n)
+        assert sel == bytes(mask >> v & 1 for v in range(n))
+        assert list(compress(range(n), sel)) == [v for v in range(n) if mask >> v & 1]
 
 
 def test_rejects_negative_vertex_count():
