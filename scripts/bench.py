@@ -9,6 +9,11 @@ and the last line, the JSON result.  It writes BENCH_<label>.json beside
 this script's checkout: the git sha, Python version and nproc the runs
 report, and per workload and seed each metric's median and quartiles with
 its values in run order, the digests, and the failed and attempted counts.
+It also times one Tier-1 run of that checkout's tests, `python -m pytest
+-q --continue-on-collection-errors -p no:cacheprovider` with its src/ on
+PYTHONPATH, so no cache is written into it, and records the wall seconds,
+the exit code and the passed, failed and deselected counts of pytest's
+summary line.
 
     python3 scripts/bench.py --label change
     python3 scripts/bench.py --label parent --root ../parent-checkout
@@ -24,6 +29,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("upper-witness", "lower-witness", "exact-oracle")
@@ -33,6 +39,9 @@ SECONDS = 15
 _ENV = re.compile(r"env git_sha=(\S+) python=(\S+) nproc=(\d+)")
 _DIGEST = re.compile(r"output digest sha256=([0-9a-f]+) \((.+)\)")
 _SLOWDOWN = re.compile(r"the reference ran ([0-9.]+)x slower")
+_SUMMARY_END = re.compile(r" in [0-9.]+s\b")
+_COUNT = re.compile(r"(\d+) (passed|failed|deselected)\b")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def _spread(values: list[float]) -> dict:
@@ -60,6 +69,32 @@ def run_once(root: str, workload: str, seed: int) -> dict:
     if lines and lines[-1].startswith("{"):
         run["result"] = json.loads(lines[-1])
     return run
+
+
+def read_summary(lines: list[str]) -> dict | None:
+    """The passed, failed and deselected counts of pytest's summary line,
+    the last line that ends in its run time, such as "455 passed, 1
+    failed in 116.32s (0:01:56)"; a count the line lacks is 0.  None when
+    no line is a summary."""
+    for line in reversed(lines):
+        if _SUMMARY_END.search(line):
+            counts = dict.fromkeys(("passed", "failed", "deselected"), 0)
+            counts.update((word, int(k)) for k, word in _COUNT.findall(line))
+            return counts
+    return None
+
+
+def run_tier1(root: str) -> dict:
+    """One Tier-1 run of the tests of the checkout at `root`: its exit
+    code, wall seconds and summary counts (None when it printed none)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                      env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+    return {"exit_code": proc.returncode, "wall_s": round(time.perf_counter() - t0, 2),
+            "counts": read_summary(proc.stdout.splitlines())}
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -105,8 +140,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed={seed} run {i + 1}/{args.repeats}: exit "
                       f"{run['exit_code']}, digest {(run['digest'] or '-')[:8]}", file=sys.stderr)
             workloads.setdefault(workload, {})[str(seed)] = summarise(runs)
+    tier1 = run_tier1(root)
+    print(f"tier-1: exit {tier1['exit_code']}, {tier1['wall_s']} s, {tier1['counts']}",
+          file=sys.stderr)
     out = {"label": args.label, **(env or {}), "seconds": SECONDS, "repeats": args.repeats,
-           "workloads": workloads}
+           "workloads": workloads, "tier1": tier1}
     path = os.path.join(HERE, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)

@@ -8,7 +8,7 @@ rot9 -> P_4, TT9 -> P_3, TT10 -> P_3, rot11 -> P_4 and TT16 -> P_4 at
 q=2, TT9 -> P_2 and rot7 -> P_2 at q=3, and rot7 -> P_6 and rot7 -> P_7
 at q=1 (rotn is the rotational tournament on Z_n, TTn the transitive
 one).  The q=1 questions sit above bound 3, where the search checks each
-new edge with `oracle._path_through`'s longer route, and
+new edge with `oracle._path_through` rather than the short search, and
 `paths.longest_path_masks` confirms their answers: one color arrows P_k
 exactly when the host has a path of k edges.  Then measures the longest
 path of three cyclic classes with `paths.longest_path_masks`: a 3-cycle

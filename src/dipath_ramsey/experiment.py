@@ -26,7 +26,7 @@ from .builder import multicolor_path_finder
 from .config import DEFAULT_CONFIG, ConstantsConfig
 from .errors import ColoringError, DipathError, ManifestError
 from .graphs import EdgeColoring, OrientedGraph
-from .oracle import longest_mono_path
+from .oracle import max_mono_path
 from .pseudorandom import (
     paley_tournament,
     pseudorandomness_exact,
@@ -266,8 +266,7 @@ def _run_one(manifest: ExperimentManifest, n: int, run_index: int) -> tuple:
         # run one way each) and shallow, so the engine peels its sinks in
         # a few rounds; its scans are capped at twice the class's edge
         # count, past which Kahn's counting pass takes over, at any size
-        per_color = longest_mono_path(g, result.coloring)
-        measured = max((r.value for r in per_color.values()), default=0)
+        measured = max_mono_path(g, result.coloring)
         if measured > part.total_bound:
             ok = 0
         return (n, run_index, seed, q, result.coloring.num_colors,

@@ -19,7 +19,9 @@ from .paths import _TOO_DEEP, _ahead, _heights, longest_path_masks
 # `_short_through`, whose recursion is at most `bound` + 1 frames deep and
 # which needs no walks, support pass or memo at any class size; questions
 # about P_2 to P_4 ask no more, and above it the paths the plain search
-# tries grow as the degree to the power `bound`
+# tries grow as the degree to the power `bound`.  Both checks return -1,
+# or a mask of the earlier positions on a path through the new edge longer
+# than the bound: its edges up to this bound, every position above it
 _SHORT_BOUND = 3
 
 # search nodes min_max_mono_path and arrowing_check may spend by default
@@ -95,20 +97,20 @@ def _dag_depth(nbr: list[int], s: int) -> int | None:
         layer = nxt
 
 
-def _path_through(out: list[int], into: list[int], u: int, v: int,
-                  bound: int) -> bool:
+def _path_through(out: list[int], into: list[int], u: int, v: int, ends: int,
+                  bound: int, bits: list) -> int:
     """Whether a class with no path of more than `bound` edges gains one
-    when its new edge (u, v) comes in.  `out` and `into` are the class's
-    out- and in-masks, the new edge included.
+    when its new edge (u, v) comes in, in `_short_through`'s contract:
+    -1 for no, and for yes a mask of positions, here every one before
+    (u, v)'s, bits[u][v] - 1, since the path found is not named.  `out`
+    and `into` are the class's out- and in-masks, the new edge included,
+    and `ends` is 1 << u | 1 << v.
 
     Such a path must use (u, v): it is a path into u, the edge, and a path
-    out of v, the two disjoint, with `bound` edges between them.  At a
-    bound up to _SHORT_BOUND, `_short_through` grows the two paths one
-    edge at a time and stops at the first pair long enough: no walks,
-    support pass or memo, and at most bound + 1 frames deep; the coloring
-    search calls it itself, to learn which edges the path uses.  Above it
-    run the routes that stay polynomial on acyclic classes of any size
-    and on dense cyclic classes at high bounds, and answer yes or no.
+    out of v, the two disjoint, with `bound` edges between them.  These
+    routes stay polynomial on acyclic classes of any size and on dense
+    cyclic classes at high bounds, and answer at every bound; the coloring
+    search takes `_short_through` instead at a bound up to _SHORT_BOUND.
     When no cycle is reachable from v, v does not reach u (the edge would
     close one), so the two paths never meet.  If no cycle reaches u
     either, the answer is the longest path into u, plus 1, plus the
@@ -134,29 +136,25 @@ def _path_through(out: list[int], into: list[int], u: int, v: int,
     raises BudgetExceededError.  The coloring search's own node budget
     counts colorings tried, not these states.
     """
-    if bound <= _SHORT_BOUND:
-        # the positions of the path do not matter here: every edge's are 0
-        n = len(out)
-        return _short_through(out, into, u, v, 1 << u | 1 << v, bound, [[0] * n] * n) >= 0
+    every = bits[u][v] - 1
     ahead = _dag_depth(out, v)
     if ahead is not None:
         behind = _dag_depth(into, u)
         if behind is not None:
-            return behind + ahead >= bound
+            return every if behind + ahead >= bound else -1
     support = 0  # the masks of `into` name the tails, those of `out` the heads
     for a, b in zip(out, into):
         support |= a | b
-    size = support.bit_count()
-    if size <= bound + 1:  # no simple path there has more than `bound` edges
-        return False
+    if support.bit_count() <= bound + 1:  # no simple path there has more than `bound` edges
+        return -1
     memo: dict = {}  # _ahead's bounds on (end, vertex set) states
-    ends = 1 << u | 1 << v
     try:
         # below `bound`, no path out of v is longer than `most`
         most = _ahead(out, into, memo, v, ends, bound, bound - 1)
-        return most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
+        found = most >= bound or _behind(out, into, memo, set(), v, most, u, ends, bound)
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
+    return every if found else -1
 
 
 def _short_through(out: list[int], into: list[int], w: int, v: int,
@@ -164,11 +162,11 @@ def _short_through(out: list[int], into: list[int], w: int, v: int,
     """The positions of a path into u that starts at w and covers `seen`,
     met by a path out of v of `left` edges that avoids it, or extended
     backward first, as the OR of their edges' `bits` (bits[a][b] names
-    edge (a, b)'s position), or -1 when there is none: `_path_through`'s
-    plain search, one edge at a time, with no memo.  The mask is ORed
-    together as the search unwinds, so at the top it holds every edge of
-    the path but (u, v).  With one or two edges left it loops over the
-    masks in the order the recursion would take, so the mask is the same."""
+    edge (a, b)'s position), or -1 when there is none, one edge at a
+    time with no memo.  The mask is ORed as the search unwinds, so at the
+    top, called as `_path_through` is, it holds every edge of the path
+    but (u, v).  With one or two edges left it loops over the masks in
+    the order the recursion would take, so the mask is the same."""
     if not left:
         return 0
     if left <= 2:
@@ -318,11 +316,12 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
 
     A dead end backjumps (conflict-directed backjumping, Prosser 1993):
     conf[pos] masks the earlier positions whose colors refuted those
-    tried at pos, at a bound up to _SHORT_BOUND the other edges of the
-    paths `_short_through` found, above it every earlier position.  When
-    every color was tried, the search jumps to the highest position in
-    the conflict, uncolors those in between and hands it the rest; an
-    empty conflict means no coloring exists.  Where the canonical rule
+    tried at pos, as the check returned them: the other edges of the
+    path `_short_through` found up to _SHORT_BOUND, every earlier
+    position from `_path_through` above it.  When every color was tried,
+    the search jumps to the highest position in the conflict, uncolors
+    those in between and hands it the rest; an empty conflict means no
+    coloring exists.  Where the canonical rule
     skipped colors the conflict is every earlier position: the skipped
     and the tried fresh color are all unused before pos, so swapping
     them maps any coloring onto one already refuted, but which colors
@@ -342,7 +341,8 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
     bits = [{} for _ in range(n)]
     for pos, (u, v) in enumerate(edges):
         bits[u][v] = 1 << pos
-    short = bound <= _SHORT_BOUND
+    # looked up once per decision, by name, so a patch of either route takes
+    through = _short_through if bound <= _SHORT_BOUND else _path_through
     # color[pos] is the color on edge pos, 0 while it has none, top[pos]
     # the highest color it may take: one past the highest on edges
     # 0..pos-1, at most q, and conf[pos] its conflict.  A loop, not a
@@ -384,12 +384,8 @@ def _decision_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
         out[u] |= vbit
         inn[v] |= ubit
         count[c] += 1
-        hit = -1  # fewer than bound+1 edges can never form a longer path
-        if count[c] > bound:
-            if short:
-                hit = _short_through(out, inn, u, v, ubit | vbit, bound, bits)
-            elif _path_through(out, inn, u, v, bound):
-                hit = bits[u][v] - 1
+        # fewer than bound+1 edges can never form a longer path
+        hit = through(out, inn, u, v, ubit | vbit, bound, bits) if count[c] > bound else -1
         if hit < 0:
             pos += 1
             top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
@@ -407,7 +403,8 @@ def min_max_mono_path(g: OrientedGraph, q: int,
     floor (`_product_floor`, a greedy clique's Gallai-Roy bound) up, all
     in one edge order (`_search_order`, the vertices with the most
     2-paths first); `explored` sums their nodes.  Each node checks only
-    the paths through its new edge (`_path_through`).
+    the paths through its new edge (`_short_through` up to _SHORT_BOUND,
+    `_path_through` above it), which name the positions to backjump to.
 
     BudgetExceededError is raised when the search needs more than
     `budget` nodes, with no up-front estimate from q^|E|.  `budget`

@@ -3,17 +3,22 @@
 `chronological_search` is the search as it ran before it backjumped: on
 a dead end it backs up one edge at a time, and its check at a bound up
 to `oracle._SHORT_BOUND` is the plain depth-first search answering yes
-or no (`short_through`).  The backjumping search must find the same
-coloring, or none, on every decision, within at most as many nodes.
+or no (`short_through`), above it `package_through`.  The backjumping
+search must find the same coloring, or none, on every decision, within
+at most as many nodes.
 
 `id_order_search` colors the edges vertex by vertex in id order, the
 reference for the rank order (the vertices with the most 2-paths first)
 that replaced it, and `lexicographic_search` colors `g.edges()` in
 lexicographic order, the reference for the id order: each must agree
 with its successor on every value and arrow answer, while their
-witnesses and node counts differ.  Both back up one edge at a time, and
-run the package's per-edge check, `oracle._path_through`, looked up at
-each call, which the oracle tests hold to the subset DP.
+witnesses and node counts differ.  Both back up one edge at a time, so
+they ask the per-edge check only yes or no: `package_through` runs the
+package's `oracle._path_through`, looked up at each call, at every bound
+and reads its mask, or -1, that way.  The oracle tests hold that check
+to the subset DP at bounds 0-7, so the answers, and the node counts, are
+those of the short search it once delegated to up to
+`oracle._SHORT_BOUND`.
 
 `path_through` is that check as it ran at every bound before a bound up
 to `oracle._SHORT_BOUND` took the plain depth-first search: DAG walks,
@@ -170,14 +175,22 @@ def recursive_out_of(out: list[int], w: int, seen: int, left: int, bits: list) -
     return -1
 
 
+def package_through(out: list[int], into: list[int], u: int, v: int,
+                    bound: int) -> bool:
+    """The package's `_path_through`, looked up at each call, as yes or
+    no.  A table that puts every edge at position 0 makes the answer 0,
+    no earlier position, for yes and -1 for no."""
+    n = len(out)
+    return oracle._path_through(out, into, u, v, 1 << u | 1 << v, bound, [[1] * n] * n) >= 0
+
+
 def chronological_through(out: list[int], into: list[int], u: int, v: int,
                           bound: int) -> bool:
     """The check `chronological_search` runs: `short_through` at a bound
-    up to `oracle._SHORT_BOUND`, the package's `_path_through` above it,
-    looked up at each call."""
+    up to `oracle._SHORT_BOUND`, the package's `_path_through` above it."""
     if bound <= oracle._SHORT_BOUND:
         return short_through(out, into, u, v, 1 << u | 1 << v, bound)
-    return oracle._path_through(out, into, u, v, bound)
+    return package_through(out, into, u, v, bound)
 
 
 def chronological_search(n: int, edges: list[tuple[int, int]], q: int, bound: int,
@@ -297,7 +310,7 @@ def id_order_search(g: OrientedGraph, q: int, bound: int,
         inn[v] |= ubit
         count[c] += 1
         # fewer than bound+1 edges can never form a longer path
-        if count[c] <= bound or not oracle._path_through(out, inn, u, v, bound):
+        if count[c] <= bound or not package_through(out, inn, u, v, bound):
             pos += 1
             top[pos] = c + 1 if c == top[pos - 1] < q else top[pos - 1]
     return EdgeColoring.from_masks(adj[1:]), nodes
@@ -341,7 +354,7 @@ def lexicographic_search(g: OrientedGraph, q: int, bound: int,
             out[u] |= vbit
             inn[v] |= ubit
             count[c] += 1
-            ok = count[c] <= bound or not oracle._path_through(out, inn, u, v, bound)
+            ok = count[c] <= bound or not package_through(out, inn, u, v, bound)
             if ok and dfs(pos + 1, max(used, c)):
                 return True
             out[u] ^= vbit

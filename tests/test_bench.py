@@ -60,3 +60,24 @@ def test_summarise_gives_median_quartiles_and_counts():
     json.dumps(got)  # the summary is what BENCH_<label>.json holds
     one = bench.summarise([run(7.0)])["metrics"]["jobs_per_s"]
     assert (one["median"], one["q1"], one["q3"]) == (7.0, 7.0, 7.0)
+
+
+def test_read_summary_takes_the_counts_of_the_last_summary_line():
+    lines = ["tests/test_x.py::test_ok 36.48s call", "FAILED tests/test_acceptance.py::t",
+             "455 passed, 1 failed in 116.32s (0:01:56)"]
+    assert bench.read_summary(lines) == {"passed": 455, "failed": 1, "deselected": 0}
+    quiet = "1 failed, 455 passed, 3 deselected in 113.33s (0:01:53)"
+    assert bench.read_summary([quiet, ""]) == {"passed": 455, "failed": 1, "deselected": 3}
+    framed = "==== 12 passed, 2 deselected, 1 warning in 0.50s ===="
+    assert bench.read_summary([framed]) == {"passed": 12, "failed": 0, "deselected": 2}
+    assert bench.read_summary(["3 passed", "collected 3 items"]) is None
+
+
+def test_run_tier1_times_one_run_and_writes_no_cache(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_stub.py").write_text(
+        "def test_ok():\n    pass\n\n\ndef test_bad():\n    assert False\n")
+    run = bench.run_tier1(str(tmp_path))
+    assert run["exit_code"] == 1 and run["wall_s"] > 0
+    assert run["counts"] == {"passed": 1, "failed": 1, "deselected": 0}
+    assert not (tmp_path / ".pytest_cache").exists()

@@ -28,9 +28,6 @@ PAPER_ARTIFACTS = {
     "symmetric_multicolor_finder":
         "upper bound for complete symmetric digraphs: Raynaud's two-run "
         "Hamilton cycle under the Gallai-Roy color recursion",
-    "max_mono_path":
-        "the oracle's one-number answer: the longest monochromatic path of "
-        "a coloring",
     "find_cycle":
         "a directed graph is acyclic exactly when it has no directed cycle; "
         "the cycle is the witness",

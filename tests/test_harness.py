@@ -20,7 +20,6 @@ from dipath_ramsey import (
     FormatError,
     GeneratorSpec,
     ManifestError,
-    OracleResult,
     OrientedGraph,
     complete_symmetric,
     derive_seed,
@@ -561,11 +560,8 @@ def _fail_check_partition(real):
 
 def _measure_above_bound(real):
     def measure(g, coloring):
-        per_color = real(g, coloring)
-        if g.n == 12:
-            # no adversary bound on 12 vertices comes near this
-            per_color[1] = OracleResult(10**6, None, 0)
-        return per_color
+        # no adversary bound on 12 vertices comes near this
+        return 10**6 if g.n == 12 else real(g, coloring)
     return measure
 
 
@@ -580,7 +576,7 @@ def _fail_validate(real):
 @pytest.mark.parametrize("kind, model, params, owner, name, wrap", [
     ("adversary", "oriented", {"q": 1}, experiment, "check_partition",
      _fail_check_partition),
-    ("adversary", "oriented", {"q": 1}, experiment, "longest_mono_path",
+    ("adversary", "oriented", {"q": 1}, experiment, "max_mono_path",
      _measure_above_bound),
     ("builder", "tournament", {"colors": 2, "k": 2}, BuilderCertificate, "validate",
      _fail_validate),
@@ -604,7 +600,7 @@ def test_run_experiment_failed_check_is_failed_row(tmp_path, monkeypatch, kind, 
     assert bad[0] == 12 and bad[-1] == 0
     assert "" not in bad  # a full row, not an error cell's blanks
     assert record.aggregates["12"]["errors"] == {}
-    if name == "longest_mono_path":
+    if name == "max_mono_path":
         data = dict(zip(record.columns, bad))
         assert data["measured"] > data["total_bound"]
     assert (tmp_path / "f.csv").read_text() == record.csv_text()

@@ -1,6 +1,8 @@
 """Exact reference answers: longest mono paths, best colorings, arrowing."""
 import collections
+import functools
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -249,13 +251,16 @@ def _reference_through(out, into, u, v, bound,
 
 def _swap_check(monkeypatch, check):
     """Run the coloring search with the yes/no check `check(out, into, u,
-    v, bound)` at every bound: as `_path_through`, and in the place of
-    `_short_through`, whose mask contract it meets by naming every
-    earlier position as the conflict.  The search then backs up one edge
-    at a time, as `reference_oracle.chronological_search` does."""
-    monkeypatch.setattr(oracle, "_path_through", check)
-    monkeypatch.setattr(oracle, "_short_through", lambda out, into, u, v, seen, bound, bits:
-                        bits[u][v] - 1 if check(out, into, u, v, bound) else -1)
+    v, bound)` at every bound: one wrapper takes the place of both routes,
+    `_short_through` and `_path_through`, and meets their mask contract by
+    naming every earlier position as the conflict.  The search then backs
+    up one edge at a time, as `reference_oracle.chronological_search`
+    does."""
+    def through(out, into, u, v, ends, bound, bits):
+        return bits[u][v] - 1 if check(out, into, u, v, bound) else -1
+
+    monkeypatch.setattr(oracle, "_path_through", through)
+    monkeypatch.setattr(oracle, "_short_through", through)
 
 
 def _count_searches(monkeypatch, names=("_ahead", "_behind")):
@@ -314,14 +319,12 @@ def _cycles_class(rng, n):
     return out, into, u, v
 
 
-def test_path_through_matches_full_engine(monkeypatch):
-    """Random classes with no path longer than `bound`, plus one new edge:
-    the check through the new edge agrees with measuring the class, its
-    limit raised to the class, on each of its routes.  Bounds up to 7
-    keep the routes above the short bound running.  Classes of 2- and
-    3-cycles on 23-26 vertices are answered at every bound, above the
-    short bound too, where a size guard once refused them."""
-    calls = _count_searches(monkeypatch, ("_short_through", "_ahead"))
+@functools.lru_cache(maxsize=None)
+def _class_corpus():
+    """Random classes on 2-9 vertices with no path longer than `bound`
+    (0-7), and classes of 2- and 3-cycles on 23-26 vertices at bounds 2-5,
+    each with a new edge, as ((out, into, u, v), bound).  Built once and
+    shared by the tests that read it."""
     rng = random.Random(2024)
     cases = []
     for _ in range(3000):
@@ -331,18 +334,41 @@ def test_path_through_matches_full_engine(monkeypatch):
             cases.append((case, bound))
     for _ in range(60):
         cases.append((_cycles_class(rng, rng.randint(23, 26)), rng.randint(2, 5)))
+    return tuple(cases)
+
+
+def _positions(out, u, v):
+    """A positions table for a check on the class `out`, as the search
+    keeps one: bits[a][b] is 1 << the position of edge (a, b), the other
+    edges in order and the new edge (u, v) last, and the edges by
+    position."""
+    edges = [(a, b) for a, row in enumerate(out) for b in range(len(out))
+             if row >> b & 1 and (a, b) != (u, v)] + [(u, v)]
+    bits = [{} for _ in out]
+    for pos, (a, b) in enumerate(edges):
+        bits[a][b] = 1 << pos
+    return bits, edges
+
+
+def test_path_through_matches_full_engine(monkeypatch):
+    """Random classes with no path longer than `bound`, plus one new edge:
+    both checks through the new edge agree with measuring the class, its
+    limit raised to the class, `_path_through` on each of its routes at
+    bounds 0-7, where a yes is every earlier position, and
+    `_short_through` at bounds 0-3.  Classes of 2- and 3-cycles on 23-26
+    vertices are answered at every bound, above the short bound too,
+    where a size guard once refused them."""
+    calls = _count_searches(monkeypatch, ("_ahead",))
     seen = set()
-    for (out, into, u, v), bound in cases:
+    for (out, into, u, v), bound in _class_corpus():
         n = len(out)
-        short = bound <= oracle._SHORT_BOUND
         want = _reference_through(out, into, u, v, bound, n)
-        before = calls.copy()
-        got = oracle._path_through(out, into, u, v, bound)
-        assert got == want
-        assert (calls["_short_through"] > before["_short_through"]) == short
-        if short:
-            route = "short"
-        elif calls["_ahead"] > before["_ahead"]:
+        bits, _ = _positions(out, u, v)
+        ends = 1 << u | 1 << v
+        before = calls["_ahead"]
+        got = oracle._path_through(out, into, u, v, ends, bound, bits)
+        assert got == (bits[u][v] - 1 if want else -1)
+        if calls["_ahead"] > before:
             route = "search"
         elif (oracle._dag_depth(out, v) is not None
               and oracle._dag_depth(into, u) is not None):
@@ -350,7 +376,11 @@ def test_path_through_matches_full_engine(monkeypatch):
         else:
             route = "cutoff"
         acyclic = find_cycle(OrientedGraph.from_masks(n, out, into, True)) is None
-        seen.add((route, got, acyclic, n > reference_oracle.CLASS_SUPPORT_LIMIT))
+        big = n > reference_oracle.CLASS_SUPPORT_LIMIT
+        seen.add((route, want, acyclic, big))
+        if bound <= oracle._SHORT_BOUND:
+            assert (oracle._short_through(out, into, u, v, ends, bound, bits) >= 0) == want
+            seen.add(("short", want, acyclic, big))
     # every route, with both answers where it has two: the support
     # cutoff only says no
     assert {(route, got) for route, got, _, _ in seen} == {
@@ -364,6 +394,39 @@ def test_path_through_matches_full_engine(monkeypatch):
     for route in ("short", "search"):
         assert {got for r, got, _, big in seen if r == route and big} == {True, False}
     assert any(route == "dag" and not acyclic for route, _, acyclic, _ in seen)
+
+
+def _is_one_path(edges):
+    """Whether `edges` make one simple directed path."""
+    nxt = dict(edges)
+    starts = set(nxt) - set(nxt.values())
+    if len(nxt) != len(edges) or len(starts) != 1:
+        return False
+    path = list(starts)
+    while path[-1] in nxt and len(path) <= len(edges):
+        path.append(nxt[path[-1]])
+    return len(path) == len(edges) + 1 == len(set(path))
+
+
+def test_short_through_names_a_path_of_the_class():
+    """Backjumping is sound only if the mask `_short_through` returns names
+    a path: on the random-class corpus at bounds 0-3, every nonnegative
+    mask holds exactly `bound` positions, and their edges with the new
+    edge (u, v) make one simple directed path of the class, of bound + 1
+    edges.  Each bound names a path on some class."""
+    named = collections.Counter()
+    for (out, into, u, v), bound in _class_corpus():
+        if bound > oracle._SHORT_BOUND:
+            continue
+        bits, edges = _positions(out, u, v)
+        hit = oracle._short_through(out, into, u, v, 1 << u | 1 << v, bound, bits)
+        if hit < 0:
+            continue
+        assert hit.bit_count() == bound
+        path = [edges[pos] for pos in range(len(edges)) if hit >> pos & 1] + [(u, v)]
+        assert _is_one_path(path)
+        named[bound] += 1
+    assert set(named) == {0, 1, 2, 3}
 
 
 def _job_hosts():
@@ -527,7 +590,7 @@ def test_path_through_leaves_no_reference_cycles(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        assert not oracle._path_through(out, into, 0, 1, 7)
+        assert not reference_oracle.package_through(out, into, 0, 1, 7)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -542,7 +605,7 @@ def test_path_through_small_support_needs_no_search(monkeypatch):
 
     monkeypatch.setattr(oracle, "_ahead", no_search)
     out, into = _complete_class(20)
-    assert not oracle._path_through(out, into, 0, 1, 19)
+    assert not reference_oracle.package_through(out, into, 0, 1, 19)
 
 
 def test_path_through_support_cutoff_comes_before_size_guard():
@@ -551,8 +614,8 @@ def test_path_through_support_cutoff_comes_before_size_guard():
     more its support alone answers the check."""
     out, into = _complete_class(24)
     for bound in (23, 30):
-        assert not oracle._path_through(out, into, 0, 1, bound)
-    assert oracle._path_through(out, into, 0, 1, 22)
+        assert not reference_oracle.package_through(out, into, 0, 1, bound)
+    assert reference_oracle.package_through(out, into, 0, 1, 22)
 
 
 def _path_into_edge(edges):
@@ -577,11 +640,11 @@ def test_path_through_budget_is_per_check(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(paths, "_STATE_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match="exceeded 10 states"):
-            oracle._path_through(out, into, 0, 1, 7)
-    assert not oracle._path_through(out, into, 0, 1, 7)
-    assert oracle._path_through(*_path_into_edge(300), 302)
+            reference_oracle.package_through(out, into, 0, 1, 7)
+    assert not reference_oracle.package_through(out, into, 0, 1, 7)
+    assert reference_oracle.package_through(*_path_into_edge(300), 302)
     with pytest.raises(BudgetExceededError, match="recursion limit"):
-        oracle._path_through(*_path_into_edge(1200), 1202)
+        reference_oracle.package_through(*_path_into_edge(1200), 1202)
 
 
 def _search_hosts():
@@ -984,6 +1047,42 @@ def test_nine_vertex_arrow_decisions_within_small_budget():
     ok, witness = arrowing_check(tt9, 3, 2, budget=5_000)
     assert not ok
     assert _reaches(tt9, witness) == 2
+
+
+def _rotational(n):
+    """The rotational tournament on Z_n, n odd: i -> i+1, ..., i+(n-1)/2."""
+    return OrientedGraph(n, [(i, (i + d) % n) for i in range(n) for d in range(1, n // 2 + 1)])
+
+
+def test_coloring_search_golden_digest():
+    """One digest pins what the coloring search returns: minmax at q = 1-3
+    (value, explored and witness) on 40 seeded 7-vertex tournaments and 40
+    seeded 18-edge 6-vertex digraphs, arrow of P_3 and P_4 at q=2 (answer
+    and witness) on the tournaments, and six decisions above bound 3 with
+    their nodes: rot7 -> P_6 and P_7 at q=1, rot9 -> P_5 and rot11 -> P_5
+    and P_6 at q=2, and K*_8 at bound 4, q=2.  A change that lowers a node
+    count, or finds another witness, updates the digest and says why."""
+    h = hashlib.sha256()
+    t7 = [random_tournament(7, s).underlying for s in range(40)]
+    d6 = [random_digraph(6, 18, s) for s in range(40)]
+    for g in t7 + d6:
+        for q in (1, 2, 3):
+            res = min_max_mono_path(g, q)
+            h.update(repr((res.value, res.explored, res.witness.items())).encode())
+    for g in t7:
+        for target in (3, 4):
+            ok, witness = arrowing_check(g, target, 2)
+            h.update(repr((ok, None if witness is None else witness.items())).encode())
+    nodes = []
+    for g, q, bound in ((_rotational(7), 1, 5), (_rotational(7), 1, 6),
+                        (_rotational(9), 2, 4), (_rotational(11), 2, 4),
+                        (_rotational(11), 2, 5), (complete_symmetric(8), 2, 4)):
+        witness, spent = oracle._decision_search(g.n, oracle._search_order(g), q, bound,
+                                                 oracle.COLORING_BUDGET, 0)
+        h.update(repr((None if witness is None else witness.items(), spent)).encode())
+        nodes.append(spent)
+    assert nodes == [16, 21, 72, 868, 117, 2_334]
+    assert h.hexdigest()[:12] == "78279b1d9518"
 
 
 @pytest.mark.slow
